@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .panel import (
     write_panel_csv,
 )
 from .simulate import DgpConfig, generate_panel, monte_carlo
-from .estimation import fit_model
+from .estimation import COVARIANCE_KINDS, fit_model
 from .suite import (
     MAIN_TAGS,
     ComparisonTable,
@@ -82,6 +83,12 @@ def _load_bundle(bundle: str) -> PanelDataset:
     if not path.exists():
         raise MissingData(f"bundle {bundle!r} has no {DATASET_NAME}")
     return load_panel_csv(path)
+
+
+def _dgp_config(args) -> DgpConfig:
+    """The --config file (or the defaults), with --seed overriding its seed."""
+    cfg = DgpConfig.from_yaml(args.config) if args.config else DgpConfig()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _tag_list(raw: str) -> list[str]:
@@ -229,7 +236,7 @@ def cmd_suite(args) -> int:
     fmt = args.format
     ext = {"text": "txt", "csv": "csv", "md": "md"}
     if fmt != "json":
-        _write_text(out / f"suite.{ext[fmt]}", render_table(table, "text" if fmt == "text" else fmt))
+        _write_text(out / f"suite.{ext[fmt]}", render_table(table, fmt))
     inputs = [Path(args.bundle) / DATASET_NAME] + ([args.weights] if args.weights else [])
     build_manifest("suite", inputs, config_text=args.specs).write(out / "manifest.json")
     print(render_table(table, "text"))
@@ -238,11 +245,7 @@ def cmd_suite(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    cfg = DgpConfig.from_yaml(args.config) if args.config else DgpConfig()
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _dgp_config(args)
     generated = generate_panel(cfg)
 
     write_panel_csv(generated.dataset, out / DATASET_NAME)
@@ -263,11 +266,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc(args) -> int:
     out = _out_dir(args)
-    cfg = DgpConfig.from_yaml(args.config) if args.config else DgpConfig()
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _dgp_config(args)
     report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
 
     _write_json(out / "mc.json", report.to_dict())
@@ -312,49 +311,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rkpf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--output-dir", default=".", help="directory for outputs")
+        p.set_defaults(func=func)
+        return p
+
+    def format_option(p):
         p.add_argument(
             "--format",
             choices=("text", "csv", "md", "json"),
             default="text",
-            help="rendering for human-readable outputs",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            help="seed override; consumed by the stochastic commands",
+            help="rendering of the human-readable table (json: sidecar only)",
         )
 
-    p = sub.add_parser("ingest", help="validate a panel CSV into a bundle")
-    common(p)
+    def covariance_option(p):
+        p.add_argument(
+            "--covariance",
+            choices=COVARIANCE_KINDS,
+            default="cluster_by_region",
+        )
+
+    p = subcommand("ingest", cmd_ingest, "validate a panel CSV into a bundle")
     p.add_argument("--panel", required=True, help="long-format panel CSV")
     p.add_argument("--pubs", help="publication records (CSV or JSON-lines)")
     p.add_argument("--vocab", help="subject-area vocabulary, one code per line")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("weights", help="build the thematic weights matrix")
-    common(p)
+    p = subcommand("weights", cmd_weights, "build the thematic weights matrix")
     p.add_argument("--profiles", help="precomputed region x subject share CSV")
     p.add_argument("--pubs", help="publication records to derive profiles from")
     p.add_argument("--vocab", help="subject-area vocabulary")
     p.add_argument("--bundle", help="bundle whose region order the weights follow")
-    p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("fit", help="estimate one specification")
-    common(p)
+    p = subcommand("fit", cmd_fit, "estimate one specification")
+    format_option(p)
     p.add_argument("--bundle", required=True)
     p.add_argument("--spec", required=True, help="specification tag, e.g. fe.tw.q.sl")
     p.add_argument("--weights", help="weights CSV (required for sl tags)")
-    p.add_argument(
-        "--covariance",
-        choices=("classical", "cluster_by_region"),
-        default="cluster_by_region",
-    )
-    p.set_defaults(func=cmd_fit)
+    covariance_option(p)
 
-    p = sub.add_parser("suite", help="run a specification comparison table")
-    common(p)
+    p = subcommand("suite", cmd_suite, "run a specification comparison table")
+    format_option(p)
     p.add_argument("--bundle", required=True)
     p.add_argument(
         "--specs",
@@ -362,40 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated tags (default: the seven-model ladder)",
     )
     p.add_argument("--weights", help="weights CSV (required for sl tags)")
-    p.add_argument(
-        "--covariance",
-        choices=("classical", "cluster_by_region"),
-        default="cluster_by_region",
-    )
+    covariance_option(p)
     p.add_argument(
         "--dual-errors",
         action="store_true",
-        help="report classical and robust standard errors per cell",
+        help="report classical beside robust standard errors per cell "
+        "(one fit per tag; needs robust covariance)",
     )
-    p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser("simulate", help="generate a synthetic bundle")
-    common(p)
+    p = subcommand("simulate", cmd_simulate, "generate a synthetic bundle")
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--config", help="DGP config YAML")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("mc", help="Monte Carlo bias/coverage study")
-    common(p)
+    p = subcommand("mc", cmd_mc, "Monte Carlo bias/coverage study")
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--config", help="DGP config YAML")
     p.add_argument("--spec", default="fe.tw.q.sl")
     p.add_argument("--reps", type=_positive_reps, required=True)
-    p.add_argument(
-        "--covariance",
-        choices=("classical", "cluster_by_region"),
-        default="cluster_by_region",
-    )
-    p.set_defaults(func=cmd_mc)
+    covariance_option(p)
 
-    p = sub.add_parser("stats", help="descriptive statistics for bundle variables")
-    common(p)
+    p = subcommand("stats", cmd_stats, "descriptive statistics for bundle variables")
     p.add_argument("--bundle", required=True)
     p.add_argument("--vars", help="comma-separated variable names (default: all)")
-    p.set_defaults(func=cmd_stats)
 
     return parser
 

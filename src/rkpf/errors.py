@@ -109,6 +109,10 @@ class NoInteriorMaximum(EngineError):
     pass
 
 
+class DualErrorsNeedRobust(EngineError):
+    pass
+
+
 # simulator / cli
 
 

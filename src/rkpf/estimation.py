@@ -178,7 +178,12 @@ class OlsFit:
     residuals: np.ndarray
     fitted: np.ndarray
     ssr: float
-    r_matrix: np.ndarray  # R from the QR factorization, for (X'X)^-1
+    xtx_inverse: np.ndarray  # (X'X)^-1 from the QR's R, shared by both covariances
+
+
+def _xtx_inverse(r: np.ndarray) -> np.ndarray:
+    r_inv = solve_triangular(r, np.eye(r.shape[0]))
+    return r_inv @ r_inv.T
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
@@ -210,13 +215,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
         residuals=residuals,
         fitted=fitted,
         ssr=float(residuals @ residuals),
-        r_matrix=r,
+        xtx_inverse=_xtx_inverse(r),
     )
-
-
-def _xtx_inverse(fit: OlsFit) -> np.ndarray:
-    r_inv = solve_triangular(fit.r_matrix, np.eye(fit.r_matrix.shape[0]))
-    return r_inv @ r_inv.T
 
 
 def classical_cov(fit: OlsFit, X: np.ndarray, n_absorbed: int = 0) -> np.ndarray:
@@ -225,7 +225,7 @@ def classical_cov(fit: OlsFit, X: np.ndarray, n_absorbed: int = 0) -> np.ndarray
     dof = n - k - n_absorbed
     if dof <= 0:
         raise ZeroDof(f"no residual degrees of freedom (n={n}, k={k}+{n_absorbed})")
-    return (fit.ssr / dof) * _xtx_inverse(fit)
+    return (fit.ssr / dof) * fit.xtx_inverse
 
 
 def cluster_robust_cov(
@@ -249,7 +249,7 @@ def cluster_robust_cov(
         mask = clusters == group
         score = X[mask].T @ fit.residuals[mask]
         meat += np.outer(score, score)
-    bread = _xtx_inverse(fit)
+    bread = fit.xtx_inverse
     factor = (g / (g - 1)) * ((n - 1) / (n - big_k))
     return factor * bread @ meat @ bread
 
@@ -275,6 +275,9 @@ class FitResult:
     region_effects_absorbed: bool
     covariance: str
     column_labels: tuple[str, ...] = field(default=())
+    # classical errors from the same fit, reported beside robust ones
+    classical_std_errors: dict[str, float] = field(default_factory=dict)
+    classical_p_values: dict[str, float] = field(default_factory=dict)
 
     def stars(self, label: str) -> str:
         return significance_stars(self.p_values[label])
@@ -331,10 +334,24 @@ def _squared_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) ** 2 / denom**2
 
 
+def _inference(
+    cov: np.ndarray, coefficients: np.ndarray, dof: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard errors, t statistics and two-sided t p-values from a covariance."""
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = np.where(se > 0, coefficients / se, np.inf * np.sign(coefficients))
+    return se, t_stats, 2.0 * t_dist.sf(np.abs(t_stats), dof)
+
+
 def fit_model(
     d: PanelDataset, spec: ModelSpec, w: SpatialWeights | None = None
 ) -> FitResult:
-    """Estimate a ModelSpec: design -> (demean) -> QR least squares -> inference."""
+    """Estimate a ModelSpec: design -> (demean) -> QR least squares -> inference.
+
+    The result carries the spec's errors and, from the same (X'X)^-1, the
+    classical ones.
+    """
     design = build_design(d, spec, w)
     X, y = design.X, design.y
     n_obs, k = X.shape
@@ -351,15 +368,13 @@ def fit_model(
     if dof <= 0:
         raise ZeroDof(f"no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
 
+    classical = _inference(classical_cov(fit, Xf, n_absorbed), fit.coefficients, dof)
     if spec.covariance == "classical":
-        cov = classical_cov(fit, Xf, n_absorbed)
+        se, t_stats, p_values = classical
     else:
         cov = cluster_robust_cov(fit, Xf, design.clusters, n_absorbed)
-
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, fit.coefficients / se, np.inf * np.sign(fit.coefficients))
-    p_values = 2.0 * t_dist.sf(np.abs(t_stats), dof)
+        se, t_stats, p_values = _inference(cov, fit.coefficients, dof)
+    classical_se, _, classical_p = classical
 
     # within R^2: on the (possibly demeaned) LS problem; centered when a
     # constant is present or implied by demeaning
@@ -395,4 +410,6 @@ def fit_model(
         region_effects_absorbed=spec.region_effects,
         covariance=spec.covariance,
         column_labels=labels,
+        classical_std_errors=dict(zip(labels, map(float, classical_se))),
+        classical_p_values=dict(zip(labels, map(float, classical_p))),
     )

@@ -112,39 +112,6 @@ class PanelDataset:
         return replace(self, years=self.years[i0 : i1 + 1], variables=new_vars)
 
 
-@dataclass(frozen=True)
-class TransformStep:
-    """Declarative variable-construction step.
-
-    kind is one of {deflate, log, per_capita_or_per_employee_ratio,
-    weighted_trailing_average, lead_shift, square}; parameters hold
-    kind-specific values (base_year, cpi, weights, shift_periods).
-    """
-
-    kind: str
-    input_names: tuple[str, ...]
-    output_name: str
-    parameters: dict = field(default_factory=dict)
-
-    KINDS = (
-        "deflate",
-        "log",
-        "per_capita_or_per_employee_ratio",
-        "weighted_trailing_average",
-        "lead_shift",
-        "square",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.output_name in self.input_names:
-            raise ValueError("output_name must be distinct from all input_names")
-        weights = self.parameters.get("weights")
-        if weights is not None and any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-
-
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
@@ -315,25 +282,13 @@ def deflate(
     values = d.var(nominal)
     if base_year not in d.years:
         raise NonPositiveIndex(f"base_year {base_year} outside panel years")
-    deflator = np.empty(d.n_years)
-    base_j = d.year_index(base_year)
-    deflator[base_j] = 1.0
-    for j in range(base_j + 1, d.n_years):
-        year = d.years[j]
+    for year in d.years[1:]:  # the chain links every year to the one before it
         idx = cpi.get(year)
         if idx is None:
             raise NonPositiveIndex(f"price index missing for year {year}")
         if idx <= 0:
             raise NonPositiveIndex(f"non-positive price index {idx} for year {year}")
-        deflator[j] = deflator[j - 1] * idx
-    for j in range(base_j - 1, -1, -1):
-        year = d.years[j + 1]
-        idx = cpi.get(year)
-        if idx is None:
-            raise NonPositiveIndex(f"price index missing for year {year}")
-        if idx <= 0:
-            raise NonPositiveIndex(f"non-positive price index {idx} for year {year}")
-        deflator[j] = deflator[j + 1] / idx
+    deflator = chained_deflator(cpi, d.years, base_year)
     return d.with_variable(out, values / deflator[np.newaxis, :])
 
 
@@ -421,41 +376,6 @@ def apply_log(d: PanelDataset, x: str, out: str) -> PanelDataset:
         )
     with np.errstate(invalid="ignore"):
         return d.with_variable(out, np.log(values))
-
-
-def square(d: PanelDataset, x: str, out: str) -> PanelDataset:
-    return d.with_variable(out, d.var(x) ** 2)
-
-
-def ratio(d: PanelDataset, numerator: str, denominator: str, out: str) -> PanelDataset:
-    """Per-capita / per-employee style ratio of two variables."""
-    denom = d.var(denominator)
-    bad = (denom == 0) & ~np.isnan(denom)
-    if bad.any():
-        i, j = [ax[0] for ax in np.nonzero(bad)]
-        raise NonPositiveValue(
-            f"{denominator!r}: zero denominator at {d.region_ids[i]}, {d.years[j]}"
-        )
-    return d.with_variable(out, d.var(numerator) / denom)
-
-
-def apply_transform(d: PanelDataset, step: TransformStep) -> PanelDataset:
-    """Apply one declarative TransformStep."""
-    p = step.parameters
-    if step.kind == "deflate":
-        return deflate(d, step.input_names[0], p["cpi"], p["base_year"], step.output_name)
-    if step.kind == "log":
-        return apply_log(d, step.input_names[0], step.output_name)
-    if step.kind == "per_capita_or_per_employee_ratio":
-        num, den = step.input_names
-        return ratio(d, num, den, step.output_name)
-    if step.kind == "weighted_trailing_average":
-        return weighted_trailing_average(d, step.input_names[0], p["weights"], step.output_name)
-    if step.kind == "lead_shift":
-        return lead_shift(d, step.input_names[0], p["shift_periods"], step.output_name)
-    if step.kind == "square":
-        return square(d, step.input_names[0], step.output_name)
-    raise ValueError(f"unknown transform kind {step.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import InvalidTag, NoInteriorMaximum
+from .errors import DualErrorsNeedRobust, InvalidTag, NoInteriorMaximum
 from .estimation import (
     FitResult,
     ModelSpec,
@@ -114,7 +114,7 @@ class ComparisonTable:
 
     tags: tuple[str, ...]
     fits: tuple[FitResult, ...]
-    classical_fits: tuple[FitResult, ...] | None = None  # dual-error mode
+    dual_errors: bool = False  # classical se beside robust, stars by classical p
 
     @property
     def row_labels(self) -> tuple[str, ...]:
@@ -145,11 +145,11 @@ class ComparisonTable:
             "p": fit.p_values[label],
             "stars": fit.stars(label),
         }
-        if self.classical_fits is not None:
-            classical = self.classical_fits[col]
-            entry["std_error_classical"] = classical.std_errors[label]
-            entry["p_classical"] = classical.p_values[label]
-            entry["stars"] = classical.stars(label)
+        if self.dual_errors:
+            p_classical = fit.classical_p_values[label]
+            entry["std_error_classical"] = fit.classical_std_errors[label]
+            entry["p_classical"] = p_classical
+            entry["stars"] = significance_stars(p_classical)
         return entry
 
     def to_dict(self) -> dict:
@@ -167,7 +167,7 @@ class ComparisonTable:
                 "aic": [fit.aic for fit in self.fits],
             },
             "fits": [fit.to_dict() for fit in self.fits],
-            "dual_errors": self.classical_fits is not None,
+            "dual_errors": self.dual_errors,
         }
 
 
@@ -178,24 +178,24 @@ def run_suite(
     covariance: str = "cluster_by_region",
     dual_errors: bool = False,
 ) -> ComparisonTable:
-    """One independent fit per tag, columns in tag order.
+    """One fit per tag, columns in tag order.
 
     Every tag is validated before any estimation starts. With dual_errors,
-    classical standard errors are computed alongside the robust ones and
-    stars follow the classical p-values, matching the condensed two-line
-    reporting style.
+    each cell reports the classical standard errors of the same fit beside
+    the robust ones and stars follow the classical p-values, matching the
+    condensed two-line reporting style; this needs robust covariance.
     """
+    if dual_errors and covariance == "classical":
+        raise DualErrorsNeedRobust(
+            "dual errors report classical beside robust standard errors; "
+            "they need cluster_by_region covariance"
+        )
     tags = tuple(tags)
     if not tags:
         raise InvalidTag("empty tag list")
     specs = [expand_notation(tag, covariance) for tag in tags]
-
     fits = tuple(parallel_map(lambda s: fit_model(d, s, w), specs))
-    classical = None
-    if dual_errors:
-        classical_specs = [expand_notation(tag, "classical") for tag in tags]
-        classical = tuple(parallel_map(lambda s: fit_model(d, s, w), classical_specs))
-    return ComparisonTable(tags, fits, classical)
+    return ComparisonTable(tags, fits, dual_errors)
 
 
 def vertex_of_quadratic(b_linear: float, b_quadratic: float) -> float:
@@ -234,7 +234,7 @@ def render_table(table: ComparisonTable, fmt: str = "text") -> str:
     """
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}")
-    dual = table.classical_fits is not None
+    dual = table.dual_errors
     if fmt == "csv":
         return _render_csv(table, dual)
     if fmt == "md":

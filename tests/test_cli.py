@@ -269,6 +269,17 @@ class TestSuite:
         cell = payload["rows"][3]["cells"][0]
         assert "std_error_classical" in cell
 
+    def test_classical_dual_errors_exits_2(self, model_bundle, tmp_path):
+        # dual errors print classical beside robust se; with classical
+        # covariance both lines would be classical
+        out = tmp_path / "suite"
+        assert run(
+            "suite", "--bundle", model_bundle,
+            "--weights", model_bundle / "weights.csv",
+            "--covariance", "classical", "--dual-errors", "--output-dir", out,
+        ) == 2
+        assert not (out / "suite.json").exists()
+
     def test_empty_specs_exits_2(self, model_bundle, tmp_path):
         assert run(
             "suite", "--bundle", model_bundle, "--specs", ",",
@@ -340,6 +351,33 @@ class TestStats:
             "stats", "--bundle", model_bundle, "--vars", "nope",
             "--output-dir", tmp_path / "stats",
         ) == 2
+
+
+class TestRemovedFlags:
+    """--seed and --format are accepted only where a subcommand reads them."""
+
+    REQUIRED = {
+        "ingest": ["--panel", "panel.csv"],
+        "weights": [],
+        "fit": ["--bundle", "b", "--spec", "fe.tw"],
+        "suite": ["--bundle", "b"],
+        "simulate": [],
+        "mc": ["--reps", "2"],
+        "stats": ["--bundle", "b"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(c, "--seed", "5") for c in ("ingest", "weights", "fit", "suite", "stats")]
+        + [(c, "--format", "md") for c in ("ingest", "weights", "simulate", "mc", "stats")],
+    )
+    def test_flag_rejected(self, command, flag, value, tmp_path, capsys):
+        argv = [command, *self.REQUIRED[command], flag, value, "--output-dir", tmp_path]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not tmp_path.joinpath("manifest.json").exists()
 
 
 class TestRuntime:

@@ -1,5 +1,6 @@
 """Design construction, within/LSDV estimation, and covariance oracles."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -479,6 +480,27 @@ class TestFitModel:
         fit = fit_model(d, spec)
         assert fit.covariance == "cluster_by_region"
         assert fit.to_dict()["metadata"]["covariance"] == "cluster_by_region"
+
+    def test_one_xtx_inverse_serves_both_error_kinds(self, monkeypatch):
+        import rkpf.estimation as estimation
+
+        calls = []
+        real_inverse = estimation._xtx_inverse
+
+        def counting_inverse(r):
+            calls.append(r.shape)
+            return real_inverse(r)
+
+        monkeypatch.setattr(estimation, "_xtx_inverse", counting_inverse)
+        d = self.make_fe_data(np.random.default_rng(21), noise=1.0)
+        spec = ModelSpec("y", (Term("x1"), Term("x2")), region_effects=True)
+        fit = fit_model(d, spec)
+        assert len(calls) == 1
+        classical = fit_model(d, replace(spec, covariance="classical"))
+        assert fit.classical_std_errors == classical.std_errors
+        assert fit.classical_p_values == classical.p_values
+        assert fit.classical_std_errors != fit.std_errors
+        assert classical.classical_std_errors == classical.std_errors
 
 
 class TestStars:

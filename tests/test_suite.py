@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from rkpf.errors import InvalidTag, NoInteriorMaximum
+from rkpf.errors import DualErrorsNeedRobust, InvalidTag, NoInteriorMaximum
 from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.suite import (
     CONTROLS,
@@ -164,6 +164,28 @@ class TestRunSuite:
         entry = table.cell("FWCI", 0)
         assert "std_error_classical" in entry
         assert entry["std_error_classical"] != entry["std_error"]
+        classical = run_suite(
+            small_world.dataset, small_world.weights, MAIN_TAGS, "classical"
+        )
+        dual = run_suite(
+            small_world.dataset, small_world.weights, MAIN_TAGS, dual_errors=True
+        )
+        for col in range(len(MAIN_TAGS)):
+            for label in dual.row_labels:
+                entry = dual.cell(label, col)
+                if entry is not None:
+                    expected = classical.cell(label, col)["std_error"]
+                    assert entry["std_error_classical"] == expected  # bit for bit
+
+    def test_dual_errors_need_robust_covariance(self, small_world):
+        with pytest.raises(DualErrorsNeedRobust):
+            run_suite(
+                small_world.dataset,
+                small_world.weights,
+                ["fe.tw.q"],
+                "classical",
+                dual_errors=True,
+            )
 
     def test_exactly_one_fit_per_tag(self, small_world, monkeypatch):
         import rkpf.suite as suite_module
@@ -177,8 +199,10 @@ class TestRunSuite:
 
         monkeypatch.setattr(suite_module, "fit_model", counting_fit)
         tags = ["fe.tw", "ols.q", "fe.tw.q"]
-        run_suite(small_world.dataset, small_world.weights, tags)
-        assert len(calls) == len(tags)
+        for dual_errors in (False, True):
+            calls.clear()
+            run_suite(small_world.dataset, small_world.weights, tags, dual_errors=dual_errors)
+            assert len(calls) == len(tags)
 
     def test_threaded_suite_matches_serial(self, small_world, monkeypatch):
         serial = run_suite(small_world.dataset, small_world.weights, MAIN_TAGS)
