@@ -4,7 +4,8 @@ Subcommands: ingest, weights, fit, suite, simulate, mc, stats. A bundle is
 a plain directory holding dataset.csv plus a manifest; every command is
 deterministic given its inputs and seed, and manifests record content
 digests so reruns are verifiable. Exit codes: 0 success, 2 input or
-validation error, 1 internal error.
+validation error (including an input path that is missing or a
+directory), 1 internal error.
 """
 from __future__ import annotations
 
@@ -391,6 +392,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        # output directories are made first, so the path is a user-named input
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Every error the engine raises deliberately derives from EngineError; the CLI
-maps EngineError to exit code 2 (input/validation problem) and anything else
-to exit code 1 (internal error).
+maps EngineError and an input path that is missing or a directory to exit
+code 2 (input/validation problem) and anything else to exit code 1 (internal
+error).
 """
 
 
@@ -76,6 +77,14 @@ class DegenerateDimensions(EngineError):
 
 
 class RegionOrderMismatch(EngineError):
+    pass
+
+
+class InvalidProfiles(EngineError):
+    pass
+
+
+class InvalidWeights(EngineError):
     pass
 
 

@@ -5,7 +5,8 @@ explicit dummies with the first year as baseline. The least-squares core is
 QR-based. Covariance is either classical or a cluster-by-region sandwich
 with the small-sample factor G/(G-1) * (N-1)/(N-K), where K counts fitted
 columns plus absorbed region effects (the same convention used for degrees
-of freedom and t-distribution p-values).
+of freedom and t-distribution p-values). Demeaning and the sandwich need
+rows in G equal, contiguous cluster blocks of T (build_design's layout).
 """
 from __future__ import annotations
 
@@ -106,7 +107,6 @@ class Design:
     clusters: np.ndarray
     column_labels: tuple[str, ...]
     region_ids: tuple[str, ...]
-    years: tuple[int, ...]
 
 
 def _variable_checked(d: PanelDataset, name: str) -> np.ndarray:
@@ -156,27 +156,35 @@ def build_design(
 
     X = np.column_stack(columns)
     clusters = np.repeat(np.arange(n), t)
-    return Design(X, y, clusters, tuple(labels), d.region_ids, d.years)
+    return Design(X, y, clusters, tuple(labels), d.region_ids)
+
+
+def _region_blocks(clusters: np.ndarray) -> tuple[int, int]:
+    """(G, T) of labels in G equal, contiguous blocks of T rows; else ValueError."""
+    labels = np.asarray(clusters).reshape(-1)
+    g = np.unique(labels).size
+    t = labels.size // max(g, 1)
+    # G constant rows of T holding G distinct labels give each label one block
+    if g == 0 or g * t != labels.size or (labels.reshape(g, t) != labels[::t, None]).any():
+        raise ValueError("cluster labels must form equal, contiguous row blocks")
+    return g, t
 
 
 def within_transform(
     X: np.ndarray, y: np.ndarray, clusters: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract per-cluster means from every column and the response."""
-    Xd = X.astype(float).copy()
-    yd = y.astype(float).copy()
-    for g in np.unique(clusters):
-        mask = clusters == g
-        Xd[mask] -= Xd[mask].mean(axis=0)
-        yd[mask] -= yd[mask].mean()
-    return Xd, yd
+    """Subtract per-cluster means; clusters must be G equal, contiguous T-row blocks."""
+    g, t = _region_blocks(clusters)
+    X3 = np.asarray(X, dtype=float).reshape(g, t, -1)
+    y2 = np.asarray(y, dtype=float).reshape(g, t)
+    Xd = X3 - X3.mean(axis=1, keepdims=True)
+    return Xd.reshape(g * t, -1), (y2 - y2.mean(axis=1, keepdims=True)).reshape(-1)
 
 
 @dataclass(frozen=True)
 class OlsFit:
     coefficients: np.ndarray
     residuals: np.ndarray
-    fitted: np.ndarray
     ssr: float
     xtx_inverse: np.ndarray  # (X'X)^-1 from the QR's R, shared by both covariances
 
@@ -208,12 +216,10 @@ def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
             "preceding columns"
         )
     coef = solve_triangular(r, q.T @ y)
-    fitted = X @ coef
-    residuals = y - fitted
+    residuals = y - X @ coef
     return OlsFit(
         coefficients=coef,
         residuals=residuals,
-        fitted=fitted,
         ssr=float(residuals @ residuals),
         xtx_inverse=_xtx_inverse(r),
     )
@@ -234,24 +240,20 @@ def cluster_robust_cov(
     """Cluster sandwich (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1.
 
     Scaled by G/(G-1) * (N-1)/(N-K) with K = fitted columns + absorbed
-    region effects.
+    region effects. Clusters must be G equal, contiguous blocks of T rows.
     """
     n, k = X.shape
-    groups = np.unique(clusters)
-    g = groups.size
+    g, t = _region_blocks(clusters)
     if g < 2:
         raise SingleCluster("cluster-robust covariance needs at least 2 clusters")
     big_k = k + n_absorbed
     if n - big_k <= 0:
         raise ZeroDof(f"no residual degrees of freedom (n={n}, K={big_k})")
-    meat = np.zeros((k, k))
-    for group in groups:
-        mask = clusters == group
-        score = X[mask].T @ fit.residuals[mask]
-        meat += np.outer(score, score)
-    bread = fit.xtx_inverse
+    X3 = np.asarray(X).reshape(g, t, k)
+    scores = (X3.transpose(0, 2, 1) @ fit.residuals.reshape(g, t, 1))[:, :, 0]
+    meat = (scores[:, :, None] * scores[:, None, :]).sum(axis=0)
     factor = (g / (g - 1)) * ((n - 1) / (n - big_k))
-    return factor * bread @ meat @ bread
+    return factor * fit.xtx_inverse @ meat @ fit.xtx_inverse
 
 
 @dataclass(frozen=True)
@@ -364,9 +366,7 @@ def fit_model(
         n_absorbed = 0
 
     fit = ols_fit(Xf, yf, design.column_labels)
-    dof = n_obs - k - n_absorbed
-    if dof <= 0:
-        raise ZeroDof(f"no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
+    dof = n_obs - k - n_absorbed  # classical_cov raises ZeroDof when dof <= 0
 
     classical = _inference(classical_cov(fit, Xf, n_absorbed), fit.coefficients, dof)
     if spec.covariance == "classical":

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import (
     DegenerateDimensions,
+    InvalidProfiles,
+    InvalidWeights,
     MissingColumn,
     MissingData,
     NonNumericCell,
@@ -39,15 +41,15 @@ class ThematicProfileMatrix:
         shares = np.asarray(self.shares, dtype=float)
         n, s = len(self.regions), len(self.subject_areas)
         if shares.shape != (n, s):
-            raise ValueError(f"shares shape {shares.shape} != ({n}, {s})")
-        if np.any(shares < -_ROW_SUM_TOL):
-            raise ValueError("profile shares must be nonnegative")
+            raise InvalidProfiles(f"shares shape {shares.shape} != ({n}, {s})")
         sums = shares.sum(axis=1)
-        off = np.abs(sums - 1.0) > _ROW_SUM_TOL
-        if off.any():
-            i = int(np.nonzero(off)[0][0])
-            raise ValueError(
-                f"profile row for {self.regions[i]!r} sums to {sums[i]}, expected 1"
+        # comparisons with NaN are False, so non-finite rows fail here too
+        ok = np.all(shares >= -_ROW_SUM_TOL, axis=1) & (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InvalidProfiles(
+                f"profile row for {self.regions[i]!r} sums to {sums[i]}, expected "
+                "nonnegative shares summing to 1"
             )
         shares = shares.copy()
         shares.flags.writeable = False
@@ -66,18 +68,26 @@ class SpatialWeights:
         w = np.asarray(self.w, dtype=float)
         n = len(self.regions)
         if w.shape != (n, n):
-            raise ValueError(f"weights shape {w.shape} != ({n}, {n})")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+            raise InvalidWeights(f"weights shape {w.shape} != ({n}, {n})")
+        bad = ~np.isfinite(w) | (w < 0)
+        if bad.any():
+            i = int(np.nonzero(bad.any(axis=1))[0][0])
+            raise InvalidWeights(
+                f"row for {self.regions[i]!r} has a negative or non-finite weight"
+            )
         if np.any(np.diag(w) != 0):
-            raise ValueError("weights diagonal must be exactly zero")
+            raise InvalidWeights("weights diagonal must be exactly zero")
         sums = w.sum(axis=1)
         for i, s in enumerate(sums):
             if i in self.isolated:
                 if s != 0:
-                    raise ValueError(f"isolated row {i} has nonzero sum {s}")
+                    raise InvalidWeights(
+                        f"isolated row for {self.regions[i]!r} has nonzero sum {s}"
+                    )
             elif abs(s - 1.0) > _ROW_SUM_TOL:
-                raise ValueError(f"row {i} sums to {s}, expected 1")
+                raise InvalidWeights(
+                    f"row for {self.regions[i]!r} sums to {s}, expected 1"
+                )
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
@@ -176,7 +186,8 @@ def write_weights_csv(w: SpatialWeights, path) -> None:
             writer.writerow([region, *[repr(float(v)) for v in w.w[i]]])
 
 
-def load_weights_csv(path) -> SpatialWeights:
+def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Column labels, row regions and cells of a CSV whose first column is 'region'."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -185,22 +196,34 @@ def load_weights_csv(path) -> SpatialWeights:
             raise MissingData(f"{path}: file is empty") from None
         if not header or header[0] != "region":
             raise MissingColumn(f"{path}: first header cell must be 'region'")
-        regions = tuple(header[1:])
+        regions = []
         rows = []
-        row_regions = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            row_regions.append(row[0])
+            if len(row) != len(header):
+                raise NonNumericCell(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            regions.append(row[0])
             try:
                 rows.append([float(c) for c in row[1:]])
             except ValueError as exc:
                 raise NonNumericCell(f"{path}:{lineno}: {exc}") from None
-    if tuple(row_regions) != regions:
+    if not rows:
+        raise MissingData(f"{path}: no data rows")
+    return tuple(header[1:]), tuple(regions), np.asarray(rows)
+
+
+def load_weights_csv(path) -> SpatialWeights:
+    columns, regions, w = _read_region_matrix(path)
+    if regions != columns:
         raise RegionOrderMismatch(f"{path}: row and column region order differ")
-    w = np.asarray(rows)
     isolated = frozenset(int(i) for i in np.nonzero(w.sum(axis=1) == 0)[0])
-    return SpatialWeights(regions, w, isolated)
+    try:
+        return SpatialWeights(regions, w, isolated)
+    except InvalidWeights as exc:
+        raise InvalidWeights(f"{path}: {exc}") from None
 
 
 def weights_to_dict(w: SpatialWeights) -> dict:
@@ -226,25 +249,8 @@ def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
 
 
 def load_profiles_csv(path) -> ThematicProfileMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingData(f"{path}: file is empty") from None
-        if not header or header[0] != "region":
-            raise MissingColumn(f"{path}: first header cell must be 'region'")
-        areas = tuple(header[1:])
-        regions = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            regions.append(row[0])
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise NonNumericCell(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise MissingData(f"{path}: no profile rows")
-    return ThematicProfileMatrix(tuple(regions), areas, np.asarray(rows))
+    areas, regions, shares = _read_region_matrix(path)
+    try:
+        return ThematicProfileMatrix(regions, areas, shares)
+    except InvalidProfiles as exc:
+        raise InvalidProfiles(f"{path}: {exc}") from None

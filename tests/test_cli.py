@@ -353,6 +353,59 @@ class TestStats:
         ) == 2
 
 
+def _copy_editing_line_3(edit):
+    """A case set-up that copies the source file with its third line's cells edited."""
+
+    def prepare(source, bad):
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    return prepare
+
+
+class TestMalformedInputs:
+    """User files that are missing or malformed exit 2 with one error line."""
+
+    @pytest.fixture(scope="class")
+    def sim(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sim")
+        assert run("simulate", "--seed", 7, "--output-dir", out) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "command, bad_name, prepare",
+        [
+            ("fit", "weights.csv", _copy_editing_line_3(lambda c: c[:2] + ["-0.5"] + c[3:])),
+            ("fit", "weights.csv", _copy_editing_line_3(lambda c: c[:-1])),
+            ("weights", "profiles.csv",
+             _copy_editing_line_3(lambda c: c[:1] + [repr(2 * float(c[1]))] + c[2:])),
+            ("ingest", "nope.csv", None),
+            ("fit", "nonexistent.csv", None),
+            ("fit", "weights-dir", lambda source, bad: bad.mkdir()),
+        ],
+        ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
+             "missing-weights", "weights-is-directory"],
+    )
+    def test_exits_2_without_traceback(
+        self, sim, tmp_path, capsys, command, bad_name, prepare
+    ):
+        bad = tmp_path / bad_name
+        if prepare is not None:
+            prepare(sim / bad_name, bad)
+        argv = {
+            "fit": ["--bundle", sim, "--spec", "fe.tw.q.sl", "--weights", bad],
+            "weights": ["--profiles", bad, "--bundle", sim],
+            "ingest": ["--panel", bad],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv, "--output-dir", tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        error_lines = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+        assert len(error_lines) == 1 and bad_name in error_lines[0]
+
+
 class TestRemovedFlags:
     """--seed and --format are accepted only where a subcommand reads them."""
 

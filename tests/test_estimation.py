@@ -26,6 +26,7 @@ from rkpf.estimation import (
     within_transform,
 )
 from rkpf.panel import PanelDataset
+from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.suite import expand_notation
 from rkpf.weights import build_weights
 
@@ -348,6 +349,78 @@ class TestClusterRobustCov:
         cov = cluster_robust_cov(fit, X, np.repeat(np.arange(6), 4))
         np.testing.assert_allclose(cov, cov.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
+
+
+def masked_within_transform(X, y, clusters):
+    """Reference demeaning: one boolean mask per cluster."""
+    Xd = X.astype(float).copy()
+    yd = y.astype(float).copy()
+    for g in np.unique(clusters):
+        mask = clusters == g
+        Xd[mask] -= Xd[mask].mean(axis=0)
+        yd[mask] -= yd[mask].mean()
+    return Xd, yd
+
+
+def masked_cluster_cov(fit, X, clusters, n_absorbed=0):
+    """Reference sandwich: per-cluster masked scores, outer products summed in label order."""
+    n, k = X.shape
+    groups = np.unique(clusters)
+    meat = np.zeros((k, k))
+    for group in groups:
+        mask = clusters == group
+        score = X[mask].T @ fit.residuals[mask]
+        meat += np.outer(score, score)
+    g = groups.size
+    factor = (g / (g - 1)) * ((n - 1) / (n - k - n_absorbed))
+    return factor * fit.xtx_inverse @ meat @ fit.xtx_inverse
+
+
+class TestRegionBlockKernels:
+    """The (G, T, k) kernels equal the masked loops bit for bit."""
+
+    def assert_kernels_match_loops(self, X, y, clusters, n_absorbed=0):
+        Xd, yd = within_transform(X, y, clusters)
+        Xm, ym = masked_within_transform(X, y, clusters)
+        assert np.array_equal(Xd, Xm)
+        assert np.array_equal(yd, ym)
+        # singleton clusters demean to zero, so the sandwich gets the raw design
+        # unless region effects are absorbed
+        Xf, yf = (Xd, yd) if n_absorbed else (X, y)
+        fit = ols_fit(Xf, yf)
+        cov = cluster_robust_cov(fit, Xf, clusters, n_absorbed)
+        assert np.array_equal(cov, masked_cluster_cov(fit, Xf, clusters, n_absorbed))
+
+    @pytest.mark.parametrize(
+        "g, t, k", [(2, 6, 3), (20, 1, 2), (7, 3, 1), (13, 9, 6), (78, 12, 5)]
+    )
+    def test_random_blocks(self, g, t, k):
+        rng = np.random.default_rng(g * 100 + t * 10 + k)
+        X = rng.normal(size=(g * t, k))
+        y = rng.normal(size=g * t)
+        self.assert_kernels_match_loops(X, y, np.repeat(np.arange(g), t))
+
+    def test_two_way_sl_design(self):
+        generated = generate_panel(DgpConfig(n_regions=30, n_years=8, seed=5))
+        spec = expand_notation("fe.tw.q.sl", "cluster_by_region")
+        design = build_design(generated.dataset, spec, generated.weights)
+        self.assert_kernels_match_loops(design.X, design.y, design.clusters, 30)
+
+    @pytest.mark.parametrize(
+        "clusters",
+        [[0, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1, 1, 1], [0, 0, 1], []],
+        ids=["interleaved", "unequal", "unequal-even", "ragged", "empty"],
+    )
+    def test_non_block_labels_rejected(self, clusters):
+        clusters = np.array(clusters, dtype=int)
+        n = clusters.size
+        X = np.arange(2.0 * n).reshape(n, 2)
+        y = np.arange(float(n))
+        with pytest.raises(ValueError, match="contiguous"):
+            within_transform(X, y, clusters)
+        fit = ols_fit(np.eye(max(n, 2), 2), np.ones(max(n, 2)))
+        with pytest.raises(ValueError, match="contiguous"):
+            cluster_robust_cov(fit, X, clusters)
 
 
 class TestFitModel:

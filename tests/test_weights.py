@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkpf.errors import DegenerateDimensions, RegionOrderMismatch
+from rkpf.errors import (
+    DegenerateDimensions,
+    InvalidProfiles,
+    InvalidWeights,
+    RegionOrderMismatch,
+)
 from rkpf.panel import PanelDataset
 from rkpf.weights import (
     SpatialWeights,
@@ -218,3 +223,21 @@ class TestIo:
         loaded = load_profiles_csv(path)
         assert loaded.regions == m.regions
         np.testing.assert_array_equal(loaded.shares, m.shares)
+
+
+class TestValidation:
+    """Constructors reject bad matrices with engine errors naming the row."""
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_weights_cell_rejected(self, bad):
+        w = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        w[1, 2] = bad
+        with pytest.raises(InvalidWeights, match="'B'"):
+            SpatialWeights(("A", "B", "C"), w, frozenset())
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, 0.9])
+    def test_profile_share_rejected(self, bad):
+        shares = np.array([[0.5, 0.5], [0.2, 0.8]])
+        shares[1, 0] = bad
+        with pytest.raises(InvalidProfiles, match="'r1'"):
+            profiles(shares)
