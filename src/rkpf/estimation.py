@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import t as t_dist
+from scipy.special import stdtr, stdtrit
 
 from .errors import (
     MissingWeights,
@@ -285,7 +285,7 @@ class FitResult:
         return significance_stars(self.p_values[label])
 
     def conf_int(self, label: str, level: float = 0.95) -> tuple[float, float]:
-        half = t_dist.ppf(0.5 + level / 2, self.dof) * self.std_errors[label]
+        half = stdtrit(self.dof, 0.5 + level / 2) * self.std_errors[label]
         est = self.coefficients[label]
         return est - half, est + half
 
@@ -343,7 +343,7 @@ def _inference(
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, coefficients / se, np.inf * np.sign(coefficients))
-    return se, t_stats, 2.0 * t_dist.sf(np.abs(t_stats), dof)
+    return se, t_stats, 2.0 * stdtr(dof, -np.abs(t_stats))
 
 
 def fit_model(

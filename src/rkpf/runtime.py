@@ -1,30 +1,11 @@
-"""Parallelism helpers. RKPF_THREADS caps worker threads (default 1)."""
+"""Run helpers shared by suites and Monte Carlo."""
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import ConfigError
-
-
-def thread_count() -> int:
-    raw = os.environ.get("RKPF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"RKPF_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 def parallel_map(fn, items) -> list:
-    """Order-preserving map, threaded when RKPF_THREADS > 1.
+    """Order-preserving serial map: one call of fn per item, in item order.
 
-    Results are schedule-independent as long as fn is pure, so callers must
-    not rely on shared mutable state.
+    Suites and Monte Carlo runs are small fits, so they run on one thread.
+    The name stays because the benchmark's tracer wraps this function.
     """
-    items = list(items)
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

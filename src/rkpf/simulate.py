@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.stats import t as t_dist
+from scipy.special import stdtrit
 
-from .errors import ConfigError
+from .errors import ConfigError, EngineError
 from .estimation import fit_model, parse_term_label
 from .panel import PanelDataset
 from .runtime import parallel_map
@@ -93,6 +93,16 @@ LOGGED_REGRESSORS = ("EXPEMP10", "GRPCAP10", "PAPEMP")
 def default_time_profile(n_years: int) -> tuple[float, ...]:
     """Monotone increasing year offsets (upward publication trend)."""
     return tuple(float(v) for v in np.linspace(0.0, 1.5, n_years))
+
+
+def _config_section(m: dict, name: str) -> dict:
+    """One top-level section of a DGP config; absent or null reads as {}."""
+    section = m.get(name)
+    if section is not None and not isinstance(section, dict):
+        raise ConfigError(
+            f"bad DGP config: section {name!r} must be a mapping, got {type(section).__name__}"
+        )
+    return section or {}
 
 
 @dataclass(frozen=True)
@@ -170,12 +180,11 @@ class DgpConfig:
 
     @classmethod
     def from_mapping(cls, m: dict) -> "DgpConfig":
+        panel, effects, model, thematic, regressors = (
+            _config_section(m, name)
+            for name in ("panel", "effects", "model", "thematic", "regressors")
+        )
         try:
-            panel = m.get("panel", {})
-            effects = m.get("effects", {})
-            model = m.get("model", {})
-            thematic = m.get("thematic", {})
-            regressors = m.get("regressors")
             dists = dict(DEFAULT_REGRESSORS)
             if regressors:
                 dists = {
@@ -222,7 +231,10 @@ class DgpConfig:
                 raise ConfigError(f"{path}: cannot parse config: {exc}") from None
         if not isinstance(m, dict):
             raise ConfigError(f"{path}: config must be a mapping")
-        return cls.from_mapping(m)
+        try:
+            return cls.from_mapping(m)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_yaml(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -397,7 +409,8 @@ def monte_carlo(
     """Repeat generate -> fit; aggregate bias, dispersion, and 95% coverage.
 
     Replication i draws its generator from SeedSequence(cfg.seed).spawn,
-    so results do not depend on execution order or thread schedule.
+    so the same config and seed give the same report. An engine error in a
+    replication keeps its type and names the replication and its spawn key.
     """
     if replications < 2:
         raise ConfigError("replications must be >= 2")
@@ -408,10 +421,14 @@ def monte_carlo(
     streams = np.random.SeedSequence(cfg.seed).spawn(replications)
 
     def one_rep(i: int):
-        rng = np.random.default_rng(streams[i])
-        generated = generate_panel(cfg, rng)
-        fit = fit_model(generated.dataset, spec, generated.weights)
-        crit = t_dist.ppf(0.975, fit.dof)
+        try:
+            generated = generate_panel(cfg, np.random.default_rng(streams[i]))
+            fit = fit_model(generated.dataset, spec, generated.weights)
+        except EngineError as exc:
+            raise type(exc)(
+                f"replication {i} (spawn key {streams[i].spawn_key}): {exc}"
+            ) from exc
+        crit = stdtrit(fit.dof, 0.975)
         est, se, covered = {}, {}, {}
         for label in tracked:
             b = fit.coefficients[label]

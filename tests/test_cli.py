@@ -1,9 +1,14 @@
 """Command-line surfaces: bundles, exit codes, file outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkpf
 from rkpf.cli import main
 from rkpf.panel import write_panel_csv
 from rkpf.simulate import DgpConfig, generate_panel
@@ -383,9 +388,12 @@ class TestMalformedInputs:
             ("ingest", "nope.csv", None),
             ("fit", "nonexistent.csv", None),
             ("fit", "weights-dir", lambda source, bad: bad.mkdir()),
+            ("simulate", "c.yaml", lambda source, bad: bad.write_text("panel: [1, 2]\n")),
+            ("simulate", "c.yaml", lambda source, bad: bad.write_text("regressors: [FWCI]\n")),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
-             "missing-weights", "weights-is-directory"],
+             "missing-weights", "weights-is-directory", "config-panel-list",
+             "config-regressors-list"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -397,6 +405,7 @@ class TestMalformedInputs:
             "fit": ["--bundle", sim, "--spec", "fe.tw.q.sl", "--weights", bad],
             "weights": ["--profiles", bad, "--bundle", sim],
             "ingest": ["--panel", bad],
+            "simulate": ["--config", bad],
         }[command]
         capsys.readouterr()
         assert run(command, *argv, "--output-dir", tmp_path / "out") == 2
@@ -433,24 +442,6 @@ class TestRemovedFlags:
         assert not tmp_path.joinpath("manifest.json").exists()
 
 
-class TestRuntime:
-    def test_bad_thread_env_is_config_error(self, monkeypatch):
-        from rkpf.errors import ConfigError
-        from rkpf.runtime import thread_count
-
-        monkeypatch.setenv("RKPF_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-    def test_thread_cap_respected(self, monkeypatch):
-        from rkpf.runtime import thread_count
-
-        monkeypatch.setenv("RKPF_THREADS", "6")
-        assert thread_count() == 6
-        monkeypatch.setenv("RKPF_THREADS", "0")
-        assert thread_count() == 1
-
-
 class TestManifest:
     def test_digests_stable_for_identical_inputs(self, panel_csv, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -461,3 +452,13 @@ class TestManifest:
         assert m1["inputs"] == m2["inputs"]
         assert m1["config_digest"] == m2["config_digest"]
         assert m1["engine_version"] == m2["engine_version"]
+
+
+def test_cli_import_skips_scipy_stats():
+    """The t distribution comes from scipy.special; scipy.stats costs ~0.8 s per process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rkpf.__file__).resolve().parents[1]))
+    probe = "import sys, rkpf.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rkpf.errors import ConfigError
+from rkpf.errors import ConfigError, RankDeficient
 from rkpf.estimation import fit_model
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
     DEFAULT_COEFFICIENTS,
+    DEFAULT_REGRESSORS,
     DgpConfig,
     generate_panel,
     monte_carlo,
@@ -170,11 +171,14 @@ class TestMonteCarlo:
         b = monte_carlo(self.small, "fe.tw.q.sl", 10)
         assert a.to_dict() == b.to_dict()
 
-    def test_thread_schedule_independence(self, monkeypatch):
-        serial = monte_carlo(self.small, "fe.tw.q", 8)
-        monkeypatch.setenv("RKPF_THREADS", "4")
-        threaded = monte_carlo(self.small, "fe.tw.q", 8)
-        assert serial.to_dict() == threaded.to_dict()
+    def test_failing_replication_is_named(self):
+        # constant FWCI/Q1SH/NQSH are absorbed by the region effects
+        dists = dict(DEFAULT_REGRESSORS)
+        for name in ("FWCI", "Q1SH", "NQSH"):
+            dists[name] = replace(dists[name], region_sd=0.0, year_sd=0.0)
+        cfg = replace(self.small, regressor_distributions=dists)
+        with pytest.raises(RankDeficient, match=r"^replication 0 \(spawn key \(0,\)\): "):
+            monte_carlo(cfg, "fe.tw.q.sl", 3)
 
     def test_bias_within_monte_carlo_noise(self):
         # |bias| < 3 * emp_sd / sqrt(reps) for the headline elasticity

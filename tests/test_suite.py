@@ -204,12 +204,6 @@ class TestRunSuite:
             run_suite(small_world.dataset, small_world.weights, tags, dual_errors=dual_errors)
             assert len(calls) == len(tags)
 
-    def test_threaded_suite_matches_serial(self, small_world, monkeypatch):
-        serial = run_suite(small_world.dataset, small_world.weights, MAIN_TAGS)
-        monkeypatch.setenv("RKPF_THREADS", "4")
-        threaded = run_suite(small_world.dataset, small_world.weights, MAIN_TAGS)
-        assert serial.to_dict() == threaded.to_dict()
-
 
 class TestRenderTable:
     def test_text_has_parenthesized_errors(self, small_world):
