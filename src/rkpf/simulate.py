@@ -17,7 +17,7 @@ identity as a uniform -q shift; under fixed effects it is absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 import yaml
@@ -71,10 +71,11 @@ class RegressorDistribution:
     max_value: float
 
     def __post_init__(self):
-        if self.region_sd < 0 or self.year_sd < 0:
-            raise ConfigError("regressor sds must be nonnegative")
-        if not 0 < self.min_value < self.max_value:
-            raise ConfigError("need 0 < min_value < max_value")
+        if not (0 <= self.region_sd < math.inf and 0 <= self.year_sd < math.inf):
+            raise ConfigError("regressor sds must be nonnegative and finite")
+        finite_mean = math.isfinite(self.log_mean)
+        if not (finite_mean and 0 < self.min_value < self.max_value < math.inf):
+            raise ConfigError("need a finite log_mean and 0 < min_value < max_value < inf")
 
 
 # clip bounds follow the observed descriptive ranges of the calibration target
@@ -89,20 +90,65 @@ DEFAULT_REGRESSORS = {
 
 LOGGED_REGRESSORS = ("EXPEMP10", "GRPCAP10", "PAPEMP")
 
+# Every scalar key of a DGP config file as (section, key, DgpConfig field,
+# type): to_mapping writes them all and from_mapping casts those present, so
+# defaults live only on DgpConfig. The other keys are effects.time_profile,
+# model.coefficients and, per regressor name, the _REGRESSOR_KEYS.
+_SCALAR_KEYS = (
+    ("panel", "n_regions", "n_regions", int),
+    ("panel", "n_years", "n_years", int),
+    ("panel", "first_year", "first_year", int),
+    ("panel", "seed", "seed", int),
+    ("effects", "region_sd", "region_effect_sd", float),
+    ("effects", "noise_sd", "noise_sd", float),
+    ("effects", "cluster_ar1", "cluster_ar1", float),
+    ("model", "quality_substitution", "quality_substitution", float),
+    ("thematic", "n_subject_areas", "n_subject_areas", int),
+    ("thematic", "concentration", "profile_concentration", float),
+)
+_OTHER_KEYS = (("effects", "time_profile"), ("model", "coefficients"))
+# the keys each section may hold; the regressors section takes any name
+_SECTION_KEYS = {
+    **{
+        name: {k for s, k, *_ in _SCALAR_KEYS + _OTHER_KEYS if s == name}
+        for name in ("panel", "effects", "model", "thematic")
+    },
+    "regressors": None,
+}
+_REGRESSOR_KEYS = ("log_mean", "region_sd", "year_sd", "min", "max")  # field order
 
-def default_time_profile(n_years: int) -> tuple[float, ...]:
-    """Monotone increasing year offsets (upward publication trend)."""
-    return tuple(float(v) for v in np.linspace(0.0, 1.5, n_years))
 
-
-def _config_section(m: dict, name: str) -> dict:
-    """One top-level section of a DGP config; absent or null reads as {}."""
-    section = m.get(name)
-    if section is not None and not isinstance(section, dict):
+def _mapping(value, where: str, keys=None) -> dict:
+    """A mapping of a DGP config with no key outside keys (if given); null reads as {}."""
+    if value is not None and not isinstance(value, dict):
         raise ConfigError(
-            f"bad DGP config: section {name!r} must be a mapping, got {type(section).__name__}"
+            f"bad DGP config: {where} must be a mapping, got {type(value).__name__}"
         )
-    return section or {}
+    for key in value or {}:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"bad DGP config: unknown key {key!r} in {where}")
+    return value or {}
+
+
+def _cast(kind: type, value, where: str):
+    """A config value as int or float; null, a bool or a fractional int is an error."""
+    try:
+        if value is None or isinstance(value, bool):
+            raise TypeError(f"expected a number, got {value!r}")
+        number = float(value)
+        if kind is float:
+            return number
+        if not number.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value) if isinstance(value, int) else int(number)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad DGP config: {where}: {exc}") from None
+
+
+def _floats(value, where: str, keys: tuple[str, ...]) -> list[float]:
+    """The values of a config mapping with exactly these keys, as floats."""
+    m = _mapping(value, where, keys)
+    return [_cast(float, m.get(key), f"{where}.{key}") for key in keys]
 
 
 @dataclass(frozen=True)
@@ -126,100 +172,92 @@ class DgpConfig:
     profile_concentration: float = 0.35
 
     def __post_init__(self):
-        if self.n_regions < 3 or self.n_years < 3:
-            raise ConfigError("need n_regions >= 3 and n_years >= 3")
-        if self.region_effect_sd <= 0 or self.noise_sd <= 0:
-            raise ConfigError("region_effect_sd and noise_sd must be positive")
-        if not 0 <= self.cluster_ar1 < 1:
-            raise ConfigError("cluster_ar1 must be in [0, 1)")
+        for ok, message in (
+            (self.n_regions >= 3 and self.n_years >= 3, "need n_regions, n_years >= 3"),
+            (self.seed >= 0, f"seed must be nonnegative, got {self.seed}"),
+            (self.n_subject_areas >= 2, "need n_subject_areas >= 2"),
+            (0 < self.region_effect_sd < math.inf, "region_sd must be positive and finite"),
+            (0 < self.noise_sd < math.inf, "noise_sd must be positive and finite"),
+            (0 <= self.cluster_ar1 < 1, "cluster_ar1 must be in [0, 1)"),
+            (math.isfinite(self.quality_substitution), "quality_substitution must be finite"),
+            (
+                0 < self.profile_concentration < math.inf,
+                "concentration must be positive and finite",
+            ),
+        ):
+            if not ok:
+                raise ConfigError(message)
         profile = self.time_effect_profile
-        if profile is None:
-            profile = default_time_profile(self.n_years)
+        if profile is None:  # monotone increasing year offsets (upward publication trend)
+            profile = np.linspace(0.0, 1.5, self.n_years)
         profile = tuple(float(v) for v in profile)
-        if len(profile) != self.n_years:
-            raise ConfigError(
-                f"time_effect_profile has {len(profile)} entries, need {self.n_years}"
-            )
+        if len(profile) != self.n_years or not all(map(math.isfinite, profile)):
+            raise ConfigError(f"time_effect_profile needs {self.n_years} finite entries")
         object.__setattr__(self, "time_effect_profile", profile)
+        known = set(self.regressor_distributions)
+        known |= {f"log({name})" for name in LOGGED_REGRESSORS if name in known}
+        for label, coef in self.true_coefficients.items():
+            if not isinstance(label, str) or parse_term_label(label).name not in known:
+                raise ConfigError(f"true coefficient {label!r} names an unknown regressor")
+            if not math.isfinite(coef):
+                raise ConfigError(f"true coefficient {label!r} must be finite, got {coef}")
 
     # -- config file round-trip ------------------------------------------
 
     def to_mapping(self) -> dict:
-        return {
-            "panel": {
-                "n_regions": self.n_regions,
-                "n_years": self.n_years,
-                "first_year": self.first_year,
-                "seed": self.seed,
-            },
-            "effects": {
-                "region_sd": self.region_effect_sd,
-                "noise_sd": self.noise_sd,
-                "cluster_ar1": self.cluster_ar1,
-                "time_profile": list(self.time_effect_profile),
-            },
-            "model": {
-                "quality_substitution": self.quality_substitution,
-                "coefficients": dict(self.true_coefficients),
-            },
+        m = {
+            "panel": {},
+            "effects": {"time_profile": list(self.time_effect_profile)},
+            "model": {"coefficients": dict(self.true_coefficients)},
             "regressors": {
-                name: {
-                    "log_mean": dist.log_mean,
-                    "region_sd": dist.region_sd,
-                    "year_sd": dist.year_sd,
-                    "min": dist.min_value,
-                    "max": dist.max_value,
-                }
+                name: dict(zip(_REGRESSOR_KEYS, astuple(dist)))
                 for name, dist in self.regressor_distributions.items()
             },
-            "thematic": {
-                "n_subject_areas": self.n_subject_areas,
-                "concentration": self.profile_concentration,
-            },
+            "thematic": {},
         }
+        for section, key, name, _ in _SCALAR_KEYS:
+            m[section][key] = getattr(self, name)
+        return m
 
     @classmethod
     def from_mapping(cls, m: dict) -> "DgpConfig":
-        panel, effects, model, thematic, regressors = (
-            _config_section(m, name)
-            for name in ("panel", "effects", "model", "thematic", "regressors")
-        )
-        try:
-            dists = dict(DEFAULT_REGRESSORS)
-            if regressors:
-                dists = {
-                    name: RegressorDistribution(
-                        log_mean=float(d["log_mean"]),
-                        region_sd=float(d["region_sd"]),
-                        year_sd=float(d["year_sd"]),
-                        min_value=float(d["min"]),
-                        max_value=float(d["max"]),
-                    )
-                    for name, d in regressors.items()
-                }
-            profile = effects.get("time_profile")
-            if isinstance(profile, dict):
-                n_years = int(panel.get("n_years", 12))
-                profile = list(
-                    np.linspace(float(profile["start"]), float(profile["stop"]), n_years)
-                )
-            coeffs = model.get("coefficients")
-            return cls(
-                n_regions=int(panel.get("n_regions", 78)),
-                n_years=int(panel.get("n_years", 12)),
-                first_year=int(panel.get("first_year", 2009)),
-                seed=int(panel.get("seed", 0)),
-                true_coefficients=dict(coeffs) if coeffs else dict(DEFAULT_COEFFICIENTS),
-                region_effect_sd=float(effects.get("region_sd", 0.6)),
-                noise_sd=float(effects.get("noise_sd", 0.25)),
-                cluster_ar1=float(effects.get("cluster_ar1", 0.0)),
-                time_effect_profile=profile,
-                regressor_distributions=dists,
-                quality_substitution=float(model.get("quality_substitution", 0.0)),
-                n_subject_areas=int(thematic.get("n_subject_areas", 27)),
-                profile_concentration=float(thematic.get("concentration", 0.35)),
+        """Keys left out keep the defaults; an unknown key or a bad value is a ConfigError."""
+        _mapping(m, "the config", _SECTION_KEYS)
+        sections = {
+            name: _mapping(m.get(name), name, keys) for name, keys in _SECTION_KEYS.items()
+        }
+        kwargs = {
+            name: _cast(kind, sections[section][key], f"{section}.{key}")
+            for section, key, name, kind in _SCALAR_KEYS
+            if key in sections[section]
+        }
+        coeffs = _mapping(sections["model"].get("coefficients"), "model.coefficients")
+        if coeffs:
+            kwargs["true_coefficients"] = {
+                label: _cast(float, value, f"model.coefficients.{label}")
+                for label, value in coeffs.items()
+            }
+        if sections["regressors"]:
+            kwargs["regressor_distributions"] = {
+                name: RegressorDistribution(*_floats(d, f"regressors.{name}", _REGRESSOR_KEYS))
+                for name, d in sections["regressors"].items()
+            }
+        profile = sections["effects"].get("time_profile")
+        if profile is not None and not isinstance(profile, (list, dict)):
+            raise ConfigError(
+                "bad DGP config: effects.time_profile must be a list or a mapping"
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        try:  # numpy refuses a time profile too long to allocate with a ValueError
+            if isinstance(profile, dict):
+                ends = _floats(profile, "effects.time_profile", ("start", "stop"))
+                # the constructor rejects n_years < 3 before it reads the profile
+                profile = np.linspace(*ends, max(kwargs.get("n_years", cls.n_years), 0))
+            if profile is not None:
+                kwargs["time_effect_profile"] = [
+                    _cast(float, v, "effects.time_profile") for v in profile
+                ]
+            return cls(**kwargs)
+        except ValueError as exc:
             raise ConfigError(f"bad DGP config: {exc}") from None
 
     @classmethod
@@ -288,25 +326,19 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
     region_effects = cfg.region_effect_sd * rng.standard_normal(n)
     tau = np.asarray(cfg.time_effect_profile)
 
-    if cfg.cluster_ar1 > 0:
-        rho = cfg.cluster_ar1
-        innovations = rng.standard_normal((n, t))
-        noise = np.empty((n, t))
-        noise[:, 0] = innovations[:, 0]
-        scale = math.sqrt(1.0 - rho**2)
-        for j in range(1, t):
-            noise[:, j] = rho * noise[:, j - 1] + scale * innovations[:, j]
-        noise *= cfg.noise_sd
-    else:
-        noise = cfg.noise_sd * rng.standard_normal((n, t))
+    # AR(1) within region; at rho = 0 this is the iid draw bit for bit
+    rho = cfg.cluster_ar1
+    innovations = rng.standard_normal((n, t))
+    noise = np.empty((n, t))
+    noise[:, 0] = innovations[:, 0]
+    scale = math.sqrt(1.0 - rho**2)
+    for j in range(1, t):
+        noise[:, j] = rho * noise[:, j - 1] + scale * innovations[:, j]
+    noise *= cfg.noise_sd
 
     log_y = np.zeros((n, t))
     for label, coef in cfg.true_coefficients.items():
         term = parse_term_label(label)
-        if term.name not in variables:
-            raise ConfigError(
-                f"true coefficient {label!r} references unknown regressor {term.name!r}"
-            )
         values = variables[term.name]
         if term.squared:
             values = values**2
@@ -358,24 +390,7 @@ class McReport:
     rng_algorithm: str = RNG_ALGORITHM
 
     def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "spec_tag": self.spec_tag,
-            "covariance": self.covariance,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "terms": {
-                label: {
-                    "truth": s.truth,
-                    "mean_estimate": s.mean_estimate,
-                    "bias": s.bias,
-                    "empirical_sd": s.empirical_sd,
-                    "mean_se": s.mean_se,
-                    "coverage_95": s.coverage_95,
-                }
-                for label, s in self.terms.items()
-            },
-        }
+        return asdict(self)
 
     def render_text(self) -> str:
         label_w = max([len(l) for l in self.terms] + [8])
@@ -416,7 +431,7 @@ def monte_carlo(
         raise ConfigError("replications must be >= 2")
     spec = expand_notation(spec_tag, covariance)
     tracked = [
-        label for label in spec_to_labels(spec) if label in cfg.true_coefficients
+        term.label for term in spec.regressors if term.label in cfg.true_coefficients
     ]
     streams = np.random.SeedSequence(cfg.seed).spawn(replications)
 
@@ -429,23 +444,13 @@ def monte_carlo(
                 f"replication {i} (spawn key {streams[i].spawn_key}): {exc}"
             ) from exc
         crit = stdtrit(fit.dof, 0.975)
-        est, se, covered = {}, {}, {}
-        for label in tracked:
-            b = fit.coefficients[label]
-            s = fit.std_errors[label]
-            truth = cfg.true_coefficients[label]
-            est[label] = b
-            se[label] = s
-            covered[label] = abs(b - truth) <= crit * s
-        return est, se, covered
+        return [(fit.coefficients[label], fit.std_errors[label], crit) for label in tracked]
 
-    results = parallel_map(one_rep, range(replications))
-
+    # (estimate, standard error, t critical value) per replication and term
+    results = np.array(parallel_map(one_rep, range(replications)))
     terms = {}
-    for label in tracked:
-        estimates = np.array([r[0][label] for r in results])
-        ses = np.array([r[1][label] for r in results])
-        coverage = np.array([r[2][label] for r in results])
+    for j, label in enumerate(tracked):
+        estimates, ses, crits = results[:, j].T
         truth = cfg.true_coefficients[label]
         terms[label] = McTermSummary(
             truth=truth,
@@ -453,7 +458,7 @@ def monte_carlo(
             bias=float(estimates.mean() - truth),
             empirical_sd=float(estimates.std(ddof=1)),
             mean_se=float(ses.mean()),
-            coverage_95=float(coverage.mean()),
+            coverage_95=float((np.abs(estimates - truth) <= crits * ses).mean()),
         )
     return McReport(
         replications=replications,
@@ -462,7 +467,3 @@ def monte_carlo(
         seed=cfg.seed,
         terms=terms,
     )
-
-
-def spec_to_labels(spec) -> list[str]:
-    return [term.label for term in spec.regressors]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +58,14 @@ class ThematicProfileMatrix:
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """Row-standardized nonnegative proximity matrix with zero diagonal."""
+    """Row-standardized nonnegative proximity matrix with zero diagonal.
+
+    Rows that sum to 0 are the isolated regions; every other row sums to 1.
+    """
 
     regions: tuple[str, ...]
     w: np.ndarray
-    isolated: frozenset[int]
+    isolated: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -78,20 +81,16 @@ class SpatialWeights:
         if np.any(np.diag(w) != 0):
             raise InvalidWeights("weights diagonal must be exactly zero")
         sums = w.sum(axis=1)
-        for i, s in enumerate(sums):
-            if i in self.isolated:
-                if s != 0:
-                    raise InvalidWeights(
-                        f"isolated row for {self.regions[i]!r} has nonzero sum {s}"
-                    )
-            elif abs(s - 1.0) > _ROW_SUM_TOL:
-                raise InvalidWeights(
-                    f"row for {self.regions[i]!r} sums to {s}, expected 1"
-                )
+        ok = (sums == 0) | (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InvalidWeights(
+                f"row for {self.regions[i]!r} sums to {sums[i]}, expected 0 or 1"
+            )
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "isolated", frozenset(int(i) for i in self.isolated))
+        object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
 
 
 def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
@@ -122,7 +121,7 @@ def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
 def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
     """Zero the diagonal, clamp negatives, row-standardize.
 
-    Rows whose clamped sum is zero stay all-zero and are recorded isolated.
+    Rows whose clamped sum is zero stay all-zero and are isolated.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -134,10 +133,9 @@ def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
     np.fill_diagonal(w, 0.0)
     np.clip(w, 0.0, None, out=w)
     sums = w.sum(axis=1)
-    isolated = frozenset(int(i) for i in np.nonzero(sums == 0)[0])
     nonzero = sums > 0
     w[nonzero] /= sums[nonzero, np.newaxis]
-    return SpatialWeights(tuple(regions), w, isolated)
+    return SpatialWeights(tuple(regions), w)
 
 
 def build_profile_matrix(
@@ -177,13 +175,18 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_weights_csv(w: SpatialWeights, path) -> None:
-    """Dense matrix with a region header row and column."""
+def _write_region_matrix(path, columns, regions, matrix: np.ndarray) -> None:
+    """Inverse of _read_region_matrix: a 'region' header, then one row per region."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", *w.regions])
-        for i, region in enumerate(w.regions):
-            writer.writerow([region, *[repr(float(v)) for v in w.w[i]]])
+        writer.writerow(["region", *columns])
+        for region, row in zip(regions, matrix):
+            writer.writerow([region, *map(repr, row.tolist())])
+
+
+def write_weights_csv(w: SpatialWeights, path) -> None:
+    """Dense matrix with a region header row and column."""
+    _write_region_matrix(path, w.regions, w.regions, w.w)
 
 
 def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -219,33 +222,25 @@ def load_weights_csv(path) -> SpatialWeights:
     columns, regions, w = _read_region_matrix(path)
     if regions != columns:
         raise RegionOrderMismatch(f"{path}: row and column region order differ")
-    isolated = frozenset(int(i) for i in np.nonzero(w.sum(axis=1) == 0)[0])
     try:
-        return SpatialWeights(regions, w, isolated)
+        return SpatialWeights(regions, w)
     except InvalidWeights as exc:
         raise InvalidWeights(f"{path}: {exc}") from None
 
 
-def weights_to_dict(w: SpatialWeights) -> dict:
-    return {
+def write_weights_json(w: SpatialWeights, path) -> None:
+    payload = {
         "regions": list(w.regions),
-        "w": [[float(v) for v in row] for row in w.w],
+        "w": [row.tolist() for row in w.w],
         "isolated": sorted(w.regions[i] for i in w.isolated),
     }
-
-
-def write_weights_json(w: SpatialWeights, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(weights_to_dict(w), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", *m.subject_areas])
-        for i, region in enumerate(m.regions):
-            writer.writerow([region, *[repr(float(v)) for v in m.shares[i]]])
+    _write_region_matrix(path, m.subject_areas, m.regions, m.shares)
 
 
 def load_profiles_csv(path) -> ThematicProfileMatrix:

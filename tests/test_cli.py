@@ -369,6 +369,11 @@ def _copy_editing_line_3(edit):
     return prepare
 
 
+def _config(text):
+    """A case set-up that writes a one-line DGP config."""
+    return lambda source, bad: bad.write_text(text + "\n", encoding="utf-8")
+
+
 class TestMalformedInputs:
     """User files that are missing or malformed exit 2 with one error line."""
 
@@ -388,12 +393,24 @@ class TestMalformedInputs:
             ("ingest", "nope.csv", None),
             ("fit", "nonexistent.csv", None),
             ("fit", "weights-dir", lambda source, bad: bad.mkdir()),
-            ("simulate", "c.yaml", lambda source, bad: bad.write_text("panel: [1, 2]\n")),
-            ("simulate", "c.yaml", lambda source, bad: bad.write_text("regressors: [FWCI]\n")),
+            ("simulate", "c.yaml", _config("panel: [1, 2]")),
+            ("simulate", "c.yaml", _config("regressors: [FWCI]")),
+            ("simulate", "c.yaml", _config("model: {coefficients: {FWCI: abc}}")),
+            ("simulate", "c.yaml", _config("model: {coefficients: {FWCI: null}}")),
+            ("simulate", "c.yaml", _config("thematic: {concentration: -1}")),
+            ("simulate", "c.yaml", _config("panel: {seed: -1}")),
+            ("mc", "seed", None),
+            ("simulate", "c.yaml", _config("panel: {n_region: 5}")),
+            ("simulate", "c.yaml", _config("panel: {n_regions: 10.5}")),
+            ("simulate", "c.yaml", _config("effects: {noise_sd: .nan}")),
+            ("mc", "c.yaml", _config("model: {coefficients: {FOO: 1.0}}")),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
-             "config-regressors-list"],
+             "config-regressors-list", "config-coefficient-text", "config-coefficient-null",
+             "config-negative-concentration", "config-negative-seed", "mc-negative-seed-flag",
+             "config-unknown-key", "config-fractional-int", "config-nan-noise",
+             "mc-config-unknown-regressor"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -406,6 +423,8 @@ class TestMalformedInputs:
             "weights": ["--profiles", bad, "--bundle", sim],
             "ingest": ["--panel", bad],
             "simulate": ["--config", bad],
+            # with no file to prepare, the bad input is a negative --seed
+            "mc": ["--reps", 2, *(["--config", bad] if prepare else ["--seed", -1])],
         }[command]
         capsys.readouterr()
         assert run(command, *argv, "--output-dir", tmp_path / "out") == 2

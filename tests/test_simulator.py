@@ -4,11 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkpf.errors import ConfigError, RankDeficient
+from rkpf.errors import ConfigError, EngineError, RankDeficient
 from rkpf.estimation import fit_model
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
+    _REGRESSOR_KEYS,
+    _SCALAR_KEYS,
     DEFAULT_COEFFICIENTS,
     DEFAULT_REGRESSORS,
     DgpConfig,
@@ -16,6 +20,44 @@ from rkpf.simulate import (
     monte_carlo,
 )
 from rkpf.suite import expand_notation
+
+# config values of every YAML kind; ints are either small enough that no
+# config allocates a large default time profile, or too large to allocate
+VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-10**5, 10**5),
+    st.sampled_from([10**20, -(10**20)]),
+    st.floats(),
+    st.text(max_size=6),
+    st.none(),
+    st.lists(st.integers(-3, 3) | st.floats(), max_size=7),
+    st.dictionaries(st.sampled_from(["start", "stop", "x"]), st.floats(-3, 3) | st.text(max_size=3)),
+)
+
+
+@st.composite
+def config_mappings(draw):
+    """DGP config mappings built from the loader's key table, with bad values."""
+    keys = [(s, k) for s, k, *_ in _SCALAR_KEYS] + [("effects", "time_profile")]
+    # small panels, so that generate_panel runs on most configs that load
+    m: dict = {"panel": {"n_regions": draw(st.integers(3, 20)), "n_years": draw(st.integers(3, 6))}}
+    for section, key in draw(st.lists(st.sampled_from(keys), max_size=8)):
+        m.setdefault(section, {})[key] = draw(VALUES)
+    labels = st.sampled_from([*DEFAULT_COEFFICIENTS, "log(FOO)"]) | st.text(max_size=4)
+    if draw(st.booleans()):
+        m.setdefault("model", {})["coefficients"] = draw(
+            st.dictionaries(labels, VALUES, max_size=4) | VALUES
+        )
+    if draw(st.booleans()):
+        entry = st.fixed_dictionaries({k: st.floats(-2, 12) for k in _REGRESSOR_KEYS}) | (
+            st.dictionaries(st.sampled_from([*_REGRESSOR_KEYS, "mean"]), VALUES)
+        )
+        m["regressors"] = draw(
+            st.dictionaries(st.sampled_from([*DEFAULT_REGRESSORS, "X"]), entry, max_size=3)
+        )
+    if draw(st.booleans()):
+        m[draw(st.sampled_from(["panel", "effects", "model", "thematic", "extra"]))] = draw(VALUES)
+    return m
 
 
 class TestDgpConfig:
@@ -60,6 +102,20 @@ class TestDgpConfig:
         )
         cfg = DgpConfig.from_yaml(path)
         assert cfg.time_effect_profile == tuple(np.linspace(0.0, 0.9, 4))
+
+    @given(m=config_mappings())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_mapping_loads_or_raises_config_error(self, m):
+        try:
+            cfg = DgpConfig.from_mapping(m)
+        except ConfigError:
+            return
+        if cfg.n_regions <= 20 and cfg.n_years <= 6 and cfg.n_subject_areas <= 30:
+            try:
+                with np.errstate(all="ignore"):
+                    generate_panel(cfg)
+            except EngineError:
+                pass
 
     def test_bad_yaml(self, tmp_path):
         path = tmp_path / "dgp.yaml"
@@ -141,10 +197,10 @@ class TestGeneratePanel:
         np.testing.assert_allclose(diff, 0.3, atol=1e-12)
 
     def test_unknown_coefficient_label_rejected(self):
-        cfg = replace(
-            DgpConfig(n_regions=8, n_years=4), true_coefficients={"log(NOPE)": 1.0}
-        )
         with pytest.raises(ConfigError):
+            cfg = replace(
+                DgpConfig(n_regions=8, n_years=4), true_coefficients={"log(NOPE)": 1.0}
+            )
             generate_panel(cfg)
 
     def test_ar1_noise_panel_still_balanced(self):

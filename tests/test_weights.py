@@ -152,13 +152,13 @@ class TestBuildWeights:
 class TestSpatialLag:
     def test_swap(self):
         d = panel(["A", "B"], [2019], x=[[2.0], [4.0]])
-        w = SpatialWeights(("A", "B"), np.array([[0.0, 1.0], [1.0, 0.0]]), frozenset())
+        w = SpatialWeights(("A", "B"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = spatial_lag(w, d, "x", "slx")
         np.testing.assert_allclose(out.var("slx")[:, 0], [4.0, 2.0])
 
     def test_isolated_region_gets_zero(self):
         d = panel(["A", "B"], [2019, 2020], x=[[2.0, 3.0], [4.0, 5.0]])
-        w = SpatialWeights(("A", "B"), np.array([[0.0, 0.0], [1.0, 0.0]]), frozenset({0}))
+        w = SpatialWeights(("A", "B"), np.array([[0.0, 0.0], [1.0, 0.0]]))
         out = spatial_lag(w, d, "x", "slx")
         np.testing.assert_array_equal(out.var("slx")[0], [0.0, 0.0])
 
@@ -171,14 +171,14 @@ class TestSpatialLag:
                 [0.5, 0.5, 0.0],
             ]
         )
-        w = SpatialWeights(("A", "B", "C"), w_matrix, frozenset())
+        w = SpatialWeights(("A", "B", "C"), w_matrix)
         out = spatial_lag(w, d, "x", "slx")
         assert out.var("slx")[0, 0] == pytest.approx(0.25 * 4.0 + 0.75 * 8.0)
         assert out.var("slx")[0, 0] == pytest.approx(7.0)
 
     def test_region_order_mismatch(self):
         d = panel(["A", "B"], [2019], x=[[1.0], [2.0]])
-        w = SpatialWeights(("B", "A"), np.array([[0.0, 1.0], [1.0, 0.0]]), frozenset())
+        w = SpatialWeights(("B", "A"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(RegionOrderMismatch):
             spatial_lag(w, d, "x", "slx")
 
@@ -233,7 +233,7 @@ class TestValidation:
         w = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         w[1, 2] = bad
         with pytest.raises(InvalidWeights, match="'B'"):
-            SpatialWeights(("A", "B", "C"), w, frozenset())
+            SpatialWeights(("A", "B", "C"), w)
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, 0.9])
     def test_profile_share_rejected(self, bad):
