@@ -10,16 +10,7 @@ __version__ = "0.1.0"
 from .errors import EngineError
 from .estimation import FitResult, ModelSpec, Term, fit_model
 from .indicators import PublicationRecord, RegionYearIndicators, region_year_indicators
-from .panel import (
-    PanelDataset,
-    apply_log,
-    deflate,
-    descriptive_stats,
-    lead_shift,
-    load_panel_csv,
-    validate_balanced,
-    weighted_trailing_average,
-)
+from .panel import PanelDataset, descriptive_stats, load_panel_csv, validate_balanced
 from .simulate import DgpConfig, McReport, generate_panel, monte_carlo
 from .suite import (
     MAIN_TAGS,
@@ -29,13 +20,7 @@ from .suite import (
     run_suite,
     vertex_of_quadratic,
 )
-from .weights import (
-    SpatialWeights,
-    ThematicProfileMatrix,
-    build_weights,
-    correlation_matrix,
-    spatial_lag,
-)
+from .weights import SpatialWeights, ThematicProfileMatrix, build_weights, correlation_matrix
 
 __all__ = [
     "__version__",
@@ -43,10 +28,6 @@ __all__ = [
     "PanelDataset",
     "load_panel_csv",
     "validate_balanced",
-    "deflate",
-    "weighted_trailing_average",
-    "lead_shift",
-    "apply_log",
     "descriptive_stats",
     "PublicationRecord",
     "RegionYearIndicators",
@@ -55,7 +36,6 @@ __all__ = [
     "SpatialWeights",
     "correlation_matrix",
     "build_weights",
-    "spatial_lag",
     "ModelSpec",
     "Term",
     "FitResult",

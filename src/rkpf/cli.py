@@ -146,11 +146,11 @@ def cmd_ingest(args) -> int:
             name: np.full((dataset.n_regions, dataset.n_years), np.nan)
             for name in ("PUBS", "FWCI", "Q1SH", "NQSH")
         }
-        region_index = {r: i for i, r in enumerate(dataset.region_ids)}
-        year_index = {y: j for j, y in enumerate(dataset.years)}
+        region_rows = {r: i for i, r in enumerate(dataset.region_ids)}
+        year_columns = {y: j for j, y in enumerate(dataset.years)}
         for row in rows:
-            i = region_index.get(row.region)
-            j = year_index.get(row.year)
+            i = region_rows.get(row.region)
+            j = year_columns.get(row.year)
             if i is None or j is None:
                 continue  # record outside the panel frame
             merged["PUBS"][i, j] = row.pub_count
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     def subcommand(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--output-dir", default=".", help="directory for outputs")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     def format_option(p):
@@ -336,12 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("ingest", cmd_ingest, "validate a panel CSV into a bundle")
     p.add_argument("--panel", required=True, help="long-format panel CSV")
     p.add_argument("--pubs", help="publication records (CSV or JSON-lines)")
-    p.add_argument("--vocab", help="subject-area vocabulary, one code per line")
+    p.add_argument("--vocab", help="subject-area vocabulary, one code per line (with --pubs)")
 
     p = subcommand("weights", cmd_weights, "build the thematic weights matrix")
-    p.add_argument("--profiles", help="precomputed region x subject share CSV")
-    p.add_argument("--pubs", help="publication records to derive profiles from")
-    p.add_argument("--vocab", help="subject-area vocabulary")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--profiles", help="precomputed region x subject share CSV")
+    source.add_argument("--pubs", help="publication records to derive profiles from")
+    p.add_argument("--vocab", help="subject-area vocabulary (with --pubs)")
     p.add_argument("--bundle", help="bundle whose region order the weights follow")
 
     p = subcommand("fit", cmd_fit, "estimate one specification")
@@ -388,6 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "vocab", None) and not args.pubs:
+        args.parser.error("argument --vocab: needs --pubs")
     try:
         return args.func(args)
     except EngineError as exc:

@@ -34,22 +34,6 @@ class NonConsecutiveYears(EngineError):
     pass
 
 
-class NonPositiveIndex(EngineError):
-    pass
-
-
-class InsufficientHistory(EngineError):
-    pass
-
-
-class InsufficientLead(EngineError):
-    pass
-
-
-class NonPositiveValue(EngineError):
-    pass
-
-
 class UnknownVariable(EngineError):
     pass
 

@@ -25,9 +25,6 @@ from .errors import (
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 
-# best-rank-wins order when a journal sits in several categories
-_QUARTILE_RANK = {"Q1": 1, "Q2": 2, "Q3": 3, "Q4": 4, "NONE": 5}
-
 
 @dataclass(frozen=True)
 class PublicationRecord:
@@ -63,14 +60,6 @@ class RegionYearIndicators:
     fwci: float
     q1_share: float  # percent, 0-100
     nq_share: float  # percent, 0-100
-
-
-def best_quartile(quartiles) -> str:
-    """Best (lowest-numbered) quartile across a journal's categories."""
-    ranked = [q for q in quartiles if q in _QUARTILE_RANK]
-    if not ranked:
-        raise ValueError(f"no valid quartile among {list(quartiles)!r}")
-    return min(ranked, key=_QUARTILE_RANK.__getitem__)
 
 
 def attribute_full_counting(
@@ -149,27 +138,39 @@ def region_year_indicators(
 # i/o
 # ---------------------------------------------------------------------------
 
-_FIELDS = (
-    "id",
-    "year",
-    "regions",
-    "subject_areas",
-    "citations",
-    "expected_citations",
-    "journal_quartile",
+_FIELDS = frozenset(
+    {
+        "id",
+        "year",
+        "regions",
+        "subject_areas",
+        "citations",
+        "expected_citations",
+        "journal_quartile",
+    }
 )
 
 
 def _record_from_mapping(obj: dict, where: str) -> PublicationRecord:
-    missing = [f for f in _FIELDS if f not in obj]
+    if not isinstance(obj, dict):
+        raise NonNumericCell(
+            f"{where}: publication record must be an object, got {type(obj).__name__}"
+        )
+    missing = _FIELDS - obj.keys()
     if missing:
-        raise MissingColumn(f"{where}: publication record missing fields {missing}")
+        raise MissingColumn(f"{where}: publication record missing fields {sorted(missing)}")
     regions = obj["regions"]
     areas = obj["subject_areas"]
     if isinstance(regions, str):
         regions = [r for r in regions.split(";") if r]
     if isinstance(areas, str):
         areas = [a for a in areas.split(";") if a]
+    if not (
+        isinstance(regions, list)
+        and isinstance(areas, list)
+        and {str}.issuperset(map(type, regions + areas))
+    ):
+        raise NonNumericCell(f"{where}: regions and subject_areas must be lists of strings")
     try:
         return PublicationRecord(
             id=str(obj["id"]),

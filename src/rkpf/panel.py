@@ -1,28 +1,23 @@
-"""Balanced regional panel: loading, validation, and variable construction.
+"""Balanced regional panel: loading, validation, and descriptive statistics.
 
 A PanelDataset is an immutable region x year table of named numeric
 variables. Cells that were absent from the input are stored as NaN until
-validate_balanced certifies the panel complete; transforms propagate NaN
-silently and never impute.
+validate_balanced certifies the panel complete; nothing is imputed.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     DuplicateRow,
-    InsufficientHistory,
-    InsufficientLead,
     MissingColumn,
     MissingData,
     NonConsecutiveYears,
     NonNumericCell,
-    NonPositiveIndex,
-    NonPositiveValue,
     UnknownVariable,
 )
 
@@ -40,14 +35,13 @@ class PanelDataset:
     """Region x year panel of named numeric variables.
 
     region_ids and years are ordered; each variable maps to an (n, T) array
-    aligned with them. Instances are immutable: every transform returns a
-    new dataset, so sharing across concurrent tasks is safe.
+    aligned with them. Instances are immutable: with_variable returns a new
+    dataset.
     """
 
     region_ids: tuple[str, ...]
     years: tuple[int, ...]
     variables: dict[str, np.ndarray]
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(set(self.region_ids)) != len(self.region_ids):
@@ -88,28 +82,10 @@ class PanelDataset:
             raise UnknownVariable(f"unknown variable {name!r}")
         return self.variables[name]
 
-    def region_index(self, region: str) -> int:
-        try:
-            return self.region_ids.index(region)
-        except ValueError:
-            raise UnknownVariable(f"unknown region {region!r}") from None
-
-    def year_index(self, year: int) -> int:
-        try:
-            return self.years.index(int(year))
-        except ValueError:
-            raise UnknownVariable(f"year {year} outside panel range") from None
-
     def with_variable(self, name: str, values: np.ndarray) -> "PanelDataset":
         new_vars = dict(self.variables)
         new_vars[name] = np.asarray(values, dtype=float)
         return replace(self, variables=new_vars)
-
-    def restrict_years(self, first: int, last: int) -> "PanelDataset":
-        """Slice every variable to the (inclusive) year window [first, last]."""
-        i0, i1 = self.year_index(first), self.year_index(last)
-        new_vars = {k: v[:, i0 : i1 + 1] for k, v in self.variables.items()}
-        return replace(self, years=self.years[i0 : i1 + 1], variables=new_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +168,7 @@ def load_panel_csv(path, schema: list[str] | None = None) -> PanelDataset:
         for name in var_names:
             variables[name][i, j] = values[name]
 
-    return PanelDataset(regions, years, variables, {"source": str(path)})
+    return PanelDataset(regions, years, variables)
 
 
 def write_panel_csv(d: PanelDataset, path) -> None:
@@ -259,123 +235,6 @@ def validate_balanced(d: PanelDataset) -> BalanceReport:
         n_variables=len(d.variables),
         gaps=tuple(gaps),
     )
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-
-def deflate(
-    d: PanelDataset,
-    nominal: str,
-    cpi: dict[int, float],
-    base_year: int,
-    out: str,
-) -> PanelDataset:
-    """Deflate a nominal series by a chained per-year price index.
-
-    cpi[y] is the index of year y relative to year y-1. The chained deflator
-    equals 1 at base_year, the product of cpi over (base_year, t] ahead of it
-    and the reciprocal product behind it.
-    """
-    values = d.var(nominal)
-    if base_year not in d.years:
-        raise NonPositiveIndex(f"base_year {base_year} outside panel years")
-    for year in d.years[1:]:  # the chain links every year to the one before it
-        idx = cpi.get(year)
-        if idx is None:
-            raise NonPositiveIndex(f"price index missing for year {year}")
-        if idx <= 0:
-            raise NonPositiveIndex(f"non-positive price index {idx} for year {year}")
-    deflator = chained_deflator(cpi, d.years, base_year)
-    return d.with_variable(out, values / deflator[np.newaxis, :])
-
-
-def chained_deflator(cpi: dict[int, float], years, base_year: int) -> np.ndarray:
-    """Chained deflator over `years` with value exactly 1 at base_year."""
-    years = list(years)
-    deflator = np.empty(len(years))
-    base_j = years.index(base_year)
-    deflator[base_j] = 1.0
-    for j in range(base_j + 1, len(years)):
-        deflator[j] = deflator[j - 1] * cpi[years[j]]
-    for j in range(base_j - 1, -1, -1):
-        deflator[j] = deflator[j + 1] / cpi[years[j + 1]]
-    return deflator
-
-
-def weighted_trailing_average(
-    d: PanelDataset, x: str, weights, out: str
-) -> PanelDataset:
-    """Trailing weighted average; weights[0] applies to the oldest year.
-
-    out[r, t] = sum_k weights[k] * x[r, t-(K-1)+k] / sum(weights). The result
-    panel drops the first K-1 years (every variable sliced to match), since
-    those years lack the required history.
-    """
-    values = d.var(x)
-    weights = np.asarray(list(weights), dtype=float)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("weights must be a nonempty 1-d sequence")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    k = weights.size
-    if k > d.n_years:
-        first_possible = d.years[0] + k - 1
-        raise InsufficientHistory(
-            f"{x!r}: window of {k} years needs history through {first_possible}; "
-            f"first computable year would be {first_possible}, panel ends {d.years[-1]}"
-        )
-    total = weights.sum()
-    n_out = d.n_years - (k - 1)
-    avg = np.zeros((d.n_regions, n_out))
-    for offset, w in enumerate(weights):
-        avg += w * values[:, offset : offset + n_out]
-    avg /= total
-    trimmed = d.restrict_years(d.years[k - 1], d.years[-1])
-    return trimmed.with_variable(out, avg)
-
-
-def lead_shift(d: PanelDataset, y: str, periods: int, out: str) -> PanelDataset:
-    """Shift y forward so out[r, t] = y[r, t+periods].
-
-    The result panel spans the explanatory-variable years only (drops the
-    last `periods` years; every variable sliced to match). y must be
-    observed over the shifted window; NaN there raises InsufficientLead.
-    """
-    if periods < 0:
-        raise ValueError("periods must be nonnegative")
-    values = d.var(y)
-    if periods >= d.n_years:
-        raise InsufficientLead(
-            f"{y!r}: cannot shift {periods} periods in a {d.n_years}-year panel"
-        )
-    shifted = values[:, periods:]
-    if np.isnan(shifted).any():
-        i, j = [ax[0] for ax in np.nonzero(np.isnan(shifted))]
-        raise InsufficientLead(
-            f"{y!r}: missing at {d.region_ids[i]}, {d.years[j + periods]}; "
-            f"values required over {d.years[periods]}-{d.years[-1]}"
-        )
-    if periods == 0:
-        return d.with_variable(out, values.copy())
-    trimmed = d.restrict_years(d.years[0], d.years[-1 - periods])
-    return trimmed.with_variable(out, shifted)
-
-
-def apply_log(d: PanelDataset, x: str, out: str) -> PanelDataset:
-    """Natural log, elementwise. Zeros and negatives are a hard error."""
-    values = d.var(x)
-    bad = (values <= 0) & ~np.isnan(values)
-    if bad.any():
-        i, j = [ax[0] for ax in np.nonzero(bad)]
-        raise NonPositiveValue(
-            f"{x!r}: non-positive value {values[i, j]} at "
-            f"{d.region_ids[i]}, {d.years[j]}"
-        )
-    with np.errstate(invalid="ignore"):
-        return d.with_variable(out, np.log(values))
 
 
 # ---------------------------------------------------------------------------

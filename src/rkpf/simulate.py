@@ -6,8 +6,7 @@ random Dirichlet thematic profiles (whose correlations yield the weights
 matrix), Gaussian region effects, a monotone time-offset profile, and the
 linear model with Gaussian noise. Default true coefficients and clip ranges
 are calibrated so the synthetic world resembles the published estimates and
-descriptive ranges; this is calibration, not reproduction, and the output
-metadata says so.
+descriptive ranges; this is calibration, not reproduction.
 
 The dependent variable is produced directly in log-per-employee form,
 already aligned one period ahead, so generated panels feed the estimator
@@ -37,12 +36,6 @@ from .weights import (
 )
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
-
-CALIBRATION_NOTE = (
-    "synthetic calibration: coefficient defaults and regressor ranges chosen "
-    "to resemble published regional estimates; not a reproduction of any "
-    "real dataset"
-)
 
 # full two-way FE SLX coefficient set used as DGP truth by default
 DEFAULT_COEFFICIENTS = {
@@ -89,6 +82,8 @@ DEFAULT_REGRESSORS = {
 }
 
 LOGGED_REGRESSORS = ("EXPEMP10", "GRPCAP10", "PAPEMP")
+# columns generate_panel writes after the regressors, so no regressor may take their names
+_GENERATED_COLUMNS = ("PUB21EMP", "log(PUB21EMP)", *(f"log({n})" for n in LOGGED_REGRESSORS))
 
 # Every scalar key of a DGP config file as (section, key, DgpConfig field,
 # type): to_mapping writes them all and from_mapping casts those present, so
@@ -145,6 +140,14 @@ def _cast(kind: type, value, where: str):
         raise ConfigError(f"bad DGP config: {where}: {exc}") from None
 
 
+def _year_offsets(start: float, stop: float, n_years: int) -> np.ndarray:
+    """n_years evenly spaced offsets; a count numpy cannot hold is a ConfigError."""
+    try:
+        return np.linspace(start, stop, n_years)
+    except (IndexError, ValueError):  # 2**63 overflows numpy's index, more exceeds its size limit
+        raise ConfigError(f"panel.n_years: too many years ({n_years})") from None
+
+
 def _floats(value, where: str, keys: tuple[str, ...]) -> list[float]:
     """The values of a config mapping with exactly these keys, as floats."""
     m = _mapping(value, where, keys)
@@ -189,11 +192,16 @@ class DgpConfig:
                 raise ConfigError(message)
         profile = self.time_effect_profile
         if profile is None:  # monotone increasing year offsets (upward publication trend)
-            profile = np.linspace(0.0, 1.5, self.n_years)
+            profile = _year_offsets(0.0, 1.5, self.n_years)
         profile = tuple(float(v) for v in profile)
         if len(profile) != self.n_years or not all(map(math.isfinite, profile)):
             raise ConfigError(f"time_effect_profile needs {self.n_years} finite entries")
         object.__setattr__(self, "time_effect_profile", profile)
+        for name in self.regressor_distributions:
+            if not isinstance(name, str):
+                raise ConfigError(f"regressor name {name!r} is not a string")
+            if name in _GENERATED_COLUMNS:
+                raise ConfigError(f"regressor name {name!r} is a column the generator writes")
         known = set(self.regressor_distributions)
         known |= {f"log({name})" for name in LOGGED_REGRESSORS if name in known}
         for label, coef in self.true_coefficients.items():
@@ -247,18 +255,15 @@ class DgpConfig:
             raise ConfigError(
                 "bad DGP config: effects.time_profile must be a list or a mapping"
             )
-        try:  # numpy refuses a time profile too long to allocate with a ValueError
-            if isinstance(profile, dict):
-                ends = _floats(profile, "effects.time_profile", ("start", "stop"))
-                # the constructor rejects n_years < 3 before it reads the profile
-                profile = np.linspace(*ends, max(kwargs.get("n_years", cls.n_years), 0))
-            if profile is not None:
-                kwargs["time_effect_profile"] = [
-                    _cast(float, v, "effects.time_profile") for v in profile
-                ]
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"bad DGP config: {exc}") from None
+        if isinstance(profile, dict):
+            ends = _floats(profile, "effects.time_profile", ("start", "stop"))
+            # the constructor rejects n_years < 3 before it reads the profile
+            profile = _year_offsets(*ends, max(kwargs.get("n_years", cls.n_years), 0))
+        if profile is not None:
+            kwargs["time_effect_profile"] = [
+                _cast(float, v, "effects.time_profile") for v in profile
+            ]
+        return cls(**kwargs)
 
     @classmethod
     def from_yaml(cls, path) -> "DgpConfig":
@@ -284,7 +289,6 @@ class GeneratedPanel:
     dataset: PanelDataset
     weights: SpatialWeights
     profiles: ThematicProfileMatrix
-    config: DgpConfig
 
 
 def _region_ids(n: int) -> tuple[str, ...]:
@@ -351,18 +355,7 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
     variables["log(PUB21EMP)"] = log_y
     variables["PUB21EMP"] = np.exp(log_y)
 
-    dataset = PanelDataset(
-        regions,
-        years,
-        variables,
-        metadata={
-            "generator": "synthetic DGP",
-            "rng": RNG_ALGORITHM,
-            "seed": str(cfg.seed),
-            "calibration": CALIBRATION_NOTE,
-        },
-    )
-    return GeneratedPanel(dataset, w, profiles, cfg)
+    return GeneratedPanel(PanelDataset(regions, years, variables), w, profiles)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     RegionOrderMismatch,
 )
 from .indicators import PublicationRecord, compute_thematic_profile
-from .panel import PanelDataset
 
 _ROW_SUM_TOL = 1e-9
 
@@ -156,17 +155,11 @@ def build_profile_matrix(
     return ThematicProfileMatrix(tuple(regions), tuple(vocabulary), shares)
 
 
-def spatial_lag(w: SpatialWeights, d: PanelDataset, x: str, out: str) -> PanelDataset:
-    """slX[r, t] = sum_j W[r, j] * x[j, t]; isolated regions get 0."""
-    if w.regions != d.region_ids:
-        raise RegionOrderMismatch(
-            "weights regions do not match dataset regions in order"
-        )
-    return d.with_variable(out, w.w @ d.var(x))
-
-
 def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
-    """Spatial lag of a raw (n, T) array (no dataset wrapping)."""
+    """Spatial lag of an (n, T) array: out[r, t] = sum_j W[r, j] * values[j, t].
+
+    Isolated regions get 0. Rows follow w.regions; callers check the order.
+    """
     return w.w @ values
 
 

@@ -1,4 +1,5 @@
 """Command-line surfaces: bundles, exit codes, file outputs."""
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import rkpf
 from rkpf.cli import main
 from rkpf.panel import write_panel_csv
 from rkpf.simulate import DgpConfig, generate_panel
-from rkpf.weights import load_weights_csv, write_profiles_csv
+from rkpf.weights import ThematicProfileMatrix, load_weights_csv, write_profiles_csv
 
 
 def run(*argv):
@@ -86,7 +87,7 @@ class TestIngest:
 
         d = load_panel_csv(out / "dataset.csv")
         assert {"PUBS", "FWCI", "Q1SH", "NQSH"} <= set(d.variables)
-        a = d.region_index("A")
+        a = d.region_ids.index("A")
         assert d.var("PUBS")[a, 0] == 2.0
         assert d.var("FWCI")[a, 0] == pytest.approx((1.3 + 0.5) / 2)
         assert d.var("Q1SH")[a, 0] == pytest.approx(50.0)
@@ -369,9 +370,15 @@ def _copy_editing_line_3(edit):
     return prepare
 
 
-def _config(text):
-    """A case set-up that writes a one-line DGP config."""
+def _one_line(text):
+    """A case set-up that writes the bad file as one line (a DGP config or a record)."""
     return lambda source, bad: bad.write_text(text + "\n", encoding="utf-8")
+
+
+# one valid regressor entry of a DGP config, in YAML flow style
+_REGRESSOR = "{log_mean: 0, region_sd: 0.1, year_sd: 0.1, min: 0.5, max: 2}"
+_RECORD = {"id": "p1", "year": 2009, "regions": ["R01"], "subject_areas": ["SA01"],
+           "citations": 1, "expected_citations": 1.0, "journal_quartile": "Q1"}
 
 
 class TestMalformedInputs:
@@ -393,24 +400,46 @@ class TestMalformedInputs:
             ("ingest", "nope.csv", None),
             ("fit", "nonexistent.csv", None),
             ("fit", "weights-dir", lambda source, bad: bad.mkdir()),
-            ("simulate", "c.yaml", _config("panel: [1, 2]")),
-            ("simulate", "c.yaml", _config("regressors: [FWCI]")),
-            ("simulate", "c.yaml", _config("model: {coefficients: {FWCI: abc}}")),
-            ("simulate", "c.yaml", _config("model: {coefficients: {FWCI: null}}")),
-            ("simulate", "c.yaml", _config("thematic: {concentration: -1}")),
-            ("simulate", "c.yaml", _config("panel: {seed: -1}")),
+            ("simulate", "c.yaml", _one_line("panel: [1, 2]")),
+            ("simulate", "c.yaml", _one_line("regressors: [FWCI]")),
+            ("simulate", "c.yaml", _one_line("model: {coefficients: {FWCI: abc}}")),
+            ("simulate", "c.yaml", _one_line("model: {coefficients: {FWCI: null}}")),
+            ("simulate", "c.yaml", _one_line("thematic: {concentration: -1}")),
+            ("simulate", "c.yaml", _one_line("panel: {seed: -1}")),
             ("mc", "seed", None),
-            ("simulate", "c.yaml", _config("panel: {n_region: 5}")),
-            ("simulate", "c.yaml", _config("panel: {n_regions: 10.5}")),
-            ("simulate", "c.yaml", _config("effects: {noise_sd: .nan}")),
-            ("mc", "c.yaml", _config("model: {coefficients: {FOO: 1.0}}")),
+            ("simulate", "c.yaml", _one_line("panel: {n_region: 5}")),
+            ("simulate", "c.yaml", _one_line("panel: {n_regions: 10.5}")),
+            ("simulate", "c.yaml", _one_line("effects: {noise_sd: .nan}")),
+            ("mc", "c.yaml", _one_line("model: {coefficients: {FOO: 1.0}}")),
+            ("simulate", "c.yaml", _one_line("panel: {n_years: 9223372036854775808}")),
+            ("simulate", "c.yaml", _one_line(
+                f"{{regressors: {{1: {_REGRESSOR}, FWCI: {_REGRESSOR}}},"
+                " model: {coefficients: {FWCI: 0.3}}}")),
+            ("simulate", "c.yaml", _one_line(
+                f"{{regressors: {{PUB21EMP: {_REGRESSOR}}},"
+                " model: {coefficients: {PUB21EMP: 0.5}}}")),
+            ("simulate", "c.yaml", _one_line(
+                f"{{regressors: {{log(PUB21EMP): {_REGRESSOR}}},"
+                " model: {coefficients: {log(PUB21EMP): 0.5}}}")),
+            ("simulate", "c.yaml", _one_line(
+                f"{{regressors: {{EXPEMP10: {_REGRESSOR}, log(EXPEMP10): {_REGRESSOR}}},"
+                " model: {coefficients: {log(EXPEMP10): 0.5}}}")),
+            *[
+                (command, "pubs.jsonl", _one_line(line))
+                for command in ("ingest", "weights")
+                for line in ("null", "5", json.dumps({**_RECORD, "regions": ["R01", 1]}))
+            ],
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
              "config-regressors-list", "config-coefficient-text", "config-coefficient-null",
              "config-negative-concentration", "config-negative-seed", "mc-negative-seed-flag",
              "config-unknown-key", "config-fractional-int", "config-nan-noise",
-             "mc-config-unknown-regressor"],
+             "mc-config-unknown-regressor", "config-huge-n-years",
+             "config-regressor-not-a-string", "config-regressor-is-outcome",
+             "config-regressor-is-log-outcome", "config-regressor-is-generated-log",
+             "ingest-pubs-null", "ingest-pubs-number", "ingest-pubs-int-region",
+             "weights-pubs-null", "weights-pubs-number", "weights-pubs-int-region"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -418,10 +447,11 @@ class TestMalformedInputs:
         bad = tmp_path / bad_name
         if prepare is not None:
             prepare(sim / bad_name, bad)
+        pubs = bad_name == "pubs.jsonl"
         argv = {
             "fit": ["--bundle", sim, "--spec", "fe.tw.q.sl", "--weights", bad],
-            "weights": ["--profiles", bad, "--bundle", sim],
-            "ingest": ["--panel", bad],
+            "weights": ["--pubs", bad] if pubs else ["--profiles", bad, "--bundle", sim],
+            "ingest": ["--panel", sim / "dataset.csv", "--pubs", bad] if pubs else ["--panel", bad],
             "simulate": ["--config", bad],
             # with no file to prepare, the bad input is a negative --seed
             "mc": ["--reps", 2, *(["--config", bad] if prepare else ["--seed", -1])],
@@ -461,6 +491,36 @@ class TestRemovedFlags:
         assert not tmp_path.joinpath("manifest.json").exists()
 
 
+class TestUnreadFlags:
+    """A flag that its subcommand would not read in this combination is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ingest", "--panel", "panel", "--vocab", "vocab"], "--vocab: needs --pubs"),
+            (["weights", "--profiles", "profiles", "--pubs", "pubs"], "not allowed with"),
+            (["weights", "--profiles", "profiles", "--vocab", "vocab"], "--vocab: needs --pubs"),
+        ],
+        ids=["ingest-vocab-without-pubs", "weights-profiles-and-pubs",
+             "weights-profiles-and-vocab"],
+    )
+    def test_usage_error(self, argv, message, panel_csv, tmp_path, capsys):
+        # every file is valid, so only the flag combination is at fault
+        m = ThematicProfileMatrix(("A", "B", "C"), ("bio", "math"), np.full((3, 2), 0.5))
+        write_profiles_csv(m, tmp_path / "profiles")
+        record = {**_RECORD, "regions": ["A"], "subject_areas": ["bio"]}
+        (tmp_path / "pubs").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (tmp_path / "vocab").write_text("bio\nmath\n", encoding="utf-8")
+        files = {"panel": panel_csv, "profiles": tmp_path / "profiles",
+                 "pubs": tmp_path / "pubs", "vocab": tmp_path / "vocab"}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*[files.get(a, a) for a in argv], "--output-dir", out)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestManifest:
     def test_digests_stable_for_identical_inputs(self, panel_csv, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -471,6 +531,13 @@ class TestManifest:
         assert m1["inputs"] == m2["inputs"]
         assert m1["config_digest"] == m2["config_digest"]
         assert m1["engine_version"] == m2["engine_version"]
+
+
+@pytest.mark.parametrize("module", ["rkpf", "rkpf.suite"])
+def test_every_export_resolves(module):
+    """A name left in __all__ after its definition is gone breaks `import *`."""
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_cli_import_skips_scipy_stats():

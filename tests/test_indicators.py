@@ -11,7 +11,6 @@ from rkpf.errors import EmptyCell, EmptyRegion, MissingData, UnknownSubjectArea
 from rkpf.indicators import (
     PublicationRecord,
     attribute_full_counting,
-    best_quartile,
     compute_fwci,
     compute_quartile_shares,
     compute_thematic_profile,
@@ -75,10 +74,6 @@ class TestRecordValidation:
     def test_zero_expected_rejected(self):
         with pytest.raises(ValueError):
             rec(expected=0.0)
-
-    def test_best_quartile_picks_highest_rank(self):
-        assert best_quartile(["Q3", "Q1", "NONE"]) == "Q1"
-        assert best_quartile(["NONE", "Q4"]) == "Q4"
 
 
 class TestFullCounting:

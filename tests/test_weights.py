@@ -10,6 +10,7 @@ from rkpf.errors import (
     InvalidWeights,
     RegionOrderMismatch,
 )
+from rkpf.estimation import ModelSpec, Term, build_design
 from rkpf.panel import PanelDataset
 from rkpf.weights import (
     SpatialWeights,
@@ -19,7 +20,6 @@ from rkpf.weights import (
     lag_values,
     load_profiles_csv,
     load_weights_csv,
-    spatial_lag,
     write_profiles_csv,
     write_weights_csv,
 )
@@ -31,15 +31,6 @@ def profiles(rows, regions=None):
     regions = regions or [f"r{i}" for i in range(n)]
     areas = [f"s{j}" for j in range(s)]
     return ThematicProfileMatrix(tuple(regions), tuple(areas), rows)
-
-
-def panel(regions, years, **variables):
-    n, t = len(regions), len(years)
-    return PanelDataset(
-        tuple(regions),
-        tuple(years),
-        {k: np.asarray(v, dtype=float).reshape(n, t) for k, v in variables.items()},
-    )
 
 
 def random_symmetric(rng, n):
@@ -151,19 +142,16 @@ class TestBuildWeights:
 
 class TestSpatialLag:
     def test_swap(self):
-        d = panel(["A", "B"], [2019], x=[[2.0], [4.0]])
         w = SpatialWeights(("A", "B"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = spatial_lag(w, d, "x", "slx")
-        np.testing.assert_allclose(out.var("slx")[:, 0], [4.0, 2.0])
+        lagged = lag_values(w, np.array([[2.0], [4.0]]))
+        np.testing.assert_allclose(lagged[:, 0], [4.0, 2.0])
 
     def test_isolated_region_gets_zero(self):
-        d = panel(["A", "B"], [2019, 2020], x=[[2.0, 3.0], [4.0, 5.0]])
         w = SpatialWeights(("A", "B"), np.array([[0.0, 0.0], [1.0, 0.0]]))
-        out = spatial_lag(w, d, "x", "slx")
-        np.testing.assert_array_equal(out.var("slx")[0], [0.0, 0.0])
+        lagged = lag_values(w, np.array([[2.0, 3.0], [4.0, 5.0]]))
+        np.testing.assert_array_equal(lagged[0], [0.0, 0.0])
 
     def test_weighted_dot_product(self):
-        d = panel(["A", "B", "C"], [2019], x=[[9.0], [4.0], [8.0]])
         w_matrix = np.array(
             [
                 [0.0, 0.25, 0.75],
@@ -172,15 +160,16 @@ class TestSpatialLag:
             ]
         )
         w = SpatialWeights(("A", "B", "C"), w_matrix)
-        out = spatial_lag(w, d, "x", "slx")
-        assert out.var("slx")[0, 0] == pytest.approx(0.25 * 4.0 + 0.75 * 8.0)
-        assert out.var("slx")[0, 0] == pytest.approx(7.0)
+        lagged = lag_values(w, np.array([[9.0], [4.0], [8.0]]))
+        assert lagged[0, 0] == pytest.approx(0.25 * 4.0 + 0.75 * 8.0)
+        assert lagged[0, 0] == pytest.approx(7.0)
 
     def test_region_order_mismatch(self):
-        d = panel(["A", "B"], [2019], x=[[1.0], [2.0]])
+        # lag_values trusts the row order; build_design checks it against the panel
+        d = PanelDataset(("A", "B"), (2019,), {"x": [[1.0], [2.0]]})
         w = SpatialWeights(("B", "A"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(RegionOrderMismatch):
-            spatial_lag(w, d, "x", "slx")
+            build_design(d, ModelSpec("x", (Term("x", lag=True),)), w)
 
     def test_spatially_constant_variable_fixed_point(self):
         rng = np.random.default_rng(2)
