@@ -25,8 +25,10 @@ from .errors import (
     MissingData,
     RegionOrderMismatch,
     UnknownSubjectArea,
+    UnknownVariable,
 )
-from .indicators import load_publications, load_vocabulary, region_year_indicators, write_indicator_csv
+from .indicators import INDICATOR_COLUMNS, load_publications, load_vocabulary
+from .indicators import region_year_indicators, write_indicator_csv
 from .manifest import build_manifest
 from .panel import (
     PanelDataset,
@@ -47,6 +49,7 @@ from .suite import (
     run_suite,
 )
 from .weights import (
+    ThematicProfileMatrix,
     build_profile_matrix,
     build_weights,
     correlation_matrix,
@@ -80,10 +83,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_bundle(bundle: str) -> PanelDataset:
-    path = Path(bundle) / DATASET_NAME
-    if not path.exists():
-        raise MissingData(f"bundle {bundle!r} has no {DATASET_NAME}")
-    return load_panel_csv(path)
+    return load_panel_csv(Path(bundle) / DATASET_NAME)
 
 
 def _dgp_config(args) -> DgpConfig:
@@ -101,20 +101,12 @@ def _tag_list(raw: str) -> list[str]:
 
 def _reorder_profiles(profiles, region_order):
     """Align a profile matrix with a bundle's region order."""
-    from .weights import ThematicProfileMatrix
-
-    if profiles.regions == tuple(region_order):
-        return profiles
-    missing = set(region_order) - set(profiles.regions)
-    if missing:
-        raise RegionOrderMismatch(
-            f"profiles missing bundle regions: {sorted(missing)}"
-        )
     index = {r: i for i, r in enumerate(profiles.regions)}
-    rows = [profiles.shares[index[r]] for r in region_order]
-    return ThematicProfileMatrix(
-        tuple(region_order), profiles.subject_areas, np.asarray(rows)
-    )
+    missing = sorted(set(region_order) - index.keys())
+    if missing:
+        raise RegionOrderMismatch(f"profiles missing bundle regions: {missing}")
+    rows = profiles.shares[[index[r] for r in region_order]]
+    return ThematicProfileMatrix(tuple(region_order), profiles.subject_areas, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +134,14 @@ def cmd_ingest(args) -> int:
                     )
         rows = region_year_indicators(pubs)
         write_indicator_csv(rows, out / "indicators.csv")
-        merged = {
-            name: np.full((dataset.n_regions, dataset.n_years), np.nan)
-            for name in ("PUBS", "FWCI", "Q1SH", "NQSH")
-        }
         region_rows = {r: i for i, r in enumerate(dataset.region_ids)}
         year_columns = {y: j for j, y in enumerate(dataset.years)}
-        for row in rows:
-            i = region_rows.get(row.region)
-            j = year_columns.get(row.year)
-            if i is None or j is None:
-                continue  # record outside the panel frame
-            merged["PUBS"][i, j] = row.pub_count
-            merged["FWCI"][i, j] = row.fwci
-            merged["Q1SH"][i, j] = row.q1_share
-            merged["NQSH"][i, j] = row.nq_share
-        for name, values in merged.items():
+        # records outside the panel frame are left out
+        rows = [r for r in rows if r.region in region_rows and r.year in year_columns]
+        at = ([region_rows[r.region] for r in rows], [year_columns[r.year] for r in rows])
+        for name, field in INDICATOR_COLUMNS.items():
+            values = np.full((dataset.n_regions, dataset.n_years), np.nan)
+            values[at] = [getattr(r, field) for r in rows]
             dataset = dataset.with_variable(name, values)
 
     report = validate_balanced(dataset)
@@ -167,7 +151,7 @@ def cmd_ingest(args) -> int:
         return 2
 
     write_panel_csv(dataset, out / DATASET_NAME)
-    build_manifest("ingest", inputs).write(out / "manifest.json")
+    _write_json(out / "manifest.json", build_manifest("ingest", inputs))
     print(f"bundle written to {out}")
     return 0
 
@@ -188,9 +172,7 @@ def cmd_weights(args) -> int:
             inputs.append(args.vocab)
         else:
             vocabulary = sorted({a for rec in pubs for a in rec.subject_areas})
-        regions = None
-        if args.bundle:
-            regions = list(_load_bundle(args.bundle).region_ids)
+        regions = list(_load_bundle(args.bundle).region_ids) if args.bundle else None
         profiles = build_profile_matrix(pubs, vocabulary, regions)
     else:
         raise MissingData("weights needs --profiles or --pubs")
@@ -198,7 +180,7 @@ def cmd_weights(args) -> int:
     w = build_weights(correlation_matrix(profiles), profiles.regions)
     write_weights_csv(w, out / "weights.csv")
     write_weights_json(w, out / "weights.json")
-    build_manifest("weights", inputs).write(out / "manifest.json")
+    _write_json(out / "manifest.json", build_manifest("weights", inputs))
     print(
         f"weights written to {out} "
         f"({len(w.regions)} regions, {len(w.isolated)} isolated)"
@@ -211,7 +193,10 @@ def cmd_fit(args) -> int:
     dataset = _load_bundle(args.bundle)
     spec = expand_notation(args.spec, args.covariance)
     w = load_weights_csv(args.weights) if args.weights else None
-    fit = fit_model(dataset, spec, w)
+    try:
+        fit = fit_model(dataset, spec, w)
+    except UnknownVariable as exc:
+        raise UnknownVariable(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
 
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
@@ -221,7 +206,7 @@ def cmd_fit(args) -> int:
     elif fmt != "json":
         _write_text(out / "fit.txt", render_fit_text(fit))
     inputs = [Path(args.bundle) / DATASET_NAME] + ([args.weights] if args.weights else [])
-    build_manifest("fit", inputs, config_text=args.spec).write(out / "manifest.json")
+    _write_json(out / "manifest.json", build_manifest("fit", inputs, config_text=args.spec))
     print(render_fit_text(fit))
     return 0
 
@@ -231,7 +216,10 @@ def cmd_suite(args) -> int:
     dataset = _load_bundle(args.bundle)
     tags = _tag_list(args.specs)
     w = load_weights_csv(args.weights) if args.weights else None
-    table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
+    try:
+        table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
+    except UnknownVariable as exc:
+        raise UnknownVariable(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
 
     _write_json(out / "suite.json", table.to_dict())
     fmt = args.format
@@ -239,7 +227,7 @@ def cmd_suite(args) -> int:
     if fmt != "json":
         _write_text(out / f"suite.{ext[fmt]}", render_table(table, fmt))
     inputs = [Path(args.bundle) / DATASET_NAME] + ([args.weights] if args.weights else [])
-    build_manifest("suite", inputs, config_text=args.specs).write(out / "manifest.json")
+    _write_json(out / "manifest.json", build_manifest("suite", inputs, config_text=args.specs))
     print(render_table(table, "text"))
     return 0
 
@@ -255,9 +243,8 @@ def cmd_simulate(args) -> int:
     write_weights_json(generated.weights, out / "weights.json")
     cfg.to_yaml(out / "dgp.yaml")
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True)
-    build_manifest("simulate", [args.config] if args.config else [], config_text).write(
-        out / "manifest.json"
-    )
+    inputs = [args.config] if args.config else []
+    _write_json(out / "manifest.json", build_manifest("simulate", inputs, config_text))
     print(
         f"synthetic bundle written to {out} "
         f"({cfg.n_regions} regions x {cfg.n_years} years, seed {cfg.seed})"
@@ -273,9 +260,8 @@ def cmd_mc(args) -> int:
     _write_json(out / "mc.json", report.to_dict())
     _write_text(out / "mc.txt", report.render_text())
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True) + f"|{args.spec}|{args.reps}"
-    build_manifest("mc", [args.config] if args.config else [], config_text).write(
-        out / "manifest.json"
-    )
+    inputs = [args.config] if args.config else []
+    _write_json(out / "manifest.json", build_manifest("mc", inputs, config_text))
     print(report.render_text())
     return 0
 
@@ -287,7 +273,8 @@ def cmd_stats(args) -> int:
     table = descriptive_stats(dataset, names)
     _write_json(out / "stats.json", table)
     _write_text(out / "stats.txt", render_stats_text(table))
-    build_manifest("stats", [Path(args.bundle) / DATASET_NAME]).write(out / "manifest.json")
+    inputs = [Path(args.bundle) / DATASET_NAME]
+    _write_json(out / "manifest.json", build_manifest("stats", inputs))
     print(render_stats_text(table))
     return 0
 

@@ -109,13 +109,13 @@ class Design:
     region_ids: tuple[str, ...]
 
 
-def _variable_checked(d: PanelDataset, name: str) -> np.ndarray:
-    values = d.var(name)
-    if np.isnan(values).any():
-        i, j = [ax[0] for ax in np.nonzero(np.isnan(values))]
+def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
+    """values, unless a cell is missing (NaN) or overflowed when squared or lagged."""
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
         raise UnknownVariable(
-            f"variable {name!r} has missing cells (first at "
-            f"{d.region_ids[i]}, {d.years[j]}); validate balance before fitting"
+            f"{label!r} is missing or not finite at {d.region_ids[i]}, {d.years[j]}: an "
+            "unbalanced panel, or a value whose square or spatial lag overflows"
         )
     return values
 
@@ -130,17 +130,18 @@ def build_design(
         raise RegionOrderMismatch("weights regions do not match dataset regions")
 
     n, t = d.n_regions, d.n_years
-    y = _variable_checked(d, spec.dependent).reshape(-1)
+    y = _finite(d, spec.dependent, d.var(spec.dependent)).reshape(-1)
 
     columns: list[np.ndarray] = []
     labels: list[str] = []
     for term in spec.regressors:
-        values = _variable_checked(d, term.name)
+        values = _finite(d, term.name, d.var(term.name))
         if term.squared:
-            values = values**2
+            with np.errstate(over="ignore"):  # _finite names a term that overflows
+                values = values**2
         if term.lag:
             values = lag_values(w, values)
-        columns.append(values.reshape(-1))
+        columns.append(_finite(d, term.label, values).reshape(-1))
         labels.append(term.label)
     if spec.time_dummies:
         for j, year in enumerate(d.years[1:], start=1):

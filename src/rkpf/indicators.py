@@ -8,8 +8,8 @@ shares and feed the proximity weights.
 """
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,11 @@ from .errors import (
     NonNumericCell,
     UnknownSubjectArea,
 )
+from .tables import read_table, write_table
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
+# panel column -> RegionYearIndicators field, for indicators.csv and ingest's merge
+INDICATOR_COLUMNS = {"PUBS": "pub_count", "FWCI": "fwci", "Q1SH": "q1_share", "NQSH": "nq_share"}
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class PublicationRecord:
             raise ValueError(f"record {self.id!r}: subject_areas must be nonempty")
         if self.citations < 0:
             raise ValueError(f"record {self.id!r}: citations must be >= 0")
-        if self.expected_citations <= 0:
-            raise ValueError(f"record {self.id!r}: expected_citations must be > 0")
+        if not 0 < self.expected_citations < math.inf:
+            raise ValueError(f"record {self.id!r}: expected_citations must be finite and > 0")
         if self.journal_quartile not in QUARTILES:
             raise ValueError(
                 f"record {self.id!r}: journal_quartile {self.journal_quartile!r} "
@@ -171,6 +174,12 @@ def _record_from_mapping(obj: dict, where: str) -> PublicationRecord:
         and {str}.issuperset(map(type, regions + areas))
     ):
         raise NonNumericCell(f"{where}: regions and subject_areas must be lists of strings")
+    # JSON integers, the common case, need no check; a bool is no integer here
+    if type(obj["year"]) is not int or type(obj["citations"]) is not int:
+        for key in ("year", "citations"):
+            value = obj[key]
+            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                raise NonNumericCell(f"{where}: {key} must be an integer, got {value!r}")
     try:
         return PublicationRecord(
             id=str(obj["id"]),
@@ -181,7 +190,7 @@ def _record_from_mapping(obj: dict, where: str) -> PublicationRecord:
             expected_citations=float(obj["expected_citations"]),
             journal_quartile=str(obj["journal_quartile"]).strip() or "NONE",
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NonNumericCell(f"{where}: {exc}") from None
 
 
@@ -204,12 +213,9 @@ def load_publications(path) -> list[PublicationRecord]:
                     raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
                 records.append(_record_from_mapping(obj, f"{path}:{lineno}"))
     else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise MissingData(f"{path}: file is empty")
-            for lineno, row in enumerate(reader, start=2):
-                records.append(_record_from_mapping(row, f"{path}:{lineno}"))
+        header, rows = read_table(path)
+        for lineno, cells in rows:
+            records.append(_record_from_mapping(dict(zip(header, cells)), f"{path}:{lineno}"))
     if not records:
         raise MissingData(f"{path}: no publication records")
     return records
@@ -228,10 +234,5 @@ def load_vocabulary(path) -> list[str]:
 
 def write_indicator_csv(rows: list[RegionYearIndicators], path) -> None:
     """CSV compatible with panel ingestion (region,year,PUBS,FWCI,Q1SH,NQSH)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "year", "PUBS", "FWCI", "Q1SH", "NQSH"])
-        for r in rows:
-            writer.writerow(
-                [r.region, r.year, r.pub_count, repr(r.fwci), repr(r.q1_share), repr(r.nq_share)]
-            )
+    body = ([r.region, r.year, *(getattr(r, f) for f in INDICATOR_COLUMNS.values())] for r in rows)
+    write_table(path, ["region", "year", *INDICATOR_COLUMNS], body)

@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 
@@ -15,42 +13,14 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: dict[str, str]  # path -> sha256
-    config_digest: str
-    engine_version: str
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": dict(self.inputs),
-            "config_digest": self.config_digest,
-            "engine_version": self.engine_version,
-            "timestamp": self.timestamp,
-        }
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def build_manifest(command: str, input_paths, config_text: str = "") -> RunManifest:
+def build_manifest(command: str, input_paths, config_text: str = "") -> dict:
+    """The manifest of one run: its command, input digests and config digest."""
     from . import __version__
 
-    inputs = {str(p): file_digest(p) for p in input_paths}
-    return RunManifest(
-        command=command,
-        inputs=inputs,
-        config_digest=text_digest(config_text),
-        engine_version=__version__,
-    )
+    return {
+        "command": command,
+        "inputs": {str(p): file_digest(p) for p in input_paths},
+        "config_digest": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
+        "engine_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }

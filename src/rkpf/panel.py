@@ -6,8 +6,6 @@ validate_balanced certifies the panel complete; nothing is imputed.
 """
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,11 +13,11 @@ import numpy as np
 from .errors import (
     DuplicateRow,
     MissingColumn,
-    MissingData,
     NonConsecutiveYears,
     NonNumericCell,
     UnknownVariable,
 )
+from .tables import parse_floats, read_table, write_table
 
 RESERVED_COLUMNS = ("region", "year")
 
@@ -93,97 +91,62 @@ class PanelDataset:
 # ---------------------------------------------------------------------------
 
 
-def load_panel_csv(path, schema: list[str] | None = None) -> PanelDataset:
+def load_panel_csv(path) -> PanelDataset:
     """Load a long-format panel CSV (columns region, year, <var1>, ...).
 
     Returns a dataset containing exactly the rows present; regions and years
     are the sorted distinct values and unobserved cells are NaN. Balance is
     checked separately by validate_balanced.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    header, rows = read_table(path)
+    for col in RESERVED_COLUMNS:
+        if col not in header:
+            raise MissingColumn(f"{path}: required column {col!r} missing")
+    var_names = [h for h in header if h not in RESERVED_COLUMNS]
+    if not var_names:
+        raise MissingColumn(f"{path}: no variable columns beyond region,year")
+    region_col, year_col = header.index("region"), header.index("year")
+    var_cols = [header.index(name) for name in var_names]
+
+    seen: set[tuple[str, int]] = set()
+    regions, years, values = [], [], []
+    for lineno, cells in rows:
+        region = cells[region_col]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingData(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        for col in RESERVED_COLUMNS:
-            if col not in header:
-                raise MissingColumn(f"{path}: required column {col!r} missing")
-        if schema is not None:
-            missing = [c for c in schema if c not in header]
-            if missing:
-                raise MissingColumn(f"{path}: expected columns missing: {missing}")
-        var_names = [h for h in header if h not in RESERVED_COLUMNS]
-        if not var_names:
-            raise MissingColumn(f"{path}: no variable columns beyond region,year")
-        region_col = header.index("region")
-        year_col = header.index("year")
-        var_cols = [(name, header.index(name)) for name in var_names]
+            year = int(cells[year_col])
+        except ValueError:
+            raise NonNumericCell(
+                f"{path}:{lineno}: year column: cannot parse {cells[year_col]!r}"
+            ) from None
+        if (region, year) in seen:
+            raise DuplicateRow(f"{path}:{lineno}: duplicate row for {region!r}, {year}")
+        seen.add((region, year))
+        regions.append(region)
+        years.append(year)
+        values.append(
+            parse_floats([cells[j] for j in var_cols], var_names, f"{path}:{lineno}")
+        )
 
-        rows: dict[tuple[str, int], dict[str, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise NonNumericCell(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            region = row[region_col].strip()
-            try:
-                year = int(row[year_col].strip())
-            except ValueError:
-                raise NonNumericCell(
-                    f"{path}:{lineno}: year column: cannot parse {row[year_col]!r}"
-                ) from None
-            key = (region, year)
-            if key in rows:
-                raise DuplicateRow(f"{path}:{lineno}: duplicate row for {region!r}, {year}")
-            values = {}
-            for name, j in var_cols:
-                cell = row[j].strip()
-                if cell == "":
-                    values[name] = math.nan
-                    continue
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    raise NonNumericCell(
-                        f"{path}:{lineno}: column {name!r}: cannot parse {cell!r}"
-                    ) from None
-            rows[key] = values
-
-    if not rows:
-        raise MissingData(f"{path}: header only, no data rows")
-
-    regions = tuple(sorted({r for r, _ in rows}))
-    years_present = sorted({y for _, y in rows})
-    years = tuple(range(years_present[0], years_present[-1] + 1))
-    n, t = len(regions), len(years)
-    variables = {name: np.full((n, t), np.nan) for name in var_names}
-    r_idx = {r: i for i, r in enumerate(regions)}
-    y_idx = {y: j for j, y in enumerate(years)}
-    for (region, year), values in sorted(rows.items()):
-        i, j = r_idx[region], y_idx[year]
-        for name in var_names:
-            variables[name][i, j] = values[name]
-
-    return PanelDataset(regions, years, variables)
+    first, last = min(years), max(years)
+    if last - first >= len(years):
+        # a balanced panel has a row for every year it spans
+        raise NonConsecutiveYears(f"{path}: years {first}-{last} outnumber the data rows")
+    region_ids = tuple(sorted(set(regions)))
+    index = {r: i for i, r in enumerate(region_ids)}
+    table = np.full((len(var_names), len(region_ids), last - first + 1), np.nan)
+    table[:, [index[r] for r in regions], [y - first for y in years]] = np.stack(values, axis=1)
+    return PanelDataset(region_ids, tuple(range(first, last + 1)), dict(zip(var_names, table)))
 
 
 def write_panel_csv(d: PanelDataset, path) -> None:
-    """Write the canonical long CSV (RFC 4180, LF, UTF-8, full precision)."""
+    """Write the canonical long CSV (region-major, year-minor; NaN as an empty cell)."""
     names = list(d.variables)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "year", *names])
-        for i, region in enumerate(d.region_ids):
-            for j, year in enumerate(d.years):
-                cells = [region, str(year)]
-                for name in names:
-                    v = d.variables[name][i, j]
-                    cells.append("" if math.isnan(v) else repr(float(v)))
-                writer.writerow(cells)
+    values = np.stack([d.variables[name] for name in names], axis=-1).reshape(d.n_obs, -1)
+    cells = values.astype(object)
+    cells[np.isnan(values)] = None
+    keys = ((region, year) for region in d.region_ids for year in d.years)
+    rows = ([*key, *row] for key, row in zip(keys, cells.tolist()))
+    write_table(path, ["region", "year", *names], rows)
 
 
 # ---------------------------------------------------------------------------

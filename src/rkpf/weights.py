@@ -8,7 +8,6 @@ one. Rows that clamp to all zeros are isolated and keep zero spatial lags.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -19,11 +18,10 @@ from .errors import (
     InvalidProfiles,
     InvalidWeights,
     MissingColumn,
-    MissingData,
-    NonNumericCell,
     RegionOrderMismatch,
 )
 from .indicators import PublicationRecord, compute_thematic_profile
+from .tables import parse_floats, read_table, write_table
 
 _ROW_SUM_TOL = 1e-9
 
@@ -170,11 +168,8 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
 
 def _write_region_matrix(path, columns, regions, matrix: np.ndarray) -> None:
     """Inverse of _read_region_matrix: a 'region' header, then one row per region."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", *columns])
-        for region, row in zip(regions, matrix):
-            writer.writerow([region, *map(repr, row.tolist())])
+    rows = ([region, *row.tolist()] for region, row in zip(regions, matrix))
+    write_table(path, ["region", *columns], rows)
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:
@@ -183,32 +178,16 @@ def write_weights_csv(w: SpatialWeights, path) -> None:
 
 
 def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Column labels, row regions and cells of a CSV whose first column is 'region'."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingData(f"{path}: file is empty") from None
-        if not header or header[0] != "region":
-            raise MissingColumn(f"{path}: first header cell must be 'region'")
-        regions = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise NonNumericCell(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            regions.append(row[0])
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise NonNumericCell(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise MissingData(f"{path}: no data rows")
-    return tuple(header[1:]), tuple(regions), np.asarray(rows)
+    """Column labels, row regions and cells of a table whose first column is 'region'."""
+    header, rows = read_table(path)
+    if header[:1] != ["region"]:
+        raise MissingColumn(f"{path}: first header cell must be 'region'")
+    columns = header[1:]
+    regions, matrix = [], []
+    for lineno, cells in rows:
+        regions.append(cells[0])
+        matrix.append(parse_floats(cells[1:], columns, f"{path}:{lineno}"))
+    return tuple(columns), tuple(regions), np.stack(matrix)
 
 
 def load_weights_csv(path) -> SpatialWeights:

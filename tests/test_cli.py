@@ -1,6 +1,7 @@
 """Command-line surfaces: bundles, exit codes, file outputs."""
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -429,6 +430,24 @@ class TestMalformedInputs:
                 for command in ("ingest", "weights")
                 for line in ("null", "5", json.dumps({**_RECORD, "regions": ["R01", 1]}))
             ],
+            ("ingest", "dataset.csv", _copy_editing_line_3(lambda c: c[:5] + ["inf"] + c[6:])),
+            ("fit", "dataset.csv", _copy_editing_line_3(lambda c: c[:5] + ["1e200"] + c[6:])),
+            ("ingest", "dataset.csv",
+             _copy_editing_line_3(lambda c: c[:1] + ["1000000002009"] + c[2:])),
+            *[
+                ("ingest", "pubs.jsonl", _one_line(json.dumps({**_RECORD, **fields})))
+                for fields in (
+                    {"expected_citations": "nan"},
+                    {"expected_citations": "inf"},
+                    {"expected_citations": math.nan},
+                    {"year": 2019.7},
+                    {"citations": True},
+                )
+            ],
+            ("ingest", "pubs.csv", _one_line(
+                ",".join(_RECORD) + "\np1,2009,R01,SA01,1,1.0,Q1,extra")),
+            ("ingest", "dataset.csv", _one_line('region,year,v\nA,2009,"' + "1" * 140_000)),
+            ("ingest", "dataset.csv", _one_line("region,year,v,v\nA,2009,1,2")),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
@@ -439,7 +458,12 @@ class TestMalformedInputs:
              "config-regressor-not-a-string", "config-regressor-is-outcome",
              "config-regressor-is-log-outcome", "config-regressor-is-generated-log",
              "ingest-pubs-null", "ingest-pubs-number", "ingest-pubs-int-region",
-             "weights-pubs-null", "weights-pubs-number", "weights-pubs-int-region"],
+             "weights-pubs-null", "weights-pubs-number", "weights-pubs-int-region",
+             "ingest-inf-cell", "fit-squared-term-overflows", "ingest-wide-year-span",
+             "ingest-pubs-nan-text-expected", "ingest-pubs-inf-text-expected",
+             "ingest-pubs-nan-expected", "ingest-pubs-fractional-year",
+             "ingest-pubs-bool-citations",
+             "ingest-pubs-csv-extra-cell", "ingest-stray-quote", "ingest-repeated-column"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -447,9 +471,12 @@ class TestMalformedInputs:
         bad = tmp_path / bad_name
         if prepare is not None:
             prepare(sim / bad_name, bad)
-        pubs = bad_name == "pubs.jsonl"
+        pubs = bad_name.startswith("pubs.")
+        # a bad dataset.csv makes its directory the bundle
+        dataset = bad_name == "dataset.csv"
+        bundle, weights = (tmp_path, sim / "weights.csv") if dataset else (sim, bad)
         argv = {
-            "fit": ["--bundle", sim, "--spec", "fe.tw.q.sl", "--weights", bad],
+            "fit": ["--bundle", bundle, "--spec", "fe.tw.q.sl", "--weights", weights],
             "weights": ["--pubs", bad] if pubs else ["--profiles", bad, "--bundle", sim],
             "ingest": ["--panel", sim / "dataset.csv", "--pubs", bad] if pubs else ["--panel", bad],
             "simulate": ["--config", bad],

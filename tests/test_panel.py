@@ -78,11 +78,6 @@ class TestLoadPanelCsv:
         with pytest.raises(MissingColumn):
             load_panel_csv(path)
 
-    def test_schema_mismatch(self, tmp_path):
-        path = write_csv(tmp_path / "s.csv", "region,year,v\nA,2009,1\n")
-        with pytest.raises(MissingColumn):
-            load_panel_csv(path, schema=["v", "w"])
-
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = write_csv(tmp_path / "nn.csv", "region,year,v\nA,2009,oops\n")
         with pytest.raises(NonNumericCell, match="v"):
