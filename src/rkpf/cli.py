@@ -23,6 +23,7 @@ from .errors import (
     EngineError,
     InvalidTag,
     MissingData,
+    NonFiniteFit,
     RegionOrderMismatch,
     UnknownSubjectArea,
     UnknownVariable,
@@ -56,8 +57,7 @@ from .weights import (
     load_profiles_csv,
     load_weights_csv,
     write_profiles_csv,
-    write_weights_csv,
-    write_weights_json,
+    write_weights_files,
 )
 
 DATASET_NAME = "dataset.csv"
@@ -178,8 +178,7 @@ def cmd_weights(args) -> int:
         raise MissingData("weights needs --profiles or --pubs")
 
     w = build_weights(correlation_matrix(profiles), profiles.regions)
-    write_weights_csv(w, out / "weights.csv")
-    write_weights_json(w, out / "weights.json")
+    write_weights_files(w, out / "weights.csv", out / "weights.json")
     _write_json(out / "manifest.json", build_manifest("weights", inputs))
     print(
         f"weights written to {out} "
@@ -195,8 +194,8 @@ def cmd_fit(args) -> int:
     w = load_weights_csv(args.weights) if args.weights else None
     try:
         fit = fit_model(dataset, spec, w)
-    except UnknownVariable as exc:
-        raise UnknownVariable(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
+    except (UnknownVariable, NonFiniteFit) as exc:
+        raise type(exc)(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
 
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
@@ -218,8 +217,8 @@ def cmd_suite(args) -> int:
     w = load_weights_csv(args.weights) if args.weights else None
     try:
         table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
-    except UnknownVariable as exc:
-        raise UnknownVariable(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
+    except (UnknownVariable, NonFiniteFit) as exc:
+        raise type(exc)(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
 
     _write_json(out / "suite.json", table.to_dict())
     fmt = args.format
@@ -239,8 +238,7 @@ def cmd_simulate(args) -> int:
 
     write_panel_csv(generated.dataset, out / DATASET_NAME)
     write_profiles_csv(generated.profiles, out / "profiles.csv")
-    write_weights_csv(generated.weights, out / "weights.csv")
-    write_weights_json(generated.weights, out / "weights.json")
+    write_weights_files(generated.weights, out / "weights.csv", out / "weights.json")
     cfg.to_yaml(out / "dgp.yaml")
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True)
     inputs = [args.config] if args.config else []

@@ -91,6 +91,10 @@ class SingleCluster(EngineError):
     pass
 
 
+class NonFiniteFit(EngineError):
+    pass
+
+
 # suite
 
 

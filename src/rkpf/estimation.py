@@ -19,6 +19,7 @@ from scipy.special import stdtr, stdtrit
 
 from .errors import (
     MissingWeights,
+    NonFiniteFit,
     RankDeficient,
     RegionOrderMismatch,
     SingleCluster,
@@ -347,6 +348,13 @@ def _inference(
     return se, t_stats, 2.0 * stdtr(dof, -np.abs(t_stats))
 
 
+def _check_finite(what: str, values: np.ndarray, labels) -> None:
+    """Raise NonFiniteFit naming the first term whose value is not finite."""
+    if not np.isfinite(values).all():
+        j = int(np.argmin(np.isfinite(values)))
+        raise NonFiniteFit(f"the {what} of {labels[j]!r} is {values[j]}")
+
+
 def fit_model(
     d: PanelDataset, spec: ModelSpec, w: SpatialWeights | None = None
 ) -> FitResult:
@@ -366,7 +374,12 @@ def fit_model(
         Xf, yf = X, y
         n_absorbed = 0
 
-    fit = ols_fit(Xf, yf, design.column_labels)
+    labels = design.column_labels
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
+        fit = ols_fit(Xf, yf, labels)
+    if not math.isfinite(fit.ssr):
+        raise NonFiniteFit(f"the SSR is {fit.ssr}: the residuals are too large to square")
+    _check_finite("estimate", fit.coefficients, labels)
     dof = n_obs - k - n_absorbed  # classical_cov raises ZeroDof when dof <= 0
 
     classical = _inference(classical_cov(fit, Xf, n_absorbed), fit.coefficients, dof)
@@ -376,6 +389,8 @@ def fit_model(
         cov = cluster_robust_cov(fit, Xf, design.clusters, n_absorbed)
         se, t_stats, p_values = _inference(cov, fit.coefficients, dof)
     classical_se, _, classical_p = classical
+    _check_finite("standard error", se, labels)
+    _check_finite("classical standard error", classical_se, labels)
 
     # within R^2: on the (possibly demeaned) LS problem; centered when a
     # constant is present or implied by demeaning
@@ -392,7 +407,6 @@ def fit_model(
         else n_obs * math.log(fit.ssr / n_obs) + 2 * k_aic
     )
 
-    labels = design.column_labels
     return FitResult(
         spec=spec,
         coefficients=dict(zip(labels, map(float, fit.coefficients))),

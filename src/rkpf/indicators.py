@@ -22,7 +22,7 @@ from .errors import (
     NonNumericCell,
     UnknownSubjectArea,
 )
-from .tables import read_table, write_table
+from .tables import not_utf8, read_table, write_table
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 # panel column -> RegionYearIndicators field, for indicators.csv and ingest's merge
@@ -203,15 +203,18 @@ def load_publications(path) -> list[PublicationRecord]:
     records: list[PublicationRecord] = []
     if path.endswith(".jsonl") or path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
-                records.append(_record_from_mapping(obj, f"{path}:{lineno}"))
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
+                    records.append(_record_from_mapping(obj, f"{path}:{lineno}"))
+            except UnicodeDecodeError:
+                raise not_utf8(path) from None
     else:
         header, rows = read_table(path)
         for lineno, cells in rows:
@@ -224,7 +227,10 @@ def load_publications(path) -> list[PublicationRecord]:
 def load_vocabulary(path) -> list[str]:
     """Subject-area vocabulary: one code per line, order preserved."""
     with open(path, "r", encoding="utf-8") as fh:
-        codes = [line.strip() for line in fh if line.strip()]
+        try:
+            codes = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not codes:
         raise MissingData(f"{path}: empty vocabulary")
     if len(set(codes)) != len(codes):

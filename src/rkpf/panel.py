@@ -17,7 +17,7 @@ from .errors import (
     NonNumericCell,
     UnknownVariable,
 )
-from .tables import parse_floats, read_table, write_table
+from .tables import read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
 
@@ -98,34 +98,33 @@ def load_panel_csv(path) -> PanelDataset:
     are the sorted distinct values and unobserved cells are NaN. Balance is
     checked separately by validate_balanced.
     """
-    header, rows = read_table(path)
-    for col in RESERVED_COLUMNS:
-        if col not in header:
-            raise MissingColumn(f"{path}: required column {col!r} missing")
-    var_names = [h for h in header if h not in RESERVED_COLUMNS]
-    if not var_names:
-        raise MissingColumn(f"{path}: no variable columns beyond region,year")
-    region_col, year_col = header.index("region"), header.index("year")
-    var_cols = [header.index(name) for name in var_names]
+
+    def label_columns(header):
+        for col in RESERVED_COLUMNS:
+            if col not in header:
+                raise MissingColumn(f"{path}: required column {col!r} missing")
+        if len(header) == len(RESERVED_COLUMNS):
+            raise MissingColumn(f"{path}: no variable columns beyond region,year")
+        return [header.index(col) for col in RESERVED_COLUMNS]
 
     seen: set[tuple[str, int]] = set()
-    regions, years, values = [], [], []
-    for lineno, cells in rows:
-        region = cells[region_col]
+    years = []
+
+    def check_labels(lineno, labels):
+        region, year_cell = labels
         try:
-            year = int(cells[year_col])
+            year = int(year_cell)
         except ValueError:
             raise NonNumericCell(
-                f"{path}:{lineno}: year column: cannot parse {cells[year_col]!r}"
+                f"{path}:{lineno}: year column: cannot parse {year_cell!r}"
             ) from None
         if (region, year) in seen:
             raise DuplicateRow(f"{path}:{lineno}: duplicate row for {region!r}, {year}")
         seen.add((region, year))
-        regions.append(region)
         years.append(year)
-        values.append(
-            parse_floats([cells[j] for j in var_cols], var_names, f"{path}:{lineno}")
-        )
+
+    var_names, labels, values = read_matrix(path, label_columns, check_labels)
+    regions = [region for region, _ in labels]
 
     first, last = min(years), max(years)
     if last - first >= len(years):
@@ -134,7 +133,7 @@ def load_panel_csv(path) -> PanelDataset:
     region_ids = tuple(sorted(set(regions)))
     index = {r: i for i, r in enumerate(region_ids)}
     table = np.full((len(var_names), len(region_ids), last - first + 1), np.nan)
-    table[:, [index[r] for r in regions], [y - first for y in years]] = np.stack(values, axis=1)
+    table[:, [index[r] for r in regions], [y - first for y in years]] = values.T
     return PanelDataset(region_ids, tuple(range(first, last + 1)), dict(zip(var_names, table)))
 
 

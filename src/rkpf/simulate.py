@@ -27,6 +27,7 @@ from .estimation import fit_model, parse_term_label
 from .panel import PanelDataset
 from .runtime import parallel_map
 from .suite import expand_notation
+from .tables import not_utf8
 from .weights import (
     SpatialWeights,
     ThematicProfileMatrix,
@@ -272,6 +273,8 @@ class DgpConfig:
                 m = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"{path}: cannot parse config: {exc}") from None
+            except UnicodeDecodeError:
+                raise not_utf8(path) from None
         if not isinstance(m, dict):
             raise ConfigError(f"{path}: config must be a mapping")
         try:

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 
 import numpy as np
 
-from .errors import MissingColumn, MissingData, NonNumericCell
+from .errors import EngineError, MissingColumn, MissingData, NonNumericCell
 
 
 def read_table(path):
@@ -47,8 +48,25 @@ def _rows(path):
                 yield reader.line_num, cells
         except csv.Error as exc:  # such as a stray quote that runs past the field size limit
             raise NonNumericCell(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if header_only:
         raise MissingData(f"{path}: header only, no data rows")
+
+
+def not_utf8(path) -> NonNumericCell:
+    """The error for a text file that does not decode, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # text mode ends a line at \n, \r or \r\n, as bytes.splitlines does
+        line = len((raw[: exc.start] + b"x").splitlines())
+        return NonNumericCell(
+            f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {raw[exc.start]:#04x}"
+        )
+    return NonNumericCell(f"{path}: not UTF-8 text")
 
 
 def parse_floats(cells, columns, where) -> np.ndarray:
@@ -66,9 +84,96 @@ def parse_floats(cells, columns, where) -> np.ndarray:
         raise NonNumericCell(f"{where}: column {name!r}: cannot parse {cell!r} as a finite number")
 
 
+def read_matrix(path, label_columns, check_labels=None):
+    """(value column names, label cells per row, float matrix) of a table.
+
+    `label_columns(header)` checks the stripped header, raising the caller's
+    error, and returns the indices of the text columns; every other column
+    holds numbers, read as parse_floats reads them. `check_labels(line
+    number, label cells)`, if given, sees each row in order before its
+    numbers are read. The file is parsed in C when its label columns come
+    first and it holds no quote, empty cell or non-finite number. Otherwise
+    read_table and parse_floats read it row by row, and they give the
+    file:line messages.
+    """
+    check_labels = check_labels or (lambda lineno, labels: None)
+    parsed = None
+    with contextlib.suppress(ValueError, csv.Error, EngineError):
+        parsed = _read_matrix_c(path, label_columns)
+    if parsed is not None:
+        columns, lines, labels, values = parsed
+        for lineno, row_labels in zip(lines, labels):
+            check_labels(lineno, row_labels)
+        return columns, labels, values
+    header, rows = read_table(path)
+    label_idx = label_columns(header)
+    value_idx = [j for j in range(len(header)) if j not in label_idx]
+    columns = [header[j] for j in value_idx]
+    labels, values = [], []
+    for lineno, cells in rows:
+        labels.append(tuple(cells[i] for i in label_idx))
+        check_labels(lineno, labels[-1])
+        values.append(parse_floats([cells[j] for j in value_idx], columns, f"{path}:{lineno}"))
+    return columns, labels, np.stack(values)
+
+
+def _read_matrix_c(path, label_columns):
+    """(columns, line numbers, labels, matrix) by np.loadtxt, or None or an
+    exception where the file needs the per-row path."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if len(set(header)) != len(header):
+            return None
+        label_idx = list(label_columns(header))
+        n = len(label_idx)
+        if label_idx != list(range(n)) or n == len(header):
+            return None
+        lines, labels = [], []
+
+        def numbers():
+            # physical lines are records, since no line holds a quote
+            for lineno, line in enumerate(fh, start=reader.line_num + 1):
+                if not line.strip():
+                    continue
+                if '"' in line:
+                    raise ValueError("quoted cell")
+                *cells, rest = line.split(",", n)
+                if len(cells) < n or not rest.strip():  # loadtxt would skip an empty rest
+                    raise ValueError("too few cells")
+                lines.append(lineno)
+                labels.append(tuple(map(str.strip, cells)))
+                yield rest
+
+        rows = numbers()
+        first = next(rows, None)
+        if first is None:
+            return None
+        values = np.loadtxt(
+            itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2
+        )
+    if values.shape != (len(labels), len(header) - n) or not np.isfinite(values).all():
+        return None
+    return header[n:], lines, labels, values
+
+
 def write_table(path, header, rows) -> None:
     """Write a header and rows of cells: strings, ints, floats, or None for empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_matrix(path, header, rows) -> None:
+    """Write a header and rows of (label, numbers already formatted as text).
+
+    Only the label goes through `csv` quoting; a formatted number needs none,
+    so each row's numbers are joined as they are.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        label_cell = csv.writer(fh, lineterminator="")  # writes "label," for [label, ""]
+        for label, numbers in rows:
+            label_cell.writerow([label, ""])
+            fh.write(",".join(numbers) + "\n")

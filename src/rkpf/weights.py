@@ -9,6 +9,7 @@ one. Rows that clamp to all zeros are isolated and keep zero spatial lags.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,17 @@ from .errors import (
     RegionOrderMismatch,
 )
 from .indicators import PublicationRecord, compute_thematic_profile
-from .tables import parse_floats, read_table, write_table
+from .tables import read_matrix, write_matrix
 
 _ROW_SUM_TOL = 1e-9
+
+
+def _check_distinct(regions, error) -> None:
+    seen = set()
+    for region in regions:
+        if region in seen:
+            raise error(f"region {region!r} appears more than once")
+        seen.add(region)
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,7 @@ class ThematicProfileMatrix:
     def __post_init__(self):
         shares = np.asarray(self.shares, dtype=float)
         n, s = len(self.regions), len(self.subject_areas)
+        _check_distinct(self.regions, InvalidProfiles)
         if shares.shape != (n, s):
             raise InvalidProfiles(f"shares shape {shares.shape} != ({n}, {s})")
         sums = shares.sum(axis=1)
@@ -67,6 +77,7 @@ class SpatialWeights:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         n = len(self.regions)
+        _check_distinct(self.regions, InvalidWeights)
         if w.shape != (n, n):
             raise InvalidWeights(f"weights shape {w.shape} != ({n}, {n})")
         bad = ~np.isfinite(w) | (w < 0)
@@ -166,28 +177,64 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _write_region_matrix(path, columns, regions, matrix: np.ndarray) -> None:
-    """Inverse of _read_region_matrix: a 'region' header, then one row per region."""
-    rows = ([region, *row.tolist()] for region, row in zip(regions, matrix))
-    write_table(path, ["region", *columns], rows)
+def _write_region_matrix(path, columns, regions, cells) -> None:
+    """Inverse of _read_region_matrix: a 'region' header, then one row per region
+    of numbers formatted with repr."""
+    write_matrix(path, ["region", *columns], zip(regions, cells))
+
+
+def _json_array(items, depth: int) -> str:
+    """JSON texts as one array, laid out as json.dump(indent=2) does at nesting `depth`."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def write_weights_files(w: SpatialWeights, csv_path, json_path) -> None:
+    """weights.csv and weights.json in one pass, formatting each weight once.
+
+    The CSV is a dense matrix with a region header row and column; the JSON
+    equals json.dump({"regions", "w", "isolated"}, indent=2) plus a newline,
+    byte for byte. Both are written row by row.
+    """
+    with open(json_path, "w", encoding="utf-8", newline="") as fh:
+        regions = _json_array(list(map(json.dumps, w.regions)), 1)
+        fh.write('{\n  "regions": ' + regions + ',\n  "w": [')
+
+        def cells():
+            # each row's JSON block is written as the CSV writer draws its cells
+            for i, row in enumerate(w.w):
+                formatted = list(map(repr, row.tolist()))
+                fh.write(("," if i else "") + "\n    " + _json_array(formatted, 2))
+                yield formatted
+
+        _write_region_matrix(csv_path, w.regions, w.regions, cells())
+        isolated = sorted(w.regions[i] for i in w.isolated)
+        fh.write(("\n  ]" if w.regions else "]") + ',\n  "isolated": ')
+        fh.write(_json_array(list(map(json.dumps, isolated)), 1) + "\n}\n")
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:
-    """Dense matrix with a region header row and column."""
-    _write_region_matrix(path, w.regions, w.regions, w.w)
+    """weights.csv alone."""
+    write_weights_files(w, path, os.devnull)
+
+
+def write_weights_json(w: SpatialWeights, path) -> None:
+    """weights.json alone."""
+    write_weights_files(w, os.devnull, path)
 
 
 def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
     """Column labels, row regions and cells of a table whose first column is 'region'."""
-    header, rows = read_table(path)
-    if header[:1] != ["region"]:
-        raise MissingColumn(f"{path}: first header cell must be 'region'")
-    columns = header[1:]
-    regions, matrix = [], []
-    for lineno, cells in rows:
-        regions.append(cells[0])
-        matrix.append(parse_floats(cells[1:], columns, f"{path}:{lineno}"))
-    return tuple(columns), tuple(regions), np.stack(matrix)
+
+    def region_first(header):
+        if header[:1] != ["region"]:
+            raise MissingColumn(f"{path}: first header cell must be 'region'")
+        return [0]
+
+    columns, labels, matrix = read_matrix(path, region_first)
+    return tuple(columns), tuple(region for region, in labels), matrix
 
 
 def load_weights_csv(path) -> SpatialWeights:
@@ -200,19 +247,9 @@ def load_weights_csv(path) -> SpatialWeights:
         raise InvalidWeights(f"{path}: {exc}") from None
 
 
-def write_weights_json(w: SpatialWeights, path) -> None:
-    payload = {
-        "regions": list(w.regions),
-        "w": [row.tolist() for row in w.w],
-        "isolated": sorted(w.regions[i] for i in w.isolated),
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
-    _write_region_matrix(path, m.subject_areas, m.regions, m.shares)
+    cells = (map(repr, row.tolist()) for row in m.shares)
+    _write_region_matrix(path, m.subject_areas, m.regions, cells)
 
 
 def load_profiles_csv(path) -> ThematicProfileMatrix:

@@ -371,6 +371,19 @@ def _copy_editing_line_3(edit):
     return prepare
 
 
+def _repeat_line_3(source, bad):
+    """A case set-up that copies the source file with its third line written twice."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    bad.write_text("\n".join([*lines, lines[2]]) + "\n", encoding="utf-8")
+
+
+def _latin1_line_3(source, bad):
+    """A case set-up that copies the source file with an 'é' in its third line, as Latin-1."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines[2] = "é" + lines[2]
+    bad.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+
+
 def _one_line(text):
     """A case set-up that writes the bad file as one line (a DGP config or a record)."""
     return lambda source, bad: bad.write_text(text + "\n", encoding="utf-8")
@@ -448,6 +461,14 @@ class TestMalformedInputs:
                 ",".join(_RECORD) + "\np1,2009,R01,SA01,1,1.0,Q1,extra")),
             ("ingest", "dataset.csv", _one_line('region,year,v\nA,2009,"' + "1" * 140_000)),
             ("ingest", "dataset.csv", _one_line("region,year,v,v\nA,2009,1,2")),
+            ("ingest", "dataset.csv", _latin1_line_3),
+            ("weights", "profiles.csv", _latin1_line_3),
+            ("ingest", "pubs.jsonl", lambda source, bad: bad.write_bytes(
+                json.dumps({**_RECORD, "id": "é"}, ensure_ascii=False).encode("latin-1"))),
+            ("weights", "profiles.csv", _repeat_line_3),
+            ("fit", "dataset.csv", _copy_editing_line_3(lambda c: c[:11] + ["1e200"] + c[12:])),
+            ("simulate", "c.yaml",
+             lambda source, bad: bad.write_bytes("panel: {seed: 1}  # café\n".encode("latin-1"))),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
@@ -463,7 +484,9 @@ class TestMalformedInputs:
              "ingest-pubs-nan-text-expected", "ingest-pubs-inf-text-expected",
              "ingest-pubs-nan-expected", "ingest-pubs-fractional-year",
              "ingest-pubs-bool-citations",
-             "ingest-pubs-csv-extra-cell", "ingest-stray-quote", "ingest-repeated-column"],
+             "ingest-pubs-csv-extra-cell", "ingest-stray-quote", "ingest-repeated-column",
+             "ingest-not-utf8", "weights-profiles-not-utf8", "ingest-pubs-not-utf8",
+             "weights-repeated-region", "fit-huge-outcome", "config-not-utf8"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare

@@ -1,5 +1,8 @@
-"""Table files: round trips of awkward names, and a fuzz of every file loader."""
+"""Table files: round trips of awkward names, the C and per-row readers against each
+other, the one-pass weights writer against the csv and json modules, and a fuzz of
+every file loader."""
 import contextlib
+import csv
 import io
 import json
 import math
@@ -13,9 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkpf.cli import main
-from rkpf.panel import write_panel_csv
+from rkpf.errors import (
+    DuplicateRow,
+    EngineError,
+    InvalidWeights,
+    MissingColumn,
+    NonConsecutiveYears,
+    NonNumericCell,
+    RegionOrderMismatch,
+)
+from rkpf.panel import RESERVED_COLUMNS, PanelDataset, load_panel_csv, write_panel_csv
 from rkpf.simulate import DgpConfig, generate_panel
+from rkpf.tables import parse_floats, read_table, write_matrix
 from rkpf.weights import (
+    SpatialWeights,
     ThematicProfileMatrix,
     build_weights,
     correlation_matrix,
@@ -23,6 +37,7 @@ from rkpf.weights import (
     load_weights_csv,
     write_profiles_csv,
     write_weights_csv,
+    write_weights_files,
 )
 
 
@@ -41,6 +56,184 @@ def test_names_with_comma_and_quote_round_trip(tmp_path):
     loaded = load_weights_csv(tmp_path / "weights.csv")
     assert loaded.regions == regions
     np.testing.assert_array_equal(loaded.w, w.w)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass weights writer: the bytes of the csv and json modules
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "regions, rows",
+    [
+        # exponent reprs, names that need quoting or escaping, and two isolated rows
+        # whose names sort in the other order
+        (("Zürich", 'North, "upper"', "a,b", "B"),
+         [[0.0] * 4, [1e-05, 0.0, 1 - 1e-05, 0.0], [5e-324, 0.0, 0.0, 1.0], [0.0] * 4]),
+        (("B", "A"), [[0.0, 1.0], [1.0, 0.0]]),  # no isolated row
+    ],
+)
+def test_weights_files_are_the_csv_and_json_modules_bytes(tmp_path, regions, rows):
+    w = SpatialWeights(regions, np.array(rows))
+    write_weights_files(w, tmp_path / "w.csv", tmp_path / "w.json")
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["region", *regions])
+    writer.writerows([region, *row] for region, row in zip(regions, rows))
+    assert (tmp_path / "w.csv").read_bytes() == want.getvalue().encode("utf-8")
+    payload = {"regions": list(regions), "w": rows,
+               "isolated": sorted(regions[i] for i in w.isolated)}
+    assert (tmp_path / "w.json").read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def test_write_matrix_is_the_csv_modules_bytes(tmp_path):
+    rows = [("a,b", [1e16, -0.0, 5e-324]), ('say "hi"', [1e-05, 0.1, 2.5])]
+    write_matrix(tmp_path / "m.csv", ["region", "x", "y", "z"],
+                 ((label, map(repr, values)) for label, values in rows))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["region", "x", "y", "z"])
+    writer.writerows([label, *values] for label, values in rows)
+    assert (tmp_path / "m.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the C parse of read_matrix against the per-row reader
+# ---------------------------------------------------------------------------
+
+
+def reference_weights(path) -> SpatialWeights:
+    """load_weights_csv, row by row through read_table and parse_floats."""
+    header, rows = read_table(path)
+    if header[:1] != ["region"]:
+        raise MissingColumn(f"{path}: first header cell must be 'region'")
+    regions, matrix = [], []
+    for lineno, cells in rows:
+        regions.append(cells[0])
+        matrix.append(parse_floats(cells[1:], header[1:], f"{path}:{lineno}"))
+    if regions != header[1:]:
+        raise RegionOrderMismatch(f"{path}: row and column region order differ")
+    try:
+        return SpatialWeights(tuple(regions), np.stack(matrix))
+    except InvalidWeights as exc:
+        raise InvalidWeights(f"{path}: {exc}") from None
+
+
+def reference_panel(path) -> PanelDataset:
+    """load_panel_csv, row by row through read_table and parse_floats."""
+    header, rows = read_table(path)
+    for col in RESERVED_COLUMNS:
+        if col not in header:
+            raise MissingColumn(f"{path}: required column {col!r} missing")
+    var_names = [h for h in header if h not in RESERVED_COLUMNS]
+    if not var_names:
+        raise MissingColumn(f"{path}: no variable columns beyond region,year")
+    region_col, year_col = header.index("region"), header.index("year")
+    cells_by_key = {}
+    for lineno, cells in rows:
+        try:
+            year = int(cells[year_col])
+        except ValueError:
+            raise NonNumericCell(
+                f"{path}:{lineno}: year column: cannot parse {cells[year_col]!r}"
+            ) from None
+        key = (cells[region_col], year)
+        if key in cells_by_key:
+            raise DuplicateRow(f"{path}:{lineno}: duplicate row for {key[0]!r}, {year}")
+        cells_by_key[key] = parse_floats(
+            [cells[header.index(name)] for name in var_names], var_names, f"{path}:{lineno}"
+        )
+    years = [year for _, year in cells_by_key]
+    first, last = min(years), max(years)
+    if last - first >= len(years):
+        raise NonConsecutiveYears(f"{path}: years {first}-{last} outnumber the data rows")
+    region_ids = sorted({region for region, _ in cells_by_key})
+    table = np.full((len(var_names), len(region_ids), last - first + 1), np.nan)
+    for (region, year), values in cells_by_key.items():
+        table[:, region_ids.index(region), year - first] = values
+    return PanelDataset(tuple(region_ids), tuple(range(first, last + 1)),
+                        dict(zip(var_names, table)))
+
+
+def outcome(load, path):
+    """What a loader gives: its error, or its labels and the bytes of its arrays."""
+    try:
+        result = load(path)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, SpatialWeights):
+        return result.regions, result.w.tobytes()
+    return result.region_ids, result.years, {k: v.tobytes() for k, v in result.variables.items()}
+
+
+NAMES = ["R1", "R2", "#north", "a,b", 'say "hi"', "Zürich", " padded "]
+# cell texts that float() and np.loadtxt may read differently, or not at all
+AWKWARD = ["1_000", "１", "٣", "nan", "inf", "-inf", "1e400", "", '"0.5"', " 0.25 ", "0.5\t",
+           "+.5", "0_0", "-0.0", " 0 ", "０", "1e-400", "abc", "1#2"]
+
+
+def csv_cell(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
+@st.composite
+def table_text(draw, header, rows):
+    """A table file of header and rows of cell texts, with awkward cells and layout drawn."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(AWKWARD))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", ","])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 9 else ""
+    return bom + end.join(lines) + end
+
+
+@pytest.mark.parametrize("cell", AWKWARD)
+def test_readers_agree_on_each_awkward_cell(tmp_path, cell):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"region,year,v,w\n#north,2009,0.5,{cell}\n#north,2010,1.5,2.5\n",
+                    encoding="utf-8")
+    assert outcome(load_panel_csv, path) == outcome(reference_panel, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_weights_readers_agree(tmp_path_factory, data):
+    regions = data.draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=4, unique=True))
+    n = len(regions)
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n)))
+    w = raw.reshape(n, n) * (1 - np.eye(n))
+    w /= w.sum(axis=1, keepdims=True)
+    names = [csv_cell(r) for r in regions]
+    text = data.draw(table_text(["region", *names],
+                                [[name, *map(repr, row.tolist())] for name, row in zip(names, w)]))
+    path = tmp_path_factory.mktemp("w") / "weights.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(load_weights_csv, path) == outcome(reference_weights, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_panel_readers_agree(tmp_path_factory, data):
+    regions = data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    n_years = data.draw(st.integers(1, 3))
+    n_vars = data.draw(st.integers(1, 2))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [
+        [csv_cell(region), data.draw(st.sampled_from([str(year), f" {year} "])),
+         *(data.draw(finite) for _ in range(n_vars))]
+        for region in regions
+        for year in range(2009, 2009 + n_years)
+    ]
+    header = ["region", "year", *(f"v{k}" for k in range(n_vars))]
+    path = tmp_path_factory.mktemp("p") / "panel.csv"
+    path.write_bytes(data.draw(table_text(header, rows)).encode("utf-8"))
+    assert outcome(load_panel_csv, path) == outcome(reference_panel, path)
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,9 @@ class TestValidation:
         shares[1, 0] = bad
         with pytest.raises(InvalidProfiles, match="'r1'"):
             profiles(shares)
+
+    def test_repeated_region_rejected(self):
+        with pytest.raises(InvalidWeights, match="region 'B' appears more than once"):
+            SpatialWeights(("A", "B", "B"), np.full((3, 3), 0.5) - np.diag([0.5] * 3))
+        with pytest.raises(InvalidProfiles, match="region 'r0' appears more than once"):
+            profiles([[0.5, 0.5], [0.2, 0.8]], regions=["r0", "r0"])
