@@ -10,6 +10,7 @@ directory), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import traceback
@@ -27,6 +28,7 @@ from .errors import (
     RegionOrderMismatch,
     UnknownSubjectArea,
     UnknownVariable,
+    ZeroDof,
 )
 from .indicators import INDICATOR_COLUMNS, load_publications, load_vocabulary
 from .indicators import region_year_indicators, write_indicator_csv
@@ -187,15 +189,22 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
-    dataset = _load_bundle(args.bundle)
-    spec = expand_notation(args.spec, args.covariance)
+@contextlib.contextmanager
+def _fit_inputs(args):
+    """Yield (dataset, weights or None, input paths); an error of the data names dataset.csv."""
+    dataset_path = Path(args.bundle) / DATASET_NAME
+    dataset = load_panel_csv(dataset_path)
     w = load_weights_csv(args.weights) if args.weights else None
     try:
-        fit = fit_model(dataset, spec, w)
-    except (UnknownVariable, NonFiniteFit) as exc:
-        raise type(exc)(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
+        yield dataset, w, [dataset_path] + ([args.weights] if args.weights else [])
+    except (UnknownVariable, NonFiniteFit, ZeroDof) as exc:
+        raise type(exc)(f"{dataset_path}: {exc}") from None
+
+
+def cmd_fit(args) -> int:
+    out = _out_dir(args)
+    with _fit_inputs(args) as (dataset, w, inputs):
+        fit = fit_model(dataset, expand_notation(args.spec, args.covariance), w)
 
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
@@ -204,7 +213,6 @@ def cmd_fit(args) -> int:
         _write_text(out / f"fit.{fmt}", render_table(table, fmt))
     elif fmt != "json":
         _write_text(out / "fit.txt", render_fit_text(fit))
-    inputs = [Path(args.bundle) / DATASET_NAME] + ([args.weights] if args.weights else [])
     _write_json(out / "manifest.json", build_manifest("fit", inputs, config_text=args.spec))
     print(render_fit_text(fit))
     return 0
@@ -212,20 +220,15 @@ def cmd_fit(args) -> int:
 
 def cmd_suite(args) -> int:
     out = _out_dir(args)
-    dataset = _load_bundle(args.bundle)
     tags = _tag_list(args.specs)
-    w = load_weights_csv(args.weights) if args.weights else None
-    try:
+    with _fit_inputs(args) as (dataset, w, inputs):
         table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
-    except (UnknownVariable, NonFiniteFit) as exc:
-        raise type(exc)(f"{Path(args.bundle) / DATASET_NAME}: {exc}") from None
 
     _write_json(out / "suite.json", table.to_dict())
     fmt = args.format
     ext = {"text": "txt", "csv": "csv", "md": "md"}
     if fmt != "json":
         _write_text(out / f"suite.{ext[fmt]}", render_table(table, fmt))
-    inputs = [Path(args.bundle) / DATASET_NAME] + ([args.weights] if args.weights else [])
     _write_json(out / "manifest.json", build_manifest("suite", inputs, config_text=args.specs))
     print(render_table(table, "text"))
     return 0
@@ -253,7 +256,10 @@ def cmd_simulate(args) -> int:
 def cmd_mc(args) -> int:
     out = _out_dir(args)
     cfg = _dgp_config(args)
-    report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
+    try:
+        report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
+    except ZeroDof as exc:  # the config's panel is too small for the spec
+        raise ZeroDof(f"{args.config}: {exc}") if args.config else exc from None
 
     _write_json(out / "mc.json", report.to_dict())
     _write_text(out / "mc.txt", report.render_text())

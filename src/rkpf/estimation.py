@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import stdtr, stdtrit
+from scipy.special import stdtr
 
 from .errors import (
     MissingWeights,
@@ -286,11 +286,6 @@ class FitResult:
     def stars(self, label: str) -> str:
         return significance_stars(self.p_values[label])
 
-    def conf_int(self, label: str, level: float = 0.95) -> tuple[float, float]:
-        half = stdtrit(self.dof, 0.5 + level / 2) * self.std_errors[label]
-        est = self.coefficients[label]
-        return est - half, est + half
-
     def to_dict(self) -> dict:
         return {
             "model": {
@@ -374,13 +369,15 @@ def fit_model(
         Xf, yf = X, y
         n_absorbed = 0
 
+    dof = n_obs - k - n_absorbed
+    if dof <= 0:
+        raise ZeroDof(f"no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
     labels = design.column_labels
     with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
         fit = ols_fit(Xf, yf, labels)
     if not math.isfinite(fit.ssr):
         raise NonFiniteFit(f"the SSR is {fit.ssr}: the residuals are too large to square")
     _check_finite("estimate", fit.coefficients, labels)
-    dof = n_obs - k - n_absorbed  # classical_cov raises ZeroDof when dof <= 0
 
     classical = _inference(classical_cov(fit, Xf, n_absorbed), fit.coefficients, dof)
     if spec.covariance == "classical":

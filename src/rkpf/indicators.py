@@ -48,6 +48,8 @@ class PublicationRecord:
             raise ValueError(f"record {self.id!r}: citations must be >= 0")
         if not 0 < self.expected_citations < math.inf:
             raise ValueError(f"record {self.id!r}: expected_citations must be finite and > 0")
+        if not math.isfinite(self.citations / self.expected_citations):  # may raise OverflowError
+            raise ValueError(f"record {self.id!r}: citations / expected_citations is not finite")
         if self.journal_quartile not in QUARTILES:
             raise ValueError(
                 f"record {self.id!r}: journal_quartile {self.journal_quartile!r} "
@@ -81,7 +83,8 @@ def compute_fwci(records: list[PublicationRecord]) -> float:
     if not records:
         raise EmptyCell("FWCI undefined for a region-year with no publications")
     ratios = [rec.citations / rec.expected_citations for rec in records]
-    return float(np.mean(ratios))
+    with np.errstate(over="ignore"):  # region_year_indicators names a mean that overflows
+        return float(np.mean(ratios))
 
 
 def compute_quartile_shares(records: list[PublicationRecord]) -> tuple[float, float]:
@@ -123,13 +126,16 @@ def region_year_indicators(
     cells = attribute_full_counting(pubs)
     rows = []
     for (region, year), records in sorted(cells.items()):
+        fwci = compute_fwci(records)
+        if not math.isfinite(fwci):
+            raise NonNumericCell(f"FWCI of {region!r}, {year} is {fwci}: its mean ratio overflows")
         q1, nq = compute_quartile_shares(records)
         rows.append(
             RegionYearIndicators(
                 region=region,
                 year=year,
                 pub_count=len(records),
-                fwci=compute_fwci(records),
+                fwci=fwci,
                 q1_share=q1,
                 nq_share=nq,
             )
@@ -240,5 +246,6 @@ def load_vocabulary(path) -> list[str]:
 
 def write_indicator_csv(rows: list[RegionYearIndicators], path) -> None:
     """CSV compatible with panel ingestion (region,year,PUBS,FWCI,Q1SH,NQSH)."""
-    body = ([r.region, r.year, *(getattr(r, f) for f in INDICATOR_COLUMNS.values())] for r in rows)
+    fields = INDICATOR_COLUMNS.values()
+    body = (((r.region, r.year), [repr(getattr(r, f)) for f in fields]) for r in rows)
     write_table(path, ["region", "year", *INDICATOR_COLUMNS], body)

@@ -17,7 +17,7 @@ from .errors import (
     NonNumericCell,
     UnknownVariable,
 )
-from .tables import read_matrix, write_table
+from .tables import format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
 
@@ -139,13 +139,9 @@ def load_panel_csv(path) -> PanelDataset:
 
 def write_panel_csv(d: PanelDataset, path) -> None:
     """Write the canonical long CSV (region-major, year-minor; NaN as an empty cell)."""
-    names = list(d.variables)
-    values = np.stack([d.variables[name] for name in names], axis=-1).reshape(d.n_obs, -1)
-    cells = values.astype(object)
-    cells[np.isnan(values)] = None
+    values = np.stack(list(d.variables.values()), axis=-1).reshape(d.n_obs, -1)
     keys = ((region, year) for region in d.region_ids for year in d.years)
-    rows = ([*key, *row] for key, row in zip(keys, cells.tolist()))
-    write_table(path, ["region", "year", *names], rows)
+    write_table(path, ["region", "year", *d.variables], zip(keys, format_rows(values)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import contextlib
 import csv
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -157,23 +158,23 @@ def _read_matrix_c(path, label_columns):
     return header[n:], lines, labels, values
 
 
+def format_rows(values):
+    """Each row of a 2-D float array as repr strings, NaN (a missing cell) as ""."""
+    if not np.isnan(values).any():
+        return (list(map(repr, row.tolist())) for row in values)
+    return (["" if x != x else repr(x) for x in row.tolist()] for row in values)
+
+
 def write_table(path, header, rows) -> None:
-    """Write a header and rows of cells: strings, ints, floats, or None for empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a header and rows of (label cells, numbers already formatted as text).
 
-
-def write_matrix(path, header, rows) -> None:
-    """Write a header and rows of (label, numbers already formatted as text).
-
-    Only the label goes through `csv` quoting; a formatted number needs none,
-    so each row's numbers are joined as they are.
+    Only the header and labels are `csv`-quoted (a CR or LF too); numbers are joined as is.
     """
+    line = []
+    quoted = csv.writer(SimpleNamespace(write=line.append), lineterminator="\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        label_cell = csv.writer(fh, lineterminator="")  # writes "label," for [label, ""]
-        for label, numbers in rows:
-            label_cell.writerow([label, ""])
-            fh.write(",".join(numbers) + "\n")
+        quoted.writerow(header)
+        fh.write(line.pop()[:-2] + "\n")
+        for labels, numbers in rows:
+            quoted.writerow([*labels, ""])  # "a,b,\r\n" for labels a and b
+            fh.write(line.pop()[:-2] + ",".join(numbers) + "\n")

@@ -22,7 +22,7 @@ from .errors import (
     RegionOrderMismatch,
 )
 from .indicators import PublicationRecord, compute_thematic_profile
-from .tables import read_matrix, write_matrix
+from .tables import format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
 
@@ -177,12 +177,6 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _write_region_matrix(path, columns, regions, cells) -> None:
-    """Inverse of _read_region_matrix: a 'region' header, then one row per region
-    of numbers formatted with repr."""
-    write_matrix(path, ["region", *columns], zip(regions, cells))
-
-
 def _json_array(items, depth: int) -> str:
     """JSON texts as one array, laid out as json.dump(indent=2) does at nesting `depth`."""
     if not items:
@@ -204,12 +198,11 @@ def write_weights_files(w: SpatialWeights, csv_path, json_path) -> None:
 
         def cells():
             # each row's JSON block is written as the CSV writer draws its cells
-            for i, row in enumerate(w.w):
-                formatted = list(map(repr, row.tolist()))
+            for i, formatted in enumerate(format_rows(w.w)):
                 fh.write(("," if i else "") + "\n    " + _json_array(formatted, 2))
                 yield formatted
 
-        _write_region_matrix(csv_path, w.regions, w.regions, cells())
+        write_table(csv_path, ["region", *w.regions], zip(zip(w.regions), cells()))
         isolated = sorted(w.regions[i] for i in w.isolated)
         fh.write(("\n  ]" if w.regions else "]") + ',\n  "isolated": ')
         fh.write(_json_array(list(map(json.dumps, isolated)), 1) + "\n}\n")
@@ -248,8 +241,7 @@ def load_weights_csv(path) -> SpatialWeights:
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
-    cells = (map(repr, row.tolist()) for row in m.shares)
-    _write_region_matrix(path, m.subject_areas, m.regions, cells)
+    write_table(path, ["region", *m.subject_areas], zip(zip(m.regions), format_rows(m.shares)))
 
 
 def load_profiles_csv(path) -> ThematicProfileMatrix:

@@ -389,6 +389,14 @@ def _one_line(text):
     return lambda source, bad: bad.write_text(text + "\n", encoding="utf-8")
 
 
+def _simulated_3x3(source, bad):
+    """A case set-up that simulates a 3-region, 3-year bundle, weights included, as bad's
+    directory: 9 observations, fewer than the columns and region effects of fe.tw.q.sl."""
+    config = bad.parent / "tiny.yaml"
+    config.write_text("panel: {n_regions: 3, n_years: 3}\n", encoding="utf-8")
+    assert run("simulate", "--config", config, "--output-dir", bad.parent) == 0
+
+
 # one valid regressor entry of a DGP config, in YAML flow style
 _REGRESSOR = "{log_mean: 0, region_sd: 0.1, year_sd: 0.1, min: 0.5, max: 2}"
 _RECORD = {"id": "p1", "year": 2009, "regions": ["R01"], "subject_areas": ["SA01"],
@@ -469,6 +477,11 @@ class TestMalformedInputs:
             ("fit", "dataset.csv", _copy_editing_line_3(lambda c: c[:11] + ["1e200"] + c[12:])),
             ("simulate", "c.yaml",
              lambda source, bad: bad.write_bytes("panel: {seed: 1}  # café\n".encode("latin-1"))),
+            ("fit", "dataset.csv", _simulated_3x3),
+            ("mc", "c.yaml", _one_line("panel: {n_regions: 3, n_years: 3}")),
+            ("ingest", "pubs.jsonl", _one_line(json.dumps({**_RECORD, "citations": 10**400}))),
+            ("ingest", "pubs.jsonl", _one_line(
+                json.dumps({**_RECORD, "citations": 10**300, "expected_citations": 1e-300}))),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
@@ -486,7 +499,9 @@ class TestMalformedInputs:
              "ingest-pubs-bool-citations",
              "ingest-pubs-csv-extra-cell", "ingest-stray-quote", "ingest-repeated-column",
              "ingest-not-utf8", "weights-profiles-not-utf8", "ingest-pubs-not-utf8",
-             "weights-repeated-region", "fit-huge-outcome", "config-not-utf8"],
+             "weights-repeated-region", "fit-huge-outcome", "config-not-utf8",
+             "fit-too-few-observations", "mc-too-few-observations",
+             "ingest-pubs-citations-overflow-float", "ingest-pubs-infinite-ratio"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -495,9 +510,12 @@ class TestMalformedInputs:
         if prepare is not None:
             prepare(sim / bad_name, bad)
         pubs = bad_name.startswith("pubs.")
-        # a bad dataset.csv makes its directory the bundle
+        # a bad dataset.csv makes its directory the bundle, with the weights.csv that the
+        # case set-up wrote beside it, if any
         dataset = bad_name == "dataset.csv"
-        bundle, weights = (tmp_path, sim / "weights.csv") if dataset else (sim, bad)
+        own_weights = tmp_path / "weights.csv"
+        weights = own_weights if own_weights.exists() else sim / "weights.csv"
+        bundle, weights = (tmp_path, weights) if dataset else (sim, bad)
         argv = {
             "fit": ["--bundle", bundle, "--spec", "fe.tw.q.sl", "--weights", weights],
             "weights": ["--pubs", bad] if pubs else ["--profiles", bad, "--bundle", sim],

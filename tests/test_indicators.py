@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkpf.errors import EmptyCell, EmptyRegion, MissingData, UnknownSubjectArea
+from rkpf.errors import (
+    EmptyCell,
+    EmptyRegion,
+    MissingData,
+    NonNumericCell,
+    UnknownSubjectArea,
+)
 from rkpf.indicators import (
     PublicationRecord,
     attribute_full_counting,
@@ -74,6 +80,21 @@ class TestRecordValidation:
     def test_zero_expected_rejected(self):
         with pytest.raises(ValueError):
             rec(expected=0.0)
+
+    @pytest.mark.parametrize(
+        "citations, expected",
+        [(10**400, 1.0), (10**300, 1e-300)],
+        ids=["too-large-for-a-float", "infinite-ratio"],
+    )
+    def test_non_finite_ratio_rejected(self, citations, expected):
+        # an int too large for a float raises OverflowError; the loader maps both to exit 2
+        with pytest.raises((ValueError, OverflowError)):
+            rec(citations=citations, expected=expected)
+
+    def test_fwci_whose_mean_overflows_names_the_cell(self):
+        records = [rec(rid=f"p{i}", citations=17 * 10**307, expected=1.0) for i in (1, 2)]
+        with pytest.raises(NonNumericCell, match="FWCI of 'A', 2019 is inf"):
+            region_year_indicators(records)
 
 
 class TestFullCounting:

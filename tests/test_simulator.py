@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 
 from rkpf.errors import ConfigError, EngineError, RankDeficient
 from rkpf.estimation import fit_model
@@ -274,5 +275,5 @@ class TestMonteCarlo:
         cfg = replace(DgpConfig(seed=11), true_coefficients=coefs)
         g = generate_panel(cfg)
         fit = fit_model(g.dataset, expand_notation("fe.tw.q.sl"), g.weights)
-        low, high = fit.conf_int("log(EXPEMP10)")
-        assert low <= 0.5 <= high
+        half = stdtrit(fit.dof, 0.975) * fit.std_errors["log(EXPEMP10)"]
+        assert abs(fit.coefficients["log(EXPEMP10)"] - 0.5) <= half

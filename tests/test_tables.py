@@ -1,6 +1,6 @@
 """Table files: round trips of awkward names, the C and per-row readers against each
-other, the one-pass weights writer against the csv and json modules, and a fuzz of
-every file loader."""
+other, the table writers against the csv and json modules, and a fuzz of every file
+loader."""
 import contextlib
 import csv
 import io
@@ -25,9 +25,10 @@ from rkpf.errors import (
     NonNumericCell,
     RegionOrderMismatch,
 )
+from rkpf.indicators import RegionYearIndicators, write_indicator_csv
 from rkpf.panel import RESERVED_COLUMNS, PanelDataset, load_panel_csv, write_panel_csv
 from rkpf.simulate import DgpConfig, generate_panel
-from rkpf.tables import parse_floats, read_table, write_matrix
+from rkpf.tables import parse_floats, read_table, write_table
 from rkpf.weights import (
     SpatialWeights,
     ThematicProfileMatrix,
@@ -42,9 +43,10 @@ from rkpf.weights import (
 
 
 def test_names_with_comma_and_quote_round_trip(tmp_path):
-    regions = ('North, "upper"', 'say "hi"', "a,b,c")
+    regions = ('North, "upper"', 'say "hi"', "a,b,c", "line\nbreak", "carriage\rreturn")
     m = ThematicProfileMatrix(
-        regions, ("bio", 'math, "pure"'), np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]])
+        regions, ("bio", 'math, "pure"'),
+        np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1], [0.6, 0.4], [0.2, 0.8]]),
     )
     write_profiles_csv(m, tmp_path / "profiles.csv")
     profiles = load_profiles_csv(tmp_path / "profiles.csv")
@@ -59,7 +61,7 @@ def test_names_with_comma_and_quote_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the one-pass weights writer: the bytes of the csv and json modules
+# the writers: the bytes of the csv and json modules
 # ---------------------------------------------------------------------------
 
 
@@ -86,15 +88,53 @@ def test_weights_files_are_the_csv_and_json_modules_bytes(tmp_path, regions, row
     assert (tmp_path / "w.json").read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
-def test_write_matrix_is_the_csv_modules_bytes(tmp_path):
-    rows = [("a,b", [1e16, -0.0, 5e-324]), ('say "hi"', [1e-05, 0.1, 2.5])]
-    write_matrix(tmp_path / "m.csv", ["region", "x", "y", "z"],
-                 ((label, map(repr, values)) for label, values in rows))
+def csv_module_bytes(header, rows) -> bytes:
+    """What csv.writer writes for a header and rows of cells (None for an empty cell)."""
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["region", "x", "y", "z"])
-    writer.writerows([label, *values] for label, values in rows)
-    assert (tmp_path / "m.csv").read_bytes() == want.getvalue().encode("utf-8")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return want.getvalue().encode("utf-8")
+
+
+# names that need quoting or escaping, or start with the comment character of other readers
+LABELS = ("a,b", 'say "hi"', "#north", "line\nbreak")
+# reprs with a sign, an exponent or a subnormal
+AWKWARD_FLOATS = (-0.0, 1e-05, 1e16, 5e-324)
+
+
+def test_write_table_is_the_csv_modules_bytes(tmp_path):
+    rows = [(("a,b", 2009), [1e16, -0.0, 5e-324]), (('say "hi"', 2010), [1e-05, 0.1, 2.5])]
+    write_table(tmp_path / "m.csv", ["region", "year", "x", "y", "z"],
+                ((labels, map(repr, values)) for labels, values in rows))
+    want = csv_module_bytes(["region", "year", "x", "y", "z"],
+                            [[*labels, *values] for labels, values in rows])
+    assert (tmp_path / "m.csv").read_bytes() == want
+
+
+def test_panel_file_is_the_csv_modules_bytes(tmp_path):
+    values = np.array([[*AWKWARD_FLOATS, np.nan, 0.5, np.nan, 2.0]]).reshape(len(LABELS), 2)
+    d = PanelDataset(LABELS, (2009, 2010), {"v": values})
+    write_panel_csv(d, tmp_path / "d.csv")
+    rows = [
+        [region, year, None if np.isnan(x) else float(x)]
+        for region, row in zip(d.region_ids, values)
+        for year, x in zip(d.years, row)
+    ]
+    assert (tmp_path / "d.csv").read_bytes() == csv_module_bytes(["region", "year", "v"], rows)
+
+
+def test_indicator_file_is_the_csv_modules_bytes(tmp_path):
+    rows = [
+        RegionYearIndicators(region, 2009 + i, 3 * i, fwci, 100.0 * i / 3, 12.5)
+        for i, (region, fwci) in enumerate(zip(LABELS, AWKWARD_FLOATS))
+    ]
+    write_indicator_csv(rows, tmp_path / "i.csv")
+    want = csv_module_bytes(
+        ["region", "year", "PUBS", "FWCI", "Q1SH", "NQSH"],
+        [[r.region, r.year, r.pub_count, r.fwci, r.q1_share, r.nq_share] for r in rows],
+    )
+    assert (tmp_path / "i.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +334,8 @@ CELLS = st.one_of(
     st.integers(2005, 2015).map(str),
 )
 JSON_VALUES = st.sampled_from(
-    [None, True, "nan", "inf", "x", 2019.7, -1, 0, math.nan, math.inf, 1e300, [], {}, "R1;R9",
-     ["SA09"], [1]]
+    [None, True, "nan", "inf", "x", 2019.7, -1, 0, math.nan, math.inf, 1e300, 10**400, 5e-324,
+     [], {}, "R1;R9", ["SA09"], [1]]
 )
 
 
