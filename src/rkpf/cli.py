@@ -4,8 +4,8 @@ Subcommands: ingest, weights, fit, suite, simulate, mc, stats. A bundle is
 a plain directory holding dataset.csv plus a manifest; every command is
 deterministic given its inputs and seed, and manifests record content
 digests so reruns are verifiable. Exit codes: 0 success, 2 input or
-validation error (including an input path that is missing or a
-directory), 1 internal error.
+validation error (including a path that is missing, a directory where a
+file is wanted, or under a regular file), 1 internal error.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .errors import (
     InvalidTag,
     MissingData,
     NonFiniteFit,
+    NonNumericCell,
     RegionOrderMismatch,
     UnknownSubjectArea,
     UnknownVariable,
@@ -134,7 +135,10 @@ def cmd_ingest(args) -> int:
                         f"record {rec.id!r}: subject areas {sorted(unknown)} "
                         "not in vocabulary"
                     )
-        rows = region_year_indicators(pubs)
+        try:
+            rows = region_year_indicators(pubs)
+        except NonNumericCell as exc:  # an FWCI mean that overflows
+            raise NonNumericCell(f"{args.pubs}: {exc}") from None
         write_indicator_csv(rows, out / "indicators.csv")
         region_rows = {r: i for i, r in enumerate(dataset.region_ids)}
         year_columns = {y: j for j, y in enumerate(dataset.years)}
@@ -387,11 +391,11 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        # output directories are made first, so the path is a user-named input
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except Exception:
+    except Exception as exc:
+        # a path the user named (or a file in their --output-dir) cannot be read or made
+        if isinstance(exc, OSError) and exc.filename is not None:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
         traceback.print_exc()
         return 1
 

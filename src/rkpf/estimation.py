@@ -5,8 +5,9 @@ explicit dummies with the first year as baseline. The least-squares core is
 QR-based. Covariance is either classical or a cluster-by-region sandwich
 with the small-sample factor G/(G-1) * (N-1)/(N-K), where K counts fitted
 columns plus absorbed region effects (the same convention used for degrees
-of freedom and t-distribution p-values). Demeaning and the sandwich need
-rows in G equal, contiguous cluster blocks of T (build_design's layout).
+of freedom and t-distribution p-values). Rows come as G region blocks of T
+years (build_design's layout), so demeaning and the sandwich take the region
+count G and reshape; a count that does not divide the rows is a ValueError.
 """
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Design:
-    """Stacked design matrix, response, and region cluster labels.
+    """Stacked design matrix and response.
 
     Rows are region-major, year-minor. Columns: regressor terms in spec
     order, then T-1 time dummies (first year baseline), then the intercept.
@@ -105,9 +106,7 @@ class Design:
 
     X: np.ndarray
     y: np.ndarray
-    clusters: np.ndarray
     column_labels: tuple[str, ...]
-    region_ids: tuple[str, ...]
 
 
 def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
@@ -119,6 +118,17 @@ def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
             "unbalanced panel, or a value whose square or spatial lag overflows"
         )
     return values
+
+
+def term_values(d: PanelDataset, term: Term, w: SpatialWeights | None) -> np.ndarray:
+    """A term's (n, T) values: its variable, squared and/or spatially lagged by w."""
+    values = _finite(d, term.name, d.var(term.name))
+    if term.squared:
+        with np.errstate(over="ignore"):  # _finite names a term that overflows
+            values = values**2
+    if term.lag:
+        values = lag_values(w, values)
+    return _finite(d, term.label, values)
 
 
 def build_design(
@@ -133,54 +143,31 @@ def build_design(
     n, t = d.n_regions, d.n_years
     y = _finite(d, spec.dependent, d.var(spec.dependent)).reshape(-1)
 
-    columns: list[np.ndarray] = []
-    labels: list[str] = []
-    for term in spec.regressors:
-        values = _finite(d, term.name, d.var(term.name))
-        if term.squared:
-            with np.errstate(over="ignore"):  # _finite names a term that overflows
-                values = values**2
-        if term.lag:
-            values = lag_values(w, values)
-        columns.append(_finite(d, term.label, values).reshape(-1))
-        labels.append(term.label)
+    labels = [term.label for term in spec.regressors]
     if spec.time_dummies:
-        for j, year in enumerate(d.years[1:], start=1):
-            dummy = np.zeros((n, t))
-            dummy[:, j] = 1.0
-            columns.append(dummy.reshape(-1))
-            labels.append(f"year_{year}")
+        labels += [f"year_{year}" for year in d.years[1:]]
     if spec.intercept:
-        columns.append(np.ones(n * t))
         labels.append("const")
-    if not columns:
+    if not labels:
         raise ValueError("empty design: no regressors, dummies, or intercept")
 
-    X = np.column_stack(columns)
-    clusters = np.repeat(np.arange(n), t)
-    return Design(X, y, clusters, tuple(labels), d.region_ids)
-
-
-def _region_blocks(clusters: np.ndarray) -> tuple[int, int]:
-    """(G, T) of labels in G equal, contiguous blocks of T rows; else ValueError."""
-    labels = np.asarray(clusters).reshape(-1)
-    g = np.unique(labels).size
-    t = labels.size // max(g, 1)
-    # G constant rows of T holding G distinct labels give each label one block
-    if g == 0 or g * t != labels.size or (labels.reshape(g, t) != labels[::t, None]).any():
-        raise ValueError("cluster labels must form equal, contiguous row blocks")
-    return g, t
+    X = np.ones((n * t, len(labels)))  # the const column, if any, keeps its ones
+    for j, term in enumerate(spec.regressors):
+        X[:, j] = term_values(d, term, w).reshape(-1)
+    if spec.time_dummies:  # every region's T rows get the year identity, first year dropped
+        k = len(spec.regressors)
+        X.reshape(n, t, -1)[:, :, k : k + t - 1] = np.eye(t)[:, 1:]
+    return Design(X, y, tuple(labels))
 
 
 def within_transform(
-    X: np.ndarray, y: np.ndarray, clusters: np.ndarray
+    X: np.ndarray, y: np.ndarray, n_regions: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract per-cluster means; clusters must be G equal, contiguous T-row blocks."""
-    g, t = _region_blocks(clusters)
-    X3 = np.asarray(X, dtype=float).reshape(g, t, -1)
-    y2 = np.asarray(y, dtype=float).reshape(g, t)
+    """Subtract each region's mean from its rows, the n_regions equal blocks of X and y."""
+    X3 = np.asarray(X, dtype=float).reshape(n_regions, -1, np.shape(X)[1])
+    y2 = np.asarray(y, dtype=float).reshape(n_regions, -1)
     Xd = X3 - X3.mean(axis=1, keepdims=True)
-    return Xd.reshape(g * t, -1), (y2 - y2.mean(axis=1, keepdims=True)).reshape(-1)
+    return Xd.reshape(y2.size, -1), (y2 - y2.mean(axis=1, keepdims=True)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -227,34 +214,25 @@ def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
     )
 
 
-def classical_cov(fit: OlsFit, X: np.ndarray, n_absorbed: int = 0) -> np.ndarray:
-    """s^2 (X'X)^-1 with s^2 = ssr / dof, dof adjusted for absorbed effects."""
-    n, k = X.shape
-    dof = n - k - n_absorbed
-    if dof <= 0:
-        raise ZeroDof(f"no residual degrees of freedom (n={n}, k={k}+{n_absorbed})")
+def classical_cov(fit: OlsFit, dof: int) -> np.ndarray:
+    """s^2 (X'X)^-1 with s^2 = ssr / dof, the dof net of absorbed effects."""
     return (fit.ssr / dof) * fit.xtx_inverse
 
 
-def cluster_robust_cov(
-    fit: OlsFit, X: np.ndarray, clusters: np.ndarray, n_absorbed: int = 0
-) -> np.ndarray:
-    """Cluster sandwich (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1.
+def cluster_robust_cov(fit: OlsFit, X: np.ndarray, n_regions: int, dof: int) -> np.ndarray:
+    """Cluster sandwich (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1, one cluster per region.
 
-    Scaled by G/(G-1) * (N-1)/(N-K) with K = fitted columns + absorbed
-    region effects. Clusters must be G equal, contiguous blocks of T rows.
+    Scaled by G/(G-1) * (N-1)/(N-K); dof = N-K with K = fitted columns +
+    absorbed region effects. The rows of X are n_regions equal blocks.
     """
-    n, k = X.shape
-    g, t = _region_blocks(clusters)
+    g = n_regions
     if g < 2:
         raise SingleCluster("cluster-robust covariance needs at least 2 clusters")
-    big_k = k + n_absorbed
-    if n - big_k <= 0:
-        raise ZeroDof(f"no residual degrees of freedom (n={n}, K={big_k})")
-    X3 = np.asarray(X).reshape(g, t, k)
-    scores = (X3.transpose(0, 2, 1) @ fit.residuals.reshape(g, t, 1))[:, :, 0]
+    n, k = X.shape
+    X3 = np.asarray(X).reshape(g, -1, k)
+    scores = (X3.transpose(0, 2, 1) @ fit.residuals.reshape(g, -1, 1))[:, :, 0]
     meat = (scores[:, :, None] * scores[:, None, :]).sum(axis=0)
-    factor = (g / (g - 1)) * ((n - 1) / (n - big_k))
+    factor = (g / (g - 1)) * ((n - 1) / dof)
     return factor * fit.xtx_inverse @ meat @ fit.xtx_inverse
 
 
@@ -276,8 +254,6 @@ class FitResult:
     r_squared_within: float
     r_squared_overall: float
     aic: float
-    region_effects_absorbed: bool
-    covariance: str
     column_labels: tuple[str, ...] = field(default=())
     # classical errors from the same fit, reported beside robust ones
     classical_std_errors: dict[str, float] = field(default_factory=dict)
@@ -315,7 +291,7 @@ class FitResult:
                 "aic": self.aic,
             },
             "metadata": {
-                "covariance": self.covariance,
+                "covariance": self.spec.covariance,
                 "absorbed_region_effects": self.n_absorbed,
                 "dof_convention": "n_obs - n_params - absorbed_region_effects",
                 "p_value_distribution": "t",
@@ -363,8 +339,8 @@ def fit_model(
     n_obs, k = X.shape
 
     if spec.region_effects:
-        Xf, yf = within_transform(X, y, design.clusters)
-        n_absorbed = len(design.region_ids)
+        Xf, yf = within_transform(X, y, d.n_regions)
+        n_absorbed = d.n_regions
     else:
         Xf, yf = X, y
         n_absorbed = 0
@@ -379,11 +355,11 @@ def fit_model(
         raise NonFiniteFit(f"the SSR is {fit.ssr}: the residuals are too large to square")
     _check_finite("estimate", fit.coefficients, labels)
 
-    classical = _inference(classical_cov(fit, Xf, n_absorbed), fit.coefficients, dof)
+    classical = _inference(classical_cov(fit, dof), fit.coefficients, dof)
     if spec.covariance == "classical":
         se, t_stats, p_values = classical
     else:
-        cov = cluster_robust_cov(fit, Xf, design.clusters, n_absorbed)
+        cov = cluster_robust_cov(fit, Xf, d.n_regions, dof)
         se, t_stats, p_values = _inference(cov, fit.coefficients, dof)
     classical_se, _, classical_p = classical
     _check_finite("standard error", se, labels)
@@ -419,8 +395,6 @@ def fit_model(
         r_squared_within=r2_within,
         r_squared_overall=r2_overall,
         aic=aic,
-        region_effects_absorbed=spec.region_effects,
-        covariance=spec.covariance,
         column_labels=labels,
         classical_std_errors=dict(zip(labels, map(float, classical_se))),
         classical_p_values=dict(zip(labels, map(float, classical_p))),

@@ -48,8 +48,14 @@ class PublicationRecord:
             raise ValueError(f"record {self.id!r}: citations must be >= 0")
         if not 0 < self.expected_citations < math.inf:
             raise ValueError(f"record {self.id!r}: expected_citations must be finite and > 0")
-        if not math.isfinite(self.citations / self.expected_citations):  # may raise OverflowError
-            raise ValueError(f"record {self.id!r}: citations / expected_citations is not finite")
+        try:
+            ratio = self.citations / self.expected_citations
+        except OverflowError:  # an int too large for a float
+            ratio = math.inf
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"record {self.id!r}: citations / expected_citations is not a finite float"
+            )
         if self.journal_quartile not in QUARTILES:
             raise ValueError(
                 f"record {self.id!r}: journal_quartile {self.journal_quartile!r} "

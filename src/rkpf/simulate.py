@@ -23,18 +23,12 @@ import yaml
 from scipy.special import stdtrit
 
 from .errors import ConfigError, EngineError
-from .estimation import fit_model, parse_term_label
+from .estimation import fit_model, parse_term_label, term_values
 from .panel import PanelDataset
 from .runtime import parallel_map
 from .suite import expand_notation
 from .tables import not_utf8
-from .weights import (
-    SpatialWeights,
-    ThematicProfileMatrix,
-    build_weights,
-    correlation_matrix,
-    lag_values,
-)
+from .weights import SpatialWeights, ThematicProfileMatrix, build_weights, correlation_matrix
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
 
@@ -343,15 +337,11 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
         noise[:, j] = rho * noise[:, j - 1] + scale * innovations[:, j]
     noise *= cfg.noise_sd
 
+    # the estimator's own term builder, so slFWCI or FWCI^2 means the same to both
+    regressors = PanelDataset(regions, years, variables)
     log_y = np.zeros((n, t))
     for label, coef in cfg.true_coefficients.items():
-        term = parse_term_label(label)
-        values = variables[term.name]
-        if term.squared:
-            values = values**2
-        if term.lag:
-            values = lag_values(w, values)
-        log_y += coef * values
+        log_y += coef * term_values(regressors, parse_term_label(label), w)
     log_y += region_effects[:, np.newaxis] + tau[np.newaxis, :] + noise
     log_y -= cfg.quality_substitution
 

@@ -271,7 +271,7 @@ def _render_text(table: ComparisonTable, dual: bool) -> str:
     if dual:
         note += "; (classical se) above (robust se); stars follow classical p"
     else:
-        kind = "robust" if table.fits[0].covariance == "cluster_by_region" else "classical"
+        kind = "robust" if table.fits[0].spec.covariance == "cluster_by_region" else "classical"
         note += f"; {kind} standard errors in parentheses"
     lines.append(note)
     return "\n".join(lines)
@@ -324,7 +324,7 @@ def render_fit_text(fit: FitResult) -> str:
     """Single-fit summary table."""
     label_w = max([len(l) for l in fit.column_labels] + [8])
     lines = [
-        f"dependent: {fit.spec.dependent}   covariance: {fit.covariance}",
+        f"dependent: {fit.spec.dependent}   covariance: {fit.spec.covariance}",
         f"n={fit.n_obs}  params={fit.n_params}  absorbed={fit.n_absorbed}  dof={fit.dof}",
         f"R2(within)={fit.r_squared_within:.4f}  R2(overall)={fit.r_squared_overall:.4f}"
         f"  AIC={fit.aic:.1f}",

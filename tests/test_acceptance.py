@@ -99,7 +99,7 @@ def test_criterion_02_within_equals_lsdv():
 
         design = build_design(d, ModelSpec("y", (Term("x1"), Term("x2"))))
         dummies = np.zeros((n * t, n))
-        dummies[np.arange(n * t), design.clusters] = 1.0
+        dummies[np.arange(n * t), np.repeat(np.arange(n), t)] = 1.0
         lsdv = ols_fit(np.hstack([design.X, dummies]), design.y)
 
         assert abs(fe.coefficients["x1"] - lsdv.coefficients[0]) <= 1e-8
@@ -129,7 +129,7 @@ def test_criterion_04_cluster_robust_oracle():
     X = np.column_stack([x, np.ones(12)])
 
     fit = ols_fit(X, y)
-    engine = cluster_robust_cov(fit, X, clusters)
+    engine = cluster_robust_cov(fit, X, 3, 12 - 2)
 
     # oracle: explicit per-cluster outer products and the stated factor
     xtx_inv = np.linalg.inv(X.T @ X)
@@ -197,7 +197,9 @@ def test_criterion_07_vertex_arithmetic():
 def _synthetic_fit(p_values: dict[str, float]) -> FitResult:
     labels = tuple(p_values)
     return FitResult(
-        spec=ModelSpec("y", tuple(Term(l) for l in labels), intercept=True),
+        spec=ModelSpec(
+            "y", tuple(Term(l) for l in labels), intercept=True, covariance="classical"
+        ),
         coefficients={l: 1.0 for l in labels},
         std_errors={l: 0.5 for l in labels},
         t_stats={l: 2.0 for l in labels},
@@ -211,8 +213,6 @@ def _synthetic_fit(p_values: dict[str, float]) -> FitResult:
         r_squared_within=0.5,
         r_squared_overall=0.5,
         aic=0.0,
-        region_effects_absorbed=False,
-        covariance="classical",
         column_labels=labels,
     )
 

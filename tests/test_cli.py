@@ -482,6 +482,9 @@ class TestMalformedInputs:
             ("ingest", "pubs.jsonl", _one_line(json.dumps({**_RECORD, "citations": 10**400}))),
             ("ingest", "pubs.jsonl", _one_line(
                 json.dumps({**_RECORD, "citations": 10**300, "expected_citations": 1e-300}))),
+            ("ingest", "pubs.jsonl", _one_line("\n".join(
+                json.dumps({**_RECORD, "id": rid, "citations": 17 * 10**307})
+                for rid in ("p1", "p2")))),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
@@ -501,7 +504,8 @@ class TestMalformedInputs:
              "ingest-not-utf8", "weights-profiles-not-utf8", "ingest-pubs-not-utf8",
              "weights-repeated-region", "fit-huge-outcome", "config-not-utf8",
              "fit-too-few-observations", "mc-too-few-observations",
-             "ingest-pubs-citations-overflow-float", "ingest-pubs-infinite-ratio"],
+             "ingest-pubs-citations-overflow-float", "ingest-pubs-infinite-ratio",
+             "ingest-pubs-fwci-overflow"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -530,6 +534,29 @@ class TestMalformedInputs:
         assert "Traceback" not in captured.err + captured.out
         error_lines = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
         assert len(error_lines) == 1 and bad_name in error_lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, path, reason",
+        [
+            (["simulate", "--output-dir", "F"], "F", "File exists"),
+            (["simulate", "--output-dir", "F/sub"], "F/sub", "Not a directory"),
+            (["ingest", "--panel", "F/x.csv", "--output-dir", "out"], "F/x.csv",
+             "Not a directory"),
+            (["stats", "--bundle", "F", "--output-dir", "out"], "F/dataset.csv",
+             "Not a directory"),
+        ],
+        ids=["output-dir-is-file", "output-dir-under-file", "panel-under-file",
+             "bundle-is-file"],
+    )
+    def test_path_under_a_regular_file_exits_2(
+        self, tmp_path, monkeypatch, capsys, argv, path, reason
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("F").write_text("a regular file\n", encoding="utf-8")
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert captured.err == f"error: {path}: {reason}\n"
 
 
 class TestRemovedFlags:

@@ -142,12 +142,24 @@ class TestBuildDesign:
         assert design.column_labels == ("year_2010", "year_2011", "const")
         np.testing.assert_array_equal(design.X[:, 0], [0.0, 1.0, 0.0])
 
+    def test_dummy_block_repeats_per_region(self):
+        x = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        d = panel(["A", "B"], [2009, 2010, 2011], y=x, x=x)
+        design = build_design(d, ModelSpec("y", (Term("x"),), intercept=True, time_dummies=True))
+        year_rows = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        expected = np.column_stack([np.arange(1.0, 7.0), year_rows * 2, np.ones(6)])
+        np.testing.assert_array_equal(design.X, expected)
+
+    def test_single_year_dummies_alone_are_empty(self):
+        d = panel(["A", "B"], [2009], y=[[1.0], [2.0]])
+        with pytest.raises(ValueError, match="empty design"):
+            build_design(d, ModelSpec("y", (), time_dummies=True))
+
     def test_row_order_region_major(self):
         d = panel(["A", "B"], [2009, 2010], y=[[1.0, 2.0], [3.0, 4.0]], x=[[5.0, 6.0], [7.0, 8.0]])
         design = build_design(d, ModelSpec("y", (Term("x"),), intercept=True))
         np.testing.assert_array_equal(design.y, [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(design.X[:, 0], [5.0, 6.0, 7.0, 8.0])
-        np.testing.assert_array_equal(design.clusters, [0, 0, 1, 1])
 
     def test_missing_weights(self):
         d = panel(["A", "B"], [2009], y=[[1.0], [2.0]], x=[[3.0], [4.0]])
@@ -165,17 +177,15 @@ class TestWithinTransform:
     def test_region_constant_becomes_zero(self):
         X = np.array([[1.0], [1.0], [5.0], [5.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        clusters = np.array([0, 0, 1, 1])
-        Xd, _ = within_transform(X, y, clusters)
+        Xd, _ = within_transform(X, y, 2)
         np.testing.assert_array_equal(Xd, 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        clusters = np.repeat([0, 1, 2], 4)
-        X1, y1 = within_transform(X, y, clusters)
-        X2, y2 = within_transform(X1, y1, clusters)
+        X1, y1 = within_transform(X, y, 3)
+        X2, y2 = within_transform(X1, y1, 3)
         np.testing.assert_allclose(X1, X2, atol=1e-14)
         np.testing.assert_allclose(y1, y2, atol=1e-14)
 
@@ -183,7 +193,7 @@ class TestWithinTransform:
         # (1,3 | 10,14) with region means 2 and 12 -> (-1,1 | -2,2)
         X = np.array([[1.0], [3.0], [10.0], [14.0]])
         y = np.zeros(4)
-        Xd, _ = within_transform(X, y, np.array([0, 0, 1, 1]))
+        Xd, _ = within_transform(X, y, 2)
         np.testing.assert_array_equal(Xd[:, 0], [-1.0, 1.0, -2.0, 2.0])
 
     def test_per_region_means_vanish(self):
@@ -191,7 +201,7 @@ class TestWithinTransform:
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
         clusters = np.repeat(np.arange(5), 6)
-        Xd, yd = within_transform(X, y, clusters)
+        Xd, yd = within_transform(X, y, 5)
         for g in range(5):
             mask = clusters == g
             assert np.max(np.abs(Xd[mask].mean(axis=0))) < 1e-10
@@ -251,7 +261,7 @@ class TestClassicalCov:
     def test_zero_residuals_zero_matrix(self):
         x = np.arange(1.0, 8.0)
         fit = ols_fit(x[:, np.newaxis], 3.0 * x)
-        cov = classical_cov(fit, x[:, np.newaxis])
+        cov = classical_cov(fit, 7 - 1)
         assert np.max(np.abs(cov)) < 1e-20
 
     def test_single_regressor_scalar_formula(self):
@@ -260,7 +270,7 @@ class TestClassicalCov:
         y = 1.5 * x + rng.normal(size=25)
         X = x[:, np.newaxis]
         fit = ols_fit(X, y)
-        cov = classical_cov(fit, X)
+        cov = classical_cov(fit, 25 - 1)
         s2 = fit.ssr / (25 - 1)
         assert cov[0, 0] == pytest.approx(s2 / (x @ x), rel=1e-10)
 
@@ -270,22 +280,16 @@ class TestClassicalCov:
         y = rng.normal(size=30)
         fit1 = ols_fit(X, y)
         fit2 = ols_fit(X, 2.0 * y)
-        cov1 = classical_cov(fit1, X)
-        cov2 = classical_cov(fit2, X)
+        cov1 = classical_cov(fit1, 30 - 2)
+        cov2 = classical_cov(fit2, 30 - 2)
         np.testing.assert_allclose(fit2.coefficients, 2.0 * fit1.coefficients)
         np.testing.assert_allclose(np.sqrt(np.diag(cov2)), 2.0 * np.sqrt(np.diag(cov1)))
-
-    def test_zero_dof(self):
-        X = np.eye(3)
-        fit = ols_fit(X, np.arange(3.0))
-        with pytest.raises(ZeroDof):
-            classical_cov(fit, X)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(20, 3))
         fit = ols_fit(X, rng.normal(size=20))
-        cov = classical_cov(fit, X)
+        cov = classical_cov(fit, 20 - 3)
         np.testing.assert_allclose(cov, cov.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
 
@@ -311,7 +315,7 @@ class TestClusterRobustCov:
     def test_zero_residuals_zero_matrix(self):
         x = np.arange(1.0, 9.0)
         fit = ols_fit(x[:, np.newaxis], 3.0 * x)
-        cov = cluster_robust_cov(fit, x[:, np.newaxis], np.repeat([0, 1], 4))
+        cov = cluster_robust_cov(fit, x[:, np.newaxis], 2, 8 - 1)
         assert np.max(np.abs(cov)) < 1e-20
 
     def test_three_region_toy_matches_brute_force(self):
@@ -320,7 +324,7 @@ class TestClusterRobustCov:
         y = rng.normal(size=12)
         clusters = np.repeat([0, 1, 2], 4)
         fit = ols_fit(X, y)
-        cov = cluster_robust_cov(fit, X, clusters)
+        cov = cluster_robust_cov(fit, X, 3, 12 - 2)
         oracle = brute_force_cluster_cov(X, fit.residuals, clusters)
         assert np.max(np.abs(cov - oracle)) < 1e-10
 
@@ -329,7 +333,7 @@ class TestClusterRobustCov:
         X = np.column_stack([rng.normal(size=20), np.ones(20)])
         y = rng.normal(size=20)
         fit = ols_fit(X, y)
-        cov = cluster_robust_cov(fit, X, np.arange(20))
+        cov = cluster_robust_cov(fit, X, 20, 20 - 2)
         xtx_inv = np.linalg.inv(X.T @ X)
         hc0 = xtx_inv @ (X.T @ np.diag(fit.residuals**2) @ X) @ xtx_inv
         n, k = X.shape
@@ -340,13 +344,13 @@ class TestClusterRobustCov:
         X = np.ones((5, 1))
         fit = ols_fit(X, np.arange(5.0))
         with pytest.raises(SingleCluster):
-            cluster_robust_cov(fit, X, np.zeros(5, dtype=int))
+            cluster_robust_cov(fit, X, 1, 5 - 1)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(24, 3))
         fit = ols_fit(X, rng.normal(size=24))
-        cov = cluster_robust_cov(fit, X, np.repeat(np.arange(6), 4))
+        cov = cluster_robust_cov(fit, X, 6, 24 - 3)
         np.testing.assert_allclose(cov, cov.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
 
@@ -379,8 +383,9 @@ def masked_cluster_cov(fit, X, clusters, n_absorbed=0):
 class TestRegionBlockKernels:
     """The (G, T, k) kernels equal the masked loops bit for bit."""
 
-    def assert_kernels_match_loops(self, X, y, clusters, n_absorbed=0):
-        Xd, yd = within_transform(X, y, clusters)
+    def assert_kernels_match_loops(self, X, y, g, n_absorbed=0):
+        clusters = np.repeat(np.arange(g), len(y) // g)
+        Xd, yd = within_transform(X, y, g)
         Xm, ym = masked_within_transform(X, y, clusters)
         assert np.array_equal(Xd, Xm)
         assert np.array_equal(yd, ym)
@@ -388,7 +393,8 @@ class TestRegionBlockKernels:
         # unless region effects are absorbed
         Xf, yf = (Xd, yd) if n_absorbed else (X, y)
         fit = ols_fit(Xf, yf)
-        cov = cluster_robust_cov(fit, Xf, clusters, n_absorbed)
+        dof = X.shape[0] - X.shape[1] - n_absorbed
+        cov = cluster_robust_cov(fit, Xf, g, dof)
         assert np.array_equal(cov, masked_cluster_cov(fit, Xf, clusters, n_absorbed))
 
     @pytest.mark.parametrize(
@@ -398,29 +404,24 @@ class TestRegionBlockKernels:
         rng = np.random.default_rng(g * 100 + t * 10 + k)
         X = rng.normal(size=(g * t, k))
         y = rng.normal(size=g * t)
-        self.assert_kernels_match_loops(X, y, np.repeat(np.arange(g), t))
+        self.assert_kernels_match_loops(X, y, g)
 
     def test_two_way_sl_design(self):
         generated = generate_panel(DgpConfig(n_regions=30, n_years=8, seed=5))
         spec = expand_notation("fe.tw.q.sl", "cluster_by_region")
         design = build_design(generated.dataset, spec, generated.weights)
-        self.assert_kernels_match_loops(design.X, design.y, design.clusters, 30)
+        self.assert_kernels_match_loops(design.X, design.y, 30, 30)
 
-    @pytest.mark.parametrize(
-        "clusters",
-        [[0, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1, 1, 1], [0, 0, 1], []],
-        ids=["interleaved", "unequal", "unequal-even", "ragged", "empty"],
-    )
-    def test_non_block_labels_rejected(self, clusters):
-        clusters = np.array(clusters, dtype=int)
-        n = clusters.size
-        X = np.arange(2.0 * n).reshape(n, 2)
-        y = np.arange(float(n))
-        with pytest.raises(ValueError, match="contiguous"):
-            within_transform(X, y, clusters)
-        fit = ols_fit(np.eye(max(n, 2), 2), np.ones(max(n, 2)))
-        with pytest.raises(ValueError, match="contiguous"):
-            cluster_robust_cov(fit, X, clusters)
+    @pytest.mark.parametrize("n, g", [(4, 3), (3, 2), (6, 4), (7, 2)])
+    def test_count_not_dividing_rows_rejected(self, n, g):
+        rng = np.random.default_rng(n * 10 + g)
+        X = rng.normal(size=(n, 2))
+        y = rng.normal(size=n)
+        with pytest.raises(ValueError, match="cannot reshape"):
+            within_transform(X, y, g)
+        fit = ols_fit(X, y)
+        with pytest.raises(ValueError, match="cannot reshape"):
+            cluster_robust_cov(fit, X, g, n - 2)
 
 
 class TestFitModel:
@@ -470,7 +471,7 @@ class TestFitModel:
             # LSDV oracle: explicit region dummies, no intercept
             design = build_design(d, ModelSpec("y", (Term("x1"), Term("x2"))))
             dummies = np.zeros((n * t, n))
-            dummies[np.arange(n * t), design.clusters] = 1.0
+            dummies[np.arange(n * t), np.repeat(np.arange(n), t)] = 1.0
             lsdv = ols_fit(np.hstack([design.X, dummies]), design.y)
             assert abs(fit.coefficients["x1"] - lsdv.coefficients[0]) < 1e-8
             assert abs(fit.coefficients["x2"] - lsdv.coefficients[1]) < 1e-8
@@ -523,7 +524,7 @@ class TestFitModel:
         )
         fit = fit_model(d, spec)
         design = build_design(d, spec)
-        Xd, _ = within_transform(design.X, design.y, design.clusters)
+        Xd, _ = within_transform(design.X, design.y, d.n_regions)
         assert np.max(np.abs(Xd.T @ fit.residuals)) < 1e-8
 
     def test_aic_formula(self):
@@ -551,8 +552,15 @@ class TestFitModel:
         d = self.make_fe_data(rng, noise=1.0)
         spec = ModelSpec("y", (Term("x1"),), region_effects=True)
         fit = fit_model(d, spec)
-        assert fit.covariance == "cluster_by_region"
+        assert fit.spec.covariance == "cluster_by_region"
         assert fit.to_dict()["metadata"]["covariance"] == "cluster_by_region"
+
+    def test_zero_dof(self):
+        # 9 observations: fewer than the 12 columns and 3 region effects of fe.tw.q.sl
+        generated = generate_panel(DgpConfig(n_regions=3, n_years=3, seed=1))
+        spec = expand_notation("fe.tw.q.sl", "cluster_by_region")
+        with pytest.raises(ZeroDof, match="no residual degrees of freedom"):
+            fit_model(generated.dataset, spec, generated.weights)
 
     def test_one_xtx_inverse_serves_both_error_kinds(self, monkeypatch):
         import rkpf.estimation as estimation

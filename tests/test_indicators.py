@@ -87,8 +87,9 @@ class TestRecordValidation:
         ids=["too-large-for-a-float", "infinite-ratio"],
     )
     def test_non_finite_ratio_rejected(self, citations, expected):
-        # an int too large for a float raises OverflowError; the loader maps both to exit 2
-        with pytest.raises((ValueError, OverflowError)):
+        # an int too large for a float fails like a ratio that overflows, naming the record
+        message = "record 'p1': citations / expected_citations is not a finite float"
+        with pytest.raises(ValueError, match=message):
             rec(citations=citations, expected=expected)
 
     def test_fwci_whose_mean_overflows_names_the_cell(self):

@@ -30,10 +30,10 @@ def make_panel(rng, n, t):
 def lsdv_matrix(d, spec_terms, time_dummies=False):
     spec = ModelSpec("y", spec_terms, time_dummies=time_dummies)
     design = build_design(d, spec)
-    n = d.n_regions
-    dummies = np.zeros((len(design.y), n))
-    dummies[np.arange(len(design.y)), design.clusters] = 1.0
-    return np.hstack([design.X, dummies]), design.y, design.clusters, design.column_labels
+    clusters = np.repeat(np.arange(d.n_regions), d.n_years)
+    dummies = np.zeros((len(design.y), d.n_regions))
+    dummies[np.arange(len(design.y)), clusters] = 1.0
+    return np.hstack([design.X, dummies]), design.y, clusters, design.column_labels
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtrit
 
-from rkpf.errors import ConfigError, EngineError, RankDeficient
+from rkpf.errors import ConfigError, EngineError, RankDeficient, UnknownVariable
 from rkpf.estimation import fit_model
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
@@ -17,6 +17,7 @@ from rkpf.simulate import (
     DEFAULT_COEFFICIENTS,
     DEFAULT_REGRESSORS,
     DgpConfig,
+    RegressorDistribution,
     generate_panel,
     monte_carlo,
 )
@@ -202,6 +203,16 @@ class TestGeneratePanel:
             cfg = replace(
                 DgpConfig(n_regions=8, n_years=4), true_coefficients={"log(NOPE)": 1.0}
             )
+            generate_panel(cfg)
+
+    def test_term_that_overflows_is_named(self):
+        # the DGP builds its terms as the estimator does, so FWCI^2 overflows the same way
+        huge = RegressorDistribution(460.0, 0.1, 0.1, 1e170, 1e200)
+        cfg = DgpConfig(
+            n_regions=4, n_years=3, regressor_distributions={"FWCI": huge},
+            true_coefficients={"FWCI^2": 0.5},
+        )
+        with pytest.raises(UnknownVariable, match="'FWCI\\^2' is missing or not finite"):
             generate_panel(cfg)
 
     def test_ar1_noise_panel_still_balanced(self):
