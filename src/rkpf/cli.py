@@ -2,10 +2,11 @@
 
 Subcommands: ingest, weights, fit, suite, simulate, mc, stats. A bundle is
 a plain directory holding dataset.csv plus a manifest; every command is
-deterministic given its inputs and seed, and manifests record content
-digests so reruns are verifiable. Exit codes: 0 success, 2 input or
-validation error (including a path that is missing, a directory where a
-file is wanted, or under a regular file), 1 internal error.
+deterministic given its inputs and seed, and a manifest records the digest
+of every file its command read, so reruns are verifiable. Exit codes: 0
+success, 2 input or validation error (one line naming the input at fault,
+such as a path that is missing, a directory, or under a regular file), 1
+internal error.
 """
 from __future__ import annotations
 
@@ -20,30 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    EngineError,
-    InvalidTag,
-    MissingData,
-    NonFiniteFit,
-    NonNumericCell,
-    RegionOrderMismatch,
-    UnknownSubjectArea,
-    UnknownVariable,
-    ZeroDof,
-)
+from .errors import EngineError, InvalidTag, MissingData, RegionOrderMismatch
 from .indicators import INDICATOR_COLUMNS, load_publications, load_vocabulary
 from .indicators import region_year_indicators, write_indicator_csv
 from .manifest import build_manifest
 from .panel import (
-    PanelDataset,
     descriptive_stats,
     load_panel_csv,
     render_stats_text,
     validate_balanced,
     write_panel_csv,
 )
-from .simulate import DgpConfig, generate_panel, monte_carlo
-from .estimation import COVARIANCE_KINDS, fit_model
+from .simulate import MAX_REPLICATIONS, DgpConfig, generate_panel, monte_carlo
+from .estimation import COVARIANCE_KINDS, fit_model, require_weights
 from .suite import (
     MAIN_TAGS,
     ComparisonTable,
@@ -51,7 +41,9 @@ from .suite import (
     render_fit_text,
     render_table,
     run_suite,
+    suite_specs,
 )
+from .tables import not_utf8
 from .weights import (
     ThematicProfileMatrix,
     build_profile_matrix,
@@ -66,17 +58,12 @@ from .weights import (
 DATASET_NAME = "dataset.csv"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8", newline="")
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _out_dir(args) -> Path:
@@ -85,14 +72,41 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_bundle(bundle: str) -> PanelDataset:
-    return load_panel_csv(Path(bundle) / DATASET_NAME)
+@contextlib.contextmanager
+def _reading(inputs: list, path):
+    """Open an input: list path (if any) for the manifest, and put it in front of an
+    EngineError raised while the block works on the file, unless the message starts
+    with an input's path already (a loader's file:line, or an input opened within).
+    A file that is not UTF-8 is named with the line of its first bad byte.
+
+    Every subcommand opens each input through this, and checks its flags before, so
+    an error of a flag alone names no file.
+    """
+    if path is None:
+        yield None
+        return
+    if path not in inputs:
+        inputs.append(path)
+    try:
+        yield path
+    except EngineError as exc:
+        if any(str(exc).startswith(f"{p}:") for p in inputs):
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
 
 
-def _dgp_config(args) -> DgpConfig:
+def _dgp_config(args, inputs: list) -> DgpConfig:
     """The --config file (or the defaults), with --seed overriding its seed."""
-    cfg = DgpConfig.from_yaml(args.config) if args.config else DgpConfig()
+    with _reading(inputs, args.config) as path:
+        cfg = DgpConfig.from_yaml(path) if path else DgpConfig()
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _bundle_regions(bundle: str, inputs: list) -> tuple[str, ...]:
+    with _reading(inputs, Path(bundle) / DATASET_NAME) as path:
+        return load_panel_csv(path).region_ids
 
 
 def _tag_list(raw: str) -> list[str]:
@@ -119,26 +133,15 @@ def _reorder_profiles(profiles, region_order):
 
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
-    dataset = load_panel_csv(args.panel)
-    inputs = [args.panel]
+    inputs = []
+    with _reading(inputs, args.panel) as path:
+        dataset = load_panel_csv(path)
 
     if args.pubs:
-        pubs = load_publications(args.pubs)
-        inputs.append(args.pubs)
-        if args.vocab:
-            vocabulary = set(load_vocabulary(args.vocab))
-            inputs.append(args.vocab)
-            for rec in pubs:
-                unknown = rec.subject_areas - vocabulary
-                if unknown:
-                    raise UnknownSubjectArea(
-                        f"record {rec.id!r}: subject areas {sorted(unknown)} "
-                        "not in vocabulary"
-                    )
-        try:
-            rows = region_year_indicators(pubs)
-        except NonNumericCell as exc:  # an FWCI mean that overflows
-            raise NonNumericCell(f"{args.pubs}: {exc}") from None
+        with _reading(inputs, args.vocab) as path:
+            vocabulary = load_vocabulary(path) if path else None
+        with _reading(inputs, args.pubs) as path:
+            rows = region_year_indicators(load_publications(path, vocabulary))
         write_indicator_csv(rows, out / "indicators.csv")
         region_rows = {r: i for i, r in enumerate(dataset.region_ids)}
         year_columns = {y: j for j, y in enumerate(dataset.years)}
@@ -164,24 +167,23 @@ def cmd_ingest(args) -> int:
 
 def cmd_weights(args) -> int:
     out = _out_dir(args)
+    if not (args.profiles or args.pubs):
+        raise MissingData("weights needs --profiles or --pubs")
     inputs = []
     if args.profiles:
-        profiles = load_profiles_csv(args.profiles)
-        inputs.append(args.profiles)
-        if args.bundle:
-            profiles = _reorder_profiles(profiles, _load_bundle(args.bundle).region_ids)
-    elif args.pubs:
-        pubs = load_publications(args.pubs)
-        inputs.append(args.pubs)
-        if args.vocab:
-            vocabulary = load_vocabulary(args.vocab)
-            inputs.append(args.vocab)
-        else:
-            vocabulary = sorted({a for rec in pubs for a in rec.subject_areas})
-        regions = list(_load_bundle(args.bundle).region_ids) if args.bundle else None
-        profiles = build_profile_matrix(pubs, vocabulary, regions)
+        with _reading(inputs, args.profiles) as path:
+            profiles = load_profiles_csv(path)
+            if args.bundle:  # its dataset sets the row order
+                profiles = _reorder_profiles(profiles, _bundle_regions(args.bundle, inputs))
     else:
-        raise MissingData("weights needs --profiles or --pubs")
+        with _reading(inputs, args.vocab) as path:
+            vocabulary = load_vocabulary(path) if path else None
+        with _reading(inputs, args.pubs) as path:
+            pubs = load_publications(path, vocabulary)
+            if vocabulary is None:
+                vocabulary = sorted({a for rec in pubs for a in rec.subject_areas})
+            regions = _bundle_regions(args.bundle, inputs) if args.bundle else None
+            profiles = build_profile_matrix(pubs, vocabulary, regions)
 
     w = build_weights(correlation_matrix(profiles), profiles.regions)
     write_weights_files(w, out / "weights.csv", out / "weights.json")
@@ -193,22 +195,16 @@ def cmd_weights(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _fit_inputs(args):
-    """Yield (dataset, weights or None, input paths); an error of the data names dataset.csv."""
-    dataset_path = Path(args.bundle) / DATASET_NAME
-    dataset = load_panel_csv(dataset_path)
-    w = load_weights_csv(args.weights) if args.weights else None
-    try:
-        yield dataset, w, [dataset_path] + ([args.weights] if args.weights else [])
-    except (UnknownVariable, NonFiniteFit, ZeroDof) as exc:
-        raise type(exc)(f"{dataset_path}: {exc}") from None
-
-
 def cmd_fit(args) -> int:
     out = _out_dir(args)
-    with _fit_inputs(args) as (dataset, w, inputs):
-        fit = fit_model(dataset, expand_notation(args.spec, args.covariance), w)
+    spec = expand_notation(args.spec, args.covariance)
+    require_weights([spec], args.weights is not None)
+    inputs = []
+    with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
+        dataset = load_panel_csv(path)
+        with _reading(inputs, args.weights) as weights_path:
+            w = load_weights_csv(weights_path) if weights_path else None
+        fit = fit_model(dataset, spec, w)
 
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
@@ -225,7 +221,12 @@ def cmd_fit(args) -> int:
 def cmd_suite(args) -> int:
     out = _out_dir(args)
     tags = _tag_list(args.specs)
-    with _fit_inputs(args) as (dataset, w, inputs):
+    require_weights(suite_specs(tags, args.covariance, args.dual_errors), args.weights is not None)
+    inputs = []
+    with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
+        dataset = load_panel_csv(path)
+        with _reading(inputs, args.weights) as weights_path:
+            w = load_weights_csv(weights_path) if weights_path else None
         table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
 
     _write_json(out / "suite.json", table.to_dict())
@@ -240,15 +241,15 @@ def cmd_suite(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    cfg = _dgp_config(args)
-    generated = generate_panel(cfg)
-
-    write_panel_csv(generated.dataset, out / DATASET_NAME)
+    inputs = []
+    cfg = _dgp_config(args, inputs)
+    with _reading(inputs, args.config):  # a panel that overflows is the config's
+        generated = generate_panel(cfg)
+        write_panel_csv(generated.dataset, out / DATASET_NAME)
     write_profiles_csv(generated.profiles, out / "profiles.csv")
     write_weights_files(generated.weights, out / "weights.csv", out / "weights.json")
     cfg.to_yaml(out / "dgp.yaml")
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True)
-    inputs = [args.config] if args.config else []
     _write_json(out / "manifest.json", build_manifest("simulate", inputs, config_text))
     print(
         f"synthetic bundle written to {out} "
@@ -259,16 +260,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc(args) -> int:
     out = _out_dir(args)
-    cfg = _dgp_config(args)
-    try:
+    expand_notation(args.spec, args.covariance)
+    inputs = []
+    cfg = _dgp_config(args, inputs)
+    with _reading(inputs, args.config):  # such as a panel too small for the spec
         report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
-    except ZeroDof as exc:  # the config's panel is too small for the spec
-        raise ZeroDof(f"{args.config}: {exc}") if args.config else exc from None
 
     _write_json(out / "mc.json", report.to_dict())
     _write_text(out / "mc.txt", report.render_text())
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True) + f"|{args.spec}|{args.reps}"
-    inputs = [args.config] if args.config else []
     _write_json(out / "manifest.json", build_manifest("mc", inputs, config_text))
     print(report.render_text())
     return 0
@@ -276,12 +276,13 @@ def cmd_mc(args) -> int:
 
 def cmd_stats(args) -> int:
     out = _out_dir(args)
-    dataset = _load_bundle(args.bundle)
-    names = _tag_list(args.vars) if args.vars else list(dataset.variables)
-    table = descriptive_stats(dataset, names)
+    names = _tag_list(args.vars) if args.vars else None
+    inputs = []
+    with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
+        dataset = load_panel_csv(path)
+        table = descriptive_stats(dataset, names or list(dataset.variables))
     _write_json(out / "stats.json", table)
     _write_text(out / "stats.txt", render_stats_text(table))
-    inputs = [Path(args.bundle) / DATASET_NAME]
     _write_json(out / "manifest.json", build_manifest("stats", inputs))
     print(render_stats_text(table))
     return 0
@@ -292,10 +293,10 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_reps(raw: str) -> int:
+def _replications(raw: str) -> int:
     value = int(raw)
-    if value < 2:
-        raise argparse.ArgumentTypeError("replications must be >= 2")
+    if not 2 <= value <= MAX_REPLICATIONS:
+        raise argparse.ArgumentTypeError(f"replications must be in [2, {MAX_REPLICATIONS}]")
     return value
 
 
@@ -313,20 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, parser=p)
         return p
 
-    def format_option(p):
+    def covariance_option(p):
+        p.add_argument("--covariance", choices=COVARIANCE_KINDS, default="cluster_by_region")
+
+    def fit_options(p):  # the options of fit and suite
         p.add_argument(
             "--format",
             choices=("text", "csv", "md", "json"),
             default="text",
             help="rendering of the human-readable table (json: sidecar only)",
         )
-
-    def covariance_option(p):
-        p.add_argument(
-            "--covariance",
-            choices=COVARIANCE_KINDS,
-            default="cluster_by_region",
-        )
+        p.add_argument("--bundle", required=True)
+        p.add_argument("--weights", help="weights CSV (required for sl tags)")
+        covariance_option(p)
 
     p = subcommand("ingest", cmd_ingest, "validate a panel CSV into a bundle")
     p.add_argument("--panel", required=True, help="long-format panel CSV")
@@ -341,22 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", help="bundle whose region order the weights follow")
 
     p = subcommand("fit", cmd_fit, "estimate one specification")
-    format_option(p)
-    p.add_argument("--bundle", required=True)
+    fit_options(p)
     p.add_argument("--spec", required=True, help="specification tag, e.g. fe.tw.q.sl")
-    p.add_argument("--weights", help="weights CSV (required for sl tags)")
-    covariance_option(p)
 
     p = subcommand("suite", cmd_suite, "run a specification comparison table")
-    format_option(p)
-    p.add_argument("--bundle", required=True)
+    fit_options(p)
     p.add_argument(
         "--specs",
         default=",".join(MAIN_TAGS),
         help="comma-separated tags (default: the seven-model ladder)",
     )
-    p.add_argument("--weights", help="weights CSV (required for sl tags)")
-    covariance_option(p)
     p.add_argument(
         "--dual-errors",
         action="store_true",
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--config", help="DGP config YAML")
     p.add_argument("--spec", default="fe.tw.q.sl")
-    p.add_argument("--reps", type=_positive_reps, required=True)
+    p.add_argument("--reps", type=_replications, required=True)
     covariance_option(p)
 
     p = subcommand("stats", cmd_stats, "descriptive statistics for bundle variables")

@@ -131,12 +131,17 @@ def term_values(d: PanelDataset, term: Term, w: SpatialWeights | None) -> np.nda
     return _finite(d, term.label, values)
 
 
+def require_weights(specs, weights_given: bool) -> None:
+    """Raise MissingWeights if no weights are given and a spec has spatial-lag terms."""
+    if not weights_given and any(spec.needs_weights() for spec in specs):
+        raise MissingWeights("spec contains spatial-lag terms but no weights given")
+
+
 def build_design(
     d: PanelDataset, spec: ModelSpec, w: SpatialWeights | None = None
 ) -> Design:
     """Assemble the stacked design matrix and response for a ModelSpec."""
-    if spec.needs_weights() and w is None:
-        raise MissingWeights("spec contains spatial-lag terms but no weights given")
+    require_weights([spec], w is not None)
     if w is not None and w.regions != d.region_ids:
         raise RegionOrderMismatch("weights regions do not match dataset regions")
 

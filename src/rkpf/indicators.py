@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     NonNumericCell,
     UnknownSubjectArea,
 )
-from .tables import not_utf8, read_table, write_table
+from .tables import read_table, write_table
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 # panel column -> RegionYearIndicators field, for indicators.csv and ingest's merge
@@ -153,20 +153,10 @@ def region_year_indicators(
 # i/o
 # ---------------------------------------------------------------------------
 
-_FIELDS = frozenset(
-    {
-        "id",
-        "year",
-        "regions",
-        "subject_areas",
-        "citations",
-        "expected_citations",
-        "journal_quartile",
-    }
-)
+_FIELDS = frozenset(f.name for f in fields(PublicationRecord))
 
 
-def _record_from_mapping(obj: dict, where: str) -> PublicationRecord:
+def _record_from_mapping(obj: dict, where: str, vocabulary) -> PublicationRecord:
     if not isinstance(obj, dict):
         raise NonNumericCell(
             f"{where}: publication record must be an object, got {type(obj).__name__}"
@@ -186,6 +176,9 @@ def _record_from_mapping(obj: dict, where: str) -> PublicationRecord:
         and {str}.issuperset(map(type, regions + areas))
     ):
         raise NonNumericCell(f"{where}: regions and subject_areas must be lists of strings")
+    if vocabulary is not None and not vocabulary.issuperset(areas):
+        unknown = sorted(set(areas) - vocabulary)
+        raise UnknownSubjectArea(f"{where}: subject areas {unknown} not in the vocabulary")
     # JSON integers, the common case, need no check; a bool is no integer here
     if type(obj["year"]) is not int or type(obj["citations"]) is not int:
         for key in ("year", "citations"):
@@ -206,31 +199,31 @@ def _record_from_mapping(obj: dict, where: str) -> PublicationRecord:
         raise NonNumericCell(f"{where}: {exc}") from None
 
 
-def load_publications(path) -> list[PublicationRecord]:
+def load_publications(path, vocabulary=None) -> list[PublicationRecord]:
     """Read publication records from JSON-lines (.jsonl) or CSV.
 
     CSV multi-valued cells (regions, subject_areas) are semicolon-separated.
+    With a vocabulary, a record listing a subject area outside it is an error.
     """
     path = str(path)
+    vocabulary = None if vocabulary is None else frozenset(vocabulary)
     records: list[PublicationRecord] = []
     if path.endswith(".jsonl") or path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
-                    records.append(_record_from_mapping(obj, f"{path}:{lineno}"))
-            except UnicodeDecodeError:
-                raise not_utf8(path) from None
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
+                records.append(_record_from_mapping(obj, f"{path}:{lineno}", vocabulary))
     else:
         header, rows = read_table(path)
         for lineno, cells in rows:
-            records.append(_record_from_mapping(dict(zip(header, cells)), f"{path}:{lineno}"))
+            where = f"{path}:{lineno}"
+            records.append(_record_from_mapping(dict(zip(header, cells)), where, vocabulary))
     if not records:
         raise MissingData(f"{path}: no publication records")
     return records
@@ -239,10 +232,7 @@ def load_publications(path) -> list[PublicationRecord]:
 def load_vocabulary(path) -> list[str]:
     """Subject-area vocabulary: one code per line, order preserved."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            codes = [line.strip() for line in fh if line.strip()]
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+        codes = [line.strip() for line in fh if line.strip()]
     if not codes:
         raise MissingData(f"{path}: empty vocabulary")
     if len(set(codes)) != len(codes):

@@ -6,7 +6,7 @@ validate_balanced certifies the panel complete; nothing is imputed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -138,8 +138,12 @@ def load_panel_csv(path) -> PanelDataset:
 
 
 def write_panel_csv(d: PanelDataset, path) -> None:
-    """Write the canonical long CSV (region-major, year-minor; NaN as an empty cell)."""
+    """Write the canonical long CSV, region-major: NaN as an empty cell, inf an error."""
     values = np.stack(list(d.variables.values()), axis=-1).reshape(d.n_obs, -1)
+    if np.isinf(values).any():
+        row, col = np.argwhere(np.isinf(values))[0]
+        where = f"{d.region_ids[row // d.n_years]}, {d.years[row % d.n_years]}"
+        raise NonNumericCell(f"{list(d.variables)[col]!r} is {values[row, col]} at {where}")
     keys = ((region, year) for region in d.region_ids for year in d.years)
     write_table(path, ["region", "year", *d.variables], zip(keys, format_rows(values)))
 
@@ -158,13 +162,7 @@ class BalanceReport:
     gaps: tuple[tuple[str, int, str], ...]  # (region, year, variable)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_regions": self.n_regions,
-            "n_years": self.n_years,
-            "n_variables": self.n_variables,
-            "gaps": [list(g) for g in self.gaps],
-        }
+        return {**asdict(self), "gaps": [list(g) for g in self.gaps]}
 
     def render_text(self) -> str:
         lines = [

@@ -16,7 +16,7 @@ identity as a uniform -q shift; under fixed effects it is absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -27,10 +27,17 @@ from .estimation import fit_model, parse_term_label, term_values
 from .panel import PanelDataset
 from .runtime import parallel_map
 from .suite import expand_notation
-from .tables import not_utf8
 from .weights import SpatialWeights, ThematicProfileMatrix, build_weights, correlation_matrix
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
+
+# The most cells (2**24 float64s, 128 MiB) a config may ask of one dense array:
+# the n x n weights, the n*T x (k + T) design that mc fits (k coefficients, T-1
+# year dummies and a constant) or the n x S profiles. It is checked before any
+# array is built; the benchmark's 2000 x 20 panel needs 4,000,000 cells.
+MAX_CELLS = 2**24
+# replication streams are spawned up front, one SeedSequence each
+MAX_REPLICATIONS = 100_000
 
 # full two-way FE SLX coefficient set used as DGP truth by default
 DEFAULT_COEFFICIENTS = {
@@ -135,14 +142,6 @@ def _cast(kind: type, value, where: str):
         raise ConfigError(f"bad DGP config: {where}: {exc}") from None
 
 
-def _year_offsets(start: float, stop: float, n_years: int) -> np.ndarray:
-    """n_years evenly spaced offsets; a count numpy cannot hold is a ConfigError."""
-    try:
-        return np.linspace(start, stop, n_years)
-    except (IndexError, ValueError):  # 2**63 overflows numpy's index, more exceeds its size limit
-        raise ConfigError(f"panel.n_years: too many years ({n_years})") from None
-
-
 def _floats(value, where: str, keys: tuple[str, ...]) -> list[float]:
     """The values of a config mapping with exactly these keys, as floats."""
     m = _mapping(value, where, keys)
@@ -170,8 +169,10 @@ class DgpConfig:
     profile_concentration: float = 0.35
 
     def __post_init__(self):
+        n, t, s = self.n_regions, self.n_years, self.n_subject_areas
+        design = n * t * (len(self.true_coefficients) + t)
         for ok, message in (
-            (self.n_regions >= 3 and self.n_years >= 3, "need n_regions, n_years >= 3"),
+            (n >= 3 and t >= 3, "need n_regions, n_years >= 3"),
             (self.seed >= 0, f"seed must be nonnegative, got {self.seed}"),
             (self.n_subject_areas >= 2, "need n_subject_areas >= 2"),
             (0 < self.region_effect_sd < math.inf, "region_sd must be positive and finite"),
@@ -182,28 +183,43 @@ class DgpConfig:
                 0 < self.profile_concentration < math.inf,
                 "concentration must be positive and finite",
             ),
+            (n * n <= MAX_CELLS, f"panel.n_regions: {n * n} weights > {MAX_CELLS}"),
+            (design <= MAX_CELLS, f"panel.n_years: {design} design cells > {MAX_CELLS}"),
+            (n * s <= MAX_CELLS, f"thematic.n_subject_areas: {n * s} profile shares > {MAX_CELLS}"),
         ):
             if not ok:
                 raise ConfigError(message)
         profile = self.time_effect_profile
         if profile is None:  # monotone increasing year offsets (upward publication trend)
-            profile = _year_offsets(0.0, 1.5, self.n_years)
+            profile = np.linspace(0.0, 1.5, t)
         profile = tuple(float(v) for v in profile)
-        if len(profile) != self.n_years or not all(map(math.isfinite, profile)):
-            raise ConfigError(f"time_effect_profile needs {self.n_years} finite entries")
+        if len(profile) != t or not all(map(math.isfinite, profile)):
+            raise ConfigError(f"time_effect_profile needs {t} finite entries")
         object.__setattr__(self, "time_effect_profile", profile)
         for name in self.regressor_distributions:
             if not isinstance(name, str):
                 raise ConfigError(f"regressor name {name!r} is not a string")
             if name in _GENERATED_COLUMNS:
                 raise ConfigError(f"regressor name {name!r} is a column the generator writes")
-        known = set(self.regressor_distributions)
-        known |= {f"log({name})" for name in LOGGED_REGRESSORS if name in known}
+        dists = self.regressor_distributions
+        logged = {f"log({name})": name for name in LOGGED_REGRESSORS if name in dists}
+        reach = 0.0  # the largest |log output| the terms can add up to
         for label, coef in self.true_coefficients.items():
-            if not isinstance(label, str) or parse_term_label(label).name not in known:
+            term = parse_term_label(label) if isinstance(label, str) else None
+            if term is None or term.name not in dists.keys() | logged.keys():
                 raise ConfigError(f"true coefficient {label!r} names an unknown regressor")
             if not math.isfinite(coef):
                 raise ConfigError(f"true coefficient {label!r} must be finite, got {coef}")
+            # the clip range bounds a value, its lag (a weighted mean) and its log
+            name = logged.get(term.name, term.name)
+            lo, hi = dists[name].min_value, dists[name].max_value
+            top = max(-math.log(lo), math.log(hi)) if name != term.name else hi
+            reach += abs(coef) * (top * top if term.squared else top)
+            if not math.isfinite(reach):
+                raise ConfigError(
+                    f"model.coefficients.{label}: {coef} x {label} overflows a float: "
+                    f"regressors.{name} is clipped to [{lo}, {hi}]"
+                )
 
     # -- config file round-trip ------------------------------------------
 
@@ -250,15 +266,15 @@ class DgpConfig:
             raise ConfigError(
                 "bad DGP config: effects.time_profile must be a list or a mapping"
             )
-        if isinstance(profile, dict):
-            ends = _floats(profile, "effects.time_profile", ("start", "stop"))
-            # the constructor rejects n_years < 3 before it reads the profile
-            profile = _year_offsets(*ends, max(kwargs.get("n_years", cls.n_years), 0))
-        if profile is not None:
+        if isinstance(profile, list):
             kwargs["time_effect_profile"] = [
                 _cast(float, v, "effects.time_profile") for v in profile
             ]
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        if isinstance(profile, dict):  # spread once the constructor has bounded n_years
+            ends = _floats(profile, "effects.time_profile", ("start", "stop"))
+            cfg = replace(cfg, time_effect_profile=np.linspace(*ends, cfg.n_years))
+        return cfg
 
     @classmethod
     def from_yaml(cls, path) -> "DgpConfig":
@@ -267,14 +283,9 @@ class DgpConfig:
                 m = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
                 raise ConfigError(f"{path}: cannot parse config: {exc}") from None
-            except UnicodeDecodeError:
-                raise not_utf8(path) from None
         if not isinstance(m, dict):
             raise ConfigError(f"{path}: config must be a mapping")
-        try:
-            return cls.from_mapping(m)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        return cls.from_mapping(m)
 
     def to_yaml(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -318,7 +329,8 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
         z_region = rng.standard_normal(n)
         u = rng.standard_normal((n, t))
         log_x = dist.log_mean + dist.region_sd * z_region[:, np.newaxis] + dist.year_sd * u
-        levels = np.clip(np.exp(log_x), dist.min_value, dist.max_value)
+        with np.errstate(over="ignore"):  # the clip bounds a level that overflows
+            levels = np.clip(np.exp(log_x), dist.min_value, dist.max_value)
         variables[name] = levels
     for name in LOGGED_REGRESSORS:
         if name in variables:
@@ -346,7 +358,8 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
     log_y -= cfg.quality_substitution
 
     variables["log(PUB21EMP)"] = log_y
-    variables["PUB21EMP"] = np.exp(log_y)
+    with np.errstate(over="ignore"):  # mc fits only the log; write_panel_csv refuses inf
+        variables["PUB21EMP"] = np.exp(log_y)
 
     return GeneratedPanel(PanelDataset(regions, years, variables), w, profiles)
 
@@ -366,6 +379,17 @@ class McTermSummary:
     coverage_95: float
 
 
+# the columns of McReport.render_text: (header, McTermSummary field, width, format)
+_MC_COLUMNS = (
+    ("truth", "truth", 10, ".4f"),
+    ("mean est", "mean_estimate", 12, ".4f"),
+    ("bias", "bias", 12, ".5f"),
+    ("emp sd", "empirical_sd", 10, ".4f"),
+    ("mean se", "mean_se", 10, ".4f"),
+    ("cover95", "coverage_95", 10, ".3f"),
+)
+
+
 @dataclass(frozen=True)
 class McReport:
     replications: int
@@ -383,24 +407,11 @@ class McReport:
         lines = [
             f"monte carlo: {self.replications} replications of {self.spec_tag!r} "
             f"({self.covariance} errors, seed {self.seed})",
-            "term".ljust(label_w)
-            + "truth".rjust(10)
-            + "mean est".rjust(12)
-            + "bias".rjust(12)
-            + "emp sd".rjust(10)
-            + "mean se".rjust(10)
-            + "cover95".rjust(10),
+            "term".ljust(label_w) + "".join(head.rjust(width) for head, _, width, _ in _MC_COLUMNS),
         ]
         for label, s in self.terms.items():
-            lines.append(
-                label.ljust(label_w)
-                + f"{s.truth:10.4f}"
-                + f"{s.mean_estimate:12.4f}"
-                + f"{s.bias:12.5f}"
-                + f"{s.empirical_sd:10.4f}"
-                + f"{s.mean_se:10.4f}"
-                + f"{s.coverage_95:10.3f}"
-            )
+            cells = (format(getattr(s, name), f"{w}{f}") for _, name, w, f in _MC_COLUMNS)
+            lines.append(label.ljust(label_w) + "".join(cells))
         return "\n".join(lines)
 
 
@@ -413,8 +424,8 @@ def monte_carlo(
     so the same config and seed give the same report. An engine error in a
     replication keeps its type and names the replication and its spawn key.
     """
-    if replications < 2:
-        raise ConfigError("replications must be >= 2")
+    if not 2 <= replications <= MAX_REPLICATIONS:
+        raise ConfigError(f"replications must be in [2, {MAX_REPLICATIONS}], got {replications}")
     spec = expand_notation(spec_tag, covariance)
     tracked = [
         term.label for term in spec.regressors if term.label in cfg.true_coefficients

@@ -185,17 +185,22 @@ def run_suite(
     the robust ones and stars follow the classical p-values, matching the
     condensed two-line reporting style; this needs robust covariance.
     """
+    tags = tuple(tags)
+    specs = suite_specs(tags, covariance, dual_errors)
+    fits = tuple(parallel_map(lambda s: fit_model(d, s, w), specs))
+    return ComparisonTable(tags, fits, dual_errors)
+
+
+def suite_specs(tags, covariance: str = "cluster_by_region", dual_errors: bool = False):
+    """The ModelSpec of each tag; raises if a tag or the flags are invalid, before any data."""
     if dual_errors and covariance == "classical":
         raise DualErrorsNeedRobust(
             "dual errors report classical beside robust standard errors; "
             "they need cluster_by_region covariance"
         )
-    tags = tuple(tags)
     if not tags:
         raise InvalidTag("empty tag list")
-    specs = [expand_notation(tag, covariance) for tag in tags]
-    fits = tuple(parallel_map(lambda s: fit_model(d, s, w), specs))
-    return ComparisonTable(tags, fits, dual_errors)
+    return [expand_notation(tag, covariance) for tag in tags]
 
 
 def vertex_of_quadratic(b_linear: float, b_quadratic: float) -> float:
@@ -352,6 +357,7 @@ __all__ = [
     "CONTROLS",
     "expand_notation",
     "run_suite",
+    "suite_specs",
     "render_table",
     "render_fit_text",
     "vertex_of_quadratic",

@@ -49,8 +49,6 @@ def _rows(path):
                 yield reader.line_num, cells
         except csv.Error as exc:  # such as a stray quote that runs past the field size limit
             raise NonNumericCell(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
     if header_only:
         raise MissingData(f"{path}: header only, no data rows")
 

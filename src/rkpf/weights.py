@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDimensions,
+    EmptyRegion,
     InvalidProfiles,
     InvalidWeights,
     MissingColumn,
@@ -160,7 +161,9 @@ def build_profile_matrix(
         regions = sorted(by_region)
     shares = np.zeros((len(regions), len(vocabulary)))
     for i, region in enumerate(regions):
-        shares[i] = compute_thematic_profile(by_region.get(region, []), vocabulary)
+        if region not in by_region:
+            raise EmptyRegion(f"region {region!r} has no publication records")
+        shares[i] = compute_thematic_profile(by_region[region], vocabulary)
     return ThematicProfileMatrix(tuple(regions), tuple(vocabulary), shares)
 
 
@@ -234,10 +237,7 @@ def load_weights_csv(path) -> SpatialWeights:
     columns, regions, w = _read_region_matrix(path)
     if regions != columns:
         raise RegionOrderMismatch(f"{path}: row and column region order differ")
-    try:
-        return SpatialWeights(regions, w)
-    except InvalidWeights as exc:
-        raise InvalidWeights(f"{path}: {exc}") from None
+    return SpatialWeights(regions, w)
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
@@ -246,7 +246,4 @@ def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
 
 def load_profiles_csv(path) -> ThematicProfileMatrix:
     areas, regions, shares = _read_region_matrix(path)
-    try:
-        return ThematicProfileMatrix(regions, areas, shares)
-    except InvalidProfiles as exc:
-        raise InvalidProfiles(f"{path}: {exc}") from None
+    return ThematicProfileMatrix(regions, areas, shares)

@@ -1,4 +1,5 @@
 """Command-line surfaces: bundles, exit codes, file outputs."""
+import builtins
 import importlib
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,6 +399,31 @@ def _simulated_3x3(source, bad):
     assert run("simulate", "--config", config, "--output-dir", bad.parent) == 0
 
 
+def _same_q1_and_nq_shares(source, bad):
+    """A case set-up that copies the source dataset with NQSH equal to Q1SH on every row,
+    so the quality terms are collinear."""
+    lines = [line.split(",") for line in source.read_text(encoding="utf-8").splitlines()]
+    q1, nq = lines[0].index("Q1SH"), lines[0].index("NQSH")
+    for cells in lines[1:]:
+        cells[nq] = cells[q1]
+    bad.write_text("\n".join(map(",".join, lines)) + "\n", encoding="utf-8")
+
+
+def _weights_of_5_regions(source, bad):
+    """A case set-up that copies the source dataset and writes beside it the weights.csv
+    of a 5-region simulation."""
+    bad.write_bytes(source.read_bytes())
+    config = bad.parent / "five.yaml"
+    config.write_text("panel: {n_regions: 5, n_years: 3}\n", encoding="utf-8")
+    assert run("simulate", "--config", config, "--output-dir", bad.parent / "five") == 0
+    (bad.parent / "weights.csv").write_bytes((bad.parent / "five" / "weights.csv").read_bytes())
+
+
+# a DGP whose FWCI^2 overflows for every value its clip range allows
+_SQUARE_OVERFLOWS = (
+    "{regressors: {FWCI: {log_mean: 400, region_sd: 0.1, year_sd: 0.1, min: 1.0e+170,"
+    " max: 1.0e+200}}, model: {coefficients: {FWCI^2: 0.5}}}"
+)
 # one valid regressor entry of a DGP config, in YAML flow style
 _REGRESSOR = "{log_mean: 0, region_sd: 0.1, year_sd: 0.1, min: 0.5, max: 2}"
 _RECORD = {"id": "p1", "year": 2009, "regions": ["R01"], "subject_areas": ["SA01"],
@@ -485,6 +512,17 @@ class TestMalformedInputs:
             ("ingest", "pubs.jsonl", _one_line("\n".join(
                 json.dumps({**_RECORD, "id": rid, "citations": 17 * 10**307})
                 for rid in ("p1", "p2")))),
+            # a blank third line: the profiles lose the bundle's second region
+            ("weights", "profiles.csv", _copy_editing_line_3(lambda c: [])),
+            ("fit", "dataset.csv", _weights_of_5_regions),
+            ("fit", "dataset.csv", _same_q1_and_nq_shares),
+            ("simulate", "c.yaml", _one_line(_SQUARE_OVERFLOWS)),
+            ("mc", "c.yaml", _one_line(_SQUARE_OVERFLOWS)),
+            ("simulate", "c.yaml", _one_line("model: {coefficients: {FWCI: 1000.0}}")),
+            ("simulate", "c.yaml", _one_line("panel: {n_regions: 29, n_years: 1093550423.0}")),
+            ("simulate", "c.yaml", _one_line(
+                "{panel: {n_regions: 3, n_years: 3000}, effects: {time_profile: {start: 0,"
+                " stop: 1}}}")),
         ],
         ids=["negative-weight", "ragged-weights-row", "profile-sum", "missing-panel",
              "missing-weights", "weights-is-directory", "config-panel-list",
@@ -505,7 +543,11 @@ class TestMalformedInputs:
              "weights-repeated-region", "fit-huge-outcome", "config-not-utf8",
              "fit-too-few-observations", "mc-too-few-observations",
              "ingest-pubs-citations-overflow-float", "ingest-pubs-infinite-ratio",
-             "ingest-pubs-fwci-overflow"],
+             "ingest-pubs-fwci-overflow", "weights-profiles-lack-bundle-region",
+             "fit-weights-of-other-regions", "fit-rank-deficient",
+             "config-squared-term-overflows", "mc-config-squared-term-overflows",
+             "config-outcome-overflows", "config-design-too-large",
+             "config-linspace-profile-too-large"],
     )
     def test_exits_2_without_traceback(
         self, sim, tmp_path, capsys, command, bad_name, prepare
@@ -534,6 +576,73 @@ class TestMalformedInputs:
         assert "Traceback" not in captured.err + captured.out
         error_lines = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
         assert len(error_lines) == 1 and bad_name in error_lines[0]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["weights", "--pubs", "pubs.jsonl", "--bundle", "SIM"],
+             "pubs.jsonl: region 'R05' has no publication records"),
+            (["weights", "--pubs", "pubs.jsonl", "--vocab", "vocab.txt"],
+             "pubs.jsonl:2: subject areas ['SA09'] not in the vocabulary"),
+            (["ingest", "--panel", "SIM/dataset.csv", "--pubs", "pubs.jsonl",
+              "--vocab", "vocab.txt"],
+             "pubs.jsonl:2: subject areas ['SA09'] not in the vocabulary"),
+        ],
+        ids=["weights-bundle-region-without-records", "weights-pubs-area-not-in-vocab",
+             "ingest-pubs-area-not-in-vocab"],
+    )
+    def test_exits_2_naming_the_input(self, sim, tmp_path, monkeypatch, capsys, argv, message):
+        """Cases whose argv does not fit test_exits_2_without_traceback's templates."""
+        monkeypatch.chdir(tmp_path)
+        records = [{**_RECORD, "id": f"p{i}", "regions": [f"R{i:02d}"]} for i in range(1, 79)]
+        records[1]["subject_areas"] = ["SA01", "SA09"]
+        del records[4]  # R05
+        Path("pubs.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        Path("vocab.txt").write_text("SA01\nSA02\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(*[a.replace("SIM", str(sim)) for a in argv], "--output-dir", "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--bundle", "SIM", "--spec", "bogus"], "'bogus': unknown tokens ['bogus']"),
+            (["fit", "--bundle", "SIM", "--spec", "fe.tw.q.sl"],
+             "spec contains spatial-lag terms but no weights given"),
+            (["suite", "--bundle", "SIM", "--specs", "fe.tw,bogus"],
+             "'bogus': unknown tokens ['bogus']"),
+            (["suite", "--bundle", "SIM", "--covariance", "classical", "--dual-errors"],
+             "dual errors report classical beside robust standard errors; "
+             "they need cluster_by_region covariance"),
+            (["mc", "--reps", "2", "--seed", "-1"], "seed must be nonnegative, got -1"),
+            (["mc", "--reps", "2", "--seed", "-1", "--config", "SIM/dgp.yaml"],
+             "seed must be nonnegative, got -1"),
+            (["mc", "--reps", "2", "--spec", "bogus", "--config", "SIM/dgp.yaml"],
+             "'bogus': unknown tokens ['bogus']"),
+        ],
+        ids=["fit-bad-tag", "fit-sl-without-weights", "suite-bad-tag",
+             "suite-classical-dual-errors", "mc-negative-seed", "mc-negative-seed-with-config",
+             "mc-bad-tag-with-config"],
+    )
+    def test_flag_fault_names_no_file(self, sim, tmp_path, capsys, argv, message):
+        """Every file is valid, so the error line is the flag's alone."""
+        capsys.readouterr()
+        argv = [a.replace("SIM", str(sim)) for a in argv]
+        assert run(*argv, "--output-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mc_fits_the_log_of_an_outcome_that_overflows(self, tmp_path):
+        """simulate refuses to write PUB21EMP = inf; mc fits only log(PUB21EMP), silently."""
+        config = tmp_path / "c.yaml"
+        config.write_text("model: {coefficients: {FWCI: 1000.0}}\n", encoding="utf-8")
+        assert run("simulate", "--config", config, "--output-dir", tmp_path / "sim") == 2
+        assert run(
+            "mc", "--config", config, "--spec", "fe.tw", "--reps", 2,
+            "--output-dir", tmp_path / "mc",
+        ) == 0
 
     @pytest.mark.parametrize(
         "argv, path, reason",
@@ -626,6 +735,81 @@ class TestManifest:
         assert m1["inputs"] == m2["inputs"]
         assert m1["config_digest"] == m2["config_digest"]
         assert m1["engine_version"] == m2["engine_version"]
+
+
+def _run_recording_reads(argv):
+    """(exit code, every path one main() call opens for reading in text mode).
+
+    file_digest and not_utf8 open files in binary mode, so they are not recorded.
+    """
+    real_open = builtins.open
+    read = set()
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "b" not in mode and not set(mode) & set("wax+"):
+            read.add(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    with mock.patch("builtins.open", recording_open):
+        code = main([str(a) for a in argv])
+    return code, read
+
+
+class TestManifestInputs:
+    """Each manifest lists exactly the files its run read."""
+
+    STEPS = {
+        "simulate": ["simulate", "--seed", 7],
+        "simulate-config": ["simulate", "--config", "small.yaml"],
+        "ingest": ["ingest", "--panel", "sim/dataset.csv"],
+        "ingest-pubs-vocab": ["ingest", "--panel", "sim/dataset.csv", "--pubs", "pubs.jsonl",
+                              "--vocab", "vocab.txt"],
+        "weights": ["weights", "--profiles", "sim/profiles.csv"],
+        "weights-profiles-bundle": ["weights", "--profiles", "sim/profiles.csv",
+                                    "--bundle", "bundle"],
+        "weights-pubs-vocab-bundle": ["weights", "--pubs", "pubs.jsonl", "--vocab",
+                                      "vocab.txt", "--bundle", "bundle"],
+        "suite": ["suite", "--bundle", "bundle", "--weights", "weights/weights.csv"],
+        "fit": ["fit", "--bundle", "bundle", "--spec", "fe.tw.q.sl",
+                "--weights", "weights/weights.csv"],
+        "stats": ["stats", "--bundle", "bundle"],
+        "mc": ["mc", "--reps", 2, "--spec", "fe.tw.q", "--seed", 11],
+        "mc-config": ["mc", "--reps", 2, "--spec", "fe.tw.q", "--config", "small.yaml"],
+    }
+    # the step whose output directory a later step reads, if not the step's own name
+    OUTPUT = {"simulate": "sim", "ingest": "bundle", "weights": "weights"}
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Per step: (files it read, its manifest's inputs), run in order in one directory."""
+        work = tmp_path_factory.mktemp("pipeline")
+        old = os.getcwd()
+        os.chdir(work)
+        try:
+            Path("small.yaml").write_text("panel: {n_regions: 6, n_years: 4}\n", encoding="utf-8")
+            Path("vocab.txt").write_text("SA01\nSA02\nSA03\n", encoding="utf-8")
+            records = [
+                {**_RECORD, "id": f"p{r}-{y}", "year": y, "regions": [f"R{r:02d}"],
+                 "subject_areas": ["SA01", f"SA0{2 + r % 2}"]}
+                for r in range(1, 79) for y in range(2009, 2021)
+            ]
+            Path("pubs.jsonl").write_text(
+                "".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8"
+            )
+            found = {}
+            for name, argv in self.STEPS.items():
+                out = self.OUTPUT.get(name, name)
+                code, read = _run_recording_reads([*argv, "--output-dir", out])
+                assert code == 0, name
+                found[name] = (read, json.loads(Path(out, "manifest.json").read_text())["inputs"])
+            return found
+        finally:
+            os.chdir(old)
+
+    @pytest.mark.parametrize("step", list(STEPS))
+    def test_manifest_lists_every_file_read(self, runs, step):
+        read, inputs = runs[step]
+        assert set(inputs) == read
 
 
 @pytest.mark.parametrize("module", ["rkpf", "rkpf.suite"])

@@ -356,6 +356,26 @@ class TestIo:
         path.write_text("bio\nchem\n\nmath\n", encoding="utf-8")
         assert load_vocabulary(path) == ["bio", "chem", "math"]
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_area_outside_the_vocabulary_names_the_line(self, tmp_path, suffix):
+        path = tmp_path / f"pubs{suffix}"
+        rows = [("p1", "bio"), ("p2", "bio;alchemy")]
+        if suffix == ".csv":
+            header = "id,year,regions,subject_areas,citations,expected_citations,journal_quartile"
+            lines = [header] + [f"{i},2019,A,{areas},1,1.0,Q1" for i, areas in rows]
+        else:
+            lines = [json.dumps({"id": i, "year": 2019, "regions": ["A"],
+                                 "subject_areas": areas.split(";"), "citations": 1,
+                                 "expected_citations": 1.0, "journal_quartile": "Q1"})
+                     for i, areas in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(load_publications(path, ["bio", "alchemy"])) == 2
+        line = 3 if suffix == ".csv" else 2
+        with pytest.raises(
+            UnknownSubjectArea, match=rf"^{path}:{line}: subject areas \['alchemy'\] not in"
+        ):
+            load_publications(path, ["bio", "chem"])
+
     def test_indicator_csv_ingestable(self, tmp_path):
         from rkpf.panel import load_panel_csv
 

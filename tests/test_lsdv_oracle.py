@@ -1,25 +1,26 @@
-"""Two-way FE SLX fits against an explicit dummy-variable least-squares oracle.
+"""The specification ladder's fits against an explicit dummy-variable least-squares oracle.
 
 LSDV is least squares with explicit dummy variables. The oracle never
-demeans: it regresses the outcome on the spec's terms, T-1 year dummies and
-one dummy per region with np.linalg.lstsq, then builds the classical
-covariance and the cluster-by-region sandwich by hand, with K counted as
-every column it fits (fitted plus the region effects fit_model absorbs).
-The dummy-model scores of a region's own dummy sum its residuals, which is
-zero, so both covariances of the slopes equal fit_model's.
+demeans: it regresses the outcome on the spec's terms, T-1 year dummies
+(two-way specs only), a constant (pooled specs only) and one dummy per
+region (fixed-effects specs only) with np.linalg.lstsq, then builds the
+classical covariance and the cluster-by-region sandwich by hand, with K
+counted as every column it fits (fitted plus the region effects fit_model
+absorbs; none for a pooled spec). The dummy-model scores of a region's own
+dummy sum its residuals, which is zero, so both covariances of the slopes
+equal fit_model's.
 """
 import numpy as np
 import pytest
 
 from rkpf.estimation import fit_model
 from rkpf.simulate import DgpConfig, generate_panel
-from rkpf.suite import expand_notation
-
-TAG = "fe.tw.q.sl"
+from rkpf.suite import MAIN_TAGS, expand_notation
 
 
 def lsdv(d, spec, w):
-    """Slopes, cluster-robust SEs and classical SEs of the spec's terms and year dummies."""
+    """Slopes, cluster-robust SEs and classical SEs of the spec's fitted columns, in
+    fit_model's order: terms, year dummies, constant."""
     n, t = d.n_regions, d.n_years
     columns = []
     for term in spec.regressors:
@@ -31,9 +32,14 @@ def lsdv(d, spec, w):
         columns.append(values.reshape(-1))
     region = np.repeat(np.arange(n), t)  # rows are region-major, year-minor
     year = np.tile(np.arange(t), n)
-    year_dummies = (year[:, None] == np.arange(1, t)).astype(float)
-    region_dummies = (region[:, None] == np.arange(n)).astype(float)
-    X = np.column_stack([*columns, year_dummies, region_dummies])
+    if spec.time_dummies:
+        columns.extend((year == j).astype(float) for j in range(1, t))
+    if spec.intercept:
+        columns.append(np.ones(n * t))
+    k = len(columns)
+    if spec.region_effects:
+        columns.extend((region == g).astype(float) for g in range(n))
+    X = np.column_stack(columns)
     y = d.var(spec.dependent).reshape(-1)
 
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
@@ -44,7 +50,6 @@ def lsdv(d, spec, w):
     scores = np.array([X[region == g].T @ u[region == g] for g in range(n)])
     factor = n / (n - 1) * (big_n - 1) / (big_n - big_k)
     robust = factor * bread @ (scores.T @ scores) @ bread
-    k = len(columns) + t - 1
     return beta[:k], np.sqrt(np.diag(robust)[:k]), np.sqrt(np.diag(classical)[:k])
 
 
@@ -57,9 +62,10 @@ def lsdv(d, spec, w):
     ],
     ids=["12x5", "20x8-ar1", "30x4-noisy"],
 )
-def test_two_way_fe_slx_matches_lsdv(cfg):
+@pytest.mark.parametrize("tag", MAIN_TAGS)
+def test_ladder_matches_lsdv(tag, cfg):
     g = generate_panel(cfg)
-    spec = expand_notation(TAG)
+    spec = expand_notation(tag)
     fit = fit_model(g.dataset, spec, g.weights)
     beta, robust_se, classical_se = lsdv(g.dataset, spec, g.weights)
 

@@ -1,14 +1,15 @@
 """DGP generation and Monte Carlo harness."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtrit
 
-from rkpf.errors import ConfigError, EngineError, RankDeficient, UnknownVariable
+from rkpf.errors import ConfigError, EngineError, RankDeficient
 from rkpf.estimation import fit_model
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
@@ -16,6 +17,7 @@ from rkpf.simulate import (
     _SCALAR_KEYS,
     DEFAULT_COEFFICIENTS,
     DEFAULT_REGRESSORS,
+    MAX_CELLS,
     DgpConfig,
     RegressorDistribution,
     generate_panel,
@@ -106,6 +108,8 @@ class TestDgpConfig:
         assert cfg.time_effect_profile == tuple(np.linspace(0.0, 0.9, 4))
 
     @given(m=config_mappings())
+    # an integral float passes as an int; its default time profile would take 8.15 GiB
+    @example(m={"panel": {"n_regions": 29, "n_years": 1093550423.0}})
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_mapping_loads_or_raises_config_error(self, m):
         try:
@@ -118,6 +122,25 @@ class TestDgpConfig:
                     generate_panel(cfg)
             except EngineError:
                 pass
+
+    @pytest.mark.parametrize(
+        "m, key",
+        [
+            ({"panel": {"n_regions": 5000}}, "panel.n_regions"),
+            ({"panel": {"n_regions": 3, "n_years": 3000}}, "panel.n_years"),
+            ({"panel": {"n_regions": 3, "n_years": 3000},
+              "effects": {"time_profile": {"start": 0.0, "stop": 1.0}}}, "panel.n_years"),
+            ({"thematic": {"n_subject_areas": 300_000}}, "thematic.n_subject_areas"),
+        ],
+        ids=["weights", "design", "design-linspace-profile", "profiles"],
+    )
+    def test_arrays_over_the_bound_rejected_before_allocation(self, m, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: \d+ .* > {MAX_CELLS}$"):
+            DgpConfig.from_mapping(m)
+
+    def test_benchmark_sizes_within_the_bound(self):
+        DgpConfig(n_regions=2000, n_years=20)
+        DgpConfig(n_regions=78, n_years=12)
 
     def test_bad_yaml(self, tmp_path):
         path = tmp_path / "dgp.yaml"
@@ -206,14 +229,17 @@ class TestGeneratePanel:
             generate_panel(cfg)
 
     def test_term_that_overflows_is_named(self):
-        # the DGP builds its terms as the estimator does, so FWCI^2 overflows the same way
+        # FWCI^2 of a value clipped to 1e200 overflows, so the config names the
+        # coefficient and the clip range before any panel is drawn
         huge = RegressorDistribution(460.0, 0.1, 0.1, 1e170, 1e200)
-        cfg = DgpConfig(
-            n_regions=4, n_years=3, regressor_distributions={"FWCI": huge},
-            true_coefficients={"FWCI^2": 0.5},
-        )
-        with pytest.raises(UnknownVariable, match="'FWCI\\^2' is missing or not finite"):
-            generate_panel(cfg)
+        with pytest.raises(
+            ConfigError,
+            match=r"^model\.coefficients\.FWCI\^2: .*regressors\.FWCI is clipped to \[1e\+170, 1e\+200\]$",
+        ):
+            DgpConfig(
+                n_regions=4, n_years=3, regressor_distributions={"FWCI": huge},
+                true_coefficients={"FWCI^2": 0.5},
+            )
 
     def test_ar1_noise_panel_still_balanced(self):
         cfg = replace(DgpConfig(seed=4, n_regions=8, n_years=6), cluster_ar1=0.7)
@@ -233,6 +259,13 @@ class TestMonteCarlo:
     def test_single_replication_rejected(self):
         with pytest.raises(ConfigError):
             monte_carlo(self.small, "fe.tw.q", 1)
+
+    def test_replications_over_the_bound_rejected(self):
+        from rkpf.simulate import MAX_REPLICATIONS
+
+        assert MAX_REPLICATIONS >= 200
+        with pytest.raises(ConfigError, match="replications"):
+            monte_carlo(self.small, "fe.tw.q", MAX_REPLICATIONS + 1)
 
     def test_seeded_determinism(self):
         a = monte_carlo(self.small, "fe.tw.q.sl", 10)

@@ -19,7 +19,6 @@ from rkpf.cli import main
 from rkpf.errors import (
     DuplicateRow,
     EngineError,
-    InvalidWeights,
     MissingColumn,
     NonConsecutiveYears,
     NonNumericCell,
@@ -153,10 +152,7 @@ def reference_weights(path) -> SpatialWeights:
         matrix.append(parse_floats(cells[1:], header[1:], f"{path}:{lineno}"))
     if regions != header[1:]:
         raise RegionOrderMismatch(f"{path}: row and column region order differ")
-    try:
-        return SpatialWeights(tuple(regions), np.stack(matrix))
-    except InvalidWeights as exc:
-        raise InvalidWeights(f"{path}: {exc}") from None
+    return SpatialWeights(tuple(regions), np.stack(matrix))
 
 
 def reference_panel(path) -> PanelDataset:

@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 
 from rkpf.errors import (
     DegenerateDimensions,
+    EmptyRegion,
     InvalidProfiles,
     InvalidWeights,
     RegionOrderMismatch,
 )
 from rkpf.estimation import ModelSpec, Term, build_design
+from rkpf.indicators import PublicationRecord
 from rkpf.panel import PanelDataset
 from rkpf.weights import (
     SpatialWeights,
     ThematicProfileMatrix,
+    build_profile_matrix,
     build_weights,
     correlation_matrix,
     lag_values,
@@ -230,6 +233,11 @@ class TestValidation:
         shares[1, 0] = bad
         with pytest.raises(InvalidProfiles, match="'r1'"):
             profiles(shares)
+
+    def test_region_without_records_is_named(self):
+        rec = PublicationRecord("p1", 2019, frozenset({"A"}), frozenset({"s1"}), 1, 1.0, "Q1")
+        with pytest.raises(EmptyRegion, match="^region 'B' has no publication records$"):
+            build_profile_matrix([rec], ["s1", "s2"], ["A", "B"])
 
     def test_repeated_region_rejected(self):
         with pytest.raises(InvalidWeights, match="region 'B' appears more than once"):
