@@ -3,51 +3,54 @@
 Panel construction, thematic-proximity spatial weights, SLX fixed-effects
 estimation with cluster-robust covariance, specification-ladder comparison
 tables, and a synthetic-data Monte Carlo harness.
+
+The exports load their submodule on first use (PEP 562), so `import rkpf`
+loads no numpy and `rkpf.cli` can set the BLAS thread count before numpy loads.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import EngineError
-from .estimation import FitResult, ModelSpec, Term, fit_model
-from .indicators import PublicationRecord, RegionYearIndicators, region_year_indicators
-from .panel import PanelDataset, descriptive_stats, load_panel_csv, validate_balanced
-from .simulate import DgpConfig, McReport, generate_panel, monte_carlo
-from .suite import (
-    MAIN_TAGS,
-    ComparisonTable,
-    expand_notation,
-    render_table,
-    run_suite,
-    vertex_of_quadratic,
-)
-from .weights import SpatialWeights, ThematicProfileMatrix, build_weights, correlation_matrix
+# export -> the submodule that defines it
+_EXPORTS = {
+    "EngineError": "errors",
+    "PanelDataset": "panel",
+    "load_panel_csv": "panel",
+    "validate_balanced": "panel",
+    "descriptive_stats": "panel",
+    "PublicationRecord": "indicators",
+    "RegionYearIndicators": "indicators",
+    "region_year_indicators": "indicators",
+    "ThematicProfileMatrix": "weights",
+    "SpatialWeights": "weights",
+    "correlation_matrix": "weights",
+    "build_weights": "weights",
+    "ModelSpec": "estimation",
+    "Term": "estimation",
+    "FitResult": "estimation",
+    "fit_model": "estimation",
+    "MAIN_TAGS": "suite",
+    "ComparisonTable": "suite",
+    "expand_notation": "suite",
+    "run_suite": "suite",
+    "render_table": "suite",
+    "vertex_of_quadratic": "suite",
+    "DgpConfig": "simulate",
+    "McReport": "simulate",
+    "generate_panel": "simulate",
+    "monte_carlo": "simulate",
+}
 
-__all__ = [
-    "__version__",
-    "EngineError",
-    "PanelDataset",
-    "load_panel_csv",
-    "validate_balanced",
-    "descriptive_stats",
-    "PublicationRecord",
-    "RegionYearIndicators",
-    "region_year_indicators",
-    "ThematicProfileMatrix",
-    "SpatialWeights",
-    "correlation_matrix",
-    "build_weights",
-    "ModelSpec",
-    "Term",
-    "FitResult",
-    "fit_model",
-    "MAIN_TAGS",
-    "ComparisonTable",
-    "expand_notation",
-    "run_suite",
-    "render_table",
-    "vertex_of_quadratic",
-    "DgpConfig",
-    "McReport",
-    "generate_panel",
-    "monte_carlo",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

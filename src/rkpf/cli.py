@@ -13,12 +13,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import traceback
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the user sets one: the CLI's fits are small, and BLAS
+# threads cost them more than they gain. Set before numpy loads its BLAS.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .errors import EngineError, InvalidTag, MissingData, RegionOrderMismatch
@@ -109,11 +115,12 @@ def _bundle_regions(bundle: str, inputs: list) -> tuple[str, ...]:
         return load_panel_csv(path).region_ids
 
 
-def _tag_list(raw: str) -> list[str]:
-    tags = [t.strip() for t in raw.split(",") if t.strip()]
-    if not tags:
-        raise InvalidTag("empty tag list")
-    return tags
+def _name_list(raw: str, what: str) -> list[str]:
+    """The names of a comma-separated flag value; `what` names them in the error."""
+    names = [t.strip() for t in raw.split(",") if t.strip()]
+    if not names:
+        raise InvalidTag(f"empty {what} list")
+    return names
 
 
 def _reorder_profiles(profiles, region_order):
@@ -181,7 +188,7 @@ def cmd_weights(args) -> int:
         with _reading(inputs, args.pubs) as path:
             pubs = load_publications(path, vocabulary)
             if vocabulary is None:
-                vocabulary = sorted({a for rec in pubs for a in rec.subject_areas})
+                vocabulary = sorted(frozenset().union(*pubs.subject_areas))
             regions = _bundle_regions(args.bundle, inputs) if args.bundle else None
             profiles = build_profile_matrix(pubs, vocabulary, regions)
 
@@ -220,7 +227,7 @@ def cmd_fit(args) -> int:
 
 def cmd_suite(args) -> int:
     out = _out_dir(args)
-    tags = _tag_list(args.specs)
+    tags = _name_list(args.specs, "tag")
     require_weights(suite_specs(tags, args.covariance, args.dual_errors), args.weights is not None)
     inputs = []
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
@@ -276,7 +283,7 @@ def cmd_mc(args) -> int:
 
 def cmd_stats(args) -> int:
     out = _out_dir(args)
-    names = _tag_list(args.vars) if args.vars else None
+    names = _name_list(args.vars, "variable") if args.vars else None
     inputs = []
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path)

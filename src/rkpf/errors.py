@@ -41,10 +41,6 @@ class UnknownVariable(EngineError):
 # indicators
 
 
-class EmptyCell(EngineError):
-    pass
-
-
 class EmptyRegion(EngineError):
     pass
 

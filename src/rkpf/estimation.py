@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import stdtr
 
 from .errors import (
     MissingWeights,
@@ -184,6 +182,8 @@ class OlsFit:
 
 
 def _xtx_inverse(r: np.ndarray) -> np.ndarray:
+    from scipy.linalg import solve_triangular  # scipy loads only where a fit runs
+
     r_inv = solve_triangular(r, np.eye(r.shape[0]))
     return r_inv @ r_inv.T
 
@@ -194,6 +194,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
     The first column whose R diagonal collapses is reported as linearly
     dependent on the columns before it.
     """
+    from scipy.linalg import solve_triangular
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
@@ -318,6 +320,8 @@ def _inference(
     cov: np.ndarray, coefficients: np.ndarray, dof: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard errors, t statistics and two-sided t p-values from a covariance."""
+    from scipy.special import stdtr
+
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, coefficients / se, np.inf * np.sign(coefficients))

@@ -19,8 +19,6 @@ import math
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
-import yaml
-from scipy.special import stdtrit
 
 from .errors import ConfigError, EngineError
 from .estimation import fit_model, parse_term_label, term_values
@@ -278,6 +276,8 @@ class DgpConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "DgpConfig":
+        import yaml  # PyYAML loads only where a config is read or written
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 m = yaml.safe_load(fh)
@@ -288,6 +288,8 @@ class DgpConfig:
         return cls.from_mapping(m)
 
     def to_yaml(self, path) -> None:
+        import yaml
+
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yaml.safe_dump(self.to_mapping(), fh, sort_keys=True)
 
@@ -424,6 +426,8 @@ def monte_carlo(
     so the same config and seed give the same report. An engine error in a
     replication keeps its type and names the replication and its spawn key.
     """
+    from scipy.special import stdtrit  # scipy loads only where a fit runs
+
     if not 2 <= replications <= MAX_REPLICATIONS:
         raise ConfigError(f"replications must be in [2, {MAX_REPLICATIONS}], got {replications}")
     spec = expand_notation(spec_tag, covariance)

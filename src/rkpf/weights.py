@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, product
 
 import numpy as np
 
@@ -21,8 +23,9 @@ from .errors import (
     InvalidWeights,
     MissingColumn,
     RegionOrderMismatch,
+    UnknownSubjectArea,
 )
-from .indicators import PublicationRecord, compute_thematic_profile
+from .indicators import Publications
 from .tables import format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
@@ -148,22 +151,38 @@ def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
 
 
 def build_profile_matrix(
-    pubs: list[PublicationRecord],
+    pubs: Publications,
     vocabulary: list[str],
     regions: list[str] | None = None,
 ) -> ThematicProfileMatrix:
-    """Assemble per-region thematic profiles from publication records."""
-    by_region: dict[str, list[PublicationRecord]] = {}
-    for rec in pubs:
-        for region in rec.regions:
-            by_region.setdefault(region, []).append(rec)
+    """Per-region subject-area incidence shares over a fixed vocabulary.
+
+    A record listing k subject areas contributes one incidence to each of them
+    in every region it lists; a region's shares are its incidences divided by
+    its total. Regions default to every region the records list, sorted.
+    """
+    incidences = Counter(chain.from_iterable(map(product, pubs.regions, pubs.subject_areas)))
     if regions is None:
-        regions = sorted(by_region)
-    shares = np.zeros((len(regions), len(vocabulary)))
-    for i, region in enumerate(regions):
-        if region not in by_region:
+        regions = sorted(frozenset().union(*pubs.regions))
+    row = {region: i for i, region in enumerate(dict.fromkeys(regions))}
+    column = {code: j for j, code in enumerate(vocabulary)}
+    counts = np.zeros((len(row), len(vocabulary)))
+    unknown: dict[str, list[str]] = {}
+    for (region, code), n in incidences.items():
+        if region in row:
+            if code in column:
+                counts[row[region], column[code]] = n
+            else:
+                unknown.setdefault(region, []).append(code)
+    totals = counts.sum(axis=1)
+    for region in regions:
+        if region in unknown:
+            raise UnknownSubjectArea(
+                f"region {region!r}: subject areas {sorted(unknown[region])} not in vocabulary"
+            )
+        if not totals[row[region]]:
             raise EmptyRegion(f"region {region!r} has no publication records")
-        shares[i] = compute_thematic_profile(by_region[region], vocabulary)
+    shares = (counts / totals[:, np.newaxis])[[row[region] for region in regions]]
     return ThematicProfileMatrix(tuple(regions), tuple(vocabulary), shares)
 
 

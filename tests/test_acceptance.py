@@ -21,13 +21,7 @@ from rkpf.estimation import (
     fit_model,
     ols_fit,
 )
-from rkpf.indicators import (
-    PublicationRecord,
-    attribute_full_counting,
-    compute_fwci,
-    compute_quartile_shares,
-    compute_thematic_profile,
-)
+from rkpf.indicators import PublicationRecord, Publications, region_year_indicators
 from rkpf.panel import PanelDataset
 from rkpf.simulate import DgpConfig, monte_carlo
 from rkpf.suite import (
@@ -37,7 +31,7 @@ from rkpf.suite import (
     render_table,
     vertex_of_quadratic,
 )
-from rkpf.weights import build_weights
+from rkpf.weights import build_profile_matrix, build_weights
 
 
 def criterion(name):
@@ -309,24 +303,25 @@ def test_criterion_10_indicator_correctness():
                 )
             )
 
+        pubs = Publications.from_records(records)
+        rows = {(r.region, r.year): r for r in region_year_indicators(pubs)}
         # full counting: every record once per region it lists
-        cells = attribute_full_counting(records)
         oracle_cells = {}
         for record in records:
             for region in record.regions:
                 oracle_cells.setdefault((region, record.year), []).append(record)
-        assert {k: len(v) for k, v in cells.items()} == {
+        assert {k: r.pub_count for k, r in rows.items()} == {
             k: len(v) for k, v in oracle_cells.items()
         }
 
         for key, members in oracle_cells.items():
-            fwci = compute_fwci(cells[key])
+            fwci = rows[key].fwci
             oracle_fwci = sum(
                 m.citations / m.expected_citations for m in members
             ) / len(members)
             assert abs(fwci - oracle_fwci) <= 1e-12
 
-            q1, nq = compute_quartile_shares(cells[key])
+            q1, nq = rows[key].q1_share, rows[key].nq_share
             exact_q1 = Fraction(
                 100 * sum(1 for m in members if m.journal_quartile == "Q1"),
                 len(members),
@@ -337,14 +332,16 @@ def test_criterion_10_indicator_correctness():
             )
             assert q1 == float(exact_q1) and nq == float(exact_nq)
 
-        profile = compute_thematic_profile(records, vocabulary)
-        counts = {code: 0 for code in vocabulary}
-        for record in records:
-            for code in record.subject_areas:
-                counts[code] += 1
-        total = sum(counts.values())
-        for j, code in enumerate(vocabulary):
-            assert profile[j] == float(Fraction(counts[code], total))
+        profiles = build_profile_matrix(pubs, vocabulary)
+        for i, region in enumerate(profiles.regions):
+            counts = {code: 0 for code in vocabulary}
+            for record in records:
+                if region in record.regions:
+                    for code in record.subject_areas:
+                        counts[code] += 1
+            total = sum(counts.values())
+            for j, code in enumerate(vocabulary):
+                assert profiles.shares[i, j] == float(Fraction(counts[code], total))
 
 
 @criterion("pipeline determinism: simulate|ingest|weights|suite twice, byte-identical JSON")

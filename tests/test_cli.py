@@ -14,7 +14,7 @@ import pytest
 
 import rkpf
 from rkpf.cli import main
-from rkpf.panel import write_panel_csv
+from rkpf.panel import load_panel_csv, write_panel_csv
 from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.weights import ThematicProfileMatrix, load_weights_csv, write_profiles_csv
 
@@ -512,6 +512,8 @@ class TestMalformedInputs:
             ("ingest", "pubs.jsonl", _one_line("\n".join(
                 json.dumps({**_RECORD, "id": rid, "citations": 17 * 10**307})
                 for rid in ("p1", "p2")))),
+            ("ingest", "pubs.jsonl", _one_line('{"citations": ' + "1" * 5000 + "}")),
+            ("weights", "pubs.jsonl", _one_line("[" * 100_000 + "]" * 100_000)),
             # a blank third line: the profiles lose the bundle's second region
             ("weights", "profiles.csv", _copy_editing_line_3(lambda c: [])),
             ("fit", "dataset.csv", _weights_of_5_regions),
@@ -543,7 +545,8 @@ class TestMalformedInputs:
              "weights-repeated-region", "fit-huge-outcome", "config-not-utf8",
              "fit-too-few-observations", "mc-too-few-observations",
              "ingest-pubs-citations-overflow-float", "ingest-pubs-infinite-ratio",
-             "ingest-pubs-fwci-overflow", "weights-profiles-lack-bundle-region",
+             "ingest-pubs-fwci-overflow", "ingest-pubs-int-of-5000-digits",
+             "weights-pubs-nested-too-deep", "weights-profiles-lack-bundle-region",
              "fit-weights-of-other-regions", "fit-rank-deficient",
              "config-squared-term-overflows", "mc-config-squared-term-overflows",
              "config-outcome-overflows", "config-design-too-large",
@@ -621,10 +624,12 @@ class TestMalformedInputs:
              "seed must be nonnegative, got -1"),
             (["mc", "--reps", "2", "--spec", "bogus", "--config", "SIM/dgp.yaml"],
              "'bogus': unknown tokens ['bogus']"),
+            (["suite", "--bundle", "SIM", "--specs", ","], "empty tag list"),
+            (["stats", "--bundle", "SIM", "--vars", ","], "empty variable list"),
         ],
         ids=["fit-bad-tag", "fit-sl-without-weights", "suite-bad-tag",
              "suite-classical-dual-errors", "mc-negative-seed", "mc-negative-seed-with-config",
-             "mc-bad-tag-with-config"],
+             "mc-bad-tag-with-config", "suite-empty-specs", "stats-empty-vars"],
     )
     def test_flag_fault_names_no_file(self, sim, tmp_path, capsys, argv, message):
         """Every file is valid, so the error line is the flag's alone."""
@@ -819,11 +824,64 @@ def test_every_export_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_cli_import_skips_scipy_stats():
-    """The t distribution comes from scipy.special; scipy.stats costs ~0.8 s per process."""
-    env = dict(os.environ, PYTHONPATH=str(Path(rkpf.__file__).resolve().parents[1]))
-    probe = "import sys, rkpf.cli; print('scipy.stats' in sys.modules)"
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _probe(code: str, **env) -> list:
+    """Run `code` in a fresh interpreter that imports rkpf from this checkout, with no
+    BLAS thread variable but those in `env`; return the JSON list it prints."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    base["PYTHONPATH"] = str(Path(rkpf.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", "import json, os, sys\n" + code],
+        env={**base, **env}, capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "False"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_skips_scipy_stats():
+    """`import rkpf` loads no numpy, so the CLI can set BLAS threads before numpy loads;
+    `import rkpf.cli` loads no scipy (scipy.stats alone costs ~0.8 s per process)."""
+    code = (
+        "import rkpf\n"
+        "numpy = 'numpy' in sys.modules\n"
+        "import rkpf.cli\n"
+        "print(json.dumps([numpy, 'numpy' in sys.modules, 'scipy' in sys.modules,"
+        " 'scipy.stats' in sys.modules]))"
+    )
+    assert _probe(code) == [False, True, False, False]
+
+
+def test_scipy_loads_only_where_a_fit_runs(tmp_path):
+    """stats and ingest --pubs run without scipy; fit loads it."""
+    sim = tmp_path / "sim"
+    assert run("simulate", "--seed", 7, "--output-dir", sim) == 0
+    dataset = load_panel_csv(sim / "dataset.csv")
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text("".join(
+        json.dumps({**_RECORD, "id": f"{region}-{year}", "regions": [region], "year": year}) + "\n"
+        for region in dataset.region_ids for year in dataset.years
+    ), encoding="utf-8")
+    steps = [
+        ["stats", "--bundle", sim, "--output-dir", tmp_path / "stats"],
+        ["ingest", "--panel", sim / "dataset.csv", "--pubs", pubs,
+         "--output-dir", tmp_path / "bundle"],
+        ["fit", "--bundle", sim, "--spec", "fe.tw", "--output-dir", tmp_path / "fit"],
+    ]
+    code = (
+        "from rkpf.cli import main\n"
+        "seen = []\n"
+        f"for argv in {[[str(a) for a in argv] for argv in steps]!r}:\n"
+        "    seen.append([main(argv), 'scipy' in sys.modules])\n"
+        "print(json.dumps(seen))"
+    )
+    assert _probe(code) == [[0, False], [0, False], [0, True]]
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "explicit"])
+def test_cli_sets_one_blas_thread_unless_given(given, expected):
+    env = {} if given is None else {name: given for name in _BLAS_THREADS}
+    code = "import rkpf.cli\nprint(json.dumps([os.environ[name] for name in %r]))" % (
+        _BLAS_THREADS,
+    )
+    assert _probe(code, **env) == [expected] * 3

@@ -1,5 +1,6 @@
 """Scientometric indicators against brute-force enumeration oracles."""
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkpf.errors import (
-    EmptyCell,
     EmptyRegion,
     MissingData,
     NonNumericCell,
@@ -16,15 +16,13 @@ from rkpf.errors import (
 )
 from rkpf.indicators import (
     PublicationRecord,
-    attribute_full_counting,
-    compute_fwci,
-    compute_quartile_shares,
-    compute_thematic_profile,
+    Publications,
     load_publications,
     load_vocabulary,
     region_year_indicators,
     write_indicator_csv,
 )
+from rkpf.weights import build_profile_matrix
 
 VOCAB = ["bio", "chem", "econ", "math", "phys"]
 
@@ -47,6 +45,34 @@ def rec(
         expected_citations=expected,
         journal_quartile=quartile,
     )
+
+
+def indicators(records):
+    """region_year_indicators of the records, keyed by (region, year)."""
+    rows = region_year_indicators(Publications.from_records(records))
+    return {(r.region, r.year): r for r in rows}
+
+
+def one_cell(records):
+    """The indicator row of the records, all moved into region A, 2019."""
+    moved = [replace(r, regions=frozenset({"A"}), year=2019) for r in records]
+    (row,) = indicators(moved).values()
+    return row
+
+
+def fwci(records):
+    return one_cell(records).fwci
+
+
+def quartile_shares(records):
+    row = one_cell(records)
+    return row.q1_share, row.nq_share
+
+
+def profile(records, vocabulary=VOCAB):
+    """The thematic profile of the records, all moved into region A."""
+    moved = [replace(r, regions=frozenset({"A"})) for r in records]
+    return build_profile_matrix(Publications.from_records(moved), vocabulary).shares[0]
 
 
 def random_records(rng, n, year_range=(2018, 2020)):
@@ -95,34 +121,34 @@ class TestRecordValidation:
     def test_fwci_whose_mean_overflows_names_the_cell(self):
         records = [rec(rid=f"p{i}", citations=17 * 10**307, expected=1.0) for i in (1, 2)]
         with pytest.raises(NonNumericCell, match="FWCI of 'A', 2019 is inf"):
-            region_year_indicators(records)
+            indicators(records)
 
 
 class TestFullCounting:
     def test_two_region_record_counted_in_both(self):
-        cells = attribute_full_counting([rec(regions=("A", "B"))])
-        assert len(cells[("A", 2019)]) == 1
-        assert len(cells[("B", 2019)]) == 1
+        cells = indicators([rec(regions=("A", "B"))])
+        assert cells[("A", 2019)].pub_count == 1
+        assert cells[("B", 2019)].pub_count == 1
 
     def test_multiple_authors_same_region_count_once(self):
         # a record lists each region once regardless of author multiplicity
-        cells = attribute_full_counting([rec(regions=("A",))])
-        assert len(cells[("A", 2019)]) == 1
+        cells = indicators([rec(regions=("A",))])
+        assert cells[("A", 2019)].pub_count == 1
 
     def test_shared_record_counts(self):
         records = [
             rec(rid="p1", regions=("A",)),
             rec(rid="p2", regions=("A", "B")),
         ]
-        cells = attribute_full_counting(records)
-        assert len(cells[("A", 2019)]) == 2
-        assert len(cells[("B", 2019)]) == 1
+        cells = indicators(records)
+        assert cells[("A", 2019)].pub_count == 2
+        assert cells[("B", 2019)].pub_count == 1
 
     def test_total_attributions_vs_distinct_records(self):
         rng = np.random.default_rng(0)
         records = random_records(rng, 40)
-        cells = attribute_full_counting(records)
-        total = sum(len(v) for v in cells.values())
+        cells = indicators(records)
+        total = sum(row.pub_count for row in cells.values())
         assert total >= len(records)
         spans_two = any(len(r.regions) > 1 for r in records)
         assert (total > len(records)) == spans_two
@@ -130,29 +156,29 @@ class TestFullCounting:
 
 class TestFwci:
     def test_thirty_percent_above_expected(self):
-        assert compute_fwci([rec(citations=13, expected=10.0)]) == pytest.approx(1.30)
+        assert fwci([rec(citations=13, expected=10.0)]) == pytest.approx(1.30)
 
     def test_all_at_expected_is_one(self):
         records = [rec(rid=f"p{i}", citations=7, expected=7.0) for i in range(5)]
-        assert compute_fwci(records) == pytest.approx(1.0)
+        assert fwci(records) == pytest.approx(1.0)
 
     def test_mean_of_ratios(self):
         records = [
             rec(rid="p1", citations=5, expected=10.0),
             rec(rid="p2", citations=15, expected=10.0),
         ]
-        assert compute_fwci(records) == pytest.approx(1.0)
+        assert fwci(records) == pytest.approx(1.0)
 
     def test_empty_cell(self):
-        with pytest.raises(EmptyCell):
-            compute_fwci([])
+        # no records: no cell, so no FWCI to take
+        assert region_year_indicators(Publications.from_records([])) == []
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)
         records = random_records(rng, 20)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert compute_fwci(records) == pytest.approx(compute_fwci(shuffled), abs=1e-12)
+        assert fwci(records) == pytest.approx(fwci(shuffled), abs=1e-12)
 
     @given(factor=st.integers(1, 50), n=st.integers(1, 10))
     @settings(max_examples=40, deadline=None)
@@ -174,7 +200,7 @@ class TestFwci:
             )
             for r in base
         ]
-        assert compute_fwci(scaled) == pytest.approx(compute_fwci(base), rel=1e-12)
+        assert fwci(scaled) == pytest.approx(fwci(base), rel=1e-12)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0), n=st.integers(1, 12))
     @settings(max_examples=50, deadline=None)
@@ -192,7 +218,7 @@ class TestFwci:
             rec(rid=r.id, citations=r.citations, expected=r.expected_citations / scale)
             for r in base
         ]
-        assert compute_fwci(scaled) == pytest.approx(scale * compute_fwci(base), rel=1e-9)
+        assert fwci(scaled) == pytest.approx(scale * fwci(base), rel=1e-9)
 
 
 class TestQuartileShares:
@@ -203,26 +229,27 @@ class TestQuartileShares:
             rec(rid="3", quartile="Q3"),
             rec(rid="4", quartile="NONE"),
         ]
-        assert compute_quartile_shares(records) == (50.0, 25.0)
+        assert quartile_shares(records) == (50.0, 25.0)
 
     def test_all_none(self):
         records = [rec(rid=str(i), quartile="NONE") for i in range(4)]
-        assert compute_quartile_shares(records) == (0.0, 100.0)
+        assert quartile_shares(records) == (0.0, 100.0)
 
     def test_two_q1_three_none_of_eight(self):
         quartiles = ["Q1", "Q1", "NONE", "NONE", "NONE", "Q2", "Q3", "Q4"]
         records = [rec(rid=str(i), quartile=q) for i, q in enumerate(quartiles)]
-        assert compute_quartile_shares(records) == (25.0, 37.5)
+        assert quartile_shares(records) == (25.0, 37.5)
 
     def test_empty_cell(self):
-        with pytest.raises(EmptyCell):
-            compute_quartile_shares([])
+        # a region-year without records gets no row, so no shares
+        cells = indicators([rec(rid="1", regions=("A",)), rec(rid="2", regions=("B",), year=2020)])
+        assert set(cells) == {("A", 2019), ("B", 2020)}
 
     def test_bounds_and_sum(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             records = random_records(rng, int(rng.integers(1, 30)))
-            q1, nq = compute_quartile_shares(records)
+            q1, nq = quartile_shares(records)
             assert 0.0 <= q1 <= 100.0
             assert 0.0 <= nq <= 100.0
             assert q1 + nq <= 100.0 + 1e-12
@@ -231,37 +258,38 @@ class TestQuartileShares:
 class TestThematicProfile:
     def test_single_area(self):
         records = [rec(rid=str(i), areas=("math",)) for i in range(3)]
-        profile = compute_thematic_profile(records, VOCAB)
-        assert profile[VOCAB.index("math")] == 1.0
-        assert profile.sum() == pytest.approx(1.0)
+        shares = profile(records)
+        assert shares[VOCAB.index("math")] == 1.0
+        assert shares.sum() == pytest.approx(1.0)
 
     def test_two_singleton_records(self):
         records = [rec(rid="1", areas=("bio",)), rec(rid="2", areas=("chem",))]
-        profile = compute_thematic_profile(records, VOCAB)
-        assert profile[VOCAB.index("bio")] == pytest.approx(0.5)
-        assert profile[VOCAB.index("chem")] == pytest.approx(0.5)
+        shares = profile(records)
+        assert shares[VOCAB.index("bio")] == pytest.approx(0.5)
+        assert shares[VOCAB.index("chem")] == pytest.approx(0.5)
 
     def test_multi_area_incidences(self):
         # {a,b} + {a}: a gets 2 of 3 incidences
         records = [rec(rid="1", areas=("bio", "chem")), rec(rid="2", areas=("bio",))]
-        profile = compute_thematic_profile(records, VOCAB)
-        assert profile[VOCAB.index("bio")] == pytest.approx(2.0 / 3.0)
-        assert profile[VOCAB.index("chem")] == pytest.approx(1.0 / 3.0)
+        shares = profile(records)
+        assert shares[VOCAB.index("bio")] == pytest.approx(2.0 / 3.0)
+        assert shares[VOCAB.index("chem")] == pytest.approx(1.0 / 3.0)
 
     def test_empty_region(self):
-        with pytest.raises(EmptyRegion):
-            compute_thematic_profile([], VOCAB)
+        pubs = Publications.from_records([rec(regions=("A",))])
+        with pytest.raises(EmptyRegion, match="region 'Z' has no publication records"):
+            build_profile_matrix(pubs, VOCAB, ["A", "Z"])
 
     def test_unknown_area(self):
-        with pytest.raises(UnknownSubjectArea):
-            compute_thematic_profile([rec(areas=("alchemy",))], VOCAB)
+        with pytest.raises(UnknownSubjectArea, match=r"region 'A': subject areas \['alchemy'\]"):
+            profile([rec(areas=("alchemy",))])
 
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(3)
         records = random_records(rng, 50)
-        profile = compute_thematic_profile(records, VOCAB)
-        assert np.all(profile >= 0)
-        assert abs(profile.sum() - 1.0) < 1e-12
+        shares = profile(records)
+        assert np.all(shares >= 0)
+        assert abs(shares.sum() - 1.0) < 1e-12
 
 
 class TestBruteForceOracles:
@@ -271,7 +299,7 @@ class TestBruteForceOracles:
         rng = np.random.default_rng(7)
         for trial in range(10):
             records = random_records(rng, int(rng.integers(5, 50)))
-            rows = {(r.region, r.year): r for r in region_year_indicators(records)}
+            rows = indicators(records)
 
             # oracle: walk records one by one
             cells = {}
@@ -301,14 +329,17 @@ class TestBruteForceOracles:
     def test_profile_matches_exact_fractions(self):
         rng = np.random.default_rng(9)
         records = random_records(rng, 30)
-        profile = compute_thematic_profile(records, VOCAB)
-        counts = {code: 0 for code in VOCAB}
-        for record in records:
-            for code in record.subject_areas:
-                counts[code] += 1
-        total = sum(counts.values())
-        for j, code in enumerate(VOCAB):
-            assert profile[j] == float(Fraction(counts[code], total))
+        profiles = build_profile_matrix(Publications.from_records(records), VOCAB)
+        assert profiles.regions == tuple(sorted({r for rec in records for r in rec.regions}))
+        for i, region in enumerate(profiles.regions):
+            counts = {code: 0 for code in VOCAB}
+            for record in records:
+                if region in record.regions:
+                    for code in record.subject_areas:
+                        counts[code] += 1
+            total = sum(counts.values())
+            for j, code in enumerate(VOCAB):
+                assert profiles.shares[i, j] == float(Fraction(counts[code], total))
 
 
 class TestIo:
@@ -332,7 +363,13 @@ class TestIo:
                     + "\n"
                 )
         loaded = load_publications(path)
-        assert sorted(r.id for r in loaded) == sorted(r.id for r in records)
+        expected = Publications.from_records(records)
+        assert len(loaded) == len(records)
+        assert loaded.years == expected.years
+        assert loaded.regions == expected.regions
+        assert loaded.subject_areas == expected.subject_areas
+        assert loaded.quartiles == expected.quartiles
+        assert loaded.ratios.tobytes() == expected.ratios.tobytes()
 
     def test_csv_semicolon_fields(self, tmp_path):
         path = tmp_path / "pubs.csv"
@@ -341,9 +378,9 @@ class TestIo:
             "p1,2019,A;B,bio;math,13,10,Q1\n",
             encoding="utf-8",
         )
-        (loaded,) = load_publications(path)
-        assert loaded.regions == frozenset({"A", "B"})
-        assert loaded.subject_areas == frozenset({"bio", "math"})
+        loaded = load_publications(path)
+        assert loaded.regions == (frozenset({"A", "B"}),)
+        assert loaded.subject_areas == (frozenset({"bio", "math"}),)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
@@ -380,8 +417,94 @@ class TestIo:
         from rkpf.panel import load_panel_csv
 
         records = random_records(np.random.default_rng(6), 25, year_range=(2018, 2019))
-        rows = region_year_indicators(records)
+        rows = region_year_indicators(Publications.from_records(records))
         path = tmp_path / "indicators.csv"
         write_indicator_csv(rows, path)
         d = load_panel_csv(path)
         assert {"PUBS", "FWCI", "Q1SH", "NQSH"} <= set(d.variables)
+
+
+# one raw publication record, as a file holds it: repeated regions, integral-float
+# years and citations, every quartile, a blank quartile (read as NONE) and padding
+_RAW_RECORD = st.fixed_dictionaries(
+    {
+        "year": st.integers(2015, 2018) | st.integers(2015, 2018).map(float),
+        "regions": st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=1, max_size=4),
+        "subject_areas": st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3),
+        "citations": st.integers(0, 10**6) | st.integers(0, 500).map(float),
+        "expected_citations": st.floats(1e-3, 1e3),
+        "journal_quartile": st.sampled_from(["Q1", "Q2", "Q3", "Q4", "NONE", "", " Q1 "]),
+    }
+)
+
+
+def _seed_way(raw):
+    """Indicator rows and profile shares computed record by record: each cell's mean of
+    ratios taken in record order, counts accumulated one incidence at a time."""
+    records = [
+        PublicationRecord(
+            id=f"p{i}",
+            year=int(r["year"]),
+            regions=frozenset(r["regions"]),
+            subject_areas=frozenset(r["subject_areas"]),
+            citations=int(r["citations"]),
+            expected_citations=float(r["expected_citations"]),
+            journal_quartile=r["journal_quartile"].strip() or "NONE",
+        )
+        for i, r in enumerate(raw)
+    ]
+    cells = {}
+    for record in records:
+        for region in record.regions:
+            cells.setdefault((region, record.year), []).append(record)
+    rows = []
+    for (region, year), members in sorted(cells.items()):
+        ratios = [m.citations / m.expected_citations for m in members]
+        q1 = sum(m.journal_quartile == "Q1" for m in members)
+        nq = sum(m.journal_quartile == "NONE" for m in members)
+        total = len(members)
+        rows.append((region, year, total, float(np.mean(ratios)),
+                     100.0 * q1 / total, 100.0 * nq / total))
+    regions = sorted({region for region, _ in cells})
+    shares = np.zeros((len(regions), len(VOCAB)))
+    for i, region in enumerate(regions):
+        counts = np.zeros(len(VOCAB))
+        for record in records:
+            if region in record.regions:
+                for code in record.subject_areas:
+                    counts[VOCAB.index(code)] += 1
+        shares[i] = counts / counts.sum()
+    return rows, shares
+
+
+def _write_jsonl(raw, path):
+    lines = [json.dumps({"id": f"p{i}", **r}) for i, r in enumerate(raw)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_csv(raw, path):
+    header = "id,year,regions,subject_areas,citations,expected_citations,journal_quartile"
+    lines = [header] + [
+        f"p{i},{int(r['year'])},{';'.join(r['regions'])},{';'.join(r['subject_areas'])},"
+        f"{int(r['citations'])},{r['expected_citations']!r},{r['journal_quartile']}"
+        for i, r in enumerate(raw)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("write, suffix", [(_write_jsonl, ".jsonl"), (_write_csv, ".csv")])
+    @given(raw=st.lists(_RAW_RECORD, min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_record_by_record(self, tmp_path_factory, write, suffix, raw):
+        path = tmp_path_factory.mktemp("pubs") / f"pubs{suffix}"
+        write(raw, path)
+        pubs = load_publications(path, VOCAB)
+        assert len(pubs) == len(raw)
+        rows, shares = _seed_way(raw)
+        got = [(r.region, r.year, r.pub_count, r.fwci, r.q1_share, r.nq_share)
+               for r in region_year_indicators(pubs)]
+        # repr tells every float bit apart, -0.0 from 0.0 included
+        assert repr(got) == repr(rows)
+        profiles = build_profile_matrix(pubs, VOCAB)
+        assert profiles.shares.tobytes() == shares.tobytes()

@@ -12,7 +12,7 @@ from rkpf.errors import (
     RegionOrderMismatch,
 )
 from rkpf.estimation import ModelSpec, Term, build_design
-from rkpf.indicators import PublicationRecord
+from rkpf.indicators import PublicationRecord, Publications
 from rkpf.panel import PanelDataset
 from rkpf.weights import (
     SpatialWeights,
@@ -237,7 +237,7 @@ class TestValidation:
     def test_region_without_records_is_named(self):
         rec = PublicationRecord("p1", 2019, frozenset({"A"}), frozenset({"s1"}), 1, 1.0, "Q1")
         with pytest.raises(EmptyRegion, match="^region 'B' has no publication records$"):
-            build_profile_matrix([rec], ["s1", "s2"], ["A", "B"])
+            build_profile_matrix(Publications.from_records([rec]), ["s1", "s2"], ["A", "B"])
 
     def test_repeated_region_rejected(self):
         with pytest.raises(InvalidWeights, match="region 'B' appears more than once"):
