@@ -3,8 +3,10 @@
 Subcommands: ingest, weights, fit, suite, simulate, mc, stats. A bundle is
 a plain directory holding dataset.csv plus a manifest; every command is
 deterministic given its inputs and seed, and a manifest records the digest
-of every file its command read, so reruns are verifiable. Exit codes: 0
-success, 2 input or validation error (one line naming the input at fault,
+of every file its command read, so reruns are verifiable. The dataset.csv and
+weights.csv that ingest, weights and simulate write get a binary sidecar (see
+rkpf.manifest) that later steps load instead of parsing the text. Exit codes:
+0 success, 2 input or validation error (one line naming the input at fault,
 such as a path that is missing, a directory, or under a regular file), 1
 internal error.
 """
@@ -37,6 +39,7 @@ from .panel import (
     render_stats_text,
     validate_balanced,
     write_panel_csv,
+    write_panel_sidecar,
 )
 from .simulate import MAX_REPLICATIONS, DgpConfig, generate_panel, monte_carlo
 from .estimation import COVARIANCE_KINDS, fit_model, require_weights
@@ -59,6 +62,7 @@ from .weights import (
     load_weights_csv,
     write_profiles_csv,
     write_weights_files,
+    write_weights_sidecar,
 )
 
 DATASET_NAME = "dataset.csv"
@@ -72,6 +76,16 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _write_dataset(dataset, out: Path) -> None:
+    path = out / DATASET_NAME
+    write_panel_sidecar(dataset, path, write_panel_csv(dataset, path))
+
+
+def _write_weights(w, out: Path) -> None:
+    path = out / "weights.csv"
+    write_weights_sidecar(w, path, write_weights_files(w, path, out / "weights.json"))
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -79,7 +93,7 @@ def _out_dir(args) -> Path:
 
 
 @contextlib.contextmanager
-def _reading(inputs: list, path):
+def _reading(inputs: dict, path):
     """Open an input: list path (if any) for the manifest, and put it in front of an
     EngineError raised while the block works on the file, unless the message starts
     with an input's path already (a loader's file:line, or an input opened within).
@@ -87,12 +101,14 @@ def _reading(inputs: list, path):
 
     Every subcommand opens each input through this, and checks its flags before, so
     an error of a flag alone names no file.
+
+    `inputs` maps each path listed to its sha256, or to None until a loader
+    records it; build_manifest hashes the rest.
     """
     if path is None:
         yield None
         return
-    if path not in inputs:
-        inputs.append(path)
+    inputs.setdefault(str(path), None)
     try:
         yield path
     except EngineError as exc:
@@ -103,16 +119,16 @@ def _reading(inputs: list, path):
         raise not_utf8(path) from None
 
 
-def _dgp_config(args, inputs: list) -> DgpConfig:
+def _dgp_config(args, inputs: dict) -> DgpConfig:
     """The --config file (or the defaults), with --seed overriding its seed."""
     with _reading(inputs, args.config) as path:
         cfg = DgpConfig.from_yaml(path) if path else DgpConfig()
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
-def _bundle_regions(bundle: str, inputs: list) -> tuple[str, ...]:
+def _bundle_regions(bundle: str, inputs: dict) -> tuple[str, ...]:
     with _reading(inputs, Path(bundle) / DATASET_NAME) as path:
-        return load_panel_csv(path).region_ids
+        return load_panel_csv(path, inputs).region_ids
 
 
 def _name_list(raw: str, what: str) -> list[str]:
@@ -140,9 +156,9 @@ def _reorder_profiles(profiles, region_order):
 
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
-    inputs = []
+    inputs = {}
     with _reading(inputs, args.panel) as path:
-        dataset = load_panel_csv(path)
+        dataset = load_panel_csv(path, inputs)
 
     if args.pubs:
         with _reading(inputs, args.vocab) as path:
@@ -166,7 +182,7 @@ def cmd_ingest(args) -> int:
     if not report.passed:
         return 2
 
-    write_panel_csv(dataset, out / DATASET_NAME)
+    _write_dataset(dataset, out)
     _write_json(out / "manifest.json", build_manifest("ingest", inputs))
     print(f"bundle written to {out}")
     return 0
@@ -176,7 +192,7 @@ def cmd_weights(args) -> int:
     out = _out_dir(args)
     if not (args.profiles or args.pubs):
         raise MissingData("weights needs --profiles or --pubs")
-    inputs = []
+    inputs = {}
     if args.profiles:
         with _reading(inputs, args.profiles) as path:
             profiles = load_profiles_csv(path)
@@ -193,7 +209,7 @@ def cmd_weights(args) -> int:
             profiles = build_profile_matrix(pubs, vocabulary, regions)
 
     w = build_weights(correlation_matrix(profiles), profiles.regions)
-    write_weights_files(w, out / "weights.csv", out / "weights.json")
+    _write_weights(w, out)
     _write_json(out / "manifest.json", build_manifest("weights", inputs))
     print(
         f"weights written to {out} "
@@ -206,11 +222,11 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     spec = expand_notation(args.spec, args.covariance)
     require_weights([spec], args.weights is not None)
-    inputs = []
+    inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
-        dataset = load_panel_csv(path)
+        dataset = load_panel_csv(path, inputs)
         with _reading(inputs, args.weights) as weights_path:
-            w = load_weights_csv(weights_path) if weights_path else None
+            w = load_weights_csv(weights_path, inputs) if weights_path else None
         fit = fit_model(dataset, spec, w)
 
     _write_json(out / "fit.json", fit.to_dict())
@@ -229,11 +245,11 @@ def cmd_suite(args) -> int:
     out = _out_dir(args)
     tags = _name_list(args.specs, "tag")
     require_weights(suite_specs(tags, args.covariance, args.dual_errors), args.weights is not None)
-    inputs = []
+    inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
-        dataset = load_panel_csv(path)
+        dataset = load_panel_csv(path, inputs)
         with _reading(inputs, args.weights) as weights_path:
-            w = load_weights_csv(weights_path) if weights_path else None
+            w = load_weights_csv(weights_path, inputs) if weights_path else None
         table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
 
     _write_json(out / "suite.json", table.to_dict())
@@ -248,13 +264,13 @@ def cmd_suite(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    inputs = []
+    inputs = {}
     cfg = _dgp_config(args, inputs)
     with _reading(inputs, args.config):  # a panel that overflows is the config's
         generated = generate_panel(cfg)
-        write_panel_csv(generated.dataset, out / DATASET_NAME)
+        _write_dataset(generated.dataset, out)
     write_profiles_csv(generated.profiles, out / "profiles.csv")
-    write_weights_files(generated.weights, out / "weights.csv", out / "weights.json")
+    _write_weights(generated.weights, out)
     cfg.to_yaml(out / "dgp.yaml")
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True)
     _write_json(out / "manifest.json", build_manifest("simulate", inputs, config_text))
@@ -268,7 +284,7 @@ def cmd_simulate(args) -> int:
 def cmd_mc(args) -> int:
     out = _out_dir(args)
     expand_notation(args.spec, args.covariance)
-    inputs = []
+    inputs = {}
     cfg = _dgp_config(args, inputs)
     with _reading(inputs, args.config):  # such as a panel too small for the spec
         report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
@@ -284,9 +300,9 @@ def cmd_mc(args) -> int:
 def cmd_stats(args) -> int:
     out = _out_dir(args)
     names = _name_list(args.vars, "variable") if args.vars else None
-    inputs = []
+    inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
-        dataset = load_panel_csv(path)
+        dataset = load_panel_csv(path, inputs)
         table = descriptive_stats(dataset, names or list(dataset.variables))
     _write_json(out / "stats.json", table)
     _write_text(out / "stats.txt", render_stats_text(table))

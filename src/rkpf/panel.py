@@ -6,20 +6,30 @@ validate_balanced certifies the panel complete; nothing is imputed.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import (
     DuplicateRow,
+    EngineError,
     MissingColumn,
     NonConsecutiveYears,
     NonNumericCell,
     UnknownVariable,
 )
+from .manifest import read_sidecar, write_sidecar
 from .tables import format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
+# (dtype kind, ndim) of each array of a panel's sidecar; values is (variable, region, year)
+SIDECAR_LAYOUT = {
+    "regions": ("U", 1),
+    "years": ("i", 1),
+    "variables": ("U", 1),
+    "values": ("f", 3),
+}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,13 +101,23 @@ class PanelDataset:
 # ---------------------------------------------------------------------------
 
 
-def load_panel_csv(path) -> PanelDataset:
+def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
     """Load a long-format panel CSV (columns region, year, <var1>, ...).
 
     Returns a dataset containing exactly the rows present; regions and years
     are the sorted distinct values and unobserved cells are NaN. Balance is
-    checked separately by validate_balanced.
+    checked separately by validate_balanced. The arrays come from the CSV's
+    sidecar when one records the CSV's digest (see write_panel_sidecar).
+    `digests`, if given, receives the sha256 of each file read, by path.
     """
+    arrays = read_sidecar(path, SIDECAR_LAYOUT, digests)
+    if arrays is not None:
+        with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
+            return PanelDataset(
+                tuple(arrays["regions"].tolist()),
+                tuple(arrays["years"].tolist()),
+                dict(zip(arrays["variables"].tolist(), arrays["values"])),
+            )
 
     def label_columns(header):
         for col in RESERVED_COLUMNS:
@@ -137,15 +157,36 @@ def load_panel_csv(path) -> PanelDataset:
     return PanelDataset(region_ids, tuple(range(first, last + 1)), dict(zip(var_names, table)))
 
 
-def write_panel_csv(d: PanelDataset, path) -> None:
-    """Write the canonical long CSV, region-major: NaN as an empty cell, inf an error."""
+def write_panel_csv(d: PanelDataset, path) -> str:
+    """Write the canonical long CSV, region-major: NaN as an empty cell, inf an error.
+
+    Returns the sha256 of the bytes written.
+    """
     values = np.stack(list(d.variables.values()), axis=-1).reshape(d.n_obs, -1)
     if np.isinf(values).any():
         row, col = np.argwhere(np.isinf(values))[0]
         where = f"{d.region_ids[row // d.n_years]}, {d.years[row % d.n_years]}"
         raise NonNumericCell(f"{list(d.variables)[col]!r} is {values[row, col]} at {where}")
     keys = ((region, year) for region in d.region_ids for year in d.years)
-    write_table(path, ["region", "year", *d.variables], zip(keys, format_rows(values)))
+    return write_table(path, ["region", "year", *d.variables], zip(keys, format_rows(values)))
+
+
+def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
+    """The sidecar of the panel CSV that write_panel_csv wrote to csv_path, returning
+    `digest`: the dataset as load_panel_csv returns it, regions sorted and every
+    missing cell the NaN an empty cell parses to."""
+    order = sorted(range(d.n_regions), key=d.region_ids.__getitem__)
+    values = np.stack(list(d.variables.values()))[:, order]
+    write_sidecar(
+        csv_path,
+        digest,
+        SIDECAR_LAYOUT,
+        ["region", "year", *d.variables],
+        regions=[d.region_ids[i] for i in order],
+        years=d.years,
+        variables=list(d.variables),
+        values=np.where(np.isnan(values), np.nan, values),
+    )
 
 
 # ---------------------------------------------------------------------------

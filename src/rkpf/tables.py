@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import itertools
 import math
 from types import SimpleNamespace
@@ -163,16 +164,25 @@ def format_rows(values):
     return (["" if x != x else repr(x) for x in row.tolist()] for row in values)
 
 
-def write_table(path, header, rows) -> None:
-    """Write a header and rows of (label cells, numbers already formatted as text).
+def write_table(path, header, rows) -> str:
+    """Write a header and rows of (label cells, numbers already formatted as text);
+    return the sha256 of the bytes written.
 
     Only the header and labels are `csv`-quoted (a CR or LF too); numbers are joined as is.
     """
     line = []
     quoted = csv.writer(SimpleNamespace(write=line.append), lineterminator="\r\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
         quoted.writerow(header)
-        fh.write(line.pop()[:-2] + "\n")
+        write(line.pop()[:-2] + "\n")
         for labels, numbers in rows:
             quoted.writerow([*labels, ""])  # "a,b,\r\n" for labels a and b
-            fh.write(line.pop()[:-2] + ",".join(numbers) + "\n")
+            write(line.pop()[:-2] + ",".join(numbers) + "\n")
+    return digest.hexdigest()

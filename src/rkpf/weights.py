@@ -8,6 +8,7 @@ one. Rows that clamp to all zeros are isolated and keep zero spatial lags.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections import Counter
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import (
     DegenerateDimensions,
     EmptyRegion,
+    EngineError,
     InvalidProfiles,
     InvalidWeights,
     MissingColumn,
@@ -26,9 +28,12 @@ from .errors import (
     UnknownSubjectArea,
 )
 from .indicators import Publications
+from .manifest import read_sidecar, write_sidecar
 from .tables import format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
+# (dtype kind, ndim) of each array of a weights sidecar
+SIDECAR_LAYOUT = {"regions": ("U", 1), "w": ("f", 2)}
 
 
 def _check_distinct(regions, error) -> None:
@@ -207,12 +212,13 @@ def _json_array(items, depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def write_weights_files(w: SpatialWeights, csv_path, json_path) -> None:
+def write_weights_files(w: SpatialWeights, csv_path, json_path) -> str:
     """weights.csv and weights.json in one pass, formatting each weight once.
 
     The CSV is a dense matrix with a region header row and column; the JSON
     equals json.dump({"regions", "w", "isolated"}, indent=2) plus a newline,
-    byte for byte. Both are written row by row.
+    byte for byte. Both are written row by row. Returns the sha256 of the CSV
+    as written.
     """
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
         regions = _json_array(list(map(json.dumps, w.regions)), 1)
@@ -224,10 +230,18 @@ def write_weights_files(w: SpatialWeights, csv_path, json_path) -> None:
                 fh.write(("," if i else "") + "\n    " + _json_array(formatted, 2))
                 yield formatted
 
-        write_table(csv_path, ["region", *w.regions], zip(zip(w.regions), cells()))
+        digest = write_table(csv_path, ["region", *w.regions], zip(zip(w.regions), cells()))
         isolated = sorted(w.regions[i] for i in w.isolated)
         fh.write(("\n  ]" if w.regions else "]") + ',\n  "isolated": ')
         fh.write(_json_array(list(map(json.dumps, isolated)), 1) + "\n}\n")
+    return digest
+
+
+def write_weights_sidecar(w: SpatialWeights, csv_path, digest: str) -> None:
+    """The sidecar of the weights CSV that write_weights_files wrote to csv_path,
+    returning `digest`."""
+    header = ["region", *w.regions]
+    write_sidecar(csv_path, digest, SIDECAR_LAYOUT, header, regions=w.regions, w=w.w)
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:
@@ -252,7 +266,14 @@ def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndar
     return tuple(columns), tuple(region for region, in labels), matrix
 
 
-def load_weights_csv(path) -> SpatialWeights:
+def load_weights_csv(path, digests: dict | None = None) -> SpatialWeights:
+    """Load a dense weights CSV, from its sidecar when one records the CSV's digest
+    (see write_weights_sidecar). `digests`, if given, receives the sha256 of each
+    file read, by path."""
+    arrays = read_sidecar(path, SIDECAR_LAYOUT, digests)
+    if arrays is not None:
+        with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
+            return SpatialWeights(tuple(arrays["regions"].tolist()), arrays["w"])
     columns, regions, w = _read_region_matrix(path)
     if regions != columns:
         raise RegionOrderMismatch(f"{path}: row and column region order differ")

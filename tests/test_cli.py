@@ -743,15 +743,13 @@ class TestManifest:
 
 
 def _run_recording_reads(argv):
-    """(exit code, every path one main() call opens for reading in text mode).
-
-    file_digest and not_utf8 open files in binary mode, so they are not recorded.
-    """
+    """(exit code, every path one main() call opens for reading). A read in binary
+    mode counts too, such as file_digest hashing a CSV or np.load opening its sidecar."""
     real_open = builtins.open
     read = set()
 
     def recording_open(file, mode="r", *args, **kwargs):
-        if "b" not in mode and not set(mode) & set("wax+"):
+        if not set(mode) & set("wax+"):
             read.add(str(file))
         return real_open(file, mode, *args, **kwargs)
 
@@ -761,7 +759,8 @@ def _run_recording_reads(argv):
 
 
 class TestManifestInputs:
-    """Each manifest lists exactly the files its run read."""
+    """Each manifest lists exactly the files its run read, binary sidecars included,
+    and none of the files its run wrote."""
 
     STEPS = {
         "simulate": ["simulate", "--seed", 7],
@@ -806,15 +805,34 @@ class TestManifestInputs:
                 out = self.OUTPUT.get(name, name)
                 code, read = _run_recording_reads([*argv, "--output-dir", out])
                 assert code == 0, name
-                found[name] = (read, json.loads(Path(out, "manifest.json").read_text())["inputs"])
+                inputs = json.loads(Path(out, "manifest.json").read_text())["inputs"]
+                found[name] = (read, inputs, {str(p) for p in Path(out).iterdir()})
             return found
         finally:
             os.chdir(old)
 
+    # the sidecars a step opens: those of the bundle and weights the engine wrote
+    SIDECARS = {
+        "ingest": {"sim/dataset.npz"},
+        "ingest-pubs-vocab": {"sim/dataset.npz"},
+        "weights-profiles-bundle": {"bundle/dataset.npz"},
+        "weights-pubs-vocab-bundle": {"bundle/dataset.npz"},
+        "suite": {"bundle/dataset.npz", "weights/weights.npz"},
+        "fit": {"bundle/dataset.npz", "weights/weights.npz"},
+        "stats": {"bundle/dataset.npz"},
+    }
+
     @pytest.mark.parametrize("step", list(STEPS))
     def test_manifest_lists_every_file_read(self, runs, step):
-        read, inputs = runs[step]
+        read, inputs, _ = runs[step]
         assert set(inputs) == read
+        assert {p for p in read if p.endswith(".npz")} == self.SIDECARS.get(step, set())
+
+    @pytest.mark.parametrize("step", list(STEPS))
+    def test_manifest_lists_no_file_written(self, runs, step):
+        _, inputs, written = runs[step]
+        assert "manifest.json" in {Path(p).name for p in written}
+        assert not set(inputs) & written
 
 
 @pytest.mark.parametrize("module", ["rkpf", "rkpf.suite"])

@@ -8,7 +8,8 @@ classical covariance and the cluster-by-region sandwich by hand, with K
 counted as every column it fits (fitted plus the region effects fit_model
 absorbs; none for a pooled spec). The dummy-model scores of a region's own
 dummy sum its residuals, which is zero, so both covariances of the slopes
-equal fit_model's.
+equal fit_model's. A pooled spec's r_squared_within is the centered R^2 of
+the same least-squares fit.
 """
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rkpf.suite import MAIN_TAGS, expand_notation
 
 def lsdv(d, spec, w):
     """Slopes, cluster-robust SEs and classical SEs of the spec's fitted columns, in
-    fit_model's order: terms, year dummies, constant."""
+    fit_model's order: terms, year dummies, constant; and the centered R^2."""
     n, t = d.n_regions, d.n_years
     columns = []
     for term in spec.regressors:
@@ -50,10 +51,12 @@ def lsdv(d, spec, w):
     scores = np.array([X[region == g].T @ u[region == g] for g in range(n)])
     factor = n / (n - 1) * (big_n - 1) / (big_n - big_k)
     robust = factor * bread @ (scores.T @ scores) @ bread
-    return beta[:k], np.sqrt(np.diag(robust)[:k]), np.sqrt(np.diag(classical)[:k])
+    centered = y - y.mean()
+    r_squared = 1.0 - (u @ u) / (centered @ centered)
+    return beta[:k], np.sqrt(np.diag(robust)[:k]), np.sqrt(np.diag(classical)[:k]), r_squared
 
 
-@pytest.mark.parametrize(
+CONFIGS = pytest.mark.parametrize(
     "cfg",
     [
         DgpConfig(n_regions=12, n_years=5, seed=1),
@@ -62,12 +65,15 @@ def lsdv(d, spec, w):
     ],
     ids=["12x5", "20x8-ar1", "30x4-noisy"],
 )
+
+
+@CONFIGS
 @pytest.mark.parametrize("tag", MAIN_TAGS)
 def test_ladder_matches_lsdv(tag, cfg):
     g = generate_panel(cfg)
     spec = expand_notation(tag)
     fit = fit_model(g.dataset, spec, g.weights)
-    beta, robust_se, classical_se = lsdv(g.dataset, spec, g.weights)
+    beta, robust_se, classical_se, _ = lsdv(g.dataset, spec, g.weights)
 
     labels = fit.column_labels
     assert len(labels) == len(beta)
@@ -79,3 +85,13 @@ def test_ladder_matches_lsdv(tag, cfg):
     want = {"coefficients": beta, "robust": robust_se, "classical": classical_se}
     for kind in want:
         np.testing.assert_allclose(got[kind], want[kind], rtol=1e-8, err_msg=kind)
+
+
+@CONFIGS
+@pytest.mark.parametrize("tag", [t for t in MAIN_TAGS if not expand_notation(t).region_effects])
+def test_pooled_r_squared_matches_lsdv(tag, cfg):
+    """A pooled spec's r_squared_within is the centered R^2 of its least-squares fit."""
+    g = generate_panel(cfg)
+    fit = fit_model(g.dataset, expand_notation(tag), g.weights)
+    r_squared = lsdv(g.dataset, expand_notation(tag), g.weights)[3]
+    assert fit.r_squared_within == pytest.approx(r_squared, rel=1e-10)

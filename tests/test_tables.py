@@ -26,7 +26,6 @@ from rkpf.errors import (
 )
 from rkpf.indicators import RegionYearIndicators, write_indicator_csv
 from rkpf.panel import RESERVED_COLUMNS, PanelDataset, load_panel_csv, write_panel_csv
-from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.tables import parse_floats, read_table, write_table
 from rkpf.weights import (
     SpatialWeights,
@@ -283,14 +282,22 @@ _FIELDS = ("id", "year", "regions", "subject_areas", "citations", "expected_cita
 
 @pytest.fixture(scope="module")
 def good_files(tmp_path_factory):
-    """Valid inputs for a 3-region, 5-year panel, named as the fuzz writes them."""
+    """Valid inputs for a 3-region, 5-year panel, named as the fuzz writes them. The
+    bundle's dataset.csv and weights.csv come from `rkpf simulate`, each with the
+    binary sidecar the CLI writes beside it."""
     root = tmp_path_factory.mktemp("good")
-    g = generate_panel(DgpConfig(n_regions=3, n_years=5, seed=3))
-    d = g.dataset
+    (root / "small.yaml").write_text("panel: {n_regions: 3, n_years: 5}\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(root / "small.yaml"), "--seed", "3",
+                     "--output-dir", str(root / "sim")]) == 0
     (root / "bundle").mkdir()
-    write_panel_csv(d, root / "bundle" / "dataset.csv")
-    write_weights_csv(g.weights, root / "weights.csv")
-    write_profiles_csv(g.profiles, root / "profiles.csv")
+    for name in ("dataset.csv", "dataset.npz"):
+        (root / "sim" / name).rename(root / "bundle" / name)
+    for name in ("weights.csv", "weights.npz", "profiles.csv"):
+        (root / "sim" / name).rename(root / name)
+    shutil.rmtree(root / "sim")
+    (root / "small.yaml").unlink()
+    d = load_panel_csv(root / "bundle" / "dataset.csv")
     records = [
         {"id": f"p{i}{year}", "year": year, "regions": [region],
          "subject_areas": [VOCABULARY[(i + year) % 3], VOCABULARY[i]],
@@ -371,6 +378,9 @@ def corruptions(draw, text: str, jsonl: bool) -> str:
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_corrupted_inputs_exit_0_or_2(good_files, data):
+    """Each command exits 0 or 2 on a corrupted input. The sidecars beside the bundle's
+    dataset.csv and weights.csv change nothing: with them deleted, every command exits
+    with the same code and the same error line."""
     name = data.draw(st.sampled_from(FILES))
     text = (good_files / name).read_text(encoding="utf-8")
     corrupted = data.draw(corruptions(text, name.endswith(".jsonl")))
@@ -378,9 +388,19 @@ def test_corrupted_inputs_exit_0_or_2(good_files, data):
         root = Path(tmp) / "in"
         shutil.copytree(good_files, root)
         (root / name).write_text(corrupted, encoding="utf-8")
-        for k, argv in enumerate(COMMANDS):
-            argv = [str(root / a) if (root / a).exists() else a for a in argv]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main([*argv, "--output-dir", str(Path(tmp) / f"out{k}")])
-            assert code in (0, 2), f"{argv[0]} on bad {name} exited {code}:\n{err.getvalue()}"
+
+        def run_all():
+            ends = []
+            for k, argv in enumerate(COMMANDS):
+                argv = [str(root / a) if (root / a).exists() else a for a in argv]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--output-dir", str(Path(tmp) / f"out{k}")])
+                assert code in (0, 2), f"{argv[0]} on bad {name} exited {code}:\n{err.getvalue()}"
+                ends.append((code, err.getvalue()))
+            return ends
+
+        with_sidecars = run_all()
+        for npz in ("bundle/dataset.npz", "weights.npz"):
+            (root / npz).unlink()
+        assert with_sidecars == run_all()
