@@ -231,13 +231,14 @@ def cmd_fit(args) -> int:
 
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
+    text = render_fit_text(fit)
     if fmt in ("csv", "md"):
         table = ComparisonTable((args.spec,), (fit,))
         _write_text(out / f"fit.{fmt}", render_table(table, fmt))
     elif fmt != "json":
-        _write_text(out / "fit.txt", render_fit_text(fit))
+        _write_text(out / "fit.txt", text)
     _write_json(out / "manifest.json", build_manifest("fit", inputs, config_text=args.spec))
-    print(render_fit_text(fit))
+    print(text)
     return 0
 
 
@@ -254,11 +255,12 @@ def cmd_suite(args) -> int:
 
     _write_json(out / "suite.json", table.to_dict())
     fmt = args.format
+    text = render_table(table, "text")
     ext = {"text": "txt", "csv": "csv", "md": "md"}
     if fmt != "json":
-        _write_text(out / f"suite.{ext[fmt]}", render_table(table, fmt))
+        _write_text(out / f"suite.{ext[fmt]}", text if fmt == "text" else render_table(table, fmt))
     _write_json(out / "manifest.json", build_manifest("suite", inputs, config_text=args.specs))
-    print(render_table(table, "text"))
+    print(text)
     return 0
 
 
@@ -290,10 +292,11 @@ def cmd_mc(args) -> int:
         report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
 
     _write_json(out / "mc.json", report.to_dict())
-    _write_text(out / "mc.txt", report.render_text())
+    text = report.render_text()
+    _write_text(out / "mc.txt", text)
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True) + f"|{args.spec}|{args.reps}"
     _write_json(out / "manifest.json", build_manifest("mc", inputs, config_text))
-    print(report.render_text())
+    print(text)
     return 0
 
 
@@ -305,9 +308,10 @@ def cmd_stats(args) -> int:
         dataset = load_panel_csv(path, inputs)
         table = descriptive_stats(dataset, names or list(dataset.variables))
     _write_json(out / "stats.json", table)
-    _write_text(out / "stats.txt", render_stats_text(table))
+    text = render_stats_text(table)
+    _write_text(out / "stats.txt", text)
     _write_json(out / "manifest.json", build_manifest("stats", inputs))
-    print(render_stats_text(table))
+    print(text)
     return 0
 
 

@@ -157,10 +157,20 @@ def _json_line(line: str):
     return obj
 
 
+def _stripped(names: frozenset, shared: dict) -> frozenset:
+    """`names`, each stripped as a table cell is. The result is kept in `shared`
+    under both sets, so that equal sets come out as one and a set met again is
+    looked up there, not stripped again."""
+    stripped = frozenset(map(str.strip, names))
+    stripped = shared[names] = shared.setdefault(stripped, stripped)
+    return stripped
+
+
 def _record_columns(obj, vocabulary, shared: dict) -> tuple:
     """(year, regions, subject_areas, ratio, quartile) of one checked record mapping.
 
-    Equal region and subject-area sets come out as one frozenset, kept in `shared`.
+    Names are stripped; equal region and subject-area sets come out as one
+    frozenset (see _stripped).
     """
     if not isinstance(obj, dict):
         raise NonNumericCell(f"publication record must be an object, got {type(obj).__name__}")
@@ -170,17 +180,20 @@ def _record_columns(obj, vocabulary, shared: dict) -> tuple:
     regions = obj["regions"]
     areas = obj["subject_areas"]
     if isinstance(regions, str):
-        regions = [r for r in regions.split(";") if r]
+        regions = [r for r in regions.split(";") if r.strip()]
     if isinstance(areas, str):
-        areas = [a for a in areas.split(";") if a]
+        areas = [a for a in areas.split(";") if a.strip()]
     if not (
         isinstance(regions, list)
         and isinstance(areas, list)
         and {str}.issuperset(map(type, regions + areas))
     ):
         raise NonNumericCell("regions and subject_areas must be lists of strings")
+    regions, areas = frozenset(regions), frozenset(areas)
+    regions = shared.get(regions) or _stripped(regions, shared)
+    areas = shared.get(areas) or _stripped(areas, shared)
     if vocabulary is not None and not vocabulary.issuperset(areas):
-        unknown = sorted(set(areas) - vocabulary)
+        unknown = sorted(areas - vocabulary)
         raise UnknownSubjectArea(f"subject areas {unknown} not in the vocabulary")
     year = obj["year"]
     citations = obj["citations"]
@@ -189,8 +202,6 @@ def _record_columns(obj, vocabulary, shared: dict) -> tuple:
         for key, value in (("year", year), ("citations", citations)):
             if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
                 raise NonNumericCell(f"{key} must be an integer, got {value!r}")
-    regions = shared.setdefault(regions := frozenset(regions), regions)
-    areas = shared.setdefault(areas := frozenset(areas), areas)
     try:
         rid = str(obj["id"])
         year = int(year)

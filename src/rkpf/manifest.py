@@ -41,32 +41,18 @@ def _fits(array: np.ndarray, kind: str, ndim: int) -> bool:
     return array.dtype.kind == kind and array.ndim == ndim
 
 
-def _kept(value, array: np.ndarray, kind: str, ndim: int) -> bool:
-    """Whether `array`, made from `value`, has the kind and ndim given and, if it holds
-    names, holds them as the text loaders return them: none with surrounding
-    whitespace (the loaders strip cells) or a trailing NUL (a unicode array drops it)."""
-    if not _fits(array, kind, ndim):
-        return False
-    return kind != "U" or (
-        array.tolist() == list(value) and all(s == s.strip() for s in value)
-    )
-
-
-def write_sidecar(csv_path, digest: str, layout: dict, header, **arrays) -> None:
+def write_sidecar(csv_path, digest: str, layout: dict, **arrays) -> None:
     """Write csv_path's sidecar: `arrays`, each of the (dtype kind, ndim) that `layout`
     gives for its key, and `digest`, the sha256 of the CSV as it was written.
 
-    The arrays must be what the CSV's text loader returns. No sidecar is written,
-    and a stale one is removed, where the loader would return something else: a
-    name that does not survive as is (see _kept), a value of another kind, such
-    as an int beyond int64, or a `header` (the CSV's header row) in which a name
-    repeats, which the loader rejects.
+    The arrays must be what the CSV's text loader returns; the names in them
+    follow tables.check_names. No sidecar is written, and a stale one is removed,
+    where an array has another kind or rank: an int beyond int64 is an object,
+    and an empty list of names a float.
     """
     path = sidecar_path(csv_path)
     members = {key: np.asarray(value) for key, value in arrays.items()}
-    if len(set(header)) != len(header) or not all(
-        _kept(arrays[key], array, *layout[key]) for key, array in members.items()
-    ):
+    if not all(_fits(array, *layout[key]) for key, array in members.items()):
         path.unlink(missing_ok=True)
         return
     members[DIGEST_KEY] = np.array(digest)

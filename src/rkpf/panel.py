@@ -20,7 +20,7 @@ from .errors import (
     UnknownVariable,
 )
 from .manifest import read_sidecar, write_sidecar
-from .tables import format_rows, read_matrix, write_table
+from .tables import check_names, format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
 # (dtype kind, ndim) of each array of a panel's sidecar; values is (variable, region, year)
@@ -52,9 +52,8 @@ class PanelDataset:
     variables: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if len(set(self.region_ids)) != len(self.region_ids):
-            dupes = sorted({r for r in self.region_ids if self.region_ids.count(r) > 1})
-            raise DuplicateRow(f"duplicate region identifiers: {dupes}")
+        check_names(self.region_ids, DuplicateRow, "region")
+        check_names(self.variables, DuplicateRow, "variable")
         years = tuple(int(y) for y in self.years)
         for a, b in zip(years, years[1:]):
             if b != a + 1:
@@ -181,7 +180,6 @@ def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
         csv_path,
         digest,
         SIDECAR_LAYOUT,
-        ["region", "year", *d.variables],
         regions=[d.region_ids[i] for i in order],
         years=d.years,
         variables=list(d.variables),

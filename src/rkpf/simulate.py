@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import ConfigError, EngineError
 from .estimation import fit_model, parse_term_label, term_values
-from .panel import PanelDataset
+from .panel import RESERVED_COLUMNS, PanelDataset
 from .runtime import parallel_map
 from .suite import expand_notation
+from .tables import check_names
 from .weights import SpatialWeights, ThematicProfileMatrix, build_weights, correlation_matrix
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
@@ -82,8 +83,11 @@ DEFAULT_REGRESSORS = {
 }
 
 LOGGED_REGRESSORS = ("EXPEMP10", "GRPCAP10", "PAPEMP")
-# columns generate_panel writes after the regressors, so no regressor may take their names
-_GENERATED_COLUMNS = ("PUB21EMP", "log(PUB21EMP)", *(f"log({n})" for n in LOGGED_REGRESSORS))
+# columns the generated dataset.csv holds besides the regressors, so no regressor may
+# take their names
+_GENERATED_COLUMNS = (
+    *RESERVED_COLUMNS, "PUB21EMP", "log(PUB21EMP)", *(f"log({n})" for n in LOGGED_REGRESSORS)
+)
 
 # Every scalar key of a DGP config file as (section, key, DgpConfig field,
 # type): to_mapping writes them all and from_mapping casts those present, so
@@ -195,10 +199,12 @@ class DgpConfig:
             raise ConfigError(f"time_effect_profile needs {t} finite entries")
         object.__setattr__(self, "time_effect_profile", profile)
         for name in self.regressor_distributions:
+            key = f"regressors.{name}"
             if not isinstance(name, str):
-                raise ConfigError(f"regressor name {name!r} is not a string")
+                raise ConfigError(f"{key}: name {name!r} is not a string")
             if name in _GENERATED_COLUMNS:
-                raise ConfigError(f"regressor name {name!r} is a column the generator writes")
+                raise ConfigError(f"{key}: name {name!r} is a column the generator writes")
+            check_names([name], lambda message: ConfigError(f"{key}: {message}"), "name")
         dists = self.regressor_distributions
         logged = {f"log({name})": name for name in LOGGED_REGRESSORS if name in dists}
         reach = 0.0  # the largest |log output| the terms can add up to

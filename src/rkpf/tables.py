@@ -2,6 +2,8 @@
 
 UTF-8, LF line ends, `csv` quoting, one header row, floats written with
 repr. Only an empty cell is missing (NaN); any other number must be finite.
+Names (regions, variables, subject areas) follow check_names, so a table
+the engine writes reads back with the same names.
 """
 from __future__ import annotations
 
@@ -15,6 +17,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EngineError, MissingColumn, MissingData, NonNumericCell
+
+
+def check_names(names, error, what: str) -> None:
+    """Raise `error` naming the first of `names` (each a `what`) that a table file
+    would not give back as it is: one that repeats, one with surrounding whitespace
+    (the reader strips cells) or one holding a NUL (a unicode array drops a
+    trailing one)."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{what} {name!r} appears more than once")
+        if name != name.strip() or "\x00" in name:
+            raise error(f"{what} {name!r} has surrounding whitespace or a NUL")
+        seen.add(name)
 
 
 def read_table(path):
@@ -169,7 +185,10 @@ def write_table(path, header, rows) -> str:
     return the sha256 of the bytes written.
 
     Only the header and labels are `csv`-quoted (a CR or LF too); numbers are joined as is.
+    A header that check_names refuses, such as one that repeats a name, raises before
+    the file is opened.
     """
+    check_names(header, lambda message: MissingColumn(f"{path}: {message}"), "header name")
     line = []
     quoted = csv.writer(SimpleNamespace(write=line.append), lineterminator="\r\n")
     digest = hashlib.sha256()

@@ -29,19 +29,11 @@ from .errors import (
 )
 from .indicators import Publications
 from .manifest import read_sidecar, write_sidecar
-from .tables import format_rows, read_matrix, write_table
+from .tables import check_names, format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
 # (dtype kind, ndim) of each array of a weights sidecar
 SIDECAR_LAYOUT = {"regions": ("U", 1), "w": ("f", 2)}
-
-
-def _check_distinct(regions, error) -> None:
-    seen = set()
-    for region in regions:
-        if region in seen:
-            raise error(f"region {region!r} appears more than once")
-        seen.add(region)
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,8 @@ class ThematicProfileMatrix:
     def __post_init__(self):
         shares = np.asarray(self.shares, dtype=float)
         n, s = len(self.regions), len(self.subject_areas)
-        _check_distinct(self.regions, InvalidProfiles)
+        check_names(self.regions, InvalidProfiles, "region")
+        check_names(self.subject_areas, InvalidProfiles, "subject area")
         if shares.shape != (n, s):
             raise InvalidProfiles(f"shares shape {shares.shape} != ({n}, {s})")
         sums = shares.sum(axis=1)
@@ -86,7 +79,7 @@ class SpatialWeights:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         n = len(self.regions)
-        _check_distinct(self.regions, InvalidWeights)
+        check_names(self.regions, InvalidWeights, "region")
         if w.shape != (n, n):
             raise InvalidWeights(f"weights shape {w.shape} != ({n}, {n})")
         bad = ~np.isfinite(w) | (w < 0)
@@ -217,31 +210,31 @@ def write_weights_files(w: SpatialWeights, csv_path, json_path) -> str:
 
     The CSV is a dense matrix with a region header row and column; the JSON
     equals json.dump({"regions", "w", "isolated"}, indent=2) plus a newline,
-    byte for byte. Both are written row by row. Returns the sha256 of the CSV
-    as written.
+    byte for byte. Both are written row by row, and neither where write_table
+    refuses the header. Returns the sha256 of the CSV as written.
     """
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        regions = _json_array(list(map(json.dumps, w.regions)), 1)
-        fh.write('{\n  "regions": ' + regions + ',\n  "w": [')
 
-        def cells():
-            # each row's JSON block is written as the CSV writer draws its cells
-            for i, formatted in enumerate(format_rows(w.w)):
+    def rows():
+        # write_table draws the first row once it has checked the header; each
+        # row's JSON block is written as it draws the row's cells
+        with open(json_path, "w", encoding="utf-8", newline="") as fh:
+            regions = _json_array(list(map(json.dumps, w.regions)), 1)
+            fh.write('{\n  "regions": ' + regions + ',\n  "w": [')
+            for i, (region, formatted) in enumerate(zip(w.regions, format_rows(w.w))):
                 fh.write(("," if i else "") + "\n    " + _json_array(formatted, 2))
-                yield formatted
+                yield (region,), formatted
+            isolated = sorted(w.regions[i] for i in w.isolated)
+            fh.write(("\n  ]" if w.regions else "]") + ',\n  "isolated": ')
+            fh.write(_json_array(list(map(json.dumps, isolated)), 1) + "\n}\n")
 
-        digest = write_table(csv_path, ["region", *w.regions], zip(zip(w.regions), cells()))
-        isolated = sorted(w.regions[i] for i in w.isolated)
-        fh.write(("\n  ]" if w.regions else "]") + ',\n  "isolated": ')
-        fh.write(_json_array(list(map(json.dumps, isolated)), 1) + "\n}\n")
-    return digest
+    with contextlib.closing(rows()) as body:  # closes weights.json if write_table fails
+        return write_table(csv_path, ["region", *w.regions], body)
 
 
 def write_weights_sidecar(w: SpatialWeights, csv_path, digest: str) -> None:
     """The sidecar of the weights CSV that write_weights_files wrote to csv_path,
     returning `digest`."""
-    header = ["region", *w.regions]
-    write_sidecar(csv_path, digest, SIDECAR_LAYOUT, header, regions=w.regions, w=w.w)
+    write_sidecar(csv_path, digest, SIDECAR_LAYOUT, regions=w.regions, w=w.w)
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:

@@ -35,6 +35,22 @@ def panel_csv(tmp_path):
 
 
 @pytest.fixture
+def padded_pubs(tmp_path):
+    """Records whose region names carry the spaces a table cell would lose."""
+    pubs = tmp_path / "padded.jsonl"
+    rows = [
+        {"id": "p1", "year": 2019, "regions": [" R1", "R2"], "subject_areas": ["bio", "math"],
+         "citations": 3, "expected_citations": 2.0, "journal_quartile": "Q1"},
+        {"id": "p2", "year": 2019, "regions": ["R3 "], "subject_areas": ["math"],
+         "citations": 1, "expected_citations": 2.0, "journal_quartile": "Q2"},
+        {"id": "p3", "year": 2019, "regions": ["R1", "R2 "], "subject_areas": [" bio"],
+         "citations": 0, "expected_citations": 2.0, "journal_quartile": "NONE"},
+    ]
+    pubs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return pubs
+
+
+@pytest.fixture
 def model_bundle(tmp_path):
     """Synthetic bundle with weights, ready for fit/suite."""
     g = generate_panel(DgpConfig(n_regions=12, n_years=5, seed=77))
@@ -132,8 +148,37 @@ class TestIngest:
         out = tmp_path / "bundle"
         assert run("ingest", "--panel", panel, "--pubs", pubs, "--output-dir", out) == 2
 
+    def test_pubs_names_are_stripped_as_table_cells(self, tmp_path, padded_pubs):
+        """Records listing " R1" and "R3 " count for the panel's R1 and R3."""
+        panel = tmp_path / "panel.csv"
+        panel.write_text("region,year,v\nR1,2019,1\nR2,2019,2\nR3,2019,3\n", encoding="utf-8")
+        out = tmp_path / "bundle"
+        assert run("ingest", "--panel", panel, "--pubs", padded_pubs, "--output-dir", out) == 0
+        d = load_panel_csv(out / "dataset.csv")
+        assert d.region_ids == ("R1", "R2", "R3")
+        np.testing.assert_array_equal(d.var("PUBS")[:, 0], [2.0, 2.0, 1.0])
+
 
 class TestWeights:
+    def test_padded_pubs_names_agree_in_both_files(self, tmp_path, padded_pubs):
+        out = tmp_path / "w"
+        assert run("weights", "--pubs", padded_pubs, "--output-dir", out) == 0
+        payload = json.loads((out / "weights.json").read_text(encoding="utf-8"))
+        assert payload["regions"] == list(load_weights_csv(out / "weights.csv").regions)
+        assert payload["regions"] == ["R1", "R2", "R3"]
+
+    def test_region_named_region_exits_2_writing_no_weights(self, tmp_path, capsys):
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("region,s1,s2\nregion,0.7,0.3\nB,0.2,0.8\nC,0.6,0.4\n",
+                            encoding="utf-8")
+        out = tmp_path / "w"
+        capsys.readouterr()
+        assert run("weights", "--profiles", profiles, "--output-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'weights.csv'}: header name 'region' appears more than once\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_three_region_profiles(self, tmp_path):
         from rkpf.weights import ThematicProfileMatrix
 
@@ -323,6 +368,21 @@ class TestSimulateAndMc:
         assert run("simulate", "--config", config, "--output-dir", b) == 0
         for name in ("dataset.csv", "profiles.csv", "weights.csv", "weights.json", "dgp.yaml"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_regressor_named_year_exits_2_writing_no_dataset(self, tmp_path, capsys):
+        config = tmp_path / "c.yaml"
+        config.write_text(
+            "{regressors: {year: {log_mean: 0, region_sd: 0.1, year_sd: 0.1, min: 0.5,"
+            " max: 2}}, model: {coefficients: {year: 0.3}}}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "sim"
+        capsys.readouterr()
+        assert run("simulate", "--config", config, "--output-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: regressors.year: name 'year' is a column the generator writes\n"
+        )
+        assert not (out / "dataset.csv").exists()
 
     def test_mc_small_run(self, tmp_path):
         out = tmp_path / "mc"

@@ -9,7 +9,8 @@ counted as every column it fits (fitted plus the region effects fit_model
 absorbs; none for a pooled spec). The dummy-model scores of a region's own
 dummy sum its residuals, which is zero, so both covariances of the slopes
 equal fit_model's. A pooled spec's r_squared_within is the centered R^2 of
-the same least-squares fit.
+the same least-squares fit. The `a` (articles-and-reviews) variant runs on
+panels given FWCIA, Q1SHA, NQSHA and log(PUB21EMPA) columns of their own.
 """
 import numpy as np
 import pytest
@@ -67,13 +68,10 @@ CONFIGS = pytest.mark.parametrize(
 )
 
 
-@CONFIGS
-@pytest.mark.parametrize("tag", MAIN_TAGS)
-def test_ladder_matches_lsdv(tag, cfg):
-    g = generate_panel(cfg)
-    spec = expand_notation(tag)
-    fit = fit_model(g.dataset, spec, g.weights)
-    beta, robust_se, classical_se, _ = lsdv(g.dataset, spec, g.weights)
+def assert_matches_lsdv(d, spec, w):
+    """fit_model's coefficients and both SE kinds equal the oracle's at 1e-8; returns the fit."""
+    fit = fit_model(d, spec, w)
+    beta, robust_se, classical_se, _ = lsdv(d, spec, w)
 
     labels = fit.column_labels
     assert len(labels) == len(beta)
@@ -85,6 +83,14 @@ def test_ladder_matches_lsdv(tag, cfg):
     want = {"coefficients": beta, "robust": robust_se, "classical": classical_se}
     for kind in want:
         np.testing.assert_allclose(got[kind], want[kind], rtol=1e-8, err_msg=kind)
+    return fit
+
+
+@CONFIGS
+@pytest.mark.parametrize("tag", MAIN_TAGS)
+def test_ladder_matches_lsdv(tag, cfg):
+    g = generate_panel(cfg)
+    assert_matches_lsdv(g.dataset, expand_notation(tag), g.weights)
 
 
 @CONFIGS
@@ -95,3 +101,36 @@ def test_pooled_r_squared_matches_lsdv(tag, cfg):
     fit = fit_model(g.dataset, expand_notation(tag), g.weights)
     r_squared = lsdv(g.dataset, expand_notation(tag), g.weights)[3]
     assert fit.r_squared_within == pytest.approx(r_squared, rel=1e-10)
+
+
+def _with_article_columns(g, seed):
+    """The generated dataset plus FWCIA, Q1SHA, NQSHA and log(PUB21EMPA): the
+    articles-and-reviews counterparts, drawn to differ from the un-suffixed columns."""
+    rng = np.random.default_rng(seed)
+    d = g.dataset
+    shape = (d.n_regions, d.n_years)
+    columns = {
+        "FWCIA": d.var("FWCI") * np.exp(0.3 * rng.standard_normal(shape)),
+        "Q1SHA": d.var("Q1SH") * rng.uniform(0.5, 1.5, shape),
+        "NQSHA": d.var("NQSH") * rng.uniform(0.5, 1.5, shape),
+    }
+    columns["log(PUB21EMPA)"] = (
+        d.var("log(PUB21EMP)") + 0.2 * columns["FWCIA"] + 0.1 * rng.standard_normal(shape)
+    )
+    for name, values in columns.items():
+        d = d.with_variable(name, values)
+    return d
+
+
+@CONFIGS
+@pytest.mark.parametrize("tag", ["ols.q.a", "fe.tw.q.sl.a"])
+def test_article_variant_matches_lsdv(tag, cfg):
+    g = generate_panel(cfg)
+    d = _with_article_columns(g, cfg.seed)
+    spec = expand_notation(tag)
+    assert spec.dependent == "log(PUB21EMPA)"
+    assert {"FWCIA", "Q1SHA", "NQSHA"} <= {term.name for term in spec.regressors}
+    fit = assert_matches_lsdv(d, spec, g.weights)
+    # the un-suffixed tag fits other columns, so its estimates differ
+    plain = fit_model(d, expand_notation(tag[: -len(".a")]), g.weights)
+    assert plain.coefficients["FWCI"] != fit.coefficients["FWCIA"]

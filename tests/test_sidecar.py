@@ -1,5 +1,7 @@
 """Binary sidecars: the `.npz` beside a CSV the CLI wrote gives exactly what parsing the
-text gives, and a sidecar that is missing, stale or broken changes nothing."""
+text gives for every name the table name rule admits, and a sidecar that is missing,
+stale or broken changes nothing. A name the rule refuses never reaches a writer: the
+types refuse it when they are built, and write_table a header that repeats one."""
 import contextlib
 import io
 import json
@@ -7,20 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkpf import panel, weights
 from rkpf.cli import main
-from rkpf.errors import EngineError
+from rkpf.errors import DuplicateRow, EngineError, InvalidProfiles, InvalidWeights, MissingColumn
 from rkpf.manifest import file_digest, sidecar_path
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
-from rkpf.weights import SpatialWeights, load_weights_csv, write_weights_files
-from rkpf.weights import write_weights_sidecar
+from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
+from rkpf.weights import write_weights_files, write_weights_sidecar
 
-# names with a comma, a quote, CR/LF, surrounding spaces or a trailing NUL
-NAMES = st.text(st.sampled_from(["a", "b", "é", ",", '"', "\r", "\n", " ", "\t", "\x00"]),
-                max_size=5)
+# every name the rule admits: with a comma, a quote, CR/LF or inner spaces, none around
+NAMES = st.text(st.sampled_from(["a", "b", "é", ",", '"', "\r", "\n", " ", "\t"]),
+                max_size=5).map(str.strip)
 AWKWARD = (5e-324, 0.1 + 0.2, -0.0, 0.0, 1.0, 1e308, -2.5e-300)
 VALUES = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
 
@@ -41,11 +43,9 @@ def _outcome(load, path):
         return type(exc).__name__, str(exc)
 
 
-def _both_paths(load, path, names, header):
-    """(outcome with the sidecar, outcome of the text alone). A sidecar is written
-    unless a name would not come back from the text as is, or the header repeats one."""
-    kept = all(n == n.strip() and not n.endswith("\x00") for n in names)
-    assert sidecar_path(path).exists() == (kept and len(set(header)) == len(header))
+def _both_paths(load, path):
+    """(outcome with the sidecar, outcome of the text alone); the sidecar must exist."""
+    assert sidecar_path(path).exists()
     with_sidecar = _outcome(load, path)
     sidecar_path(path).unlink(missing_ok=True)
     return with_sidecar, _outcome(load, path)
@@ -64,8 +64,6 @@ def panels(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(panels())
-@example((["b,", ' "q"', "cr\rlf\n", "nul\x00", "z"], ["x,y", '"v"', " pad ", "year"],
-          np.resize(np.array(AWKWARD), (4, 5, 2))))
 @example((["b,", '"q"', "cr\rlf", "z"], ["x,y", '"v"', "pad"],
           np.resize(np.array(AWKWARD + (np.nan, -np.nan)), (3, 4, 2))))
 def test_panel_sidecar_matches_text(tmp_path_factory, panel_values):
@@ -74,8 +72,7 @@ def test_panel_sidecar_matches_text(tmp_path_factory, panel_values):
                      dict(zip(variables, values)))
     path = tmp_path_factory.mktemp("panel") / "dataset.csv"
     write_panel_sidecar(d, path, write_panel_csv(d, path))
-    with_sidecar, text = _both_paths(load_panel_csv, path, regions + variables,
-                                     ["region", "year", *variables])
+    with_sidecar, text = _both_paths(load_panel_csv, path)
     assert with_sidecar == text
 
 
@@ -94,28 +91,84 @@ def weight_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(weight_matrices())
-@example((["a,", ' "q" ', "b\r\n", "nul\x00"],
+@example((["a,", '"q"', "b\r\nc", "a b"],
           np.array([[-0.0, 5e-324, 1.0, 0.0], [0.1 + 0.2, 0.0, 0.7, -0.0],
                     [0.0, -0.0, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0]])))
-@example((["a,", '"q"', "b\r\nc", "region"], np.full((4, 4), 0.0)))
 def test_weights_sidecar_matches_text(tmp_path_factory, matrix):
     regions, w = matrix
     sw = SpatialWeights(tuple(regions), w)
     path = tmp_path_factory.mktemp("w") / "weights.csv"
     write_weights_sidecar(sw, path, write_weights_files(sw, path, path.with_name("w.json")))
-    with_sidecar, text = _both_paths(load_weights_csv, path, regions, ["region", *regions])
+    with_sidecar, text = _both_paths(load_weights_csv, path)
     assert with_sidecar == text
 
 
 @pytest.mark.parametrize("regions", [(" a", "b"), ("a\x00", "b"), ("region", "b")])
 def test_names_the_text_would_not_give_back_leave_no_sidecar(tmp_path, regions):
-    """Text strips names and a unicode array drops a trailing NUL; a header with a
-    repeated name does not load at all. A stale sidecar is removed."""
+    """Text strips names and a unicode array drops a NUL; a header with a repeated
+    name does not load at all. SpatialWeights refuses the first two and
+    write_weights_files the third, so neither a table nor a sidecar is written."""
     path = tmp_path / "weights.csv"
-    sidecar_path(path).write_bytes(b"stale")
-    sw = SpatialWeights(regions, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    write_weights_sidecar(sw, path, write_weights_files(sw, path, tmp_path / "w.json"))
+    error = MissingColumn if "region" in regions else InvalidWeights
+    with pytest.raises(error):
+        sw = SpatialWeights(regions, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        write_weights_sidecar(sw, path, write_weights_files(sw, path, tmp_path / "w.json"))
     assert not sidecar_path(path).exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+# names the rule refuses: surrounding whitespace, or a NUL anywhere
+REFUSED = st.tuples(NAMES, st.sampled_from([" ", "\t", "\r\n", "\x00"]), NAMES).map(
+    lambda parts: "".join(parts)).filter(lambda n: n != n.strip() or "\x00" in n)
+# per type, the error of its constructor and a builder from one list of names
+CONSTRUCTORS = {
+    "panel regions": (DuplicateRow, lambda names: PanelDataset(
+        tuple(names), (2009,), {"v": np.zeros((len(names), 1))})),
+    "panel variables": (DuplicateRow, lambda names: PanelDataset(
+        ("r",), (2009,), {name: [[0.0]] for name in names})),
+    "weights regions": (InvalidWeights, lambda names: SpatialWeights(
+        tuple(names), np.zeros((len(names), len(names))))),
+    "profile regions": (InvalidProfiles, lambda names: ThematicProfileMatrix(
+        tuple(names), ("s",), np.ones((len(names), 1)))),
+    "profile subject areas": (InvalidProfiles, lambda names: ThematicProfileMatrix(
+        ("r",), tuple(names), np.full((1, len(names)), 1 / len(names)))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CONSTRUCTORS)),
+       st.lists(NAMES, min_size=1, max_size=4, unique=True),
+       st.one_of(REFUSED, st.none()), st.integers(0, 4))
+@example("weights regions", ["a", "b"], "b\x00", 2)  # a sidecar would drop its NUL
+@example("profile regions", ["a", "b"], " a", 0)  # the reader would strip it
+@example("panel regions", ["a", "b"], None, 1)  # a repeat
+def test_every_name_the_rule_refuses_raises_at_construction(kind, names, bad, at):
+    """`bad` (None: a repeat of an admitted name) goes in at position `at`."""
+    error, build = CONSTRUCTORS[kind]
+    build(names)  # the admitted names alone construct
+    if bad is None:
+        assume(kind != "panel variables")  # a dict holds no repeated name
+        bad = names[at % len(names)]
+    at = min(at, len(names))
+    with pytest.raises(error):
+        build([*names[:at], bad, *names[at:]])
+
+
+@pytest.mark.parametrize("write", ["weights", "panel"])
+def test_a_header_that_repeats_a_name_is_refused_before_any_file(tmp_path, write):
+    """A region named "region" or a variable named "year" would repeat a header name,
+    which the loader rejects: neither the CSV nor the weights JSON is written."""
+    if write == "weights":
+        sw = SpatialWeights(("region", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        path = tmp_path / "weights.csv"
+        with pytest.raises(MissingColumn, match="header name 'region' appears more than once"):
+            write_weights_files(sw, path, tmp_path / "weights.json")
+    else:
+        d = PanelDataset(("a", "b"), (2009,), {"year": [[1.0], [2.0]]})
+        path = tmp_path / "dataset.csv"
+        with pytest.raises(MissingColumn, match="header name 'year' appears more than once"):
+            write_panel_csv(d, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _simulated(root: Path) -> Path:

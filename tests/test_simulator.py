@@ -138,6 +138,13 @@ class TestDgpConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: \d+ .* > {MAX_CELLS}$"):
             DgpConfig.from_mapping(m)
 
+    @pytest.mark.parametrize("name", ["region", "year", "PUB21EMP", " FWCI", "FWCI\t", "F\x00", 1])
+    def test_regressor_name_a_table_would_not_hold_is_named(self, name):
+        """A generated column's name, one that check_names refuses, or no string."""
+        dists = {name: DEFAULT_REGRESSORS["FWCI"]}
+        with pytest.raises(ConfigError, match=rf"^regressors\.{re.escape(str(name))}: "):
+            DgpConfig(regressor_distributions=dists, true_coefficients={})
+
     def test_benchmark_sizes_within_the_bound(self):
         DgpConfig(n_regions=2000, n_years=20)
         DgpConfig(n_regions=78, n_years=12)
