@@ -23,7 +23,7 @@ from .errors import (
     NonNumericCell,
     UnknownSubjectArea,
 )
-from .tables import read_table, write_table
+from .tables import check_names, read_table, write_table
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 # panel column -> RegionYearIndicators field, for indicators.csv and ingest's merge
@@ -69,6 +69,9 @@ class PublicationRecord:
             self.id, self.regions, self.subject_areas,
             self.citations, self.expected_citations, self.journal_quartile,
         )
+        # no name that reading it from a file would change: load_publications strips them
+        check_names(self.regions, ValueError, f"record {self.id!r}: region")
+        check_names(self.subject_areas, ValueError, f"record {self.id!r}: subject area")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, EngineError
-from .estimation import fit_model, parse_term_label, term_values
+from .estimation import fit_model, parse_term_label, t_critical, term_values
 from .panel import RESERVED_COLUMNS, PanelDataset
 from .runtime import parallel_map
 from .suite import expand_notation
@@ -432,8 +432,6 @@ def monte_carlo(
     so the same config and seed give the same report. An engine error in a
     replication keeps its type and names the replication and its spawn key.
     """
-    from scipy.special import stdtrit  # scipy loads only where a fit runs
-
     if not 2 <= replications <= MAX_REPLICATIONS:
         raise ConfigError(f"replications must be in [2, {MAX_REPLICATIONS}], got {replications}")
     spec = expand_notation(spec_tag, covariance)
@@ -450,7 +448,7 @@ def monte_carlo(
             raise type(exc)(
                 f"replication {i} (spawn key {streams[i].spawn_key}): {exc}"
             ) from exc
-        crit = stdtrit(fit.dof, 0.975)
+        crit = t_critical(fit.dof)
         return [(fit.coefficients[label], fit.std_errors[label], crit) for label in tracked]
 
     # (estimate, standard error, t critical value) per replication and term

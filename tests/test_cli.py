@@ -917,21 +917,34 @@ def _probe(code: str, **env) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_cli_import_skips_scipy_stats():
-    """`import rkpf` loads no numpy, so the CLI can set BLAS threads before numpy loads;
-    `import rkpf.cli` loads no scipy (scipy.stats alone costs ~0.8 s per process)."""
+def test_import_rkpf_leaves_numpy_to_the_cli():
+    """`import rkpf` loads no numpy, so the CLI can set BLAS threads before numpy loads."""
     code = (
         "import rkpf\n"
         "numpy = 'numpy' in sys.modules\n"
         "import rkpf.cli\n"
-        "print(json.dumps([numpy, 'numpy' in sys.modules, 'scipy' in sys.modules,"
-        " 'scipy.stats' in sys.modules]))"
+        "print(json.dumps([numpy, 'numpy' in sys.modules]))"
     )
-    assert _probe(code) == [False, True, False, False]
+    assert _probe(code) == [False, True]
 
 
-def test_scipy_loads_only_where_a_fit_runs(tmp_path):
-    """stats and ingest --pubs run without scipy; fit loads it."""
+# Installed first on sys.meta_path, this finder refuses every top-level package but the
+# standard library, numpy, PyYAML and rkpf, as if nothing else were installed.
+_ONLY_DEPENDENCIES = """
+import importlib.abc
+allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "rkpf"}
+class OnlyDependencies(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in allowed:
+            raise ModuleNotFoundError(f"refused: {name}", name=name)
+        return None
+sys.meta_path.insert(0, OnlyDependencies())
+"""
+
+
+def test_every_subcommand_runs_on_the_declared_dependencies(tmp_path):
+    """stats, ingest --pubs, fit, suite --dual-errors and mc run with only the standard
+    library, numpy and PyYAML importable."""
     sim = tmp_path / "sim"
     assert run("simulate", "--seed", 7, "--output-dir", sim) == 0
     dataset = load_panel_csv(sim / "dataset.csv")
@@ -945,15 +958,16 @@ def test_scipy_loads_only_where_a_fit_runs(tmp_path):
         ["ingest", "--panel", sim / "dataset.csv", "--pubs", pubs,
          "--output-dir", tmp_path / "bundle"],
         ["fit", "--bundle", sim, "--spec", "fe.tw", "--output-dir", tmp_path / "fit"],
+        ["suite", "--bundle", sim, "--weights", sim / "weights.csv", "--dual-errors",
+         "--output-dir", tmp_path / "suite"],
+        ["mc", "--reps", 20, "--seed", 3, "--output-dir", tmp_path / "mc"],
     ]
-    code = (
+    code = _ONLY_DEPENDENCIES + (
         "from rkpf.cli import main\n"
-        "seen = []\n"
-        f"for argv in {[[str(a) for a in argv] for argv in steps]!r}:\n"
-        "    seen.append([main(argv), 'scipy' in sys.modules])\n"
-        "print(json.dumps(seen))"
-    )
-    assert _probe(code) == [[0, False], [0, False], [0, True]]
+        "codes = [main(argv) for argv in %r]\n"
+        "print(json.dumps(codes))"
+    ) % [[str(a) for a in argv] for argv in steps]
+    assert _probe(code) == [0] * len(steps)
 
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "explicit"])

@@ -118,6 +118,19 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match=message):
             rec(citations=citations, expected=expected)
 
+    @pytest.mark.parametrize(
+        "regions, areas, message",
+        [
+            ((" R1", "R2"), ("bio",), "record 'p1': region ' R1' has surrounding whitespace"),
+            (("R1",), ("bio\x00",), r"record 'p1': subject area 'bio\\x00' has surrounding"),
+        ],
+        ids=["padded-region", "area-with-nul"],
+    )
+    def test_name_a_file_would_change_rejected(self, regions, areas, message):
+        # the same record read from a file counts for 'R1': load_publications strips names
+        with pytest.raises(ValueError, match=message):
+            rec(regions=regions, areas=areas)
+
     def test_fwci_whose_mean_overflows_names_the_cell(self):
         records = [rec(rid=f"p{i}", citations=17 * 10**307, expected=1.0) for i in (1, 2)]
         with pytest.raises(NonNumericCell, match="FWCI of 'A', 2019 is inf"):

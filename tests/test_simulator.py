@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import stdtrit
 
 from rkpf.errors import ConfigError, EngineError, RankDeficient
-from rkpf.estimation import fit_model
+from rkpf.estimation import fit_model, t_critical
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
     _REGRESSOR_KEYS,
@@ -326,5 +325,5 @@ class TestMonteCarlo:
         cfg = replace(DgpConfig(seed=11), true_coefficients=coefs)
         g = generate_panel(cfg)
         fit = fit_model(g.dataset, expand_notation("fe.tw.q.sl"), g.weights)
-        half = stdtrit(fit.dof, 0.975) * fit.std_errors["log(EXPEMP10)"]
+        half = t_critical(fit.dof) * fit.std_errors["log(EXPEMP10)"]
         assert abs(fit.coefficients["log(EXPEMP10)"] - 0.5) <= half

@@ -1,22 +1,24 @@
 """Student t probabilities against mpmath at 50 digits.
 
-fit_model's two-sided p-values (estimation._inference) and monte_carlo's 95%
-critical value (scipy.special.stdtrit(dof, 0.975)) are checked at every dof the
+fit_model's two-sided p-values (estimation._inference) and monte_carlo's 97.5%
+critical value (estimation.t_critical) are checked at every dof the
 specification ladder produces at 78 x 12, 500 x 12 and 2000 x 20, in both tails
-and for |t| up to 40. The oracle is the regularized incomplete beta function:
-P(|T| > t) = I_x(dof/2, 1/2) with x = dof / (dof + t^2).
+and for |t| up to 40, and at small dofs: the Cauchy tail (dof 1), and either
+side of where the log-gamma ratio in the density's constant switches from the
+recurrence to its Stirling series alone (dof 40). The oracle is the
+regularized incomplete beta function: P(|T| > t) = I_x(dof/2, 1/2) with
+x = dof / (dof + t^2).
 """
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import stdtrit
 
-from rkpf.estimation import _inference, fit_model
+from rkpf.estimation import _inference, fit_model, t_critical
 from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.suite import MAIN_TAGS, expand_notation
 
 DIGITS = 50
-# scipy's stdtr is off by at most 8.2e-14 relative on this grid (at |t| = 20 and 40)
+# the quadrature is off by at most 6.2e-14 relative on this grid (at |t| = 40)
 P_RTOL = 1e-12
 CRIT_RTOL = 1e-14
 TINY = np.finfo(float).tiny  # below it a p-value is subnormal or 0 and keeps no relative precision
@@ -34,7 +36,10 @@ def ladder_dofs(n: int, t: int) -> list[int]:
     return sorted(dofs)
 
 
-DOFS = sorted({d for n, t in ((78, 12), (500, 12), (2000, 20)) for d in ladder_dofs(n, t)})
+LADDER_DOFS = {d for n, t in ((78, 12), (500, 12), (2000, 20)) for d in ladder_dofs(n, t)}
+# 103 and 104 are where a plain lgamma difference in the constant put t_critical 1.7e-14 off
+SMALL_DOFS = {1, 2, 3, 5, 30, 39, 40, 41, 59, 60, 61, 100, 103, 104}
+DOFS = sorted(LADDER_DOFS | SMALL_DOFS)
 
 
 def two_sided_p(dof: int, t: float) -> mpmath.mpf:
@@ -67,5 +72,10 @@ def test_two_sided_p_values(dof):
 def test_critical_values(dof):
     with mpmath.workdps(DIGITS):
         root = mpmath.findroot(lambda t: two_sided_p(dof, t) - mpmath.mpf("0.05"), 2)
-    for q, want in ((0.975, float(root)), (0.025, -float(root))):
-        assert stdtrit(dof, q) == pytest.approx(want, rel=CRIT_RTOL, abs=0), q
+    assert t_critical(dof) == pytest.approx(float(root), rel=CRIT_RTOL, abs=0)
+
+
+def test_p_value_at_infinite_and_nan_t():
+    _, t_stats, p_values = _inference(np.eye(3), np.array([np.inf, -np.inf, np.nan]), 30)
+    assert p_values[:2].tolist() == [0.0, 0.0]
+    assert np.isnan(p_values[2])
