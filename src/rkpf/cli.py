@@ -5,7 +5,9 @@ a plain directory holding dataset.csv plus a manifest; every command is
 deterministic given its inputs and seed, and a manifest records the digest
 of every file its command read, so reruns are verifiable. The dataset.csv and
 weights.csv that ingest, weights and simulate write get a binary sidecar (see
-rkpf.manifest) that later steps load instead of parsing the text. Exit codes:
+rkpf.manifest) that later steps load instead of parsing the text, and ingest
+--pubs leaves the publications' incidence counts in the bundle for weights
+--pubs --bundle, which then does not decode the same file again. Exit codes:
 0 success, 2 input or validation error (one line naming the input at fault,
 such as a path that is missing, a directory, or under a regular file), 1
 internal error.
@@ -30,8 +32,17 @@ import numpy as np  # noqa: E402
 
 from . import __version__
 from .errors import EngineError, InvalidTag, MissingData, RegionOrderMismatch
-from .indicators import INDICATOR_COLUMNS, load_publications, load_vocabulary
-from .indicators import region_year_indicators, write_indicator_csv
+from .indicators import (
+    INDICATOR_COLUMNS,
+    load_publications,
+    load_vocabulary,
+    read_incidence_sidecar,
+    region_year_indicators,
+    sidecar_sources,
+    write_incidence_sidecar,
+    write_indicator_csv,
+)
+from .indicators import SIDECAR_NAME as PUBLICATIONS_SIDECAR
 from .manifest import build_manifest
 from .panel import (
     descriptive_stats,
@@ -164,7 +175,9 @@ def cmd_ingest(args) -> int:
         with _reading(inputs, args.vocab) as path:
             vocabulary = load_vocabulary(path) if path else None
         with _reading(inputs, args.pubs) as path:
-            rows = region_year_indicators(load_publications(path, vocabulary))
+            pubs = load_publications(path, vocabulary)
+            sources = sidecar_sources(path, args.vocab, inputs)
+            rows = region_year_indicators(pubs)
         write_indicator_csv(rows, out / "indicators.csv")
         region_rows = {r: i for i, r in enumerate(dataset.region_ids)}
         year_columns = {y: j for j, y in enumerate(dataset.years)}
@@ -183,6 +196,8 @@ def cmd_ingest(args) -> int:
         return 2
 
     _write_dataset(dataset, out)
+    if args.pubs:
+        write_incidence_sidecar(pubs, out / PUBLICATIONS_SIDECAR, sources)
     _write_json(out / "manifest.json", build_manifest("ingest", inputs))
     print(f"bundle written to {out}")
     return 0
@@ -202,11 +217,17 @@ def cmd_weights(args) -> int:
         with _reading(inputs, args.vocab) as path:
             vocabulary = load_vocabulary(path) if path else None
         with _reading(inputs, args.pubs) as path:
-            pubs = load_publications(path, vocabulary)
+            incidences = None
+            if args.bundle:  # its ingest may have left the counts of these very files
+                sources = sidecar_sources(path, args.vocab, inputs)
+                sidecar = Path(args.bundle) / PUBLICATIONS_SIDECAR
+                incidences = read_incidence_sidecar(sidecar, sources, inputs)
+            if incidences is None:
+                incidences = load_publications(path, vocabulary).incidences
             if vocabulary is None:
-                vocabulary = sorted(frozenset().union(*pubs.subject_areas))
+                vocabulary = sorted({area for _, area in incidences})
             regions = _bundle_regions(args.bundle, inputs) if args.bundle else None
-            profiles = build_profile_matrix(pubs, vocabulary, regions)
+            profiles = build_profile_matrix(incidences, vocabulary, regions)
 
     w = build_weights(correlation_matrix(profiles), profiles.regions)
     _write_weights(w, out)

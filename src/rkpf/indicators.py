@@ -4,14 +4,22 @@ Full counting attributes a co-authored publication once to every region on
 it. FWCI is the mean ratio of citations to the expected field baseline;
 quartile shares are percentages of a region-year's output in first-quartile
 and in unranked sources. Thematic profiles are subject-area incidence
-shares and feed the proximity weights. A publications file is read in one
-pass into `Publications`, the columns these computations read.
+shares and feed the proximity weights.
+
+A publications file is read in one pass, and each record is checked and
+folded into `Publications` as it is decoded: the counts these computations
+read, and no record. `ingest` leaves the incidence counts in the bundle as
+`publications.npz`, keyed by the sha256 of the publications file and of its
+vocabulary, so that `weights` builds its profiles without decoding the file
+again (see rkpf.manifest).
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from array import array
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from json.decoder import WHITESPACE
 
 import numpy as np
@@ -23,7 +31,8 @@ from .errors import (
     NonNumericCell,
     UnknownSubjectArea,
 )
-from .tables import check_names, read_table, write_table
+from .manifest import read_sidecar, recorded_digest, write_sidecar
+from .tables import byte_order_mark, check_names, read_table, write_table
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 # panel column -> RegionYearIndicators field, for indicators.csv and ingest's merge
@@ -74,34 +83,46 @@ class PublicationRecord:
         check_names(self.subject_areas, ValueError, f"record {self.id!r}: subject area")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Publications:
-    """Checked publication records as columns, one entry per record in file order.
+    """Checked publication records, folded into the counts the indicators and the
+    thematic profiles read; `len()` is the number of records.
 
-    Only what the indicators and the thematic profiles read: the year, the
-    region set, the subject-area set, citations / expected_citations and the
-    journal quartile.
+    `cells` maps each (region, year) that a record lists to [the citation ratios
+    of its records in record order, its Q1 count, its NONE count]. `incidences`
+    counts each (region, subject area) that a record lists together, so it
+    covers every region and every subject area the records list.
     """
 
-    years: tuple[int, ...]
-    regions: tuple[frozenset[str], ...]
-    subject_areas: tuple[frozenset[str], ...]
-    ratios: np.ndarray
-    quartiles: tuple[str, ...]
+    records: int = 0
+    cells: dict = field(default_factory=dict)
+    incidences: Counter = field(default_factory=Counter)
 
     def __len__(self) -> int:
-        return len(self.years)
+        return self.records
+
+    def add(self, year: int, regions, subject_areas, ratio: float, quartile: str) -> None:
+        """Count one checked record: full counting, once per region it lists."""
+        self.records += 1
+        q1, nq = quartile == "Q1", quartile == "NONE"
+        cells, incidences = self.cells, self.incidences
+        for region in regions:
+            cell = cells.get((region, year))
+            if cell is None:
+                cell = cells[region, year] = [array("d"), 0, 0]
+            cell[0].append(ratio)
+            cell[1] += q1
+            cell[2] += nq
+            for area in subject_areas:
+                incidences[region, area] += 1
 
     @classmethod
     def from_records(cls, records) -> "Publications":
-        records = list(records)
-        return cls(
-            tuple(r.year for r in records),
-            tuple(r.regions for r in records),
-            tuple(r.subject_areas for r in records),
-            np.array([r.citations / r.expected_citations for r in records], dtype=float),
-            tuple(r.journal_quartile for r in records),
-        )
+        pubs = cls()
+        for r in records:
+            pubs.add(r.year, r.regions, r.subject_areas,
+                     r.citations / r.expected_citations, r.journal_quartile)
+        return pubs
 
 
 @dataclass(frozen=True)
@@ -121,24 +142,18 @@ def region_year_indicators(pubs: Publications) -> list[RegionYearIndicators]:
     FWCI is the mean of the cell's citation ratios, taken in record order, and
     a quartile share is 100 * count / the cell's record count.
     """
-    cells: dict[tuple[str, int], list[int]] = {}
-    for i, (regions, year) in enumerate(zip(pubs.regions, pubs.years)):
-        for region in regions:
-            cells.setdefault((region, year), []).append(i)
-    quartiles = np.array(pubs.quartiles)
-    is_q1, is_nq = quartiles == "Q1", quartiles == "NONE"
     rows = []
     with np.errstate(over="ignore"):  # a mean that overflows is named below
-        for (region, year), members in sorted(cells.items()):
-            fwci = float(np.mean(pubs.ratios[members]))
+        for (region, year), (ratios, q1, nq) in sorted(pubs.cells.items()):
+            fwci = float(np.mean(np.frombuffer(ratios)))
             if not math.isfinite(fwci):
                 raise NonNumericCell(
                     f"FWCI of {region!r}, {year} is {fwci}: its mean ratio overflows"
                 )
-            total = len(members)
-            q1 = 100.0 * int(np.count_nonzero(is_q1[members])) / total
-            nq = 100.0 * int(np.count_nonzero(is_nq[members])) / total
-            rows.append(RegionYearIndicators(region, year, total, fwci, q1, nq))
+            total = len(ratios)
+            rows.append(RegionYearIndicators(
+                region, year, total, fwci, 100.0 * q1 / total, 100.0 * nq / total
+            ))
     return rows
 
 
@@ -160,21 +175,9 @@ def _json_line(line: str):
     return obj
 
 
-def _stripped(names: frozenset, shared: dict) -> frozenset:
-    """`names`, each stripped as a table cell is. The result is kept in `shared`
-    under both sets, so that equal sets come out as one and a set met again is
-    looked up there, not stripped again."""
-    stripped = frozenset(map(str.strip, names))
-    stripped = shared[names] = shared.setdefault(stripped, stripped)
-    return stripped
-
-
-def _record_columns(obj, vocabulary, shared: dict) -> tuple:
-    """(year, regions, subject_areas, ratio, quartile) of one checked record mapping.
-
-    Names are stripped; equal region and subject-area sets come out as one
-    frozenset (see _stripped).
-    """
+def _record_columns(obj, vocabulary) -> tuple:
+    """(year, regions, subject_areas, ratio, quartile) of one checked record mapping,
+    names stripped as a table cell is."""
     if not isinstance(obj, dict):
         raise NonNumericCell(f"publication record must be an object, got {type(obj).__name__}")
     if not obj.keys() >= _FIELDS:
@@ -192,9 +195,8 @@ def _record_columns(obj, vocabulary, shared: dict) -> tuple:
         and {str}.issuperset(map(type, regions + areas))
     ):
         raise NonNumericCell("regions and subject_areas must be lists of strings")
-    regions, areas = frozenset(regions), frozenset(areas)
-    regions = shared.get(regions) or _stripped(regions, shared)
-    areas = shared.get(areas) or _stripped(areas, shared)
+    regions = frozenset(map(str.strip, regions))
+    areas = frozenset(map(str.strip, areas))
     if vocabulary is not None and not vocabulary.issuperset(areas):
         unknown = sorted(areas - vocabulary)
         raise UnknownSubjectArea(f"subject areas {unknown} not in the vocabulary")
@@ -248,35 +250,28 @@ def load_publications(path, vocabulary=None) -> Publications:
     path = str(path)
     vocabulary = None if vocabulary is None else frozenset(vocabulary)
     json_lines = path.endswith(".jsonl") or path.endswith(".json")
-    years, regions, areas, ratios, quartiles = [], [], [], [], []
-    shared: dict[frozenset, frozenset] = {}
+    pubs = Publications()
     for lineno, obj in (_json_objects if json_lines else _csv_objects)(path):
         try:
-            year, record_regions, record_areas, ratio, quartile = _record_columns(
-                obj, vocabulary, shared
-            )
+            columns = _record_columns(obj, vocabulary)
         except EngineError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
-        years.append(year)
-        regions.append(record_regions)
-        areas.append(record_areas)
-        ratios.append(ratio)
-        quartiles.append(quartile)
-    if not years:
+        pubs.add(*columns)
+    if not len(pubs):
         raise MissingData(f"{path}: no publication records")
-    return Publications(
-        tuple(years), tuple(regions), tuple(areas), np.array(ratios), tuple(quartiles)
-    )
+    return pubs
 
 
 def load_vocabulary(path) -> list[str]:
     """Subject-area vocabulary: one code per line, order preserved."""
     with open(path, "r", encoding="utf-8") as fh:
-        codes = [line.strip() for line in fh if line.strip()]
+        lines = list(fh)
+    if lines and lines[0].startswith("\ufeff"):
+        raise byte_order_mark(path)
+    codes = [line.strip() for line in lines if line.strip()]
     if not codes:
         raise MissingData(f"{path}: empty vocabulary")
-    if len(set(codes)) != len(codes):
-        raise NonNumericCell(f"{path}: duplicate subject-area codes")
+    check_names(codes, lambda message: NonNumericCell(f"{path}: {message}"), "subject-area code")
     return codes
 
 
@@ -285,3 +280,59 @@ def write_indicator_csv(rows: list[RegionYearIndicators], path) -> None:
     fields = INDICATOR_COLUMNS.values()
     body = (((r.region, r.year), [repr(getattr(r, f)) for f in fields]) for r in rows)
     write_table(path, ["region", "year", *INDICATOR_COLUMNS], body)
+
+
+# ---------------------------------------------------------------------------
+# the incidence sidecar
+# ---------------------------------------------------------------------------
+
+SIDECAR_NAME = "publications.npz"
+# (dtype kind, ndim) of each array of the sidecar: incidences is regions x subject areas
+SIDECAR_LAYOUT = {"regions": ("U", 1), "subject_areas": ("U", 1), "incidences": ("i", 2)}
+
+
+def sidecar_sources(pubs_path, vocab_path=None, digests: dict | None = None) -> dict:
+    """The key of the incidence sidecar of a publications file read with a vocabulary
+    file: the sha256 of each, "none" without a vocabulary. `digests`, if given,
+    receives each sha256 under its path."""
+    return {
+        "pubs_sha256": recorded_digest(pubs_path, digests),
+        "vocab_sha256": "none" if vocab_path is None else recorded_digest(vocab_path, digests),
+    }
+
+
+def write_incidence_sidecar(pubs: Publications, path, sources: dict) -> None:
+    """Write pubs.incidences to `path`, keyed by `sources` (see sidecar_sources): the
+    sorted regions by the sorted subject areas. None is written where a unicode array
+    would not give a name back: one holding a NUL."""
+    regions = sorted({region for region, _ in pubs.incidences})
+    areas = sorted({area for _, area in pubs.incidences})
+    if any("\x00" in name for name in (*regions, *areas)):
+        return
+    row = {region: i for i, region in enumerate(regions)}
+    column = {area: j for j, area in enumerate(areas)}
+    counts = np.zeros((len(regions), len(areas)), dtype=np.int64)
+    for (region, area), n in pubs.incidences.items():
+        counts[row[region], column[area]] = n
+    write_sidecar(path, sources, SIDECAR_LAYOUT,
+                  regions=regions, subject_areas=areas, incidences=counts)
+
+
+def read_incidence_sidecar(path, sources: dict, digests: dict | None = None):
+    """The incidences that load_publications(...).incidences gives for the files
+    `sources` names, from the sidecar at `path` if it records them and its counts
+    fit its names; otherwise None, and the caller decodes the publications file.
+    `digests`, if given, receives the sidecar's own sha256 under its path if it was
+    opened."""
+    arrays = read_sidecar(path, sources, SIDECAR_LAYOUT, digests)
+    if arrays is None:
+        return None
+    regions, areas = arrays["regions"].tolist(), arrays["subject_areas"].tolist()
+    counts = arrays["incidences"]
+    if counts.shape != (len(regions), len(areas)):
+        return None
+    rows, columns = np.nonzero(counts)
+    return {
+        (regions[i], areas[j]): n
+        for i, j, n in zip(rows.tolist(), columns.tolist(), counts[rows, columns].tolist())
+    }

@@ -19,7 +19,7 @@ from .errors import (
     NonNumericCell,
     UnknownVariable,
 )
-from .manifest import read_sidecar, write_sidecar
+from .manifest import read_csv_sidecar, write_csv_sidecar
 from .tables import check_names, format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
@@ -109,7 +109,7 @@ def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
     sidecar when one records the CSV's digest (see write_panel_sidecar).
     `digests`, if given, receives the sha256 of each file read, by path.
     """
-    arrays = read_sidecar(path, SIDECAR_LAYOUT, digests)
+    arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests)
     if arrays is not None:
         with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
             return PanelDataset(
@@ -176,7 +176,7 @@ def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
     missing cell the NaN an empty cell parses to."""
     order = sorted(range(d.n_regions), key=d.region_ids.__getitem__)
     values = np.stack(list(d.variables.values()))[:, order]
-    write_sidecar(
+    write_csv_sidecar(
         csv_path,
         digest,
         SIDECAR_LAYOUT,

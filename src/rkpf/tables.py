@@ -47,7 +47,10 @@ def _rows(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader, [])]
+            header = next(reader, [])
+            if header[:1] and header[0].startswith("\ufeff"):
+                raise byte_order_mark(path)
+            header = [h.strip() for h in header]
             if not reader.line_num:  # not even a header line
                 raise MissingData(f"{path}: file is empty")
             if len(set(header)) != len(header):
@@ -68,6 +71,12 @@ def _rows(path):
             raise NonNumericCell(f"{path}:{reader.line_num}: {exc}") from None
     if header_only:
         raise MissingData(f"{path}: header only, no data rows")
+
+
+def byte_order_mark(path) -> NonNumericCell:
+    """The error for a text file that starts with a UTF-8 byte-order mark, which the
+    engine's readers would otherwise keep in the first name."""
+    return NonNumericCell(f"{path}: starts with a UTF-8 byte-order mark")
 
 
 def not_utf8(path) -> NonNumericCell:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
 
 import numpy as np
 
@@ -27,8 +25,7 @@ from .errors import (
     RegionOrderMismatch,
     UnknownSubjectArea,
 )
-from .indicators import Publications
-from .manifest import read_sidecar, write_sidecar
+from .manifest import read_csv_sidecar, write_csv_sidecar
 from .tables import check_names, format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
@@ -149,19 +146,20 @@ def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
 
 
 def build_profile_matrix(
-    pubs: Publications,
+    incidences: dict,
     vocabulary: list[str],
     regions: list[str] | None = None,
 ) -> ThematicProfileMatrix:
     """Per-region subject-area incidence shares over a fixed vocabulary.
 
-    A record listing k subject areas contributes one incidence to each of them
-    in every region it lists; a region's shares are its incidences divided by
-    its total. Regions default to every region the records list, sorted.
+    `incidences` counts each (region, subject area) that the records list
+    together (Publications.incidences): a record listing k subject areas
+    contributes one incidence to each of them in every region it lists. A
+    region's shares are its incidences divided by its total. Regions default to
+    every region the counts hold, sorted.
     """
-    incidences = Counter(chain.from_iterable(map(product, pubs.regions, pubs.subject_areas)))
     if regions is None:
-        regions = sorted(frozenset().union(*pubs.regions))
+        regions = sorted({region for region, _ in incidences})
     row = {region: i for i, region in enumerate(dict.fromkeys(regions))}
     column = {code: j for j, code in enumerate(vocabulary)}
     counts = np.zeros((len(row), len(vocabulary)))
@@ -234,7 +232,7 @@ def write_weights_files(w: SpatialWeights, csv_path, json_path) -> str:
 def write_weights_sidecar(w: SpatialWeights, csv_path, digest: str) -> None:
     """The sidecar of the weights CSV that write_weights_files wrote to csv_path,
     returning `digest`."""
-    write_sidecar(csv_path, digest, SIDECAR_LAYOUT, regions=w.regions, w=w.w)
+    write_csv_sidecar(csv_path, digest, SIDECAR_LAYOUT, regions=w.regions, w=w.w)
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:
@@ -263,7 +261,7 @@ def load_weights_csv(path, digests: dict | None = None) -> SpatialWeights:
     """Load a dense weights CSV, from its sidecar when one records the CSV's digest
     (see write_weights_sidecar). `digests`, if given, receives the sha256 of each
     file read, by path."""
-    arrays = read_sidecar(path, SIDECAR_LAYOUT, digests)
+    arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests)
     if arrays is not None:
         with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
             return SpatialWeights(tuple(arrays["regions"].tolist()), arrays["w"])

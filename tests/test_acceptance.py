@@ -332,7 +332,7 @@ def test_criterion_10_indicator_correctness():
             )
             assert q1 == float(exact_q1) and nq == float(exact_nq)
 
-        profiles = build_profile_matrix(pubs, vocabulary)
+        profiles = build_profile_matrix(pubs.incidences, vocabulary)
         for i, region in enumerate(profiles.regions):
             counts = {code: 0 for code in vocabulary}
             for record in records:

@@ -831,8 +831,9 @@ class TestManifestInputs:
         "weights": ["weights", "--profiles", "sim/profiles.csv"],
         "weights-profiles-bundle": ["weights", "--profiles", "sim/profiles.csv",
                                     "--bundle", "bundle"],
+        # on the bundle of ingest --pubs, which holds the publications sidecar
         "weights-pubs-vocab-bundle": ["weights", "--pubs", "pubs.jsonl", "--vocab",
-                                      "vocab.txt", "--bundle", "bundle"],
+                                      "vocab.txt", "--bundle", "ingest-pubs-vocab"],
         "suite": ["suite", "--bundle", "bundle", "--weights", "weights/weights.csv"],
         "fit": ["fit", "--bundle", "bundle", "--spec", "fe.tw.q.sl",
                 "--weights", "weights/weights.csv"],
@@ -876,7 +877,8 @@ class TestManifestInputs:
         "ingest": {"sim/dataset.npz"},
         "ingest-pubs-vocab": {"sim/dataset.npz"},
         "weights-profiles-bundle": {"bundle/dataset.npz"},
-        "weights-pubs-vocab-bundle": {"bundle/dataset.npz"},
+        "weights-pubs-vocab-bundle": {"ingest-pubs-vocab/dataset.npz",
+                                      "ingest-pubs-vocab/publications.npz"},
         "suite": {"bundle/dataset.npz", "weights/weights.npz"},
         "fit": {"bundle/dataset.npz", "weights/weights.npz"},
         "stats": {"bundle/dataset.npz"},

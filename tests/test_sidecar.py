@@ -5,6 +5,7 @@ types refuse it when they are built, and write_table a header that repeats one."
 import contextlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rkpf import panel, weights
+from rkpf import indicators, panel, weights
 from rkpf.cli import main
 from rkpf.errors import DuplicateRow, EngineError, InvalidProfiles, InvalidWeights, MissingColumn
+from rkpf.indicators import Publications
 from rkpf.manifest import file_digest, sidecar_path
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
 from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
@@ -228,11 +230,13 @@ def _savez(path, **arrays):
         np.savez(fh, **arrays)
 
 
-def _break(kind: str, npz: Path, layout: dict, digest: str) -> None:
-    """Replace the sidecar npz with one that is `kind` of wrong."""
+def _break(kind: str, npz: Path, layout: dict, sources: dict) -> None:
+    """Replace the sidecar npz, keyed by `sources` (key -> sha256), with one that is
+    `kind` of wrong."""
     good = npz.read_bytes()
     right = {key: np.zeros((1,) * ndim, dtype="U2" if k == "U" else k + "8")
              for key, (k, ndim) in layout.items()}
+    recorded = {key: np.array(digest) for key, digest in sources.items()}
     if kind == "truncated":
         npz.write_bytes(good[: len(good) // 2])
     elif kind == "zero-byte":
@@ -241,16 +245,15 @@ def _break(kind: str, npz: Path, layout: dict, digest: str) -> None:
         np.save(npz.with_suffix(".npy"), np.zeros(3))
         npz.with_suffix(".npy").rename(npz)
     elif kind == "foreign-key":
-        _savez(npz, sha256=np.array(digest), other=np.zeros(3))
+        _savez(npz, **recorded, other=np.zeros(3))
     elif kind == "object-dtype":
-        _savez(npz, sha256=np.array(digest),
-               **{key: np.array([None], dtype=object) for key in layout})
+        _savez(npz, **recorded, **{key: np.array([None], dtype=object) for key in layout})
     elif kind == "wrongly-typed":
-        _savez(npz, sha256=np.array(digest),
+        _savez(npz, **recorded,
                **{key: np.zeros(2) if k == "U" else np.array(["x"]) for key, (k, _) in
                   layout.items()})
-    elif kind == "stale":  # well formed, but of another CSV
-        _savez(npz, sha256=np.array("0" * 64), **right)
+    elif kind == "stale":  # well formed, but of other sources
+        _savez(npz, **{key: np.array("0" * 64) for key in sources}, **right)
     elif kind == "directory":
         npz.unlink()
         npz.mkdir()
@@ -288,7 +291,7 @@ def test_a_broken_sidecar_changes_no_result(tmp_path, kind):
     good = _run_steps(tmp_path, "good")
     for name, layout in (("dataset.csv", panel.SIDECAR_LAYOUT),
                          ("weights.csv", weights.SIDECAR_LAYOUT)):
-        _break(kind, sidecar_path(sim / name), layout, file_digest(sim / name))
+        _break(kind, sidecar_path(sim / name), layout, {"sha256": file_digest(sim / name)})
     broken = _run_steps(tmp_path, kind)
     for step, (code, results, inputs) in broken.items():
         assert code == 0 and results == good[step][1], step
@@ -297,3 +300,201 @@ def test_a_broken_sidecar_changes_no_result(tmp_path, kind):
         want.update({p: file_digest(p) for p in good[step][2]
                      if p.endswith(".npz") and Path(p).is_file()})
         assert inputs == want, step
+
+
+# ---------------------------------------------------------------------------
+# the publications sidecar: incidence counts that ingest --pubs leaves in the bundle
+# ---------------------------------------------------------------------------
+
+CODES = ("SA01", "SA02", "SA03", "SA04")
+
+
+def _pubs_inputs(root: Path) -> Path:
+    """panel.csv (4 regions x 2 years), pubs.jsonl with records in every cell, and
+    vocab.txt, in root."""
+    root.mkdir(parents=True, exist_ok=True)
+    regions, years = ("R1", "R2", "R3", "R4"), (2019, 2020)
+    rows = [f"{r},{y},{i + y % 7}.5" for i, r in enumerate(regions) for y in years]
+    (root / "panel.csv").write_text("region,year,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    rng = np.random.default_rng(11)
+    records = []
+    for i, region in enumerate(regions):
+        for year in years:
+            for _ in range(3):
+                others = rng.choice(regions, size=rng.integers(0, 2), replace=False)
+                areas = rng.choice(CODES[: 2 + i % 3], size=rng.integers(1, 3), replace=False)
+                records.append({
+                    "id": f"p{len(records)}", "year": year,
+                    "regions": [region, *others.tolist()], "subject_areas": areas.tolist(),
+                    "citations": int(rng.integers(0, 30)),
+                    "expected_citations": float(rng.uniform(1, 9)),
+                    "journal_quartile": str(rng.choice(["Q1", "Q2", "NONE"])),
+                })
+    (root / "pubs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                     encoding="utf-8")
+    (root / "vocab.txt").write_text("\n".join(CODES) + "\n", encoding="utf-8")
+    return root
+
+
+def _main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def _ingest(root: Path, out: str, vocab: bool = True) -> Path:
+    vocab_flag = ["--vocab", root / "vocab.txt"] if vocab else []
+    code, err = _main(["ingest", "--panel", root / "panel.csv", "--pubs", root / "pubs.jsonl",
+                       *vocab_flag, "--output-dir", root / out])
+    assert code == 0, err
+    return root / out
+
+
+def _weights(root: Path, bundle: Path, out: str, vocab: bool = True) -> tuple:
+    """weights --pubs on root's inputs and bundle: (exit code, stderr, bytes of each file
+    written but the manifest, the manifest's inputs or None)."""
+    vocab_flag = ["--vocab", root / "vocab.txt"] if vocab else []
+    code, err = _main(["weights", "--pubs", root / "pubs.jsonl", *vocab_flag,
+                       "--bundle", bundle, "--output-dir", root / out])
+    results = {p.name: p.read_bytes() for p in (root / out).iterdir()
+               if p.name != "manifest.json"}
+    manifest = root / out / "manifest.json"
+    inputs = json.loads(manifest.read_text())["inputs"] if manifest.exists() else None
+    return code, err, results, inputs
+
+
+def _decoded(root: Path, bundle: Path, out: str, vocab: bool = True) -> tuple:
+    """_weights on a copy of the bundle without its publications sidecar: the file is
+    decoded, as it was before the sidecar existed."""
+    plain = root / f"{out}-bundle"
+    shutil.copytree(bundle, plain)
+    (plain / indicators.SIDECAR_NAME).unlink(missing_ok=True)
+    return _weights(root, plain, out, vocab)
+
+
+def _counting_decodes(monkeypatch) -> list:
+    """Count each decode of a JSON-lines publications file."""
+    calls = []
+    real = indicators._json_objects
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(indicators, "_json_objects", counted)
+    return calls
+
+
+def test_weights_builds_its_profiles_from_the_counts_ingest_left(tmp_path, monkeypatch):
+    root = _pubs_inputs(tmp_path)
+    bundle = _ingest(root, "bundle")
+    assert (bundle / indicators.SIDECAR_NAME).is_file()
+    want = _decoded(root, bundle, "decoded")
+
+    def no_decode(path):
+        raise AssertionError("decoded the publications file")
+
+    monkeypatch.setattr(indicators, "_json_objects", no_decode)
+    code, err, results, inputs = _weights(root, bundle, "counts")
+    assert (code, err, results) == want[:3]
+    sidecar = bundle / indicators.SIDECAR_NAME
+    assert inputs[str(sidecar)] == file_digest(sidecar)
+    assert inputs[str(root / "pubs.jsonl")] == file_digest(root / "pubs.jsonl")
+    assert set(inputs) - {str(sidecar)} == {p.replace("decoded-bundle", "bundle")
+                                             for p in want[3]}
+
+
+@pytest.mark.parametrize("change", ["edited pubs", "edited vocab", "vocab at ingest only",
+                                    "vocab at weights only"])
+def test_an_edited_source_or_another_vocabulary_decodes_the_file(tmp_path, monkeypatch, change):
+    root = _pubs_inputs(tmp_path)
+    bundle = _ingest(root, "bundle", vocab=change != "vocab at weights only")
+    before = _weights(root, bundle, "before")
+    if change == "edited pubs":  # move the first record's areas onto a code it lacks
+        lines = (root / "pubs.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["subject_areas"] = ["SA04"]
+        lines[0] = json.dumps(record)
+        (root / "pubs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif change == "edited vocab":
+        (root / "vocab.txt").write_text("\n".join(CODES[::-1]) + "\n", encoding="utf-8")
+    vocab = change != "vocab at ingest only"
+    want = _decoded(root, bundle, "decoded", vocab)
+    decodes = _counting_decodes(monkeypatch)
+    got = _weights(root, bundle, "after", vocab)
+    assert decodes == [str(root / "pubs.jsonl")]
+    assert got[0] == 0 and got[1:3] == want[1:3]
+    if change in ("edited pubs", "edited vocab"):  # the counts left would be wrong now
+        assert got[2] != before[2]
+
+
+@pytest.mark.parametrize("kind", BROKEN)
+def test_a_broken_publications_sidecar_changes_no_result(tmp_path, kind):
+    root = _pubs_inputs(tmp_path)
+    bundle = _ingest(root, "bundle")
+    good = _weights(root, bundle, "good")
+    sidecar = bundle / indicators.SIDECAR_NAME
+    sources = indicators.sidecar_sources(root / "pubs.jsonl", root / "vocab.txt")
+    _break(kind, sidecar, indicators.SIDECAR_LAYOUT, sources)
+    code, err, results, inputs = _weights(root, bundle, kind)
+    assert (code, err, results) == good[:3]
+    # the sidecar is listed with its digest if it was opened, used or not
+    want = {p: d for p, d in good[3].items() if p != str(sidecar)}
+    if sidecar.is_file():
+        want[str(sidecar)] = file_digest(sidecar)
+    assert inputs == want
+
+
+def test_error_lines_do_not_depend_on_the_sidecar(tmp_path):
+    root = _pubs_inputs(tmp_path)
+    bundle = _ingest(root, "bundle")
+    # a bundle region without records: the counts of these very files are used
+    text = (bundle / "dataset.csv").read_text(encoding="utf-8")
+    row = text.splitlines()[1].split(",")
+    extra = "\n".join(",".join(["R9", year, *row[2:]]) for year in ("2019", "2020"))
+    (bundle / "dataset.csv").write_text(text + extra + "\n", encoding="utf-8")
+    empty = _weights(root, bundle, "empty")
+    assert empty[0] == 2 and empty[1] == (
+        f"error: {root / 'pubs.jsonl'}: region 'R9' has no publication records\n")
+    assert _decoded(root, bundle, "empty-decoded")[:2] == empty[:2]
+    # a vocabulary without a code the records list
+    (bundle / "dataset.csv").write_text(text, encoding="utf-8")
+    (root / "vocab.txt").write_text("\n".join(CODES[1:]) + "\n", encoding="utf-8")
+    unknown = _weights(root, bundle, "unknown")
+    assert unknown[0] == 2 and "subject areas ['SA01'] not in the vocabulary" in unknown[1]
+    assert _decoded(root, bundle, "unknown-decoded")[:2] == unknown[:2]
+
+
+def test_ingest_writes_the_same_publications_sidecar_twice(tmp_path):
+    root = _pubs_inputs(tmp_path)
+    first, second = _ingest(root, "first"), _ingest(root, "second")
+    name = indicators.SIDECAR_NAME
+    assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(NAMES, min_size=1, max_size=3, unique=True),
+                          st.lists(NAMES, min_size=1, max_size=3, unique=True)),
+                min_size=1, max_size=20))
+@example([(["a", "b,"], ["x"]), (['"q"'], ["x", "cr\rlf"])])
+def test_the_publications_sidecar_gives_back_the_counts(tmp_path_factory, listed):
+    """Regions and subject areas that the table name rule admits come back from the
+    sidecar as load_publications(...).incidences counts them."""
+    pubs = Publications()
+    for regions, areas in listed:
+        pubs.add(2019, frozenset(regions), frozenset(areas), 1.0, "Q1")
+    path = tmp_path_factory.mktemp("pubs") / indicators.SIDECAR_NAME
+    sources = {"pubs_sha256": "a" * 64, "vocab_sha256": "none"}
+    indicators.write_incidence_sidecar(pubs, path, sources)
+    assert indicators.read_incidence_sidecar(path, sources) == pubs.incidences
+    assert indicators.read_incidence_sidecar(path, {**sources, "vocab_sha256": "b"}) is None
+
+
+def test_a_name_a_sidecar_would_not_give_back_leaves_none(tmp_path):
+    """A unicode array drops a trailing NUL: such counts are decoded each time."""
+    path = tmp_path / indicators.SIDECAR_NAME
+    pubs = Publications()
+    pubs.add(2019, frozenset({"a\x00", "a"}), frozenset({"x"}), 1.0, "Q1")
+    indicators.write_incidence_sidecar(pubs, path, {"pubs_sha256": "a" * 64})
+    assert not path.exists()

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -24,7 +25,7 @@ from rkpf.errors import (
     NonNumericCell,
     RegionOrderMismatch,
 )
-from rkpf.indicators import RegionYearIndicators, write_indicator_csv
+from rkpf.indicators import RegionYearIndicators, load_vocabulary, write_indicator_csv
 from rkpf.panel import RESERVED_COLUMNS, PanelDataset, load_panel_csv, write_panel_csv
 from rkpf.tables import parse_floats, read_table, write_table
 from rkpf.weights import (
@@ -133,6 +134,29 @@ def test_indicator_file_is_the_csv_modules_bytes(tmp_path):
         [[r.region, r.year, r.pub_count, r.fwci, r.q1_share, r.nq_share] for r in rows],
     )
     assert (tmp_path / "i.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("name, load, text", [
+    ("panel.csv", load_panel_csv, "region,year,v\nR1,2019,1.5\nR2,2019,2.5\n"),
+    ("profiles.csv", load_profiles_csv, "region,a,b\nR1,0.5,0.5\nR2,0.25,0.75\n"),
+    ("weights.csv", load_weights_csv, "region,R1,R2\nR1,0.0,1.0\nR2,1.0,0.0\n"),
+    ("vocab.txt", load_vocabulary, "1000\n1100\n"),
+], ids=["panel", "profiles", "weights", "vocabulary"])
+def test_a_byte_order_mark_is_named(tmp_path, name, load, text):
+    """Each reader refuses a leading UTF-8 byte-order mark by name, rather than keep it
+    in the first name read; the C parse of a table falls back to the same message."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    load(path)
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    message = f"{path}: starts with a UTF-8 byte-order mark"
+    with pytest.raises(NonNumericCell, match=f"^{re.escape(message)}$"):
+        load(path)
+    if name == "panel.csv":
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ingest", "--panel", str(path), "--output-dir", str(tmp_path / "b")])
+        assert (code, err.getvalue()) == (2, f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,8 @@ class TestValidation:
     def test_region_without_records_is_named(self):
         rec = PublicationRecord("p1", 2019, frozenset({"A"}), frozenset({"s1"}), 1, 1.0, "Q1")
         with pytest.raises(EmptyRegion, match="^region 'B' has no publication records$"):
-            build_profile_matrix(Publications.from_records([rec]), ["s1", "s2"], ["A", "B"])
+            incidences = Publications.from_records([rec]).incidences
+            build_profile_matrix(incidences, ["s1", "s2"], ["A", "B"])
 
     def test_repeated_region_rejected(self):
         with pytest.raises(InvalidWeights, match="region 'B' appears more than once"):
