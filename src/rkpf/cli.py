@@ -53,7 +53,7 @@ from .panel import (
     write_panel_sidecar,
 )
 from .simulate import MAX_REPLICATIONS, DgpConfig, generate_panel, monte_carlo
-from .estimation import COVARIANCE_KINDS, fit_model, require_weights
+from .estimation import COVARIANCE_KINDS, fit_model, require_weights, take_lags
 from .suite import (
     MAIN_TAGS,
     ComparisonTable,
@@ -140,6 +140,12 @@ def _dgp_config(args, inputs: dict) -> DgpConfig:
 def _bundle_regions(bundle: str, inputs: dict) -> tuple[str, ...]:
     with _reading(inputs, Path(bundle) / DATASET_NAME) as path:
         return load_panel_csv(path, inputs).region_ids
+
+
+def _load_weights(path, inputs: dict):
+    """The --weights file, or None without one."""
+    with _reading(inputs, path) as path:
+        return load_weights_csv(path, inputs) if path else None
 
 
 def _name_list(raw: str, what: str) -> list[str]:
@@ -246,9 +252,9 @@ def cmd_fit(args) -> int:
     inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
-        with _reading(inputs, args.weights) as weights_path:
-            w = load_weights_csv(weights_path, inputs) if weights_path else None
-        fit = fit_model(dataset, spec, w)
+        # W is read, lagged and dropped here: no name holds it during the fit
+        dataset, [spec] = take_lags(dataset, [spec], _load_weights(args.weights, inputs))
+        fit = fit_model(dataset, spec)
 
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
@@ -270,9 +276,12 @@ def cmd_suite(args) -> int:
     inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
-        with _reading(inputs, args.weights) as weights_path:
-            w = load_weights_csv(weights_path, inputs) if weights_path else None
-        table = run_suite(dataset, w, tags, args.covariance, dual_errors=args.dual_errors)
+        # W goes in with no name here, so once run_suite has taken the lags and
+        # dropped its own reference, nothing holds W during the fits
+        table = run_suite(
+            dataset, _load_weights(args.weights, inputs), tags, args.covariance,
+            dual_errors=args.dual_errors,
+        )
 
     _write_json(out / "suite.json", table.to_dict())
     fmt = args.format

@@ -10,6 +10,11 @@ blocks of T years (build_design's layout), so demeaning and the sandwich
 take the region count G and reshape; a count that does not divide the rows
 is a ValueError.
 
+W's only use in a fit is the thematic lags W x. take_lags takes every
+distinct lag of a list of specs once, as a variable of the dataset, and
+rewrites the specs to read it, so that a caller can drop the dense n x n W
+before the first fit (the CLI's fit and suite do).
+
 The Student t distribution is computed here with numpy and math alone. A
 two-sided p-value is twice the density's integral from |t| to infinity, by
 exp-sinh quadrature on 289 fixed nodes; the 97.5% critical value that Monte
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,13 +149,47 @@ def require_weights(specs, weights_given: bool) -> None:
         raise MissingWeights("spec contains spatial-lag terms but no weights given")
 
 
+def _check_weights(d: PanelDataset, specs, w: SpatialWeights | None) -> None:
+    """Raise unless every spatial lag of specs has weights, in the dataset's region order."""
+    require_weights(specs, w is not None)
+    if w is not None and w.regions != d.region_ids:
+        raise RegionOrderMismatch("weights regions do not match dataset regions")
+
+
+def take_lags(
+    d: PanelDataset, specs, w: SpatialWeights | None
+) -> tuple[PanelDataset, list[ModelSpec]]:
+    """The spatial lags of specs taken once, so that W may be dropped before any fit.
+
+    Returns d with one variable per distinct lag term, named by its label
+    (slFWCI), and the specs with each lag term replaced by the plain Term of
+    that name. term_values computes each lag as build_design would, so the
+    fits on the result give the same labels and the same numbers as fits on
+    (d, specs, w). A plain term may not share its name with a lag's label.
+    """
+    specs = list(specs)
+    _check_weights(d, specs, w)
+    lags = list(dict.fromkeys(t for spec in specs for t in spec.regressors if t.lag))
+    if not lags:
+        return d, specs
+    labels = {t.label for t in lags}
+    clash = [t.name for spec in specs for t in spec.regressors if not t.lag and t.name in labels]
+    if clash:
+        raise ValueError(f"variable {clash[0]!r} has the name of a spatial lag term")
+    lagged = {t.label: term_values(d, t, w) for t in lags}
+    d = PanelDataset(d.region_ids, d.years, {**d.variables, **lagged})
+    plain = [
+        replace(spec, regressors=tuple(Term(t.label) if t.lag else t for t in spec.regressors))
+        for spec in specs
+    ]
+    return d, plain
+
+
 def build_design(
     d: PanelDataset, spec: ModelSpec, w: SpatialWeights | None = None
 ) -> Design:
     """Assemble the stacked design matrix and response for a ModelSpec."""
-    require_weights([spec], w is not None)
-    if w is not None and w.regions != d.region_ids:
-        raise RegionOrderMismatch("weights regions do not match dataset regions")
+    _check_weights(d, [spec], w)
 
     n, t = d.n_regions, d.n_years
     y = _finite(d, spec.dependent, d.var(spec.dependent)).reshape(-1)

@@ -245,7 +245,8 @@ def load_publications(path, vocabulary=None) -> Publications:
 
     CSV multi-valued cells (regions, subject_areas) are semicolon-separated.
     With a vocabulary, a record listing a subject area outside it is an error.
-    An invalid record is named by its file:line.
+    An invalid record is named by its file:line; a name that holds a NUL (names
+    are stripped, as table cells are) is named with the file.
     """
     path = str(path)
     vocabulary = None if vocabulary is None else frozenset(vocabulary)
@@ -259,6 +260,10 @@ def load_publications(path, vocabulary=None) -> Publications:
         pubs.add(*columns)
     if not len(pubs):
         raise MissingData(f"{path}: no publication records")
+    # once over the distinct names, not per record: the incidences list every one
+    regions, areas = map(set, zip(*pubs.incidences))
+    for what, names in (("region", regions), ("subject area", areas)):
+        check_names(sorted(names), lambda message: NonNumericCell(f"{path}: {message}"), what)
     return pubs
 
 

@@ -19,6 +19,7 @@ from .estimation import (
     Term,
     fit_model,
     significance_stars,
+    take_lags,
 )
 from .panel import PanelDataset
 from .runtime import parallel_map
@@ -184,10 +185,15 @@ def run_suite(
     each cell reports the classical standard errors of the same fit beside
     the robust ones and stars follow the classical p-values, matching the
     condensed two-line reporting style; this needs robust covariance.
+
+    Each distinct spatial lag is taken once (take_lags), and w is dropped
+    before the first fit, so a caller that passes its only reference to W
+    frees it for the fits. The fits carry the lag-free specs.
     """
     tags = tuple(tags)
-    specs = suite_specs(tags, covariance, dual_errors)
-    fits = tuple(parallel_map(lambda s: fit_model(d, s, w), specs))
+    d, specs = take_lags(d, suite_specs(tags, covariance, dual_errors), w)
+    del w
+    fits = tuple(parallel_map(lambda s: fit_model(d, s), specs))
     return ComparisonTable(tags, fits, dual_errors)
 
 

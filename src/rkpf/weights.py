@@ -5,6 +5,11 @@ profiles correlate. The weights matrix W is the profile correlation matrix
 with its diagonal zeroed, negative entries clamped to zero (negatively
 correlated regions are treated as neutral), and rows standardized to sum to
 one. Rows that clamp to all zeros are isolated and keep zero spatial lags.
+
+W is dense, n x n, and is held once: build_weights turns the correlation
+matrix into W in place, and SpatialWeights freezes the array it is given
+rather than copying it. The thematic lags W x are its only use in a fit
+(estimation.take_lags), so the CLI's fit and suite drop W once they are taken.
 """
 from __future__ import annotations
 
@@ -35,7 +40,11 @@ SIDECAR_LAYOUT = {"regions": ("U", 1), "w": ("f", 2)}
 
 @dataclass(frozen=True)
 class ThematicProfileMatrix:
-    """Region x subject-area share matrix; each row sums to 1."""
+    """Region x subject-area share matrix; each row sums to 1.
+
+    A float64 `shares` array is checked and frozen in place, not copied; any
+    other input becomes a fresh array first.
+    """
 
     regions: tuple[str, ...]
     subject_areas: tuple[str, ...]
@@ -57,7 +66,6 @@ class ThematicProfileMatrix:
                 f"profile row for {self.regions[i]!r} sums to {sums[i]}, expected "
                 "nonnegative shares summing to 1"
             )
-        shares = shares.copy()
         shares.flags.writeable = False
         object.__setattr__(self, "shares", shares)
 
@@ -67,6 +75,8 @@ class SpatialWeights:
     """Row-standardized nonnegative proximity matrix with zero diagonal.
 
     Rows that sum to 0 are the isolated regions; every other row sums to 1.
+    A float64 `w` array is checked and frozen in place, not copied, so W is
+    held once; any other input becomes a fresh array first.
     """
 
     regions: tuple[str, ...]
@@ -79,8 +89,10 @@ class SpatialWeights:
         check_names(self.regions, InvalidWeights, "region")
         if w.shape != (n, n):
             raise InvalidWeights(f"weights shape {w.shape} != ({n}, {n})")
-        bad = ~np.isfinite(w) | (w < 0)
-        if bad.any():
+        # whole-array reductions, with no n x n temporary: NaN fails the first test,
+        # and initial=0.0 lets an empty matrix pass
+        if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < np.inf):
+            bad = ~np.isfinite(w) | (w < 0)  # built only to name the row
             i = int(np.nonzero(bad.any(axis=1))[0][0])
             raise InvalidWeights(
                 f"row for {self.regions[i]!r} has a negative or non-finite weight"
@@ -94,7 +106,6 @@ class SpatialWeights:
             raise InvalidWeights(
                 f"row for {self.regions[i]!r} sums to {sums[i]}, expected 0 or 1"
             )
-        w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
@@ -128,20 +139,21 @@ def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
 def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
     """Zero the diagonal, clamp negatives, row-standardize.
 
-    Rows whose clamped sum is zero stay all-zero and are isolated.
+    Rows whose clamped sum is zero stay all-zero and are isolated. `c` is
+    consumed: a writeable float64 `c` becomes W in place (a read-only one is
+    copied first), so W costs no second n x n array.
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"correlation matrix must be square, got {c.shape}")
-    n = c.shape[0]
+    w = np.asarray(c, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"correlation matrix must be square, got {w.shape}")
+    if not w.flags.writeable:
+        w = w.copy()
     if regions is None:
-        regions = tuple(f"r{i}" for i in range(n))
-    w = c.copy()
+        regions = tuple(f"r{i}" for i in range(w.shape[0]))
     np.fill_diagonal(w, 0.0)
     np.clip(w, 0.0, None, out=w)
     sums = w.sum(axis=1)
-    nonzero = sums > 0
-    w[nonzero] /= sums[nonzero, np.newaxis]
+    w /= np.where(sums > 0, sums, 1.0)[:, np.newaxis]  # x / 1.0 == x: a zero row stays zero
     return SpatialWeights(tuple(regions), w)
 
 

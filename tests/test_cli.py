@@ -159,6 +159,25 @@ class TestIngest:
         np.testing.assert_array_equal(d.var("PUBS")[:, 0], [2.0, 2.0, 1.0])
 
 
+    @pytest.mark.parametrize("field", ["regions", "subject_areas"])
+    def test_pubs_name_with_a_nul_exits_2_writing_no_indicators(self, tmp_path, capsys, field):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("region,year,v\nR1,2019,1\n", encoding="utf-8")
+        record = {"id": "p1", "year": 2019, "regions": ["R1"], "subject_areas": ["bio"],
+                  "citations": 1, "expected_citations": 1.0, "journal_quartile": "Q1"}
+        pubs = tmp_path / "pubs.jsonl"
+        bad = dict(record, id="p2", **{field: [record[field][0] + "\x00"]})
+        pubs.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        out = tmp_path / "bundle"
+        capsys.readouterr()
+        assert run("ingest", "--panel", panel, "--pubs", pubs, "--output-dir", out) == 2
+        what = {"regions": "region 'R1\\x00'", "subject_areas": "subject area 'bio\\x00'"}
+        assert capsys.readouterr().err == (
+            f"error: {pubs}: {what[field]} has surrounding whitespace or a NUL\n"
+        )
+        assert not (out / "indicators.csv").exists()
+
+
 class TestWeights:
     def test_padded_pubs_names_agree_in_both_files(self, tmp_path, padded_pubs):
         out = tmp_path / "w"
@@ -287,6 +306,52 @@ class TestFit:
             "fit", "--bundle", model_bundle, "--spec", "nope.q",
             "--output-dir", tmp_path / "fit",
         ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fit", "--spec", "fe.tw.q.sl"], id="fit"),
+        pytest.param(
+            ["suite", "--dual-errors"],
+            id="suite",
+            # run_suite drops the only reference to W that it was passed, which frees
+            # W only where the caller holds no copy of its arguments during the call
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11),
+                reason="CPython before 3.11 keeps a call's arguments on the caller's stack",
+            ),
+        ),
+    ],
+)
+def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatch, argv):
+    """fit and suite take the spatial lags once and release W before the first QR."""
+    import weakref
+
+    import rkpf.cli
+    import rkpf.estimation
+
+    loaded = []
+
+    def loading(*args, **kwargs):
+        w = load_weights_csv(*args, **kwargs)
+        loaded.append((weakref.ref(w), weakref.ref(w.w)))
+        return w
+
+    held = []
+    ols_fit = rkpf.estimation.ols_fit
+
+    def fitting(*args, **kwargs):
+        held.append([ref() is not None for ref in loaded[0]])
+        return ols_fit(*args, **kwargs)
+
+    monkeypatch.setattr(rkpf.cli, "load_weights_csv", loading)
+    monkeypatch.setattr(rkpf.estimation, "ols_fit", fitting)
+    weights = model_bundle / "weights.csv"
+    assert run(*argv, "--bundle", model_bundle, "--weights", weights,
+               "--output-dir", tmp_path / "out") == 0
+    assert len(loaded) == 1
+    assert held == [[False, False]] * (1 if argv[0] == "fit" else 7)
 
 
 class TestSuite:

@@ -1,11 +1,21 @@
 """Notation expansion, suite runs, table rendering, vertex arithmetic."""
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
-from rkpf.errors import DualErrorsNeedRobust, InvalidTag, NoInteriorMaximum
+import rkpf.estimation
+from rkpf.errors import (
+    DualErrorsNeedRobust,
+    InvalidTag,
+    MissingWeights,
+    NoInteriorMaximum,
+    RegionOrderMismatch,
+)
+from rkpf.estimation import ModelSpec, Term, fit_model, take_lags
+from rkpf.panel import PanelDataset
 from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.suite import (
     CONTROLS,
@@ -203,6 +213,61 @@ class TestRunSuite:
             calls.clear()
             run_suite(small_world.dataset, small_world.weights, tags, dual_errors=dual_errors)
             assert len(calls) == len(tags)
+
+
+def _bits(fit) -> tuple[str, bytes]:
+    """Every number and label a fit reports, as text that tells floats apart bit by bit."""
+    extra = [fit.classical_std_errors, fit.classical_p_values, fit.column_labels, fit.dof]
+    return json.dumps([fit.to_dict(), *extra]), fit.residuals.tobytes()
+
+
+class TestTakeLags:
+    @pytest.fixture(scope="class")
+    def world(self, small_world):
+        """small_world's dataset plus the articles-and-reviews variables of the `a` tags."""
+        rng = np.random.default_rng(9)
+        d = small_world.dataset
+        for name, source in (("FWCIA", "FWCI"), ("Q1SHA", "Q1SH"), ("NQSHA", "NQSH"),
+                             ("log(PUB21EMPA)", "log(PUB21EMP)")):
+            d = d.with_variable(name, d.var(source) * rng.uniform(0.8, 1.2, d.var(source).shape))
+        return d
+
+    @pytest.mark.parametrize("tag", [*MAIN_TAGS, "fe.tw.q.sl.a"])
+    def test_lag_once_fit_equals_fit_on_the_weights(self, world, small_world, tag):
+        spec = expand_notation(tag)
+        d, [plain] = take_lags(world, [spec], small_world.weights)
+        assert not plain.needs_weights()
+        assert _bits(fit_model(d, plain)) == _bits(fit_model(world, spec, small_world.weights))
+
+    def test_the_ladder_lags_each_variable_once(self, small_world, monkeypatch):
+        calls = []
+        lag_values = rkpf.estimation.lag_values
+
+        def counting(w, values):
+            calls.append(1)
+            return lag_values(w, values)
+
+        monkeypatch.setattr(rkpf.estimation, "lag_values", counting)
+        run_suite(small_world.dataset, small_world.weights, MAIN_TAGS, dual_errors=True)
+        assert len(calls) == 3  # FWCI, Q1SH and NQSH, where each sl tag lagged its own
+
+    def test_weights_are_checked_before_any_lag(self, small_world, monkeypatch):
+        monkeypatch.setattr(rkpf.estimation, "lag_values", None)  # a lag would fail
+        d = small_world.dataset
+        other = PanelDataset(d.region_ids[::-1], d.years, {})
+        specs = [expand_notation("fe.tw"), expand_notation("fe.tw.q.sl")]
+        with pytest.raises(RegionOrderMismatch):
+            take_lags(other, specs, small_world.weights)
+        with pytest.raises(MissingWeights):
+            take_lags(d, specs, None)
+        lagless, plain = take_lags(d, specs[:1], None)
+        assert lagless is d and plain == specs[:1]
+
+    def test_a_plain_variable_may_not_take_a_lag_label(self, small_world):
+        clash = ModelSpec("log(PUB21EMP)", (Term("slFWCI"),))
+        lagged = ModelSpec("log(PUB21EMP)", (Term("FWCI", lag=True),))
+        with pytest.raises(ValueError, match="'slFWCI' has the name of a spatial lag"):
+            take_lags(small_world.dataset, [clash, lagged], small_world.weights)
 
 
 class TestRenderTable:

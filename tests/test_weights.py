@@ -1,4 +1,6 @@
 """Thematic weights construction and spatial lag operators."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,27 @@ class TestBuildWeights:
         w_affine = build_weights(np.clip(c_affine, -1, 1))
         assert np.max(np.abs(w_raw.w - w_affine.w)) < 1e-10
 
+    def test_builds_in_place_holding_one_n_by_n_array(self):
+        """The correlation matrix becomes W: no copy, no boolean-indexed temporary."""
+        n = 1000
+        rng = np.random.default_rng(8)
+        m = profiles(rng.dirichlet(np.full(20, 0.5), size=n))
+        build_weights(correlation_matrix(m), m.regions)  # warm-up
+        tracemalloc.start()
+        try:
+            build_weights(correlation_matrix(m), m.regions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+    def test_a_read_only_input_is_copied_not_consumed(self):
+        c = np.array([[1.0, 0.5], [0.5, 1.0]])
+        c.flags.writeable = False
+        w = build_weights(c)
+        np.testing.assert_array_equal(c, [[1.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_array_equal(w.w, [[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestSpatialLag:
     def test_swap(self):
@@ -220,12 +243,34 @@ class TestIo:
 class TestValidation:
     """Constructors reject bad matrices with engine errors naming the row."""
 
-    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
     def test_weights_cell_rejected(self, bad):
         w = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         w[1, 2] = bad
         with pytest.raises(InvalidWeights, match="'B'"):
             SpatialWeights(("A", "B", "C"), w)
+        assert w.flags.writeable  # a rejected array is not frozen
+
+    def test_weights_nan_row_rejected(self):
+        w = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        w[1] = np.nan
+        with pytest.raises(InvalidWeights, match="^row for 'B' has a negative or non-finite"):
+            SpatialWeights(("A", "B", "C"), w)
+
+    def test_weights_array_is_frozen_not_copied(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert SpatialWeights(("A", "B"), a).w is a
+        assert not a.flags.writeable
+        shares = np.array([[0.5, 0.5], [0.2, 0.8]])
+        assert profiles(shares).shares is shares
+        assert not shares.flags.writeable
+
+    def test_other_inputs_become_fresh_arrays(self):
+        a = np.array([[0, 1], [1, 0]])
+        w = SpatialWeights(("A", "B"), a)
+        assert w.w.dtype == np.float64 and not w.w.flags.writeable
+        assert a.flags.writeable
+        assert SpatialWeights((), np.zeros((0, 0), dtype=int)).w.shape == (0, 0)
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, 0.9])
     def test_profile_share_rejected(self, bad):
