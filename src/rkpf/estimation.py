@@ -10,6 +10,14 @@ blocks of T years (build_design's layout), so demeaning and the sandwich
 take the region count G and reshape; a count that does not divide the rows
 is a ValueError.
 
+The kernels (term_values, within_transform, ols_fit, classical_cov and
+cluster_robust_cov) also take arrays with leading axes: a stack of B
+replications' designs, (B, N, k), is fitted as B separate problems, each
+with the same numpy calls and so the same bits as when fitted alone. Monte
+Carlo fits its replications in such blocks through fit_block, which runs
+every check of fit_model over the whole block and computes no p-values;
+fit_model calls the same kernels on 2-D arrays.
+
 W's only use in a fit is the thematic lags W x. take_lags takes every
 distinct lag of a list of specs once, as a variable of the dataset, and
 rewrites the specs to read it, so that a caller can drop the dense n x n W
@@ -121,10 +129,20 @@ class Design:
     column_labels: tuple[str, ...]
 
 
+def _first_nonfinite(values) -> tuple[int, ...] | None:
+    """The index of the first cell of values that is not finite, or None."""
+    ok = np.isfinite(values)
+    return None if ok.all() else tuple(np.argwhere(~ok)[0])
+
+
 def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
-    """values, unless a cell is missing (NaN) or overflowed when squared or lagged."""
-    if not np.isfinite(values).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
+    """values, unless a cell is missing (NaN) or overflowed when squared or lagged.
+
+    values is (..., n, T); a bad cell is named by its region and year.
+    """
+    at = _first_nonfinite(values)
+    if at is not None:
+        i, j = at[-2:]
         raise UnknownVariable(
             f"{label!r} is missing or not finite at {d.region_ids[i]}, {d.years[j]}: an "
             "unbalanced panel, or a value whose square or spatial lag overflows"
@@ -133,7 +151,11 @@ def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
 
 
 def term_values(d: PanelDataset, term: Term, w: SpatialWeights | None) -> np.ndarray:
-    """A term's (n, T) values: its variable, squared and/or spatially lagged by w."""
+    """A term's (n, T) values: its variable, squared and/or spatially lagged by w.
+
+    d and w may also be a stack of panels and its weights (simulate.PanelBlock
+    for both), whose variables are (..., n, T) and whose w is (..., n, n).
+    """
     values = _finite(d, term.name, d.var(term.name))
     if term.squared:
         with np.errstate(over="ignore"):  # _finite names a term that overflows
@@ -190,9 +212,15 @@ def build_design(
 ) -> Design:
     """Assemble the stacked design matrix and response for a ModelSpec."""
     _check_weights(d, [spec], w)
+    return Design(*_design_arrays(d, spec, w))
 
-    n, t = d.n_regions, d.n_years
-    y = _finite(d, spec.dependent, d.var(spec.dependent)).reshape(-1)
+
+def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """build_design's X, y and column labels, with no weights check; for a stack of
+    panels (see term_values) X is (..., n T, k) and y is (..., n T)."""
+    y = _finite(d, spec.dependent, d.var(spec.dependent))
+    *lead, n, t = y.shape
+    y = y.reshape(*lead, -1)
 
     labels = [term.label for term in spec.regressors]
     if spec.time_dummies:
@@ -202,30 +230,35 @@ def build_design(
     if not labels:
         raise ValueError("empty design: no regressors, dummies, or intercept")
 
-    X = np.ones((n * t, len(labels)))  # the const column, if any, keeps its ones
+    X = np.ones((*lead, n * t, len(labels)))  # the const column, if any, keeps its ones
     for j, term in enumerate(spec.regressors):
-        X[:, j] = term_values(d, term, w).reshape(-1)
+        X[..., j] = term_values(d, term, w).reshape(*lead, -1)
     if spec.time_dummies:  # every region's T rows get the year identity, first year dropped
         k = len(spec.regressors)
-        X.reshape(n, t, -1)[:, :, k : k + t - 1] = np.eye(t)[:, 1:]
-    return Design(X, y, tuple(labels))
+        X.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
+    return X, y, tuple(labels)
 
 
 def within_transform(
     X: np.ndarray, y: np.ndarray, n_regions: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each region's mean from its rows, the n_regions equal blocks of X and y."""
-    X3 = np.asarray(X, dtype=float).reshape(n_regions, -1, np.shape(X)[1])
-    y2 = np.asarray(y, dtype=float).reshape(n_regions, -1)
-    Xd = X3 - X3.mean(axis=1, keepdims=True)
-    return Xd.reshape(y2.size, -1), (y2 - y2.mean(axis=1, keepdims=True)).reshape(-1)
+    """Subtract each region's mean from its rows, the n_regions equal blocks of X and y.
+
+    X is (..., N, k) and y (..., N); leading axes stack separate problems.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    X4 = X.reshape(*X.shape[:-2], n_regions, -1, X.shape[-1])
+    y3 = y.reshape(*y.shape[:-1], n_regions, -1)
+    Xd = X4 - X4.mean(axis=-2, keepdims=True)
+    return Xd.reshape(X.shape), (y3 - y3.mean(axis=-1, keepdims=True)).reshape(y.shape)
 
 
 @dataclass(frozen=True)
 class OlsFit:
     coefficients: np.ndarray
     residuals: np.ndarray
-    ssr: float
+    ssr: np.ndarray  # a float64 scalar, or one SSR per stacked problem
     xtx_inverse: np.ndarray  # (X'X)^-1 from the QR's R, shared by both covariances
 
 
@@ -235,54 +268,58 @@ def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
     R's leading k x k block is the R of X and its column k is Q'y, so Q is
     never formed. The first column whose R diagonal collapses is reported as
     linearly dependent on the columns before it. One inverse of R gives both
-    the coefficients and (X'X)^-1.
+    the coefficients and (X'X)^-1. X (..., N, k) and y (..., N) may stack
+    problems along leading axes; each gets its own rank tolerance, and the
+    first problem with a collapsed column is the one reported.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
+    if X.ndim < 2 or X.shape[-2] < X.shape[-1]:
         raise ValueError(f"need at least as many rows as columns, got {X.shape}")
-    k = X.shape[1]
-    r_xy = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    r = r_xy[:k, :k]
-    diag = np.abs(np.diag(r))
-    tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    dependent = np.nonzero(diag <= tol)[0]
-    if dependent.size:
-        j = int(dependent[0])
+    k = X.shape[-1]
+    r_xy = np.linalg.qr(np.concatenate([X, y[..., np.newaxis]], axis=-1), mode="r")
+    r = r_xy[..., :k, :k]
+    diag = np.abs(np.einsum("...ii->...i", r))
+    scale = diag.max(axis=-1, initial=0.0, keepdims=True)
+    tol = max(X.shape[-2:]) * np.finfo(float).eps * scale
+    dependent = diag <= tol
+    if dependent.any():
+        j = int(np.argwhere(dependent)[0][-1])
         name = labels[j] if labels is not None else f"column {j}"
         raise RankDeficient(
             f"design matrix is rank deficient: {name} is collinear with "
             "preceding columns"
         )
     r_inv = np.linalg.inv(r)
-    coef = r_inv @ r_xy[:k, k]
-    residuals = y - X @ coef
+    coef = (r_inv @ r_xy[..., :k, k, np.newaxis])[..., 0]
+    residuals = y - (X @ coef[..., np.newaxis])[..., 0]
     return OlsFit(
         coefficients=coef,
         residuals=residuals,
-        ssr=float(residuals @ residuals),
-        xtx_inverse=r_inv @ r_inv.T,
+        ssr=(residuals[..., np.newaxis, :] @ residuals[..., np.newaxis])[..., 0, 0],
+        xtx_inverse=r_inv @ np.swapaxes(r_inv, -1, -2),
     )
 
 
 def classical_cov(fit: OlsFit, dof: int) -> np.ndarray:
     """s^2 (X'X)^-1 with s^2 = ssr / dof, the dof net of absorbed effects."""
-    return (fit.ssr / dof) * fit.xtx_inverse
+    return np.expand_dims(fit.ssr / dof, (-2, -1)) * fit.xtx_inverse
 
 
 def cluster_robust_cov(fit: OlsFit, X: np.ndarray, n_regions: int, dof: int) -> np.ndarray:
     """Cluster sandwich (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1, one cluster per region.
 
     Scaled by G/(G-1) * (N-1)/(N-K); dof = N-K with K = fitted columns +
-    absorbed region effects. The rows of X are n_regions equal blocks.
+    absorbed region effects. The rows of X (..., N, k) are n_regions equal blocks.
     """
     g = n_regions
     if g < 2:
         raise SingleCluster("cluster-robust covariance needs at least 2 clusters")
-    n, k = X.shape
-    X3 = np.asarray(X).reshape(g, -1, k)
-    scores = (X3.transpose(0, 2, 1) @ fit.residuals.reshape(g, -1, 1))[:, :, 0]
-    meat = (scores[:, :, None] * scores[:, None, :]).sum(axis=0)
+    *lead, n, k = np.shape(X)
+    X4 = np.asarray(X).reshape(*lead, g, -1, k)
+    residuals = fit.residuals.reshape(*lead, g, -1, 1)
+    scores = (np.swapaxes(X4, -1, -2) @ residuals)[..., 0]
+    meat = (scores[..., :, np.newaxis] * scores[..., np.newaxis, :]).sum(axis=-3)
     factor = (g / (g - 1)) * ((n - 1) / dof)
     return factor * fit.xtx_inverse @ meat @ fit.xtx_inverse
 
@@ -413,11 +450,16 @@ def t_critical(dof: int) -> float:
     return c
 
 
+def _std_errors(cov: np.ndarray) -> np.ndarray:
+    """The square roots of the diagonal of cov (..., k, k), negatives read as 0."""
+    return np.sqrt(np.clip(np.einsum("...ii->...i", cov), 0.0, None))
+
+
 def _inference(
     cov: np.ndarray, coefficients: np.ndarray, dof: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard errors, t statistics and two-sided t p-values from a covariance."""
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    se = _std_errors(cov)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, coefficients / se, np.inf * np.sign(coefficients))
     return se, t_stats, t_two_sided_p(t_stats, dof)
@@ -425,9 +467,37 @@ def _inference(
 
 def _check_finite(what: str, values: np.ndarray, labels) -> None:
     """Raise NonFiniteFit naming the first term whose value is not finite."""
-    if not np.isfinite(values).all():
-        j = int(np.argmin(np.isfinite(values)))
-        raise NonFiniteFit(f"the {what} of {labels[j]!r} is {values[j]}")
+    at = _first_nonfinite(values)
+    if at is not None:
+        raise NonFiniteFit(f"the {what} of {labels[at[-1]]!r} is {values[at]}")
+
+
+def _absorb(X: np.ndarray, y: np.ndarray, spec: ModelSpec, n_regions: int):
+    """(X, y, regions absorbed): demeaned by within_transform if spec has region effects."""
+    if spec.region_effects:
+        return (*within_transform(X, y, n_regions), n_regions)
+    return X, y, 0
+
+
+def _solve(Xf: np.ndarray, yf: np.ndarray, n_absorbed: int, labels) -> tuple[int, OlsFit]:
+    """The dof and the least-squares fit of the (absorbed) design Xf, yf, checked.
+
+    Xf (..., N, k) and yf (..., N) may stack replications; each check then
+    covers the whole stack.
+    """
+    n_obs, k = Xf.shape[-2:]
+    dof = n_obs - k - n_absorbed
+    if dof <= 0:
+        raise ZeroDof(f"no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
+        fit = ols_fit(Xf, yf, labels)
+    at = _first_nonfinite(fit.ssr)
+    if at is not None:
+        raise NonFiniteFit(
+            f"the SSR is {fit.ssr[at]}: the residuals are too large to square"
+        )
+    _check_finite("estimate", fit.coefficients, labels)
+    return dof, fit
 
 
 def fit_model(
@@ -441,23 +511,10 @@ def fit_model(
     design = build_design(d, spec, w)
     X, y = design.X, design.y
     n_obs, k = X.shape
-
-    if spec.region_effects:
-        Xf, yf = within_transform(X, y, d.n_regions)
-        n_absorbed = d.n_regions
-    else:
-        Xf, yf = X, y
-        n_absorbed = 0
-
-    dof = n_obs - k - n_absorbed
-    if dof <= 0:
-        raise ZeroDof(f"no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
     labels = design.column_labels
-    with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
-        fit = ols_fit(Xf, yf, labels)
-    if not math.isfinite(fit.ssr):
-        raise NonFiniteFit(f"the SSR is {fit.ssr}: the residuals are too large to square")
-    _check_finite("estimate", fit.coefficients, labels)
+    Xf, yf, n_absorbed = _absorb(X, y, spec, d.n_regions)
+    dof, fit = _solve(Xf, yf, n_absorbed, labels)
+    ssr = float(fit.ssr)
 
     classical = _inference(classical_cov(fit, dof), fit.coefficients, dof)
     if spec.covariance == "classical":
@@ -473,16 +530,12 @@ def fit_model(
     # constant is present or implied by demeaning
     y_center = yf - yf.mean() if (spec.intercept or spec.region_effects) else yf
     tss = float(y_center @ y_center)
-    r2_within = 1.0 - fit.ssr / tss if tss > 0 else 0.0
+    r2_within = 1.0 - ssr / tss if tss > 0 else 0.0
     # overall R^2: squared correlation of Xb with the raw response
     r2_overall = _squared_correlation(X @ fit.coefficients, y)
 
     k_aic = k + n_absorbed
-    aic = (
-        float("-inf")
-        if fit.ssr <= 0
-        else n_obs * math.log(fit.ssr / n_obs) + 2 * k_aic
-    )
+    aic = float("-inf") if ssr <= 0 else n_obs * math.log(ssr / n_obs) + 2 * k_aic
 
     return FitResult(
         spec=spec,
@@ -495,7 +548,7 @@ def fit_model(
         n_params=k,
         n_absorbed=n_absorbed,
         dof=dof,
-        ssr=fit.ssr,
+        ssr=ssr,
         r_squared_within=r2_within,
         r_squared_overall=r2_overall,
         aic=aic,
@@ -503,3 +556,28 @@ def fit_model(
         classical_std_errors=dict(zip(labels, map(float, classical_se))),
         classical_p_values=dict(zip(labels, map(float, classical_p))),
     )
+
+
+def fit_block(d, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """The estimates (B, k), the spec's standard errors (B, k) and the dof of a stack
+    of B panels, each fitted as fit_model fits it alone, bit for bit.
+
+    d is a simulate.PanelBlock: PanelDataset's region_ids, years and var,
+    over (B, n, T) variables, and its (B, n, n) weights as d.w. Each check of
+    fit_model runs once over the whole block, in fit_model's order; the first
+    that fails raises fit_model's error for the first replication failing it.
+    No t statistic or p-value is computed.
+    """
+    g = len(d.region_ids)
+    X, y, labels = _design_arrays(d, spec, d)
+    del d  # the design is all of the block that the fit reads
+    X, y, n_absorbed = _absorb(X, y, spec, g)  # frees the raw design
+    dof, fit = _solve(X, y, n_absorbed, labels)
+    classical_se = _std_errors(classical_cov(fit, dof))
+    if spec.covariance == "classical":
+        se = classical_se
+    else:
+        se = _std_errors(cluster_robust_cov(fit, X, g, dof))
+    _check_finite("standard error", se, labels)
+    _check_finite("classical standard error", classical_se, labels)
+    return fit.coefficients, se, dof

@@ -175,7 +175,12 @@ def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
     `digest`: the dataset as load_panel_csv returns it, regions sorted and every
     missing cell the NaN an empty cell parses to."""
     order = sorted(range(d.n_regions), key=d.region_ids.__getitem__)
-    values = np.stack(list(d.variables.values()))[:, order]
+    # one (variable, region, year) array, filled in region order and made canonical
+    # in place, so that writing it adds only the writer's copy
+    values = np.empty((len(d.variables), d.n_regions, d.n_years))
+    for out, arr in zip(values, d.variables.values()):
+        np.take(arr, order, axis=0, out=out)
+    np.copyto(values, np.nan, where=np.isnan(values))
     write_csv_sidecar(
         csv_path,
         digest,
@@ -183,7 +188,7 @@ def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
         regions=[d.region_ids[i] for i in order],
         years=d.years,
         variables=list(d.variables),
-        values=np.where(np.isnan(values), np.nan, values),
+        values=values,
     )
 
 

@@ -12,21 +12,35 @@ The dependent variable is produced directly in log-per-employee form,
 already aligned one period ahead, so generated panels feed the estimator
 without further shifting. quality_substitution applies the log-output
 identity as a uniform -q shift; under fixed effects it is absorbed.
+
+generate_block draws B replications at once: each draws from its own
+generator, with the same calls in the same order, and every array after the
+draws carries a leading replication axis, so that each numpy call serves the
+whole block. generate_panel is its one-replication case. Monte Carlo fits
+its replications in such blocks (estimation.fit_block), as many as fit one
+block's design, n T (k + 1) float64s each, into BLOCK_BYTES.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, EngineError
-from .estimation import fit_model, parse_term_label, t_critical, term_values
+from .errors import ConfigError, DuplicateRow, EngineError, InvalidProfiles, UnknownVariable
+from .estimation import ModelSpec, fit_block, fit_model, parse_term_label, t_critical, term_values
 from .panel import RESERVED_COLUMNS, PanelDataset
-from .runtime import parallel_map
 from .suite import expand_notation
 from .tables import check_names
-from .weights import SpatialWeights, ThematicProfileMatrix, build_weights, correlation_matrix
+from .weights import (
+    SpatialWeights,
+    ThematicProfileMatrix,
+    check_profile_rows,
+    check_weight_rows,
+    profile_correlations,
+    standardize_rows,
+)
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
 
@@ -37,6 +51,10 @@ RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence
 MAX_CELLS = 2**24
 # replication streams are spawned up front, one SeedSequence each
 MAX_REPLICATIONS = 100_000
+# Monte Carlo fits as many replications at once as keep one block's design,
+# n*T*(k+1) float64s each, within this: 2 at 78 x 12 with k = 21 columns, and
+# 1 from about 2000 x 20. Larger blocks run little faster and hold more memory.
+BLOCK_BYTES = 384 * 1024
 
 # full two-way FE SLX coefficient set used as DGP truth by default
 DEFAULT_COEFFICIENTS = {
@@ -307,9 +325,41 @@ class GeneratedPanel:
     profiles: ThematicProfileMatrix
 
 
+@dataclass(frozen=True)
+class PanelBlock:
+    """B generated panels at once, each array with a leading replication axis.
+
+    It reads as a PanelDataset does (region_ids, years, var) and holds the
+    weights stack as w, so that term_values and estimation.fit_block take it
+    for both. Names are not checked here.
+    """
+
+    region_ids: tuple[str, ...]
+    years: tuple[int, ...]
+    shares: np.ndarray  # (B, n, S) thematic profiles
+    w: np.ndarray  # (B, n, n) weights
+    variables: dict[str, np.ndarray]  # (B, n, T) each, in generate_panel's column order
+
+    def var(self, name: str) -> np.ndarray:
+        return self.variables[name]
+
+
+@functools.cache
 def _region_ids(n: int) -> tuple[str, ...]:
     width = len(str(n))
     return tuple(f"R{str(i + 1).zfill(width)}" for i in range(n))
+
+
+@functools.cache
+def _subject_areas(s: int) -> tuple[str, ...]:
+    return tuple(f"SA{str(j + 1).zfill(2)}" for j in range(s))
+
+
+def _generated_columns(cfg: DgpConfig) -> tuple[str, ...]:
+    """The variables of a generated panel, in order."""
+    dists = cfg.regressor_distributions
+    logs = tuple(f"log({name})" for name in LOGGED_REGRESSORS if name in dists)
+    return (*dists, *logs, "log(PUB21EMP)", "PUB21EMP")
 
 
 def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> GeneratedPanel:
@@ -320,56 +370,85 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    n, t = cfg.n_regions, cfg.n_years
+    block = generate_block(cfg, [rng])
+    regions = block.region_ids
+    return GeneratedPanel(
+        PanelDataset(regions, block.years, {k: v[0] for k, v in block.variables.items()}),
+        SpatialWeights(regions, block.w[0]),
+        ThematicProfileMatrix(regions, _subject_areas(cfg.n_subject_areas), block.shares[0]),
+    )
+
+
+def generate_block(cfg: DgpConfig, rngs) -> PanelBlock:
+    """Draw one synthetic panel per generator in rngs, as one PanelBlock.
+
+    Replication b makes the draws generate_panel makes, from rngs[b], and
+    gets the same bits. The checks of the profiles, the weights and every
+    term run once over the whole block, in generate_panel's order; the first
+    that fails raises generate_panel's error for the first replication
+    failing it.
+    """
+    n, t, s = cfg.n_regions, cfg.n_years, cfg.n_subject_areas
+    dists = cfg.regressor_distributions
+    size = len(rngs)
     regions = _region_ids(n)
-    years = tuple(range(cfg.first_year, cfg.first_year + t))
+
+    # every draw first, replication by replication, in the order of the steps below
+    alpha = np.full(s, cfg.profile_concentration)
+    shares = np.empty((size, n, s))
+    z_region = np.empty((len(dists), size, n))
+    u = np.empty((len(dists), size, n, t))
+    effects = np.empty((size, n))
+    innovations = np.empty((size, n, t))
+    for b, rng in enumerate(rngs):
+        shares[b] = rng.dirichlet(alpha, size=n)
+        for r in range(len(dists)):
+            rng.standard_normal(out=z_region[r, b])
+            rng.standard_normal(out=u[r, b])
+        rng.standard_normal(out=effects[b])
+        rng.standard_normal(out=innovations[b])
 
     # thematic profiles -> weights; low concentration keeps profiles
     # heterogeneous so clamping leaves real cross-region weight variation
-    alpha = np.full(cfg.n_subject_areas, cfg.profile_concentration)
-    shares = rng.dirichlet(alpha, size=n)
-    areas = tuple(f"SA{str(j + 1).zfill(2)}" for j in range(cfg.n_subject_areas))
-    profiles = ThematicProfileMatrix(regions, areas, shares)
-    w = build_weights(correlation_matrix(profiles), regions)
+    check_profile_rows(regions, shares)
+    w = standardize_rows(profile_correlations(shares))
+    check_weight_rows(regions, w)
 
     variables: dict[str, np.ndarray] = {}
-    for name, dist in cfg.regressor_distributions.items():
-        z_region = rng.standard_normal(n)
-        u = rng.standard_normal((n, t))
-        log_x = dist.log_mean + dist.region_sd * z_region[:, np.newaxis] + dist.year_sd * u
+    for (name, dist), z, ur in zip(dists.items(), z_region, u):
+        log_x = dist.log_mean + dist.region_sd * z[..., np.newaxis] + dist.year_sd * ur
         with np.errstate(over="ignore"):  # the clip bounds a level that overflows
-            levels = np.clip(np.exp(log_x), dist.min_value, dist.max_value)
-        variables[name] = levels
+            variables[name] = np.clip(np.exp(log_x), dist.min_value, dist.max_value)
     for name in LOGGED_REGRESSORS:
         if name in variables:
             variables[f"log({name})"] = np.log(variables[name])
 
-    region_effects = cfg.region_effect_sd * rng.standard_normal(n)
+    region_effects = cfg.region_effect_sd * effects
     tau = np.asarray(cfg.time_effect_profile)
 
     # AR(1) within region; at rho = 0 this is the iid draw bit for bit
     rho = cfg.cluster_ar1
-    innovations = rng.standard_normal((n, t))
-    noise = np.empty((n, t))
-    noise[:, 0] = innovations[:, 0]
+    noise = np.empty((size, n, t))
+    noise[..., 0] = innovations[..., 0]
     scale = math.sqrt(1.0 - rho**2)
     for j in range(1, t):
-        noise[:, j] = rho * noise[:, j - 1] + scale * innovations[:, j]
+        noise[..., j] = rho * noise[..., j - 1] + scale * innovations[..., j]
     noise *= cfg.noise_sd
 
-    # the estimator's own term builder, so slFWCI or FWCI^2 means the same to both
-    regressors = PanelDataset(regions, years, variables)
-    log_y = np.zeros((n, t))
+    # the estimator's own term builder, so slFWCI or FWCI^2 means the same to both;
+    # the block's variables gain the outcome once the terms are taken
+    years = tuple(range(cfg.first_year, cfg.first_year + t))
+    block = PanelBlock(regions, years, shares, w, variables)
+    log_y = np.zeros((size, n, t))
     for label, coef in cfg.true_coefficients.items():
-        log_y += coef * term_values(regressors, parse_term_label(label), w)
-    log_y += region_effects[:, np.newaxis] + tau[np.newaxis, :] + noise
+        log_y += coef * term_values(block, parse_term_label(label), block)
+    log_y += region_effects[..., np.newaxis] + tau + noise
     log_y -= cfg.quality_substitution
 
     variables["log(PUB21EMP)"] = log_y
     with np.errstate(over="ignore"):  # mc fits only the log; write_panel_csv refuses inf
         variables["PUB21EMP"] = np.exp(log_y)
-
-    return GeneratedPanel(PanelDataset(regions, years, variables), w, profiles)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +502,47 @@ class McReport:
         return "\n".join(lines)
 
 
+def block_size(cfg: DgpConfig, spec: ModelSpec) -> int:
+    """Replications per Monte Carlo block: as many as keep one block's [X y],
+    n*T*(k+1) float64s each, within BLOCK_BYTES, and at least 1."""
+    k = len(spec.regressors) + spec.intercept + (cfg.n_years - 1) * spec.time_dummies
+    return max(1, BLOCK_BYTES // (cfg.n_regions * cfg.n_years * (k + 1) * 8))
+
+
+def _check_generated(cfg: DgpConfig, spec: ModelSpec, spec_tag: str) -> None:
+    """Raise unless the generator writes every variable spec reads, and under names
+    (regions, variables, subject areas) that the panel and profile types accept."""
+    columns = _generated_columns(cfg)
+    for name in (spec.dependent, *(term.name for term in spec.regressors)):
+        if name not in columns:
+            raise UnknownVariable(
+                f"spec {spec_tag!r} reads variable {name!r}, which the DGP does not generate"
+            )
+    check_names(_region_ids(cfg.n_regions), DuplicateRow, "region")
+    check_names(columns, DuplicateRow, "variable")
+    check_names(_subject_areas(cfg.n_subject_areas), InvalidProfiles, "subject area")
+
+
 def monte_carlo(
     cfg: DgpConfig, spec_tag: str, replications: int, covariance: str = "cluster_by_region"
 ) -> McReport:
     """Repeat generate -> fit; aggregate bias, dispersion, and 95% coverage.
 
     Replication i draws its generator from SeedSequence(cfg.seed).spawn,
-    so the same config and seed give the same report. An engine error in a
-    replication keeps its type and names the replication and its spawn key.
+    so the same config and seed give the same report. Replications are
+    generated and fitted in blocks of block_size (generate_block, fit_block);
+    a block that fails a check is run again one replication at a time
+    (generate_panel, fit_model), so an engine error keeps its type and names
+    the first replication that fails and its spawn key. A spec that reads a
+    variable the DGP does not generate is refused before any draw.
     """
     if not 2 <= replications <= MAX_REPLICATIONS:
         raise ConfigError(f"replications must be in [2, {MAX_REPLICATIONS}], got {replications}")
     spec = expand_notation(spec_tag, covariance)
-    tracked = [
-        term.label for term in spec.regressors if term.label in cfg.true_coefficients
-    ]
+    _check_generated(cfg, spec, spec_tag)
+    labels = [term.label for term in spec.regressors]
+    tracked = [label for label in labels if label in cfg.true_coefficients]
+    columns = [labels.index(label) for label in tracked]
     streams = np.random.SeedSequence(cfg.seed).spawn(replications)
 
     def one_rep(i: int):
@@ -452,7 +557,19 @@ def monte_carlo(
         return [(fit.coefficients[label], fit.std_errors[label], crit) for label in tracked]
 
     # (estimate, standard error, t critical value) per replication and term
-    results = np.array(parallel_map(one_rep, range(replications)))
+    results = np.empty((replications, len(tracked), 3))
+    size = block_size(cfg, spec)
+    for start in range(0, replications, size):
+        stop = min(start + size, replications)
+        try:
+            rngs = [np.random.default_rng(s) for s in streams[start:stop]]
+            estimates, ses, dof = fit_block(generate_block(cfg, rngs), spec)
+        except EngineError:
+            results[start:stop] = [one_rep(i) for i in range(start, stop)]
+            continue
+        results[start:stop, :, 0] = estimates[:, columns]
+        results[start:stop, :, 1] = ses[:, columns]
+        results[start:stop, :, 2] = t_critical(dof)
     terms = {}
     for j, label in enumerate(tracked):
         estimates, ses, crits = results[:, j].T

@@ -57,15 +57,7 @@ class ThematicProfileMatrix:
         check_names(self.subject_areas, InvalidProfiles, "subject area")
         if shares.shape != (n, s):
             raise InvalidProfiles(f"shares shape {shares.shape} != ({n}, {s})")
-        sums = shares.sum(axis=1)
-        # comparisons with NaN are False, so non-finite rows fail here too
-        ok = np.all(shares >= -_ROW_SUM_TOL, axis=1) & (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise InvalidProfiles(
-                f"profile row for {self.regions[i]!r} sums to {sums[i]}, expected "
-                "nonnegative shares summing to 1"
-            )
+        check_profile_rows(self.regions, shares)
         shares.flags.writeable = False
         object.__setattr__(self, "shares", shares)
 
@@ -89,26 +81,54 @@ class SpatialWeights:
         check_names(self.regions, InvalidWeights, "region")
         if w.shape != (n, n):
             raise InvalidWeights(f"weights shape {w.shape} != ({n}, {n})")
-        # whole-array reductions, with no n x n temporary: NaN fails the first test,
-        # and initial=0.0 lets an empty matrix pass
-        if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < np.inf):
-            bad = ~np.isfinite(w) | (w < 0)  # built only to name the row
-            i = int(np.nonzero(bad.any(axis=1))[0][0])
-            raise InvalidWeights(
-                f"row for {self.regions[i]!r} has a negative or non-finite weight"
-            )
-        if np.any(np.diag(w) != 0):
-            raise InvalidWeights("weights diagonal must be exactly zero")
-        sums = w.sum(axis=1)
-        ok = (sums == 0) | (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise InvalidWeights(
-                f"row for {self.regions[i]!r} sums to {sums[i]}, expected 0 or 1"
-            )
+        sums = check_weight_rows(self.regions, w)
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """The index of the first True cell of mask, leading axes first."""
+    return np.unravel_index(int(np.argmax(mask)), mask.shape)
+
+
+def check_profile_rows(regions, shares: np.ndarray) -> None:
+    """Raise InvalidProfiles naming the first row of shares (..., n, S) that has a
+    negative share or does not sum to 1. Leading axes stack replications, and the
+    row is named by its region in regions."""
+    sums = shares.sum(axis=-1)
+    # comparisons with NaN are False, so non-finite rows fail here too
+    ok = np.all(shares >= -_ROW_SUM_TOL, axis=-1) & (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
+    if not ok.all():
+        at = _first(~ok)
+        raise InvalidProfiles(
+            f"profile row for {regions[at[-1]]!r} sums to {sums[at]}, expected "
+            "nonnegative shares summing to 1"
+        )
+
+
+def check_weight_rows(regions, w: np.ndarray) -> np.ndarray:
+    """The row sums of w (..., n, n), once every matrix of the stack is checked to be
+    finite and nonnegative with a zero diagonal, each row summing to 0 or 1; else
+    InvalidWeights, naming the first failing row by its region in regions."""
+    # whole-array reductions, with no n x n temporary: NaN fails the first test,
+    # and initial=0.0 lets an empty matrix pass
+    if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < np.inf):
+        bad = ~np.isfinite(w) | (w < 0)  # built only to name the row
+        raise InvalidWeights(
+            f"row for {regions[_first(bad.any(axis=-1))[-1]]!r} has a negative or "
+            "non-finite weight"
+        )
+    if np.any(np.einsum("...ii->...i", w) != 0):
+        raise InvalidWeights("weights diagonal must be exactly zero")
+    sums = w.sum(axis=-1)
+    ok = (sums == 0) | (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
+    if not ok.all():
+        at = _first(~ok)
+        raise InvalidWeights(
+            f"row for {regions[at[-1]]!r} sums to {sums[at]}, expected 0 or 1"
+        )
+    return sums
 
 
 def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
@@ -122,17 +142,21 @@ def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
         raise DegenerateDimensions(
             f"need at least 2 regions and 2 subject areas, got {n} x {s}"
         )
-    centered = m.shares - m.shares.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered**2).sum(axis=1))
+    return profile_correlations(m.shares)
+
+
+def profile_correlations(shares: np.ndarray) -> np.ndarray:
+    """correlation_matrix of each (n, S) share matrix of a stack (..., n, S)."""
+    centered = shares - shares.mean(axis=-1, keepdims=True)
+    norms = np.sqrt((centered**2).sum(axis=-1))
     degenerate = norms == 0
     safe = np.where(degenerate, 1.0, norms)
-    unit = centered / safe[:, np.newaxis]
-    corr = unit @ unit.T
-    corr[degenerate, :] = 0.0
-    corr[:, degenerate] = 0.0
+    unit = centered / safe[..., np.newaxis]
+    corr = unit @ np.swapaxes(unit, -1, -2)
+    corr[degenerate] = 0.0  # rows, then columns, with no n x n mask
+    np.swapaxes(corr, -1, -2)[degenerate] = 0.0
     np.clip(corr, -1.0, 1.0, out=corr)
-    keep = ~degenerate
-    corr[keep, keep] = 1.0
+    np.einsum("...ii->...i", corr)[~degenerate] = 1.0
     return corr
 
 
@@ -150,11 +174,16 @@ def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
         w = w.copy()
     if regions is None:
         regions = tuple(f"r{i}" for i in range(w.shape[0]))
-    np.fill_diagonal(w, 0.0)
+    return SpatialWeights(tuple(regions), standardize_rows(w))
+
+
+def standardize_rows(w: np.ndarray) -> np.ndarray:
+    """build_weights' arithmetic on a writeable stack (..., n, n), in place; returns w."""
+    np.einsum("...ii->...i", w)[...] = 0.0
     np.clip(w, 0.0, None, out=w)
-    sums = w.sum(axis=1)
-    w /= np.where(sums > 0, sums, 1.0)[:, np.newaxis]  # x / 1.0 == x: a zero row stays zero
-    return SpatialWeights(tuple(regions), w)
+    sums = w.sum(axis=-1)
+    w /= np.where(sums > 0, sums, 1.0)[..., np.newaxis]  # x / 1.0 == x: a zero row stays zero
+    return w
 
 
 def build_profile_matrix(
@@ -198,6 +227,7 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
     """Spatial lag of an (n, T) array: out[r, t] = sum_j W[r, j] * values[j, t].
 
     Isolated regions get 0. Rows follow w.regions; callers check the order.
+    A stack of weights w.w (..., n, n) lags a stack of values (..., n, T).
     """
     return w.w @ values
 

@@ -15,7 +15,7 @@ import pytest
 import rkpf
 from rkpf.cli import main
 from rkpf.panel import load_panel_csv, write_panel_csv
-from rkpf.simulate import DgpConfig, generate_panel
+from rkpf.simulate import DEFAULT_REGRESSORS, DgpConfig, generate_panel
 from rkpf.weights import ThematicProfileMatrix, load_weights_csv, write_profiles_csv
 
 
@@ -467,6 +467,33 @@ class TestSimulateAndMc:
         with pytest.raises(SystemExit) as exc:
             run("mc", "--reps", 1, "--output-dir", tmp_path / "mc")
         assert exc.value.code == 2
+
+    def test_mc_spec_reading_a_variable_the_dgp_lacks_names_no_replication(
+        self, tmp_path, capsys
+    ):
+        """The generator writes no 'a' variables, and a config may leave out the quality
+        regressors: the error names the spec and the variable, not replication 0."""
+        capsys.readouterr()
+        assert run("mc", "--spec", "fe.tw.q.sl.a", "--reps", 5,
+                   "--output-dir", tmp_path / "a") == 2
+        assert capsys.readouterr().err == (
+            "error: spec 'fe.tw.q.sl.a' reads variable 'log(PUB21EMPA)', which the DGP "
+            "does not generate\n"
+        )
+        config = tmp_path / "c.yaml"
+        dists = {name: DEFAULT_REGRESSORS[name] for name in ("EXPEMP10", "GRPCAP10", "PAPEMP")}
+        DgpConfig(
+            regressor_distributions=dists,
+            true_coefficients={f"log({name})": 0.3 for name in dists},
+        ).to_yaml(config)
+        assert run("mc", "--config", config, "--spec", "fe.tw.q", "--reps", 5,
+                   "--output-dir", tmp_path / "q") == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: spec 'fe.tw.q' reads variable 'FWCI', which the DGP does "
+            "not generate\n"
+        )
+        assert not (tmp_path / "a" / "mc.json").exists()
+        assert not (tmp_path / "q" / "mc.json").exists()
 
 
 class TestStats:

@@ -424,6 +424,37 @@ class TestRegionBlockKernels:
             cluster_robust_cov(fit, X, g, n - 2)
 
 
+class TestStackedKernels:
+    """A stack of problems along a leading axis gets each problem's bits alone."""
+
+    @pytest.mark.parametrize("g, t, k", [(6, 5, 3), (78, 12, 21)])
+    def test_stack_equals_each_problem_alone(self, g, t, k):
+        rng = np.random.default_rng(g + t + k)
+        X = rng.normal(size=(3, g * t, k))
+        y = rng.normal(size=(3, g * t))
+        Xd, yd = within_transform(X, y, g)
+        fit = ols_fit(Xd, yd)
+        dof = g * t - k - g
+        classical = classical_cov(fit, dof)
+        robust = cluster_robust_cov(fit, Xd, g, dof)
+        for b in range(3):
+            xb, yb = within_transform(X[b], y[b], g)
+            alone = ols_fit(xb, yb)
+            assert xb.tobytes() == Xd[b].tobytes() and yb.tobytes() == yd[b].tobytes()
+            for field in ("coefficients", "residuals", "xtx_inverse"):
+                assert getattr(alone, field).tobytes() == getattr(fit, field)[b].tobytes()
+            assert alone.ssr == fit.ssr[b]
+            assert classical_cov(alone, dof).tobytes() == classical[b].tobytes()
+            assert cluster_robust_cov(alone, xb, g, dof).tobytes() == robust[b].tobytes()
+
+    def test_collapsed_column_of_a_later_problem_is_named(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(3, 40, 4))
+        X[1, :, 2] = X[1, :, 0] - X[1, :, 1]
+        with pytest.raises(RankDeficient, match="x2 is collinear"):
+            ols_fit(X, rng.normal(size=(3, 40)), ["x0", "x1", "x2", "x3"])
+
+
 class TestFitModel:
     def make_fe_data(self, rng, n=8, t=6, noise=0.0):
         regions = tuple(f"R{i}" for i in range(n))

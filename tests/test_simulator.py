@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkpf.errors import ConfigError, EngineError, RankDeficient
+from rkpf import simulate
+from rkpf.errors import ConfigError, EngineError, RankDeficient, UnknownVariable
 from rkpf.estimation import fit_model, t_critical
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
@@ -18,7 +19,11 @@ from rkpf.simulate import (
     DEFAULT_REGRESSORS,
     MAX_CELLS,
     DgpConfig,
+    McReport,
+    McTermSummary,
     RegressorDistribution,
+    block_size,
+    generate_block,
     generate_panel,
     monte_carlo,
 )
@@ -327,3 +332,126 @@ class TestMonteCarlo:
         fit = fit_model(g.dataset, expand_notation("fe.tw.q.sl"), g.weights)
         half = t_critical(fit.dof) * fit.std_errors["log(EXPEMP10)"]
         assert abs(fit.coefficients["log(EXPEMP10)"] - 0.5) <= half
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _report_one_at_a_time(cfg, spec_tag, replications, covariance) -> dict:
+    """monte_carlo's report from generate_panel + fit_model on each spawned stream,
+    aggregated as monte_carlo aggregates."""
+    spec = expand_notation(spec_tag, covariance)
+    tracked = [t.label for t in spec.regressors if t.label in cfg.true_coefficients]
+    results = []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(replications):
+        g = generate_panel(cfg, np.random.default_rng(stream))
+        fit = fit_model(g.dataset, spec, g.weights)
+        crit = t_critical(fit.dof)
+        results.append([(fit.coefficients[l], fit.std_errors[l], crit) for l in tracked])
+    results = np.array(results)
+    terms = {}
+    for j, label in enumerate(tracked):
+        estimates, ses, crits = results[:, j].T
+        truth = cfg.true_coefficients[label]
+        terms[label] = McTermSummary(
+            truth=truth,
+            mean_estimate=float(estimates.mean()),
+            bias=float(estimates.mean() - truth),
+            empirical_sd=float(estimates.std(ddof=1)),
+            mean_se=float(ses.mean()),
+            coverage_95=float((np.abs(estimates - truth) <= crits * ses).mean()),
+        )
+    return McReport(replications, spec_tag, covariance, cfg.seed, terms).to_dict()
+
+
+class TestMonteCarloBlocks:
+    """monte_carlo fits replications in blocks; each must give the bits of the fit
+    of its replication alone."""
+
+    @pytest.mark.parametrize("ar1", [0.0, 0.7])
+    @pytest.mark.parametrize("replications", [2, 3, 7])
+    @pytest.mark.parametrize("covariance", ["classical", "cluster_by_region"])
+    @pytest.mark.parametrize("tag", ["ols.q", "fe.ow.q", "fe.tw", "fe.tw.q.sl.non", "fe.tw.q.sl"])
+    def test_blocks_equal_one_replication_at_a_time(self, tag, covariance, replications, ar1):
+        cfg = replace(DgpConfig(seed=17), cluster_ar1=ar1)
+        spec = expand_notation(tag, covariance)
+        assert 1 < block_size(cfg, spec) < 7  # 7 replications leave a partial block
+        report = monte_carlo(cfg, tag, replications, covariance)
+        assert report.to_dict() == _report_one_at_a_time(cfg, tag, replications, covariance)
+
+    def test_block_sizes(self):
+        paper = expand_notation("fe.tw.q.sl")
+        assert block_size(DgpConfig(), paper) == 2
+        assert block_size(DgpConfig(n_regions=2000, n_years=20), paper) == 1
+
+    def test_generate_panel_is_its_slice_of_the_block(self):
+        cfg = replace(DgpConfig(seed=5, n_regions=12, n_years=5), cluster_ar1=0.5)
+        streams = np.random.SeedSequence(cfg.seed).spawn(3)
+        block = generate_block(cfg, [np.random.default_rng(s) for s in streams])
+        for b, stream in enumerate(streams):
+            g = generate_panel(cfg, np.random.default_rng(stream))
+            assert g.dataset.region_ids == block.region_ids
+            assert g.dataset.years == block.years
+            assert list(g.dataset.variables) == list(block.variables)
+            for name, values in g.dataset.variables.items():
+                assert _bits(values) == _bits(block.variables[name][b]), name
+            assert _bits(g.weights.w) == _bits(block.w[b])
+            assert _bits(g.profiles.shares) == _bits(block.shares[b])
+
+    def test_failure_inside_a_block_names_the_replication(self, monkeypatch):
+        """Replication 3, the second of the block [2, 3], draws no normal variation, so
+        region effects absorb every regressor: the block is run again one replication
+        at a time, and the error is that path's, under replication 3's name."""
+        cfg = DgpConfig(seed=3)
+        assert block_size(cfg, expand_notation("fe.tw.q.sl")) == 2
+        real = np.random.default_rng
+
+        class Flat:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def dirichlet(self, alpha, size):
+                return self.rng.dirichlet(alpha, size=size)
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
+                return out
+
+        def rigged(seed=None):
+            rng = real(seed)
+            return Flat(rng) if getattr(seed, "spawn_key", None) == (3,) else rng
+
+        monkeypatch.setattr(np.random, "default_rng", rigged)
+        stream = np.random.SeedSequence(cfg.seed).spawn(4)[3]
+        g = generate_panel(cfg, rigged(stream))
+        with pytest.raises(RankDeficient) as alone:
+            fit_model(g.dataset, expand_notation("fe.tw.q.sl"), g.weights)
+        with pytest.raises(RankDeficient) as blocked:
+            monte_carlo(cfg, "fe.tw.q.sl", 7)
+        assert str(blocked.value) == f"replication 3 (spawn key (3,)): {alone.value}"
+
+    @pytest.mark.parametrize(
+        "tag, dists, variable",
+        [
+            ("fe.tw.q.sl.a", DEFAULT_REGRESSORS, "log(PUB21EMPA)"),
+            ("fe.tw.q", {k: DEFAULT_REGRESSORS[k] for k in ("EXPEMP10", "GRPCAP10", "PAPEMP")},
+             "FWCI"),
+        ],
+        ids=["articles-variables", "regressor-left-out"],
+    )
+    def test_spec_reading_a_variable_the_dgp_lacks_is_refused_before_any_draw(
+        self, monkeypatch, tag, dists, variable
+    ):
+        def draw(*args, **kwargs):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(simulate, "generate_block", draw)
+        monkeypatch.setattr(simulate, "generate_panel", draw)
+        coefficients = {f"log({k})": 0.3 for k in ("EXPEMP10", "GRPCAP10", "PAPEMP")}
+        cfg = DgpConfig(regressor_distributions=dict(dists), true_coefficients=coefficients)
+        message = f"spec {tag!r} reads variable {variable!r}, which the DGP does not generate"
+        with pytest.raises(UnknownVariable, match=f"^{re.escape(message)}$"):
+            monte_carlo(cfg, tag, 5)

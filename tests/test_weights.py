@@ -21,10 +21,14 @@ from rkpf.weights import (
     ThematicProfileMatrix,
     build_profile_matrix,
     build_weights,
+    check_profile_rows,
+    check_weight_rows,
     correlation_matrix,
     lag_values,
     load_profiles_csv,
     load_weights_csv,
+    profile_correlations,
+    standardize_rows,
     write_profiles_csv,
     write_weights_csv,
 )
@@ -81,6 +85,37 @@ class TestCorrelationMatrix:
         c = correlation_matrix(profiles(raw))
         np.testing.assert_allclose(c, c.T, atol=1e-14)
         assert np.all(c <= 1.0) and np.all(c >= -1.0)
+
+
+class TestStacks:
+    """The array helpers take a stack of replications along a leading axis, and give
+    each matrix the bits it gets alone."""
+
+    regions = tuple("abcdef")
+
+    def test_stacked_weights_equal_each_matrix_alone(self):
+        rng = np.random.default_rng(3)
+        shares = rng.dirichlet(np.full(5, 0.3), size=(3, 6))
+        shares[1, 2] = shares[2] = 0.2  # uniform rows: zero variance, isolated regions
+        w = standardize_rows(profile_correlations(shares))
+        sums = check_weight_rows(self.regions, w)
+        assert (sums[2] == 0).all() and sums[1, 2] == 0
+        for b in range(3):
+            alone = build_weights(correlation_matrix(profiles(shares[b])), self.regions)
+            assert w[b].tobytes() == alone.w.tobytes()
+
+    def test_the_first_bad_row_of_a_stack_is_named(self):
+        shares = np.full((2, 6, 4), 0.25)
+        shares[1, 4] = [1.5, -0.5, 0.0, 0.0]
+        with pytest.raises(InvalidProfiles, match=r"^profile row for 'e' .* nonnegative"):
+            check_profile_rows(self.regions, shares)
+        w = np.zeros((2, 6, 6))
+        w[1, 3, 0] = -0.1
+        with pytest.raises(InvalidWeights, match=r"^row for 'd' has a negative or non-finite"):
+            check_weight_rows(self.regions, w)
+        w[1, 3, 0] = 0.5
+        with pytest.raises(InvalidWeights, match=r"^row for 'd' sums to 0\.5, expected 0 or 1$"):
+            check_weight_rows(self.regions, w)
 
 
 class TestBuildWeights:
