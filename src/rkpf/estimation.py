@@ -13,10 +13,10 @@ is a ValueError.
 The kernels (term_values, within_transform, ols_fit, classical_cov and
 cluster_robust_cov) also take arrays with leading axes: a stack of B
 replications' designs, (B, N, k), is fitted as B separate problems, each
-with the same numpy calls and so the same bits as when fitted alone. Monte
-Carlo fits its replications in such blocks through fit_block, which runs
-every check of fit_model over the whole block and computes no p-values;
-fit_model calls the same kernels on 2-D arrays.
+with the same numpy calls and so the same bits as when fitted alone.
+fit_model and fit_block, which fits Monte Carlo's stack of replications,
+agree because they run one checked core, _fit: the dof of design_dof, the
+QR and every check of a fit, in one order.
 
 W's only use in a fit is the thematic lags W x. take_lags takes every
 distinct lag of a list of specs once, as a variable of the dataset, and
@@ -48,7 +48,7 @@ from .errors import (
     ZeroDof,
 )
 from .panel import PanelDataset
-from .weights import SpatialWeights, lag_values
+from .weights import SpatialWeights, first_cell, lag_values
 
 COVARIANCE_KINDS = ("classical", "cluster_by_region")
 
@@ -129,20 +129,14 @@ class Design:
     column_labels: tuple[str, ...]
 
 
-def _first_nonfinite(values) -> tuple[int, ...] | None:
-    """The index of the first cell of values that is not finite, or None."""
-    ok = np.isfinite(values)
-    return None if ok.all() else tuple(np.argwhere(~ok)[0])
-
-
 def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
     """values, unless a cell is missing (NaN) or overflowed when squared or lagged.
 
     values is (..., n, T); a bad cell is named by its region and year.
     """
-    at = _first_nonfinite(values)
-    if at is not None:
-        i, j = at[-2:]
+    ok = np.isfinite(values)
+    if not ok.all():
+        i, j = first_cell(~ok)[-2:]
         raise UnknownVariable(
             f"{label!r} is missing or not finite at {d.region_ids[i]}, {d.years[j]}: an "
             "unbalanced panel, or a value whose square or spatial lag overflows"
@@ -237,6 +231,18 @@ def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, np.ndarray, tuple
         k = len(spec.regressors)
         X.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
     return X, y, tuple(labels)
+
+
+def design_dof(spec: ModelSpec, n_regions: int, n_years: int, where: str = "") -> tuple[int, int]:
+    """The width k of spec's design on an n x T panel (its terms, T-1 year dummies, a
+    constant) and its residual dof, n T - k - absorbed regions; unless that is positive,
+    ZeroDof, its message led by where."""
+    n_obs = n_regions * n_years
+    k = len(spec.regressors) + (n_years - 1) * spec.time_dummies + spec.intercept
+    n_absorbed = n_regions * spec.region_effects
+    if n_obs - k - n_absorbed <= 0:
+        raise ZeroDof(f"{where}no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
+    return k, n_obs - k - n_absorbed
 
 
 def within_transform(
@@ -455,49 +461,58 @@ def _std_errors(cov: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.einsum("...ii->...i", cov), 0.0, None))
 
 
+def _t_test(se: np.ndarray, coefficients: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """t statistics and two-sided t p-values from standard errors."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = np.where(se > 0, coefficients / se, np.inf * np.sign(coefficients))
+    return t_stats, t_two_sided_p(t_stats, dof)
+
+
 def _inference(
     cov: np.ndarray, coefficients: np.ndarray, dof: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard errors, t statistics and two-sided t p-values from a covariance."""
     se = _std_errors(cov)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, coefficients / se, np.inf * np.sign(coefficients))
-    return se, t_stats, t_two_sided_p(t_stats, dof)
+    return (se, *_t_test(se, coefficients, dof))
 
 
 def _check_finite(what: str, values: np.ndarray, labels) -> None:
     """Raise NonFiniteFit naming the first term whose value is not finite."""
-    at = _first_nonfinite(values)
-    if at is not None:
+    ok = np.isfinite(values)
+    if not ok.all():
+        at = first_cell(~ok)
         raise NonFiniteFit(f"the {what} of {labels[at[-1]]!r} is {values[at]}")
 
 
 def _absorb(X: np.ndarray, y: np.ndarray, spec: ModelSpec, n_regions: int):
-    """(X, y, regions absorbed): demeaned by within_transform if spec has region effects."""
-    if spec.region_effects:
-        return (*within_transform(X, y, n_regions), n_regions)
-    return X, y, 0
+    """(X, y), demeaned by within_transform if spec has region effects."""
+    return within_transform(X, y, n_regions) if spec.region_effects else (X, y)
 
 
-def _solve(Xf: np.ndarray, yf: np.ndarray, n_absorbed: int, labels) -> tuple[int, OlsFit]:
-    """The dof and the least-squares fit of the (absorbed) design Xf, yf, checked.
+def _fit(X: np.ndarray, y: np.ndarray, spec: ModelSpec, labels, n_regions: int, n_years: int):
+    """(dof, least-squares fit, spec's standard errors, classical standard errors) of
+    the absorbed design X (..., N, k), y (..., N) of an n x T panel, each checked.
 
-    Xf (..., N, k) and yf (..., N) may stack replications; each check then
-    covers the whole stack.
+    Leading axes stack replications; each check then covers the whole stack and
+    names the first replication that fails it.
     """
-    n_obs, k = Xf.shape[-2:]
-    dof = n_obs - k - n_absorbed
-    if dof <= 0:
-        raise ZeroDof(f"no residual degrees of freedom (n={n_obs}, k={k}+{n_absorbed})")
+    _, dof = design_dof(spec, n_regions, n_years)
     with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
-        fit = ols_fit(Xf, yf, labels)
-    at = _first_nonfinite(fit.ssr)
-    if at is not None:
+        fit = ols_fit(X, y, labels)
+    ok = np.isfinite(fit.ssr)
+    if not ok.all():
         raise NonFiniteFit(
-            f"the SSR is {fit.ssr[at]}: the residuals are too large to square"
+            f"the SSR is {fit.ssr[first_cell(~ok)]}: the residuals are too large to square"
         )
     _check_finite("estimate", fit.coefficients, labels)
-    return dof, fit
+    classical_se = _std_errors(classical_cov(fit, dof))
+    if spec.covariance == "classical":
+        se = classical_se
+    else:
+        se = _std_errors(cluster_robust_cov(fit, X, n_regions, dof))
+    _check_finite("standard error", se, labels)
+    _check_finite("classical standard error", classical_se, labels)
+    return dof, fit, se, classical_se
 
 
 def fit_model(
@@ -509,22 +524,17 @@ def fit_model(
     classical ones.
     """
     design = build_design(d, spec, w)
-    X, y = design.X, design.y
+    X, y, labels = design.X, design.y, design.column_labels
     n_obs, k = X.shape
-    labels = design.column_labels
-    Xf, yf, n_absorbed = _absorb(X, y, spec, d.n_regions)
-    dof, fit = _solve(Xf, yf, n_absorbed, labels)
+    Xf, yf = _absorb(X, y, spec, d.n_regions)
+    dof, fit, se, classical_se = _fit(Xf, yf, spec, labels, d.n_regions, d.n_years)
+    n_absorbed = n_obs - k - dof  # the region effects the dof nets out
     ssr = float(fit.ssr)
-
-    classical = _inference(classical_cov(fit, dof), fit.coefficients, dof)
+    t_stats, p_values = _t_test(se, fit.coefficients, dof)
     if spec.covariance == "classical":
-        se, t_stats, p_values = classical
+        classical_p = p_values
     else:
-        cov = cluster_robust_cov(fit, Xf, d.n_regions, dof)
-        se, t_stats, p_values = _inference(cov, fit.coefficients, dof)
-    classical_se, _, classical_p = classical
-    _check_finite("standard error", se, labels)
-    _check_finite("classical standard error", classical_se, labels)
+        _, classical_p = _t_test(classical_se, fit.coefficients, dof)
 
     # within R^2: on the (possibly demeaned) LS problem; centered when a
     # constant is present or implied by demeaning
@@ -534,8 +544,7 @@ def fit_model(
     # overall R^2: squared correlation of Xb with the raw response
     r2_overall = _squared_correlation(X @ fit.coefficients, y)
 
-    k_aic = k + n_absorbed
-    aic = float("-inf") if ssr <= 0 else n_obs * math.log(ssr / n_obs) + 2 * k_aic
+    aic = float("-inf") if ssr <= 0 else n_obs * math.log(ssr / n_obs) + 2 * (k + n_absorbed)
 
     return FitResult(
         spec=spec,
@@ -558,26 +567,18 @@ def fit_model(
     )
 
 
-def fit_block(d, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """The estimates (B, k), the spec's standard errors (B, k) and the dof of a stack
-    of B panels, each fitted as fit_model fits it alone, bit for bit.
+def fit_block(d, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates (B, k) and the spec's standard errors (B, k) of a stack of B
+    panels, each the bits fit_model gives it alone: both run the one core, _fit.
 
-    d is a simulate.PanelBlock: PanelDataset's region_ids, years and var,
-    over (B, n, T) variables, and its (B, n, n) weights as d.w. Each check of
-    fit_model runs once over the whole block, in fit_model's order; the first
-    that fails raises fit_model's error for the first replication failing it.
-    No t statistic or p-value is computed.
+    d is a simulate.PanelBlock: PanelDataset's region_ids, years and var, over
+    (B, n, T) variables, and its (B, n, n) weights as d.w. A failing check raises
+    fit_model's error for the first replication that fails it. No t statistic or
+    p-value is computed.
     """
-    g = len(d.region_ids)
+    n, t = len(d.region_ids), len(d.years)
     X, y, labels = _design_arrays(d, spec, d)
     del d  # the design is all of the block that the fit reads
-    X, y, n_absorbed = _absorb(X, y, spec, g)  # frees the raw design
-    dof, fit = _solve(X, y, n_absorbed, labels)
-    classical_se = _std_errors(classical_cov(fit, dof))
-    if spec.covariance == "classical":
-        se = classical_se
-    else:
-        se = _std_errors(cluster_robust_cov(fit, X, g, dof))
-    _check_finite("standard error", se, labels)
-    _check_finite("classical standard error", classical_se, labels)
-    return fit.coefficients, se, dof
+    X, y = _absorb(X, y, spec, n)  # frees the raw design
+    _, fit, se, _ = _fit(X, y, spec, labels, n, t)
+    return fit.coefficients, se

@@ -17,8 +17,10 @@ generate_block draws B replications at once: each draws from its own
 generator, with the same calls in the same order, and every array after the
 draws carries a leading replication axis, so that each numpy call serves the
 whole block. generate_panel is its one-replication case. Monte Carlo fits
-its replications in such blocks (estimation.fit_block), as many as fit one
-block's design, n T (k + 1) float64s each, into BLOCK_BYTES.
+its replications in such blocks (estimation.fit_block, which runs
+fit_model's checked core), as many as fit one block's design, n T (k + 1)
+float64s each, into BLOCK_BYTES; a block that fails a check is run again
+as blocks of one.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DuplicateRow, EngineError, InvalidProfiles, UnknownVariable
-from .estimation import ModelSpec, fit_block, fit_model, parse_term_label, t_critical, term_values
+from .estimation import ModelSpec, design_dof, fit_block, parse_term_label, t_critical, term_values
 from .panel import RESERVED_COLUMNS, PanelDataset
 from .suite import expand_notation
 from .tables import check_names
@@ -382,11 +384,8 @@ def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Ge
 def generate_block(cfg: DgpConfig, rngs) -> PanelBlock:
     """Draw one synthetic panel per generator in rngs, as one PanelBlock.
 
-    Replication b makes the draws generate_panel makes, from rngs[b], and
-    gets the same bits. The checks of the profiles, the weights and every
-    term run once over the whole block, in generate_panel's order; the first
-    that fails raises generate_panel's error for the first replication
-    failing it.
+    Replication b gets the bits it gets alone, from rngs[b]. Each check runs
+    once over the whole block and names the first replication that fails it.
     """
     n, t, s = cfg.n_regions, cfg.n_years, cfg.n_subject_areas
     dists = cfg.regressor_distributions
@@ -505,7 +504,7 @@ class McReport:
 def block_size(cfg: DgpConfig, spec: ModelSpec) -> int:
     """Replications per Monte Carlo block: as many as keep one block's [X y],
     n*T*(k+1) float64s each, within BLOCK_BYTES, and at least 1."""
-    k = len(spec.regressors) + spec.intercept + (cfg.n_years - 1) * spec.time_dummies
+    k, _ = design_dof(spec, cfg.n_regions, cfg.n_years)
     return max(1, BLOCK_BYTES // (cfg.n_regions * cfg.n_years * (k + 1) * 8))
 
 
@@ -531,48 +530,44 @@ def monte_carlo(
     Replication i draws its generator from SeedSequence(cfg.seed).spawn,
     so the same config and seed give the same report. Replications are
     generated and fitted in blocks of block_size (generate_block, fit_block);
-    a block that fails a check is run again one replication at a time
-    (generate_panel, fit_model), so an engine error keeps its type and names
-    the first replication that fails and its spawn key. A spec that reads a
-    variable the DGP does not generate is refused before any draw.
+    a block that fails a check is run again as blocks of one, so an engine
+    error keeps its type and names the first replication that fails and its
+    spawn key. A spec that reads a variable the DGP does not generate, or
+    that leaves no residual dof on the panel, is refused before any draw.
     """
     if not 2 <= replications <= MAX_REPLICATIONS:
         raise ConfigError(f"replications must be in [2, {MAX_REPLICATIONS}], got {replications}")
     spec = expand_notation(spec_tag, covariance)
     _check_generated(cfg, spec, spec_tag)
+    n, t = cfg.n_regions, cfg.n_years
+    _, dof = design_dof(spec, n, t, where=f"spec {spec_tag!r} on a {n} x {t} panel: ")
     labels = [term.label for term in spec.regressors]
     tracked = [label for label in labels if label in cfg.true_coefficients]
     columns = [labels.index(label) for label in tracked]
     streams = np.random.SeedSequence(cfg.seed).spawn(replications)
+    # the estimates and the standard errors, per replication and term
+    results = np.empty((2, replications, len(tracked)))
 
-    def one_rep(i: int):
+    def fit(start: int, stop: int) -> None:
+        rngs = [np.random.default_rng(s) for s in streams[start:stop]]
         try:
-            generated = generate_panel(cfg, np.random.default_rng(streams[i]))
-            fit = fit_model(generated.dataset, spec, generated.weights)
+            fitted = fit_block(generate_block(cfg, rngs), spec)
         except EngineError as exc:
-            raise type(exc)(
-                f"replication {i} (spawn key {streams[i].spawn_key}): {exc}"
-            ) from exc
-        crit = t_critical(fit.dof)
-        return [(fit.coefficients[label], fit.std_errors[label], crit) for label in tracked]
+            if stop - start == 1:
+                key = streams[start].spawn_key
+                raise type(exc)(f"replication {start} (spawn key {key}): {exc}") from exc
+            for i in range(start, stop):
+                fit(i, i + 1)
+        else:
+            results[:, start:stop] = np.take(fitted, columns, axis=-1)
 
-    # (estimate, standard error, t critical value) per replication and term
-    results = np.empty((replications, len(tracked), 3))
     size = block_size(cfg, spec)
     for start in range(0, replications, size):
-        stop = min(start + size, replications)
-        try:
-            rngs = [np.random.default_rng(s) for s in streams[start:stop]]
-            estimates, ses, dof = fit_block(generate_block(cfg, rngs), spec)
-        except EngineError:
-            results[start:stop] = [one_rep(i) for i in range(start, stop)]
-            continue
-        results[start:stop, :, 0] = estimates[:, columns]
-        results[start:stop, :, 1] = ses[:, columns]
-        results[start:stop, :, 2] = t_critical(dof)
+        fit(start, min(start + size, replications))
+    crit = t_critical(dof)
     terms = {}
     for j, label in enumerate(tracked):
-        estimates, ses, crits = results[:, j].T
+        estimates, ses = results[..., j]
         truth = cfg.true_coefficients[label]
         terms[label] = McTermSummary(
             truth=truth,
@@ -580,12 +575,6 @@ def monte_carlo(
             bias=float(estimates.mean() - truth),
             empirical_sd=float(estimates.std(ddof=1)),
             mean_se=float(ses.mean()),
-            coverage_95=float((np.abs(estimates - truth) <= crits * ses).mean()),
+            coverage_95=float((np.abs(estimates - truth) <= crit * ses).mean()),
         )
-    return McReport(
-        replications=replications,
-        spec_tag=spec_tag,
-        covariance=covariance,
-        seed=cfg.seed,
-        terms=terms,
-    )
+    return McReport(replications, spec_tag, covariance, cfg.seed, terms)

@@ -87,7 +87,7 @@ class SpatialWeights:
         object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...]:
+def first_cell(mask: np.ndarray) -> tuple[int, ...]:
     """The index of the first True cell of mask, leading axes first."""
     return np.unravel_index(int(np.argmax(mask)), mask.shape)
 
@@ -100,7 +100,7 @@ def check_profile_rows(regions, shares: np.ndarray) -> None:
     # comparisons with NaN are False, so non-finite rows fail here too
     ok = np.all(shares >= -_ROW_SUM_TOL, axis=-1) & (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
     if not ok.all():
-        at = _first(~ok)
+        at = first_cell(~ok)
         raise InvalidProfiles(
             f"profile row for {regions[at[-1]]!r} sums to {sums[at]}, expected "
             "nonnegative shares summing to 1"
@@ -116,7 +116,7 @@ def check_weight_rows(regions, w: np.ndarray) -> np.ndarray:
     if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < np.inf):
         bad = ~np.isfinite(w) | (w < 0)  # built only to name the row
         raise InvalidWeights(
-            f"row for {regions[_first(bad.any(axis=-1))[-1]]!r} has a negative or "
+            f"row for {regions[first_cell(bad.any(axis=-1))[-1]]!r} has a negative or "
             "non-finite weight"
         )
     if np.any(np.einsum("...ii->...i", w) != 0):
@@ -124,7 +124,7 @@ def check_weight_rows(regions, w: np.ndarray) -> np.ndarray:
     sums = w.sum(axis=-1)
     ok = (sums == 0) | (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
     if not ok.all():
-        at = _first(~ok)
+        at = first_cell(~ok)
         raise InvalidWeights(
             f"row for {regions[at[-1]]!r} sums to {sums[at]}, expected 0 or 1"
         )

@@ -495,6 +495,19 @@ class TestSimulateAndMc:
         assert not (tmp_path / "a" / "mc.json").exists()
         assert not (tmp_path / "q" / "mc.json").exists()
 
+    def test_mc_panel_too_small_for_the_spec_names_no_replication(self, tmp_path, capsys):
+        """A 3 x 3 panel leaves fe.tw.q.sl no residual dof: refused before any draw, with
+        a line naming the spec and the panel, not replication 0."""
+        config = tmp_path / "small.yaml"
+        config.write_text("panel: {n_regions: 3, n_years: 3}\n")
+        capsys.readouterr()
+        assert run("mc", "--config", config, "--reps", 5, "--output-dir", tmp_path / "mc") == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: spec 'fe.tw.q.sl' on a 3 x 3 panel: no residual degrees of "
+            "freedom (n=9, k=12+3)\n"
+        )
+        assert not (tmp_path / "mc" / "mc.json").exists()
+
 
 class TestStats:
     def test_stats_outputs(self, model_bundle, tmp_path):

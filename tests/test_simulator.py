@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkpf import simulate
-from rkpf.errors import ConfigError, EngineError, RankDeficient, UnknownVariable
+from rkpf.errors import ConfigError, EngineError, RankDeficient, UnknownVariable, ZeroDof
 from rkpf.estimation import fit_model, t_critical
 from rkpf.panel import descriptive_stats, validate_balanced
 from rkpf.simulate import (
@@ -433,17 +433,58 @@ class TestMonteCarloBlocks:
             monte_carlo(cfg, "fe.tw.q.sl", 7)
         assert str(blocked.value) == f"replication 3 (spawn key (3,)): {alone.value}"
 
+    def test_rerun_names_the_first_failing_replication_in_order(self, monkeypatch):
+        """In the block [2, 3], replication 2 draws all-zero normals (a rank-deficient
+        fit) and replication 3 all-NaN ones (a term that is not finite). The block's
+        first failing check is replication 3's, at the draw; run again as blocks of
+        one, replication 2 fails first and is the one named."""
+        cfg = DgpConfig(seed=3)
+        spec = expand_notation("fe.tw.q.sl")
+        assert block_size(cfg, spec) == 2
+        real = np.random.default_rng
+        fills = {(2,): 0.0, (3,): np.nan}
+
+        class Fixed:
+            def __init__(self, rng, value):
+                self.rng, self.value = rng, value
+
+            def dirichlet(self, alpha, size):
+                return self.rng.dirichlet(alpha, size=size)
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, self.value)
+                out[...] = self.value
+                return out
+
+        def rigged(seed=None):
+            key = getattr(seed, "spawn_key", None)
+            return Fixed(real(seed), fills[key]) if key in fills else real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", rigged)
+        streams = np.random.SeedSequence(cfg.seed).spawn(4)
+        with pytest.raises(UnknownVariable):
+            generate_block(cfg, [rigged(s) for s in streams[2:]])
+        with pytest.raises(RankDeficient) as blocked:
+            monte_carlo(cfg, "fe.tw.q.sl", 7)
+        assert str(blocked.value).startswith(
+            "replication 2 (spawn key (2,)): design matrix is rank deficient"
+        )
+
     @pytest.mark.parametrize(
-        "tag, dists, variable",
+        "tag, dists, panel, error, message",
         [
-            ("fe.tw.q.sl.a", DEFAULT_REGRESSORS, "log(PUB21EMPA)"),
+            ("fe.tw.q.sl.a", DEFAULT_REGRESSORS, 78, UnknownVariable,
+             "reads variable 'log(PUB21EMPA)', which the DGP does not generate"),
             ("fe.tw.q", {k: DEFAULT_REGRESSORS[k] for k in ("EXPEMP10", "GRPCAP10", "PAPEMP")},
-             "FWCI"),
+             78, UnknownVariable, "reads variable 'FWCI', which the DGP does not generate"),
+            ("fe.tw.q", DEFAULT_REGRESSORS, 3, ZeroDof,
+             "on a 3 x 3 panel: no residual degrees of freedom (n=9, k=9+3)"),
         ],
-        ids=["articles-variables", "regressor-left-out"],
+        ids=["articles-variables", "regressor-left-out", "panel-too-small"],
     )
     def test_spec_reading_a_variable_the_dgp_lacks_is_refused_before_any_draw(
-        self, monkeypatch, tag, dists, variable
+        self, monkeypatch, tag, dists, panel, error, message
     ):
         def draw(*args, **kwargs):
             raise AssertionError("a replication was drawn")
@@ -451,7 +492,11 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(simulate, "generate_block", draw)
         monkeypatch.setattr(simulate, "generate_panel", draw)
         coefficients = {f"log({k})": 0.3 for k in ("EXPEMP10", "GRPCAP10", "PAPEMP")}
-        cfg = DgpConfig(regressor_distributions=dict(dists), true_coefficients=coefficients)
-        message = f"spec {tag!r} reads variable {variable!r}, which the DGP does not generate"
-        with pytest.raises(UnknownVariable, match=f"^{re.escape(message)}$"):
+        cfg = DgpConfig(
+            n_regions=panel,
+            n_years=min(panel, 12),
+            regressor_distributions=dict(dists),
+            true_coefficients=coefficients,
+        )
+        with pytest.raises(error, match=f"^{re.escape(f'spec {tag!r} {message}')}$"):
             monte_carlo(cfg, tag, 5)
