@@ -5,7 +5,8 @@ estimation with cluster-robust covariance, specification-ladder comparison
 tables, and a synthetic-data Monte Carlo harness.
 
 The exports load their submodule on first use (PEP 562), so `import rkpf`
-loads no numpy and `rkpf.cli` can set the BLAS thread count before numpy loads.
+loads no numpy and `rkpf.cli.main()` can set the BLAS thread count before
+numpy loads.
 """
 import importlib
 

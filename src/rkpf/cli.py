@@ -11,6 +11,11 @@ rkpf.manifest) that later steps load instead of parsing the text, and ingest
 0 success, 2 input or validation error (one line naming the input at fault,
 such as a path that is missing, a directory, or under a regular file), 1
 internal error.
+
+This module imports no engine module at load: each subcommand imports what it
+uses when it runs, from the module that defines it, so --version, --help and a
+usage error load no numpy, and `stats` loads no estimator. main() sets one BLAS
+thread before that.
 """
 from __future__ import annotations
 
@@ -23,58 +28,12 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-# One BLAS thread unless the user sets one: the CLI's fits are small, and BLAS
-# threads cost them more than they gain. Set before numpy loads its BLAS.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
-import numpy as np  # noqa: E402
-
 from . import __version__
+from .choices import COVARIANCE_KINDS, MAIN_TAGS, MAX_REPLICATIONS
 from .errors import EngineError, InvalidTag, MissingData, RegionOrderMismatch
-from .indicators import (
-    INDICATOR_COLUMNS,
-    load_publications,
-    load_vocabulary,
-    read_incidence_sidecar,
-    region_year_indicators,
-    sidecar_sources,
-    write_incidence_sidecar,
-    write_indicator_csv,
-)
-from .indicators import SIDECAR_NAME as PUBLICATIONS_SIDECAR
-from .manifest import build_manifest
-from .panel import (
-    descriptive_stats,
-    load_panel_csv,
-    render_stats_text,
-    validate_balanced,
-    write_panel_csv,
-    write_panel_sidecar,
-)
-from .simulate import MAX_REPLICATIONS, DgpConfig, generate_panel, monte_carlo
-from .estimation import COVARIANCE_KINDS, fit_model, require_weights, take_lags
-from .suite import (
-    MAIN_TAGS,
-    ComparisonTable,
-    expand_notation,
-    render_fit_text,
-    render_table,
-    run_suite,
-    suite_specs,
-)
-from .tables import not_utf8
-from .weights import (
-    ThematicProfileMatrix,
-    build_profile_matrix,
-    build_weights,
-    correlation_matrix,
-    load_profiles_csv,
-    load_weights_csv,
-    write_profiles_csv,
-    write_weights_files,
-    write_weights_sidecar,
-)
+
+# the variables that set the BLAS thread count of numpy's BLAS when it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 DATASET_NAME = "dataset.csv"
 
@@ -88,11 +47,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_dataset(dataset, out: Path) -> None:
+    from .panel import write_panel_csv, write_panel_sidecar
+
     path = out / DATASET_NAME
     write_panel_sidecar(dataset, path, write_panel_csv(dataset, path))
 
 
 def _write_weights(w, out: Path) -> None:
+    from .weights import write_weights_files, write_weights_sidecar
+
     path = out / "weights.csv"
     write_weights_sidecar(w, path, write_weights_files(w, path, out / "weights.json"))
 
@@ -127,23 +90,31 @@ def _reading(inputs: dict, path):
             raise
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError:
+        from .tables import not_utf8
+
         raise not_utf8(path) from None
 
 
 def _dgp_config(args, inputs: dict) -> DgpConfig:
     """The --config file (or the defaults), with --seed overriding its seed."""
+    from .simulate import DgpConfig
+
     with _reading(inputs, args.config) as path:
         cfg = DgpConfig.from_yaml(path) if path else DgpConfig()
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _bundle_regions(bundle: str, inputs: dict) -> tuple[str, ...]:
+    from .panel import load_panel_csv
+
     with _reading(inputs, Path(bundle) / DATASET_NAME) as path:
         return load_panel_csv(path, inputs).region_ids
 
 
 def _load_weights(path, inputs: dict):
     """The --weights file, or None without one."""
+    from .weights import load_weights_csv
+
     with _reading(inputs, path) as path:
         return load_weights_csv(path, inputs) if path else None
 
@@ -158,6 +129,8 @@ def _name_list(raw: str, what: str) -> list[str]:
 
 def _reorder_profiles(profiles, region_order):
     """Align a profile matrix with a bundle's region order."""
+    from .weights import ThematicProfileMatrix
+
     index = {r: i for i, r in enumerate(profiles.regions)}
     missing = sorted(set(region_order) - index.keys())
     if missing:
@@ -172,6 +145,21 @@ def _reorder_profiles(profiles, region_order):
 
 
 def cmd_ingest(args) -> int:
+    import numpy as np
+
+    from .indicators import (
+        INDICATOR_COLUMNS,
+        SIDECAR_NAME,
+        load_publications,
+        load_vocabulary,
+        region_year_indicators,
+        sidecar_sources,
+        write_incidence_sidecar,
+        write_indicator_csv,
+    )
+    from .manifest import build_manifest
+    from .panel import load_panel_csv, validate_balanced
+
     out = _out_dir(args)
     inputs = {}
     with _reading(inputs, args.panel) as path:
@@ -203,13 +191,17 @@ def cmd_ingest(args) -> int:
 
     _write_dataset(dataset, out)
     if args.pubs:
-        write_incidence_sidecar(pubs, out / PUBLICATIONS_SIDECAR, sources)
+        write_incidence_sidecar(pubs, out / SIDECAR_NAME, sources)
     _write_json(out / "manifest.json", build_manifest("ingest", inputs))
     print(f"bundle written to {out}")
     return 0
 
 
 def cmd_weights(args) -> int:
+    from .manifest import build_manifest
+    from .weights import build_profile_matrix, build_weights, correlation_matrix
+    from .weights import load_profiles_csv
+
     out = _out_dir(args)
     if not (args.profiles or args.pubs):
         raise MissingData("weights needs --profiles or --pubs")
@@ -220,13 +212,16 @@ def cmd_weights(args) -> int:
             if args.bundle:  # its dataset sets the row order
                 profiles = _reorder_profiles(profiles, _bundle_regions(args.bundle, inputs))
     else:
+        from .indicators import SIDECAR_NAME, load_publications, load_vocabulary
+        from .indicators import read_incidence_sidecar, sidecar_sources
+
         with _reading(inputs, args.vocab) as path:
             vocabulary = load_vocabulary(path) if path else None
         with _reading(inputs, args.pubs) as path:
             incidences = None
             if args.bundle:  # its ingest may have left the counts of these very files
                 sources = sidecar_sources(path, args.vocab, inputs)
-                sidecar = Path(args.bundle) / PUBLICATIONS_SIDECAR
+                sidecar = Path(args.bundle) / SIDECAR_NAME
                 incidences = read_incidence_sidecar(sidecar, sources, inputs)
             if incidences is None:
                 incidences = load_publications(path, vocabulary).incidences
@@ -246,6 +241,11 @@ def cmd_weights(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .estimation import fit_model, require_weights, take_lags
+    from .manifest import build_manifest
+    from .panel import load_panel_csv
+    from .suite import ComparisonTable, expand_notation, render_fit_text, render_table
+
     out = _out_dir(args)
     spec = expand_notation(args.spec, args.covariance)
     require_weights([spec], args.weights is not None)
@@ -270,6 +270,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .estimation import require_weights
+    from .manifest import build_manifest
+    from .panel import load_panel_csv
+    from .suite import render_table, run_suite, suite_specs
+
     out = _out_dir(args)
     tags = _name_list(args.specs, "tag")
     require_weights(suite_specs(tags, args.covariance, args.dual_errors), args.weights is not None)
@@ -295,6 +300,10 @@ def cmd_suite(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .manifest import build_manifest
+    from .simulate import generate_panel
+    from .weights import write_profiles_csv
+
     out = _out_dir(args)
     inputs = {}
     cfg = _dgp_config(args, inputs)
@@ -314,6 +323,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .manifest import build_manifest
+    from .simulate import monte_carlo
+    from .suite import expand_notation
+
     out = _out_dir(args)
     expand_notation(args.spec, args.covariance)
     inputs = {}
@@ -331,6 +344,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .manifest import build_manifest
+    from .panel import descriptive_stats, load_panel_csv, render_stats_text
+
     out = _out_dir(args)
     names = _name_list(args.vars, "variable") if args.vars else None
     inputs = {}
@@ -434,6 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # One BLAS thread, whatever the environment says: the CLI's fits are small, BLAS
+    # threads cost them more than they gain, and the bytes it writes must not depend
+    # on the thread count. Set before a subcommand loads numpy and so its BLAS.
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ[name] = "1"
     args = build_parser().parse_args(argv)
     if getattr(args, "vocab", None) and not args.pubs:
         args.parser.error("argument --vocab: needs --pubs")

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .choices import COVARIANCE_KINDS
 from .errors import (
     MissingWeights,
     NonFiniteFit,
@@ -49,8 +50,6 @@ from .errors import (
 )
 from .panel import PanelDataset
 from .weights import SpatialWeights, first_cell, lag_values
-
-COVARIANCE_KINDS = ("classical", "cluster_by_region")
 
 # Table-style significance thresholds: *** 0.01, ** 0.05, * 0.10
 STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))

@@ -6,17 +6,20 @@ quartile shares are percentages of a region-year's output in first-quartile
 and in unranked sources. Thematic profiles are subject-area incidence
 shares and feed the proximity weights.
 
-A publications file is read in one pass, and each record is checked and
-folded into `Publications` as it is decoded: the counts these computations
-read, and no record. `ingest` leaves the incidence counts in the bundle as
+A publications file is read once, and its records are checked and folded
+into `Publications`, the counts these computations read, and no record: a
+JSON-lines file a run of lines at a time, a CSV file record by record.
+`ingest` leaves the incidence counts in the bundle as
 `publications.npz`, keyed by the sha256 of the publications file and of its
 vocabulary, so that `weights` builds its profiles without decoding the file
 again (see rkpf.manifest).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -163,6 +166,12 @@ def region_year_indicators(pubs: Publications) -> list[RegionYearIndicators]:
 
 _FIELDS = frozenset(f.name for f in fields(PublicationRecord))
 _raw_decode = json.JSONDecoder().raw_decode
+_first_character = operator.itemgetter(0)
+_TAKE_FIELD = {name: operator.itemgetter(name) for name in sorted(_FIELDS)}
+_QUARTILE_CODES = {q: i for i, q in enumerate(QUARTILES)}
+# lines of a JSON-lines file decoded and folded at a time: enough to spread numpy's
+# per-call cost, few enough that the run's decoded values stay small
+CHUNK_LINES = 256
 
 
 def _json_line(line: str):
@@ -219,19 +228,38 @@ def _record_columns(obj, vocabulary) -> tuple:
     return year, regions, areas, ratio, quartile
 
 
-def _json_objects(path):
-    """(line number, decoded value) of each nonblank line of a JSON-lines file."""
+def _json_chunks(path):
+    """(number of the first line, stripped lines) of each run of up to CHUNK_LINES lines
+    of a JSON-lines file; a blank line stays in the run as "". The lines read before a
+    byte that is not UTF-8 come as a run before its error, so that a bad record among
+    them is still named first."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = _json_line(line)
-            # a JSONDecodeError, an integer of over 4300 digits, or nesting too deep
-            except (ValueError, RecursionError) as exc:
-                raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
-            yield lineno, obj
+        first, lines = 1, []
+        try:
+            for line in fh:
+                lines.append(line.strip())
+                if len(lines) == CHUNK_LINES:
+                    yield first, lines
+                    first, lines = first + CHUNK_LINES, []
+        except UnicodeDecodeError:
+            if lines:
+                yield first, lines
+            raise
+        if lines:
+            yield first, lines
+
+
+def _json_values(path, first, lines):
+    """(line number, decoded value) of each nonblank line of a run, one line at a time."""
+    for lineno, line in enumerate(lines, start=first):
+        if not line:
+            continue
+        try:
+            obj = _json_line(line)
+        # a JSONDecodeError, an integer of over 4300 digits, or nesting too deep
+        except (ValueError, RecursionError) as exc:
+            raise NonNumericCell(f"{path}:{lineno}: bad JSON: {exc}") from None
+        yield lineno, obj
 
 
 def _csv_objects(path):
@@ -240,24 +268,172 @@ def _csv_objects(path):
     return ((lineno, dict(zip(header, cells))) for lineno, cells in rows)
 
 
-def load_publications(path, vocabulary=None) -> Publications:
-    """Read publication records from JSON-lines (.jsonl) or CSV in one pass.
-
-    CSV multi-valued cells (regions, subject_areas) are semicolon-separated.
-    With a vocabulary, a record listing a subject area outside it is an error.
-    An invalid record is named by its file:line; a name that holds a NUL (names
-    are stripped, as table cells are) is named with the file.
-    """
-    path = str(path)
-    vocabulary = None if vocabulary is None else frozenset(vocabulary)
-    json_lines = path.endswith(".jsonl") or path.endswith(".json")
-    pubs = Publications()
-    for lineno, obj in (_json_objects if json_lines else _csv_objects)(path):
+def _add_records(pubs: Publications, path, objects, vocabulary) -> None:
+    """Check and count each (line number, record mapping) of `objects` in turn; an
+    invalid record is named by its file:line."""
+    for lineno, obj in objects:
         try:
             columns = _record_columns(obj, vocabulary)
         except EngineError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
         pubs.add(*columns)
+
+
+def _name_codes(lists):
+    """(distinct stripped names, the code of each listed name in order, the number of
+    names in each list) of a column of name lists; None unless every list is a
+    nonempty list of strings that lists no stripped name twice."""
+    sizes = np.fromiter(map(len, lists), np.intp, len(lists))
+    if not sizes.all():
+        return None
+    # each listed name, as the position in the column of its first listing
+    first = {}
+    try:  # a name that is no string: a list or an object, or one with no str.strip
+        at = np.fromiter(map(first.setdefault, itertools.chain.from_iterable(lists),
+                             itertools.count()), np.intp, sizes.sum())
+        names = {}
+        stripped = [names.setdefault(raw.strip(), len(names)) for raw in first]
+    except (TypeError, AttributeError):
+        return None
+    code = np.empty(len(at), np.intp)
+    code[list(first.values())] = stripped
+    codes = code[at]
+    # at most one of each name per list: every (list, name) pair counted at most once
+    if np.bincount(np.repeat(np.arange(len(lists)), sizes) * len(names) + codes).max() > 1:
+        return None
+    return list(names), codes, sizes
+
+
+def _fold_chunk(pubs: Publications, lines: list, vocabulary) -> bool:
+    """Decode, check and count a run of JSON-lines records all at once, as
+    `_add_records` would count them one by one: True if it did. False, with `pubs`
+    untouched, if any line is not a record in the canonical shape (an object, with no
+    "{" but its first, that lists its names as lists of strings, its year and citations
+    as integers, its expected_citations as a float and its quartile as QUARTILES writes
+    it) or fails a check; the caller then reads the run record by record, and so names
+    the first bad record as it always does.
+    """
+    lines = [line for line in lines if line] if "" in lines else lines
+    n = len(lines)
+    # The lines are decoded as one array, which holds the lines' own values only if
+    # each separator is at its top level. A separator cannot sit in a string, which
+    # holds no newline, nor in an object, since a key follows a comma there and every
+    # line opens an object. In a nested array, it would make the next line's object a
+    # nested one; but the only "{" of the run are those that open its lines, and each
+    # of those opens one of the n objects of the array.
+    if not lines or set(map(_first_character, lines)) != {"{"}:
+        return False
+    text = "[" + "\n,".join(lines) + "]"
+    if text.count("{") != n:
+        return False
+    try:
+        values = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+    if len(values) != n or set(map(type, values)) != {dict}:
+        return False
+    try:
+        columns = {name: list(map(take, values)) for name, take in _TAKE_FIELD.items()}
+    except KeyError:
+        return False
+    years, quartiles = columns["year"], columns["journal_quartile"]
+    if not (
+        set(map(type, years)) == set(map(type, columns["citations"])) == {int}
+        and set(map(type, columns["expected_citations"])) == {float}
+        and set(map(type, quartiles)) == {str}
+        and _QUARTILE_CODES.keys() >= set(quartiles)
+        and set(map(type, columns["regions"])) == set(map(type, columns["subject_areas"]))
+        == {list}
+    ):
+        return False
+    regions, areas = _name_codes(columns["regions"]), _name_codes(columns["subject_areas"])
+    if regions is None or areas is None:
+        return False
+    if vocabulary is not None and not vocabulary.issuperset(areas[0]):
+        return False
+    try:
+        citations = np.array(columns["citations"], dtype=np.int64)
+    except OverflowError:
+        return False
+    expected = np.array(columns["expected_citations"])
+    if not ((citations >= 0).all() and (expected > 0).all() and (expected < math.inf).all()):
+        return False
+    with np.errstate(over="ignore"):  # a ratio that overflows is the record path's to name
+        ratios = citations / expected
+    if not np.isfinite(ratios).all():
+        return False
+
+    region_names, region_codes, region_sizes = regions
+    area_names, area_codes, area_sizes = areas
+    year_codes = {year: i for i, year in enumerate(dict.fromkeys(years))}
+    # one entry per (record, region it lists), in record order
+    record = np.repeat(np.arange(n), region_sizes)
+    cell = region_codes * len(year_codes) + np.fromiter(
+        map(year_codes.__getitem__, years), np.intp, n)[record]
+    quartile = np.fromiter(map(_QUARTILE_CODES.__getitem__, quartiles), np.intp, n)[record]
+    size = np.bincount(cell)
+    q1 = np.bincount(cell[quartile == _QUARTILE_CODES["Q1"]], minlength=len(size))
+    nq = np.bincount(cell[quartile == _QUARTILE_CODES["NONE"]], minlength=len(size))
+    # a stable sort keeps each cell's ratios in record order, so its FWCI keeps its bits
+    grouped = ratios[record][np.argsort(cell, kind="stable")]
+    as_bytes = memoryview(grouped).cast("B")  # what array.frombytes takes
+    stop = np.cumsum(size) * grouped.itemsize
+    start = stop - size * grouped.itemsize
+    present = np.flatnonzero(size)
+    region, year = np.divmod(present, len(year_codes))
+    keys = zip(map(region_names.__getitem__, region.tolist()),
+               map(list(year_codes).__getitem__, year.tolist()))
+    cells = pubs.cells
+    for key, a, b, q, none in zip(keys, start[present].tolist(), stop[present].tolist(),
+                                  q1[present].tolist(), nq[present].tolist()):
+        entry = cells.get(key)
+        if entry is None:
+            entry = cells[key] = [array("d"), 0, 0]
+        entry[0].frombytes(as_bytes[a:b])
+        entry[1] += q
+        entry[2] += none
+
+    # every (region, subject area) of a record: each region entry once per area it lists,
+    # the pairs of an entry in a row
+    per_region = area_sizes[record]
+    first_pair = np.cumsum(per_region) - per_region
+    area_start = np.cumsum(area_sizes) - area_sizes
+    area_at = np.arange(first_pair[-1] + per_region[-1]) - np.repeat(
+        first_pair - area_start[record], per_region)
+    pairs = np.repeat(region_codes * len(area_names), per_region) + area_codes[area_at]
+    counts = np.bincount(pairs)
+    present = np.flatnonzero(counts)
+    region, area = np.divmod(present, len(area_names))
+    keys = zip(map(region_names.__getitem__, region.tolist()),
+               map(area_names.__getitem__, area.tolist()))
+    incidences = pubs.incidences
+    for key, k in zip(keys, counts[present].tolist()):
+        incidences[key] += k
+    pubs.records += n
+    return True
+
+
+def load_publications(path, vocabulary=None) -> Publications:
+    """Read publication records from JSON-lines (.jsonl) or CSV.
+
+    CSV multi-valued cells (regions, subject_areas) are semicolon-separated.
+    With a vocabulary, a record listing a subject area outside it is an error.
+    An invalid record is named by its file:line; a name that holds a NUL (names
+    are stripped, as table cells are) is named with the file.
+
+    A JSON-lines file is read CHUNK_LINES lines at a time, and each run is folded
+    into the counts before the next is read: at once if every record of it is in
+    the canonical shape (see _fold_chunk), else record by record.
+    """
+    path = str(path)
+    vocabulary = None if vocabulary is None else frozenset(vocabulary)
+    pubs = Publications()
+    if path.endswith(".jsonl") or path.endswith(".json"):
+        for first, lines in _json_chunks(path):
+            if not _fold_chunk(pubs, lines, vocabulary):
+                _add_records(pubs, path, _json_values(path, first, lines), vocabulary)
+    else:
+        _add_records(pubs, path, _csv_objects(path), vocabulary)
     if not len(pubs):
         raise MissingData(f"{path}: no publication records")
     # once over the distinct names, not per record: the incidences list every one

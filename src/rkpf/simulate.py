@@ -30,6 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
+from .choices import MAX_REPLICATIONS
 from .errors import ConfigError, DuplicateRow, EngineError, InvalidProfiles, UnknownVariable
 from .estimation import ModelSpec, design_dof, fit_block, parse_term_label, t_critical, term_values
 from .panel import RESERVED_COLUMNS, PanelDataset
@@ -51,8 +52,6 @@ RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence
 # year dummies and a constant) or the n x S profiles. It is checked before any
 # array is built; the benchmark's 2000 x 20 panel needs 4,000,000 cells.
 MAX_CELLS = 2**24
-# replication streams are spawned up front, one SeedSequence each
-MAX_REPLICATIONS = 100_000
 # Monte Carlo fits as many replications at once as keep one block's design,
 # n*T*(k+1) float64s each, within this: 2 at 78 x 12 with k = 21 columns, and
 # 1 from about 2000 x 20. Larger blocks run little faster and hold more memory.

@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
+from .choices import MAIN_TAGS
 from .errors import DualErrorsNeedRobust, InvalidTag, NoInteriorMaximum
 from .estimation import (
     FitResult,
@@ -28,16 +29,6 @@ from .weights import SpatialWeights
 TOKENS = ("ols", "fe", "ow", "tw", "q", "sl", "a", "non", "noq")
 
 CONTROLS = ("log(EXPEMP10)", "log(GRPCAP10)", "log(PAPEMP)")
-
-MAIN_TAGS = (
-    "ols.q",
-    "fe.tw",
-    "fe.ow.q",
-    "fe.tw.q",
-    "fe.tw.q.sl.non",
-    "fe.tw.q.sl.noq",
-    "fe.tw.q.sl",
-)
 
 TABLE_FORMATS = ("text", "csv", "md")
 

@@ -328,8 +328,8 @@ def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatc
     """fit and suite take the spatial lags once and release W before the first QR."""
     import weakref
 
-    import rkpf.cli
     import rkpf.estimation
+    import rkpf.weights
 
     loaded = []
 
@@ -345,7 +345,7 @@ def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatc
         held.append([ref() is not None for ref in loaded[0]])
         return ols_fit(*args, **kwargs)
 
-    monkeypatch.setattr(rkpf.cli, "load_weights_csv", loading)
+    monkeypatch.setattr(rkpf.weights, "load_weights_csv", loading)
     monkeypatch.setattr(rkpf.estimation, "ols_fit", fitting)
     weights = model_bundle / "weights.csv"
     assert run(*argv, "--bundle", model_bundle, "--weights", weights,
@@ -1024,15 +1024,48 @@ def _probe(code: str, **env) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_import_rkpf_leaves_numpy_to_the_cli():
-    """`import rkpf` loads no numpy, so the CLI can set BLAS threads before numpy loads."""
+def test_import_rkpf_leaves_numpy_to_the_subcommand():
+    """Neither `import rkpf` nor `import rkpf.cli` loads numpy: a subcommand loads it,
+    after main() has set the BLAS thread count."""
     code = (
         "import rkpf\n"
         "numpy = 'numpy' in sys.modules\n"
         "import rkpf.cli\n"
         "print(json.dumps([numpy, 'numpy' in sys.modules]))"
     )
-    assert _probe(code) == [False, True]
+    assert _probe(code) == [False, False]
+
+
+def test_each_subcommand_loads_only_its_own_modules(tmp_path):
+    """stats and ingest load no simulator, estimator or suite; --version, --help and a
+    bad flag load no numpy."""
+    sim = tmp_path / "sim"
+    assert run("simulate", "--seed", 7, "--output-dir", sim) == 0
+    dataset = load_panel_csv(sim / "dataset.csv")
+    pubs = tmp_path / "pubs.jsonl"
+    pubs.write_text("".join(
+        json.dumps({**_RECORD, "id": f"{region}-{year}", "regions": [region], "year": year}) + "\n"
+        for region in dataset.region_ids for year in dataset.years
+    ), encoding="utf-8")
+    engine = ("rkpf.simulate", "rkpf.estimation", "rkpf.suite")
+    code = (
+        "from rkpf.cli import main\n"
+        "argv = %r\n"
+        "try:\n"
+        "    code = main(argv)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in %r + ('numpy',) if m in sys.modules)]))"
+    )
+    steps = {
+        "stats": (["stats", "--bundle", sim, "--output-dir", tmp_path / "stats"], 0),
+        "ingest": (["ingest", "--panel", sim / "dataset.csv", "--pubs", pubs,
+                    "--output-dir", tmp_path / "bundle"], 0),
+    }
+    for name, (argv, want) in steps.items():
+        assert _probe(code % ([str(a) for a in argv], engine)) == [want, ["numpy"]], name
+    for argv, want in ((["--version"], 0), (["suite", "--help"], 0), (["mc"], 2)):
+        assert _probe(code % (argv, engine)) == [want, []], argv
 
 
 # Installed first on sys.meta_path, this finder refuses every top-level package but the
@@ -1077,10 +1110,50 @@ def test_every_subcommand_runs_on_the_declared_dependencies(tmp_path):
     assert _probe(code) == [0] * len(steps)
 
 
-@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "explicit"])
-def test_cli_sets_one_blas_thread_unless_given(given, expected):
+def test_the_cli_writes_the_same_bytes_at_1_and_2_blas_threads(tmp_path):
+    """simulate at 500 x 12, weights and suite --dual-errors write the same files, the
+    sidecars included, whatever BLAS thread count the environment asks for: at 500
+    regions the fits would differ in the last bits between 1 and 2 threads."""
+    config = tmp_path / "c.yaml"
+    config.write_text("panel: {n_regions: 500, n_years: 12}\n", encoding="utf-8")
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    base["PYTHONPATH"] = str(Path(rkpf.__file__).resolve().parents[1])
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        steps = [
+            ["simulate", "--config", config, "--seed", 7, "--output-dir", out / "sim"],
+            ["weights", "--profiles", out / "sim" / "profiles.csv", "--bundle", out / "sim",
+             "--output-dir", out / "weights"],
+            ["suite", "--bundle", out / "sim", "--weights", out / "weights" / "weights.csv",
+             "--dual-errors", "--output-dir", out / "suite"],
+        ]
+        for argv in steps:
+            subprocess.run(
+                [sys.executable, "-m", "rkpf.cli", *map(str, argv)],
+                env={**base, **{name: threads for name in _BLAS_THREADS}},
+                capture_output=True, check=True,
+            )
+        written[threads] = {
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"
+        }
+    assert len(written["1"]) == 12
+    assert written["1"].keys() == written["2"].keys()
+    assert [name for name in written["1"] if written["1"][name] != written["2"][name]] == []
+
+
+@pytest.mark.parametrize("given", [None, "3"], ids=["unset", "explicit"])
+def test_cli_sets_one_blas_thread_even_if_given(given):
+    """main() sets one BLAS thread over any value given; importing rkpf.cli sets none."""
     env = {} if given is None else {name: given for name in _BLAS_THREADS}
-    code = "import rkpf.cli\nprint(json.dumps([os.environ[name] for name in %r]))" % (
-        _BLAS_THREADS,
-    )
-    assert _probe(code, **env) == [expected] * 3
+    code = (
+        "import rkpf.cli\n"
+        "imported = [os.environ.get(name) for name in %r]\n"
+        "try:\n"
+        "    rkpf.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps([imported, [os.environ[name] for name in %r]]))"
+    ) % (_BLAS_THREADS, _BLAS_THREADS)
+    assert _probe(code, **env) == [[given] * 3, ["1"] * 3]

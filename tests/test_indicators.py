@@ -1,5 +1,6 @@
 """Scientometric indicators against brute-force enumeration oracles."""
 import json
+import math
 import random
 import tracemalloc
 from array import array
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rkpf.indicators as loader
 from rkpf.errors import (
     EmptyRegion,
+    EngineError,
     MissingData,
     NonNumericCell,
     UnknownSubjectArea,
@@ -577,3 +580,172 @@ def test_loading_holds_counts_not_records(tmp_path):
         tracemalloc.stop()
     assert len(pubs) == n
     assert peak / n < 64, f"{peak / n:.0f} bytes a record"
+
+
+# ---------------------------------------------------------------------------
+# the chunked JSON-lines loader against the record-by-record path
+# ---------------------------------------------------------------------------
+
+_CANONICAL = {"id": "p", "year": 2019, "regions": ["A", "B"], "subject_areas": ["bio", "math"],
+              "citations": 7, "expected_citations": 3.3, "journal_quartile": "Q1"}
+_LINES = 10  # records in each file below: two runs of 4 and one of 2
+
+
+def _record_line(i: int) -> str:
+    rng = random.Random(i)
+    return json.dumps({
+        **_CANONICAL, "id": f"p{i}", "year": 2018 + i % 3,
+        "regions": rng.sample(["A", "B", "C", "D"], rng.randint(1, 3)),
+        "subject_areas": rng.sample(VOCAB, rng.randint(1, 3)),
+        "citations": rng.randrange(40), "expected_citations": rng.uniform(0.5, 9.0),
+        "journal_quartile": rng.choice(["Q1", "Q2", "Q3", "Q4", "NONE"]),
+    })
+
+
+def _loaded(path, vocabulary=VOCAB):
+    """What load_publications gives: the counts, ratio bytes included, or the error."""
+    try:
+        pubs = load_publications(path, vocabulary)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+    cells = {key: (ratios.tobytes(), q1, nq) for key, (ratios, q1, nq) in pubs.cells.items()}
+    return len(pubs), cells, dict(pubs.incidences)
+
+
+def _record_by_record(monkeypatch, path, vocabulary=VOCAB):
+    with monkeypatch.context() as patch:
+        patch.setattr(loader, "_fold_chunk", lambda *args: False)
+        return _loaded(path, vocabulary)
+
+
+# one line each, read alike by the record path whether or not it is in the canonical shape
+_VARIANTS = {
+    "canonical": lambda r: json.dumps(r),
+    "extra-field": lambda r: json.dumps({"title": "t", **r}),
+    "keys-reordered": lambda r: json.dumps(dict(reversed(r.items()))),
+    "joined-regions": lambda r: json.dumps({**r, "regions": "A; B"}),
+    "int-expected": lambda r: json.dumps({**r, "expected_citations": 3}),
+    "string-year": lambda r: json.dumps({**r, "year": "2019"}),
+    "float-year": lambda r: json.dumps({**r, "year": 2019.0}),
+    "padded-names": lambda r: json.dumps(
+        {**r, "regions": [" A", "B "], "subject_areas": [" bio"]}),
+    "blank-quartile": lambda r: json.dumps({**r, "journal_quartile": ""}),
+    "padded-quartile": lambda r: json.dumps({**r, "journal_quartile": " NONE "}),
+    "repeated-region": lambda r: json.dumps({**r, "regions": ["A", "B", "A"]}),
+    "region-repeated-once-stripped": lambda r: json.dumps({**r, "regions": ["A", " A"]}),
+    "repeated-area": lambda r: json.dumps({**r, "subject_areas": ["bio", "bio"]}),
+    "brace-in-id": lambda r: json.dumps({**r, "id": "p{1}"}),
+    "citations-past-2**53": lambda r: json.dumps(
+        {**r, "citations": 2**60 + 1, "expected_citations": 3e17}),
+    "blank-line": lambda r: "\n" + json.dumps(r),
+    # invalid: each is named by its file:line, or by the file
+    "negative-citations": lambda r: json.dumps({**r, "citations": -1}),
+    "zero-expected": lambda r: json.dumps({**r, "expected_citations": 0.0}),
+    "nan-expected": lambda r: json.dumps({**r, "expected_citations": math.nan}),
+    "ratio-overflows": lambda r: json.dumps({**r, "expected_citations": 1e-320}),
+    "bool-citations": lambda r: json.dumps({**r, "citations": True}),
+    "missing-field": lambda r: json.dumps({k: v for k, v in r.items() if k != "year"}),
+    "unknown-quartile": lambda r: json.dumps({**r, "journal_quartile": "Q5"}),
+    "area-outside-vocabulary": lambda r: json.dumps({**r, "subject_areas": ["bio", "art"]}),
+    "no-regions": lambda r: json.dumps({**r, "regions": []}),
+    "number-as-region": lambda r: json.dumps({**r, "regions": ["A", 1]}),
+    "object-as-area": lambda r: json.dumps({**r, "subject_areas": [{"bio": 1}]}),
+    "nul-in-region": lambda r: json.dumps({**r, "regions": ["A\x00"]}),
+    "not-an-object": lambda r: "[1, 2]",
+    "null": lambda r: "null",
+    "bad-json": lambda r: json.dumps(r)[:-1],
+    "two-records": lambda r: json.dumps(r) + ", " + json.dumps(r),
+    "bom": lambda r: "\ufeff" + json.dumps(r),
+}
+
+
+@pytest.mark.parametrize("at", [0, 4, _LINES - 1], ids=["first", "first-of-second-run", "last"])
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_chunked_loader_counts_or_fails_as_record_by_record(tmp_path, monkeypatch, variant, at):
+    monkeypatch.setattr(loader, "CHUNK_LINES", 4)
+    lines = [_record_line(i) for i in range(_LINES)]
+    lines[at] = _VARIANTS[variant]({**json.loads(lines[at]), "id": f"p{at}"})
+    path = tmp_path / "pubs.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = _record_by_record(monkeypatch, path)
+    assert _loaded(path) == want
+    assert _loaded(path, None) == _record_by_record(monkeypatch, path, None)
+
+
+# lines that are each no JSON value, but that a parse of the run joined as one array
+# could read as records: a record split over two lines, and one that a repeated key
+# hides in an array spanning two lines, each made up for by a line of two records
+_SPANNING = {
+    "split-record": ['{"id": "a", "year": 2019, "regions": ["A"]',
+                     '"subject_areas": ["bio"], "citations": 1, "expected_citations": 1.0, '
+                     '"journal_quartile": "Q1"}'],
+    "hidden-by-repeated-key": ['{"regions": [1',
+                               '{"x": 1}], ' + json.dumps(_CANONICAL)[1:]],
+}
+
+
+@pytest.mark.parametrize("case", list(_SPANNING))
+def test_a_value_spanning_lines_is_bad_json_as_record_by_record(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(loader, "CHUNK_LINES", 4)
+    two = json.dumps(_CANONICAL) + ", " + json.dumps(_CANONICAL)
+    path = tmp_path / "pubs.jsonl"
+    path.write_text("\n".join([*_SPANNING[case], two, _record_line(3)]) + "\n",
+                    encoding="utf-8")
+    want = _record_by_record(monkeypatch, path)
+    assert want[0] == "NonNumericCell" and f"{path}:1: bad JSON" in want[1]
+    assert _loaded(path) == want
+
+
+def test_a_file_shorter_than_a_run_is_read_in_one(tmp_path, monkeypatch):
+    path = tmp_path / "pubs.jsonl"
+    path.write_text("".join(_record_line(i) + "\n" for i in range(3)), encoding="utf-8")
+    assert loader.CHUNK_LINES > 3
+    runs = []
+    fold = loader._fold_chunk
+
+    def folding(*args):
+        runs.append(fold(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(loader, "_fold_chunk", folding)
+    got = _loaded(path)
+    assert runs == [True]
+    monkeypatch.undo()
+    assert got == _record_by_record(monkeypatch, path)
+
+
+def test_canonical_records_are_counted_without_the_record_path(tmp_path, monkeypatch):
+    """The benchmark's shape of record takes the chunked path: no record is read one
+    by one, and a record not in the canonical shape sends only its own run there."""
+    monkeypatch.setattr(loader, "CHUNK_LINES", 4)
+    lines = [_record_line(i) for i in range(_LINES)]
+    lines[5] = json.dumps({**json.loads(lines[5]), "year": "2019"})
+    path = tmp_path / "pubs.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    read = []
+    add = loader._add_records
+
+    def adding(pubs, path, objects, vocabulary):
+        objects = list(objects)
+        read.extend(lineno for lineno, _ in objects)
+        add(pubs, path, objects, vocabulary)
+
+    monkeypatch.setattr(loader, "_add_records", adding)
+    assert len(load_publications(path, VOCAB)) == _LINES
+    assert read == [5, 6, 7, 8]
+
+
+def test_a_bad_record_before_a_byte_that_is_not_utf8_is_named_first(tmp_path):
+    """As when the file is read line by line: the bad record on line 2 is named, though
+    the byte on line 201 belongs to the same run of lines."""
+    lines = [_record_line(i).encode() for i in range(300)]
+    lines[1] = json.dumps({**_CANONICAL, "citations": -1}).encode()
+    path = tmp_path / "pubs.jsonl"
+    path.write_bytes(b"\n".join([*lines[:200], "\"é\"".encode("latin-1"), *lines[201:]]))
+    assert loader.CHUNK_LINES > 200
+    with pytest.raises(NonNumericCell, match=f"^{path}:2: record 'p': citations must be >= 0$"):
+        load_publications(path, VOCAB)
+    lines[1] = lines[0]
+    path.write_bytes(b"\n".join([*lines[:200], "\"é\"".encode("latin-1"), *lines[201:]]))
+    with pytest.raises(UnicodeDecodeError):
+        load_publications(path, VOCAB)

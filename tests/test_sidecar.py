@@ -401,13 +401,13 @@ def _decoded(root: Path, bundle: Path, out: str, vocab: bool = True) -> tuple:
 def _counting_decodes(monkeypatch) -> list:
     """Count each decode of a JSON-lines publications file."""
     calls = []
-    real = indicators._json_objects
+    real = indicators._json_chunks
 
     def counted(path):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr(indicators, "_json_objects", counted)
+    monkeypatch.setattr(indicators, "_json_chunks", counted)
     return calls
 
 
@@ -420,7 +420,7 @@ def test_weights_builds_its_profiles_from_the_counts_ingest_left(tmp_path, monke
     def no_decode(path):
         raise AssertionError("decoded the publications file")
 
-    monkeypatch.setattr(indicators, "_json_objects", no_decode)
+    monkeypatch.setattr(indicators, "_json_chunks", no_decode)
     code, err, results, inputs = _weights(root, bundle, "counts")
     assert (code, err, results) == want[:3]
     sidecar = bundle / indicators.SIDECAR_NAME
