@@ -15,7 +15,8 @@ internal error.
 This module imports no engine module at load: each subcommand imports what it
 uses when it runs, from the module that defines it, so --version, --help and a
 usage error load no numpy, and `stats` loads no estimator. main() sets one BLAS
-thread before that.
+thread before that, in os.environ; in a process that has loaded numpy already,
+BLAS keeps the thread count it started with.
 """
 from __future__ import annotations
 

@@ -304,33 +304,47 @@ def _name_codes(lists):
     return list(names), codes, sizes
 
 
-def _fold_chunk(pubs: Publications, lines: list, vocabulary) -> bool:
-    """Decode, check and count a run of JSON-lines records all at once, as
-    `_add_records` would count them one by one: True if it did. False, with `pubs`
-    untouched, if any line is not a record in the canonical shape (an object, with no
-    "{" but its first, that lists its names as lists of strings, its year and citations
-    as integers, its expected_citations as a float and its quartile as QUARTILES writes
-    it) or fails a check; the caller then reads the run record by record, and so names
-    the first bad record as it always does.
+def _json_run(lines: list):
+    """The value of each nonblank line of a run, as _json_line decodes it; None if a line
+    is not one JSON value, which the caller then names line by line.
+
+    The lines that open with their only "{" are decoded together, as one array, and any
+    other line on its own. The array holds those lines' own values if it holds one
+    object per line: those objects then take every "{", so no separator sits in a
+    nested array, nor in a string, which holds no newline, nor in an object, where a
+    key, not a line's "{", follows a comma. So each line holds at least one of the
+    values, and with as many values as lines, exactly its own.
     """
     lines = [line for line in lines if line] if "" in lines else lines
-    n = len(lines)
-    # The lines are decoded as one array, which holds the lines' own values only if
-    # each separator is at its top level. A separator cannot sit in a string, which
-    # holds no newline, nor in an object, since a key follows a comma there and every
-    # line opens an object. In a nested array, it would make the next line's object a
-    # nested one; but the only "{" of the run are those that open its lines, and each
-    # of those opens one of the n objects of the array.
-    if not lines or set(map(_first_character, lines)) != {"{"}:
-        return False
     text = "[" + "\n,".join(lines) + "]"
-    if text.count("{") != n:
-        return False
+    alone = []
+    if text.count("{") != len(lines) or set(map(_first_character, lines)) != {"{"}:
+        alone = [i for i, line in enumerate(lines) if line[0] != "{" or line.count("{") != 1]
+        skip = set(alone)
+        text = "[" + "\n,".join(line for i, line in enumerate(lines) if i not in skip) + "]"
     try:
         values = json.loads(text)
+        if len(values) != len(lines) - len(alone) or set(map(type, values)) - {dict}:
+            return None
+        for i in alone:  # in ascending order, so each lands at its own line's place
+            values.insert(i, _json_line(lines[i]))
+    # a JSONDecodeError, an integer of over 4300 digits, or nesting too deep
     except (ValueError, RecursionError):
-        return False
-    if len(values) != n or set(map(type, values)) != {dict}:
+        return None
+    return values
+
+
+def _fold_chunk(pubs: Publications, values: list, vocabulary) -> bool:
+    """Check and count a run of decoded JSON-lines records all at once, as
+    `_add_records` would count them one by one: True if it did. False, with `pubs`
+    untouched, if any value is not a record in the canonical shape (an object that
+    lists its names as lists of strings, its year and citations as integers, its
+    expected_citations as a number and its quartile as QUARTILES writes it) or fails a
+    check; the caller then reads the run record by record, and so names the first bad
+    record as it always does.
+    """
+    n = len(values)
+    if set(map(type, values)) != {dict}:
         return False
     try:
         columns = {name: list(map(take, values)) for name, take in _TAKE_FIELD.items()}
@@ -339,7 +353,7 @@ def _fold_chunk(pubs: Publications, lines: list, vocabulary) -> bool:
     years, quartiles = columns["year"], columns["journal_quartile"]
     if not (
         set(map(type, years)) == set(map(type, columns["citations"])) == {int}
-        and set(map(type, columns["expected_citations"])) == {float}
+        and {float, int}.issuperset(map(type, columns["expected_citations"]))
         and set(map(type, quartiles)) == {str}
         and _QUARTILE_CODES.keys() >= set(quartiles)
         and set(map(type, columns["regions"])) == set(map(type, columns["subject_areas"]))
@@ -351,11 +365,11 @@ def _fold_chunk(pubs: Publications, lines: list, vocabulary) -> bool:
         return False
     if vocabulary is not None and not vocabulary.issuperset(areas[0]):
         return False
-    try:
+    try:  # an integer past int64, or an expected_citations past the floats
         citations = np.array(columns["citations"], dtype=np.int64)
+        expected = np.array(columns["expected_citations"], dtype=float)
     except OverflowError:
         return False
-    expected = np.array(columns["expected_citations"])
     if not ((citations >= 0).all() and (expected > 0).all() and (expected < math.inf).all()):
         return False
     with np.errstate(over="ignore"):  # a ratio that overflows is the record path's to name
@@ -421,17 +435,21 @@ def load_publications(path, vocabulary=None) -> Publications:
     An invalid record is named by its file:line; a name that holds a NUL (names
     are stripped, as table cells are) is named with the file.
 
-    A JSON-lines file is read CHUNK_LINES lines at a time, and each run is folded
-    into the counts before the next is read: at once if every record of it is in
-    the canonical shape (see _fold_chunk), else record by record.
+    A JSON-lines file is read CHUNK_LINES lines at a time, and each run is decoded
+    once and folded into the counts before the next is read: at once if every record
+    of it is in the canonical shape (see _fold_chunk), else record by record.
     """
     path = str(path)
     vocabulary = None if vocabulary is None else frozenset(vocabulary)
     pubs = Publications()
     if path.endswith(".jsonl") or path.endswith(".json"):
         for first, lines in _json_chunks(path):
-            if not _fold_chunk(pubs, lines, vocabulary):
+            values = _json_run(lines)
+            if values is None:
                 _add_records(pubs, path, _json_values(path, first, lines), vocabulary)
+            elif not _fold_chunk(pubs, values, vocabulary):
+                linenos = (lineno for lineno, line in enumerate(lines, first) if line)
+                _add_records(pubs, path, zip(linenos, values), vocabulary)
     else:
         _add_records(pubs, path, _csv_objects(path), vocabulary)
     if not len(pubs):

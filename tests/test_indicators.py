@@ -613,6 +613,14 @@ def _loaded(path, vocabulary=VOCAB):
 
 
 def _record_by_record(monkeypatch, path, vocabulary=VOCAB):
+    """What the record path gives reading the file a line at a time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(loader, "_json_run", lambda lines: None)
+        return _loaded(path, vocabulary)
+
+
+def _decoded_record_by_record(monkeypatch, path, vocabulary=VOCAB):
+    """What the record path gives on the values of each run decoded at once."""
     with monkeypatch.context() as patch:
         patch.setattr(loader, "_fold_chunk", lambda *args: False)
         return _loaded(path, vocabulary)
@@ -635,14 +643,21 @@ _VARIANTS = {
     "region-repeated-once-stripped": lambda r: json.dumps({**r, "regions": ["A", " A"]}),
     "repeated-area": lambda r: json.dumps({**r, "subject_areas": ["bio", "bio"]}),
     "brace-in-id": lambda r: json.dumps({**r, "id": "p{1}"}),
+    "brace-in-title": lambda r: json.dumps({"title": "On {x} and {y}", **r}),
+    "nested-extra-field": lambda r: json.dumps({**r, "venue": {"name": "J", "issn": None}}),
+    "int-expected-past-2**53": lambda r: json.dumps({**r, "expected_citations": 2**60 + 1}),
     "citations-past-2**53": lambda r: json.dumps(
         {**r, "citations": 2**60 + 1, "expected_citations": 3e17}),
     "blank-line": lambda r: "\n" + json.dumps(r),
+    "bool-expected": lambda r: json.dumps({**r, "expected_citations": True}),
     # invalid: each is named by its file:line, or by the file
     "negative-citations": lambda r: json.dumps({**r, "citations": -1}),
+    "negative-citations-after-a-blank-line": lambda r: "\n" + json.dumps({**r, "citations": -1}),
     "zero-expected": lambda r: json.dumps({**r, "expected_citations": 0.0}),
     "nan-expected": lambda r: json.dumps({**r, "expected_citations": math.nan}),
     "ratio-overflows": lambda r: json.dumps({**r, "expected_citations": 1e-320}),
+    "int-expected-past-the-floats": lambda r: json.dumps({**r, "expected_citations": 10**400}),
+    "zero-int-expected": lambda r: json.dumps({**r, "expected_citations": 0}),
     "bool-citations": lambda r: json.dumps({**r, "citations": True}),
     "missing-field": lambda r: json.dumps({k: v for k, v in r.items() if k != "year"}),
     "unknown-quartile": lambda r: json.dumps({**r, "journal_quartile": "Q5"}),
@@ -669,12 +684,13 @@ def test_chunked_loader_counts_or_fails_as_record_by_record(tmp_path, monkeypatc
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     want = _record_by_record(monkeypatch, path)
     assert _loaded(path) == want
+    assert _decoded_record_by_record(monkeypatch, path) == want
     assert _loaded(path, None) == _record_by_record(monkeypatch, path, None)
 
 
 # lines that are each no JSON value, but that a parse of the run joined as one array
 # could read as records: a record split over two lines, and one that a repeated key
-# hides in an array spanning two lines, each made up for by a line of two records
+# hides in an array spanning two lines
 _SPANNING = {
     "split-record": ['{"id": "a", "year": 2019, "regions": ["A"]',
                      '"subject_areas": ["bio"], "citations": 1, "expected_citations": 1.0, '
@@ -682,15 +698,22 @@ _SPANNING = {
     "hidden-by-repeated-key": ['{"regions": [1',
                                '{"x": 1}], ' + json.dumps(_CANONICAL)[1:]],
 }
+# the line after them: a record, or a line of two values that would make up the count
+_AFTER_SPANNING = {
+    "record": _record_line(2),
+    "two-records": json.dumps(_CANONICAL) + ", " + json.dumps(_CANONICAL),
+    "record-and-number": json.dumps(_CANONICAL) + ", 5",
+}
 
 
+@pytest.mark.parametrize("after", list(_AFTER_SPANNING))
 @pytest.mark.parametrize("case", list(_SPANNING))
-def test_a_value_spanning_lines_is_bad_json_as_record_by_record(tmp_path, monkeypatch, case):
+def test_a_value_spanning_lines_is_bad_json_as_record_by_record(
+        tmp_path, monkeypatch, case, after):
     monkeypatch.setattr(loader, "CHUNK_LINES", 4)
-    two = json.dumps(_CANONICAL) + ", " + json.dumps(_CANONICAL)
     path = tmp_path / "pubs.jsonl"
-    path.write_text("\n".join([*_SPANNING[case], two, _record_line(3)]) + "\n",
-                    encoding="utf-8")
+    path.write_text("\n".join([*_SPANNING[case], _AFTER_SPANNING[after], _record_line(3)])
+                    + "\n", encoding="utf-8")
     want = _record_by_record(monkeypatch, path)
     assert want[0] == "NonNumericCell" and f"{path}:1: bad JSON" in want[1]
     assert _loaded(path) == want
@@ -715,24 +738,34 @@ def test_a_file_shorter_than_a_run_is_read_in_one(tmp_path, monkeypatch):
 
 
 def test_canonical_records_are_counted_without_the_record_path(tmp_path, monkeypatch):
-    """The benchmark's shape of record takes the chunked path: no record is read one
-    by one, and a record not in the canonical shape sends only its own run there."""
+    """The benchmark's shape of record takes the chunked path, and so do an integer
+    expected_citations and a "{" in a field the loader does not read: no record is read
+    one by one. A record not in the canonical shape sends only its own run there, and
+    no line is decoded twice."""
     monkeypatch.setattr(loader, "CHUNK_LINES", 4)
     lines = [_record_line(i) for i in range(_LINES)]
+    lines[1] = json.dumps({**json.loads(lines[1]), "expected_citations": 3})
+    lines[2] = json.dumps({"title": "On {x}", **json.loads(lines[2])})
     lines[5] = json.dumps({**json.loads(lines[5]), "year": "2019"})
     path = tmp_path / "pubs.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    read = []
-    add = loader._add_records
+    read, decoded = [], []
+    add, line = loader._add_records, loader._json_line
 
     def adding(pubs, path, objects, vocabulary):
         objects = list(objects)
         read.extend(lineno for lineno, _ in objects)
         add(pubs, path, objects, vocabulary)
 
+    def decoding(text):
+        decoded.append(text)
+        return line(text)
+
     monkeypatch.setattr(loader, "_add_records", adding)
+    monkeypatch.setattr(loader, "_json_line", decoding)
     assert len(load_publications(path, VOCAB)) == _LINES
     assert read == [5, 6, 7, 8]
+    assert decoded == [lines[2]]
 
 
 def test_a_bad_record_before_a_byte_that_is_not_utf8_is_named_first(tmp_path):
