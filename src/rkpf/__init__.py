@@ -19,7 +19,6 @@ _EXPORTS = {
     "load_panel_csv": "panel",
     "validate_balanced": "panel",
     "descriptive_stats": "panel",
-    "PublicationRecord": "indicators",
     "RegionYearIndicators": "indicators",
     "region_year_indicators": "indicators",
     "ThematicProfileMatrix": "weights",

@@ -96,7 +96,7 @@ def _reading(inputs: dict, path):
         raise not_utf8(path) from None
 
 
-def _dgp_config(args, inputs: dict) -> DgpConfig:
+def _dgp_config(args, inputs: dict):
     """The --config file (or the defaults), with --seed overriding its seed."""
     from .simulate import DgpConfig
 

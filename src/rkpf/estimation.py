@@ -467,14 +467,6 @@ def _t_test(se: np.ndarray, coefficients: np.ndarray, dof: int) -> tuple[np.ndar
     return t_stats, t_two_sided_p(t_stats, dof)
 
 
-def _inference(
-    cov: np.ndarray, coefficients: np.ndarray, dof: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard errors, t statistics and two-sided t p-values from a covariance."""
-    se = _std_errors(cov)
-    return (se, *_t_test(se, coefficients, dof))
-
-
 def _check_finite(what: str, values: np.ndarray, labels) -> None:
     """Raise NonFiniteFit naming the first term whose value is not finite."""
     ok = np.isfinite(values)

@@ -6,10 +6,12 @@ quartile shares are percentages of a region-year's output in first-quartile
 and in unranked sources. Thematic profiles are subject-area incidence
 shares and feed the proximity weights.
 
-A publications file is read once, and its records are checked and folded
-into `Publications`, the counts these computations read, and no record: a
-JSON-lines file a run of lines at a time, a CSV file record by record.
-`ingest` leaves the incidence counts in the bundle as
+A publications file is read once, a run of records at a time, and each run
+is checked and then counted by one fold (`_fold`) into `Publications`, the
+counts these computations read, and no record. A run is checked one record at
+a time by `_record_columns`, the reference, which names a bad record by its
+file:line; a JSON-lines run whose records are all in the canonical shape is
+checked in bulk instead (`_canonical_columns`). `ingest` leaves the incidence counts in the bundle as
 `publications.npz`, keyed by the sha256 of the publications file and of its
 vocabulary, so that `weights` builds its profiles without decoding the file
 again (see rkpf.manifest).
@@ -22,7 +24,7 @@ import math
 import operator
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.decoder import WHITESPACE
 
 import numpy as np
@@ -42,54 +44,11 @@ QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 INDICATOR_COLUMNS = {"PUBS": "pub_count", "FWCI": "fwci", "Q1SH": "q1_share", "NQSH": "nq_share"}
 
 
-def _check_record(rid, regions, subject_areas, citations, expected_citations, journal_quartile):
-    """The record's citations / expected_citations; ValueError naming the record if a
-    value is invalid. PublicationRecord and load_publications both check through this."""
-    if not regions:
-        raise ValueError(f"record {rid!r}: regions must be nonempty")
-    if not subject_areas:
-        raise ValueError(f"record {rid!r}: subject_areas must be nonempty")
-    if citations < 0:
-        raise ValueError(f"record {rid!r}: citations must be >= 0")
-    if not 0 < expected_citations < math.inf:
-        raise ValueError(f"record {rid!r}: expected_citations must be finite and > 0")
-    try:
-        ratio = citations / expected_citations
-    except OverflowError:  # an int too large for a float
-        ratio = math.inf
-    if not math.isfinite(ratio):
-        raise ValueError(f"record {rid!r}: citations / expected_citations is not a finite float")
-    if journal_quartile not in QUARTILES:
-        raise ValueError(
-            f"record {rid!r}: journal_quartile {journal_quartile!r} not in {QUARTILES}"
-        )
-    return ratio
-
-
-@dataclass(frozen=True)
-class PublicationRecord:
-    id: str
-    year: int
-    regions: frozenset[str]
-    subject_areas: frozenset[str]
-    citations: int
-    expected_citations: float
-    journal_quartile: str
-
-    def __post_init__(self):
-        _check_record(
-            self.id, self.regions, self.subject_areas,
-            self.citations, self.expected_citations, self.journal_quartile,
-        )
-        # no name that reading it from a file would change: load_publications strips them
-        check_names(self.regions, ValueError, f"record {self.id!r}: region")
-        check_names(self.subject_areas, ValueError, f"record {self.id!r}: subject area")
-
-
 @dataclass
 class Publications:
     """Checked publication records, folded into the counts the indicators and the
-    thematic profiles read; `len()` is the number of records.
+    thematic profiles read; `len()` is the number of records. load_publications
+    fills it, and _fold is the one code that writes `cells` and `incidences`.
 
     `cells` maps each (region, year) that a record lists to [the citation ratios
     of its records in record order, its Q1 count, its NONE count]. `incidences`
@@ -103,29 +62,6 @@ class Publications:
 
     def __len__(self) -> int:
         return self.records
-
-    def add(self, year: int, regions, subject_areas, ratio: float, quartile: str) -> None:
-        """Count one checked record: full counting, once per region it lists."""
-        self.records += 1
-        q1, nq = quartile == "Q1", quartile == "NONE"
-        cells, incidences = self.cells, self.incidences
-        for region in regions:
-            cell = cells.get((region, year))
-            if cell is None:
-                cell = cells[region, year] = [array("d"), 0, 0]
-            cell[0].append(ratio)
-            cell[1] += q1
-            cell[2] += nq
-            for area in subject_areas:
-                incidences[region, area] += 1
-
-    @classmethod
-    def from_records(cls, records) -> "Publications":
-        pubs = cls()
-        for r in records:
-            pubs.add(r.year, r.regions, r.subject_areas,
-                     r.citations / r.expected_citations, r.journal_quartile)
-        return pubs
 
 
 @dataclass(frozen=True)
@@ -164,7 +100,8 @@ def region_year_indicators(pubs: Publications) -> list[RegionYearIndicators]:
 # i/o
 # ---------------------------------------------------------------------------
 
-_FIELDS = frozenset(f.name for f in fields(PublicationRecord))
+_FIELDS = frozenset({"id", "year", "regions", "subject_areas", "citations",
+                     "expected_citations", "journal_quartile"})
 _raw_decode = json.JSONDecoder().raw_decode
 _first_character = operator.itemgetter(0)
 _TAKE_FIELD = {name: operator.itemgetter(name) for name in sorted(_FIELDS)}
@@ -185,8 +122,9 @@ def _json_line(line: str):
 
 
 def _record_columns(obj, vocabulary) -> tuple:
-    """(year, regions, subject_areas, ratio, quartile) of one checked record mapping,
-    names stripped as a table cell is."""
+    """(year, regions, subject_areas, ratio, quartile) of one record mapping, names
+    stripped as a table cell is. The reference check of a record: an EngineError if
+    it is invalid, in the order the checks run here."""
     if not isinstance(obj, dict):
         raise NonNumericCell(f"publication record must be an object, got {type(obj).__name__}")
     if not obj.keys() >= _FIELDS:
@@ -222,9 +160,25 @@ def _record_columns(obj, vocabulary) -> tuple:
         citations = int(citations)
         expected = float(obj["expected_citations"])
         quartile = str(obj["journal_quartile"]).strip() or "NONE"
-        ratio = _check_record(rid, regions, areas, citations, expected, quartile)
     except (TypeError, ValueError, OverflowError) as exc:
         raise NonNumericCell(str(exc)) from None
+    if not regions:
+        raise NonNumericCell(f"record {rid!r}: regions must be nonempty")
+    if not areas:
+        raise NonNumericCell(f"record {rid!r}: subject_areas must be nonempty")
+    if citations < 0:
+        raise NonNumericCell(f"record {rid!r}: citations must be >= 0")
+    if not 0 < expected < math.inf:
+        raise NonNumericCell(f"record {rid!r}: expected_citations must be finite and > 0")
+    try:
+        ratio = citations / expected
+    except OverflowError:  # an int too large for a float
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise NonNumericCell(
+            f"record {rid!r}: citations / expected_citations is not a finite float")
+    if quartile not in QUARTILES:
+        raise NonNumericCell(f"record {rid!r}: journal_quartile {quartile!r} not in {QUARTILES}")
     return year, regions, areas, ratio, quartile
 
 
@@ -262,23 +216,6 @@ def _json_values(path, first, lines):
         yield lineno, obj
 
 
-def _csv_objects(path):
-    """(line number, header -> cell mapping) of each data row of a CSV file."""
-    header, rows = read_table(path)
-    return ((lineno, dict(zip(header, cells))) for lineno, cells in rows)
-
-
-def _add_records(pubs: Publications, path, objects, vocabulary) -> None:
-    """Check and count each (line number, record mapping) of `objects` in turn; an
-    invalid record is named by its file:line."""
-    for lineno, obj in objects:
-        try:
-            columns = _record_columns(obj, vocabulary)
-        except EngineError as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
-        pubs.add(*columns)
-
-
 def _name_codes(lists):
     """(distinct stripped names, the code of each listed name in order, the number of
     names in each list) of a column of name lists; None unless every list is a
@@ -302,6 +239,20 @@ def _name_codes(lists):
     if np.bincount(np.repeat(np.arange(len(lists)), sizes) * len(names) + codes).max() > 1:
         return None
     return list(names), codes, sizes
+
+
+def _checked_columns(path, objects, vocabulary):
+    """The columns of the (line number, record mapping) pairs of `objects`, one or
+    more, as _canonical_columns gives them; each record is checked by _record_columns
+    as it is read, so an invalid one is named by its file:line."""
+    records = []
+    for lineno, obj in objects:
+        try:
+            records.append(_record_columns(obj, vocabulary))
+        except EngineError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    years, regions, areas, ratios, quartiles = zip(*records)
+    return years, _name_codes(regions), _name_codes(areas), np.array(ratios), quartiles
 
 
 def _json_run(lines: list):
@@ -334,22 +285,21 @@ def _json_run(lines: list):
     return values
 
 
-def _fold_chunk(pubs: Publications, values: list, vocabulary) -> bool:
-    """Check and count a run of decoded JSON-lines records all at once, as
-    `_add_records` would count them one by one: True if it did. False, with `pubs`
-    untouched, if any value is not a record in the canonical shape (an object that
-    lists its names as lists of strings, its year and citations as integers, its
+def _canonical_columns(values: list, vocabulary):
+    """The columns of a run of decoded JSON-lines records, checked all at once:
+    (years, the _name_codes of the regions and of the subject areas, citation ratios,
+    quartiles). None if any value is not a record in the canonical shape (an object
+    that lists its names as lists of strings, its year and citations as integers, its
     expected_citations as a number and its quartile as QUARTILES writes it) or fails a
-    check; the caller then reads the run record by record, and so names the first bad
-    record as it always does.
+    check; the caller then checks the run record by record (_checked_columns), which
+    gives the same columns for valid records and names the first bad one.
     """
-    n = len(values)
     if set(map(type, values)) != {dict}:
-        return False
+        return None
     try:
         columns = {name: list(map(take, values)) for name, take in _TAKE_FIELD.items()}
     except KeyError:
-        return False
+        return None
     years, quartiles = columns["year"], columns["journal_quartile"]
     if not (
         set(map(type, years)) == set(map(type, columns["citations"])) == {int}
@@ -359,26 +309,33 @@ def _fold_chunk(pubs: Publications, values: list, vocabulary) -> bool:
         and set(map(type, columns["regions"])) == set(map(type, columns["subject_areas"]))
         == {list}
     ):
-        return False
+        return None
     regions, areas = _name_codes(columns["regions"]), _name_codes(columns["subject_areas"])
     if regions is None or areas is None:
-        return False
+        return None
     if vocabulary is not None and not vocabulary.issuperset(areas[0]):
-        return False
+        return None
     try:  # an integer past int64, or an expected_citations past the floats
         citations = np.array(columns["citations"], dtype=np.int64)
         expected = np.array(columns["expected_citations"], dtype=float)
     except OverflowError:
-        return False
+        return None
     if not ((citations >= 0).all() and (expected > 0).all() and (expected < math.inf).all()):
-        return False
+        return None
     with np.errstate(over="ignore"):  # a ratio that overflows is the record path's to name
         ratios = citations / expected
     if not np.isfinite(ratios).all():
-        return False
+        return None
+    return years, regions, areas, ratios, quartiles
 
+
+def _fold(pubs: Publications, columns: tuple) -> None:
+    """Count a run of checked records, given as columns (see _canonical_columns), into
+    pubs: full counting, each record once in the cell of every region it lists."""
+    years, regions, areas, ratios, quartiles = columns
     region_names, region_codes, region_sizes = regions
     area_names, area_codes, area_sizes = areas
+    n = len(years)
     year_codes = {year: i for i, year in enumerate(dict.fromkeys(years))}
     # one entry per (record, region it lists), in record order
     record = np.repeat(np.arange(n), region_sizes)
@@ -424,7 +381,6 @@ def _fold_chunk(pubs: Publications, values: list, vocabulary) -> bool:
     for key, k in zip(keys, counts[present].tolist()):
         incidences[key] += k
     pubs.records += n
-    return True
 
 
 def load_publications(path, vocabulary=None) -> Publications:
@@ -435,9 +391,12 @@ def load_publications(path, vocabulary=None) -> Publications:
     An invalid record is named by its file:line; a name that holds a NUL (names
     are stripped, as table cells are) is named with the file.
 
-    A JSON-lines file is read CHUNK_LINES lines at a time, and each run is decoded
-    once and folded into the counts before the next is read: at once if every record
-    of it is in the canonical shape (see _fold_chunk), else record by record.
+    The file is read in runs of CHUNK_LINES lines (of a CSV file, data rows), and each
+    run is checked and counted by the one fold, _fold, before the next is read. The
+    record path, _record_columns on each record in turn, is the reference and names
+    every bad record; it checks a CSV file. A JSON-lines run is decoded once, and
+    checked all at once if every record of it is in the canonical shape (see
+    _canonical_columns), else record by record from the same values.
     """
     path = str(path)
     vocabulary = None if vocabulary is None else frozenset(vocabulary)
@@ -446,12 +405,17 @@ def load_publications(path, vocabulary=None) -> Publications:
         for first, lines in _json_chunks(path):
             values = _json_run(lines)
             if values is None:
-                _add_records(pubs, path, _json_values(path, first, lines), vocabulary)
-            elif not _fold_chunk(pubs, values, vocabulary):
-                linenos = (lineno for lineno, line in enumerate(lines, first) if line)
-                _add_records(pubs, path, zip(linenos, values), vocabulary)
+                _fold(pubs, _checked_columns(path, _json_values(path, first, lines), vocabulary))
+            elif values:  # the values of the run's nonblank lines, if it has any
+                _fold(pubs, _canonical_columns(values, vocabulary) or _checked_columns(
+                    path, zip(itertools.compress(itertools.count(first), lines), values),
+                    vocabulary))
     else:
-        _add_records(pubs, path, _csv_objects(path), vocabulary)
+        header, rows = read_table(path)
+        objects = ((lineno, dict(zip(header, cells))) for lineno, cells in rows)
+        for head in objects:  # each row read once the rows before it are checked
+            run = itertools.chain([head], itertools.islice(objects, CHUNK_LINES - 1))
+            _fold(pubs, _checked_columns(path, run, vocabulary))
     if not len(pubs):
         raise MissingData(f"{path}: no publication records")
     # once over the distinct names, not per record: the incidences list every one

@@ -21,7 +21,7 @@ from rkpf.estimation import (
     fit_model,
     ols_fit,
 )
-from rkpf.indicators import PublicationRecord, Publications, region_year_indicators
+from rkpf.indicators import load_publications, region_year_indicators
 from rkpf.panel import PanelDataset
 from rkpf.simulate import DgpConfig, monte_carlo
 from rkpf.suite import (
@@ -277,7 +277,7 @@ def test_criterion_09_notation_expansion():
 
 
 @criterion("indicators match brute-force enumeration (exact shares, 1e-12 FWCI)")
-def test_criterion_10_indicator_correctness():
+def test_criterion_10_indicator_correctness(tmp_path):
     rng = np.random.default_rng(404)
     vocabulary = [f"area{i}" for i in range(6)]
     regions_pool = ["A", "B", "C", "D", "E"]
@@ -290,26 +290,29 @@ def test_criterion_10_indicator_correctness():
             )
             areas = rng.choice(vocabulary, size=int(rng.integers(1, 4)), replace=False)
             records.append(
-                PublicationRecord(
-                    id=f"p{i}",
-                    year=int(rng.integers(2015, 2020)),
-                    regions=frozenset(regions),
-                    subject_areas=frozenset(areas),
-                    citations=int(rng.integers(0, 80)),
-                    expected_citations=float(rng.uniform(0.5, 30.0)),
-                    journal_quartile=str(
+                {
+                    "id": f"p{i}",
+                    "year": int(rng.integers(2015, 2020)),
+                    "regions": regions.tolist(),
+                    "subject_areas": areas.tolist(),
+                    "citations": int(rng.integers(0, 80)),
+                    "expected_citations": float(rng.uniform(0.5, 30.0)),
+                    "journal_quartile": str(
                         rng.choice(["Q1", "Q2", "Q3", "Q4", "NONE"])
                     ),
-                )
+                }
             )
 
-        pubs = Publications.from_records(records)
+        # read as ingest --pubs reads them: one JSON object a line
+        path = tmp_path / "pubs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        pubs = load_publications(path, vocabulary)
         rows = {(r.region, r.year): r for r in region_year_indicators(pubs)}
         # full counting: every record once per region it lists
         oracle_cells = {}
         for record in records:
-            for region in record.regions:
-                oracle_cells.setdefault((region, record.year), []).append(record)
+            for region in record["regions"]:
+                oracle_cells.setdefault((region, record["year"]), []).append(record)
         assert {k: r.pub_count for k, r in rows.items()} == {
             k: len(v) for k, v in oracle_cells.items()
         }
@@ -317,17 +320,17 @@ def test_criterion_10_indicator_correctness():
         for key, members in oracle_cells.items():
             fwci = rows[key].fwci
             oracle_fwci = sum(
-                m.citations / m.expected_citations for m in members
+                m["citations"] / m["expected_citations"] for m in members
             ) / len(members)
             assert abs(fwci - oracle_fwci) <= 1e-12
 
             q1, nq = rows[key].q1_share, rows[key].nq_share
             exact_q1 = Fraction(
-                100 * sum(1 for m in members if m.journal_quartile == "Q1"),
+                100 * sum(1 for m in members if m["journal_quartile"] == "Q1"),
                 len(members),
             )
             exact_nq = Fraction(
-                100 * sum(1 for m in members if m.journal_quartile == "NONE"),
+                100 * sum(1 for m in members if m["journal_quartile"] == "NONE"),
                 len(members),
             )
             assert q1 == float(exact_q1) and nq == float(exact_nq)
@@ -336,8 +339,8 @@ def test_criterion_10_indicator_correctness():
         for i, region in enumerate(profiles.regions):
             counts = {code: 0 for code in vocabulary}
             for record in records:
-                if region in record.regions:
-                    for code in record.subject_areas:
+                if region in record["regions"]:
+                    for code in record["subject_areas"]:
                         counts[code] += 1
             total = sum(counts.values())
             for j, code in enumerate(vocabulary):

@@ -1,11 +1,13 @@
 """Command-line surfaces: bundles, exit codes, file outputs."""
 import builtins
 import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -1007,6 +1009,17 @@ def test_every_export_resolves(module):
     """A name left in __all__ after its definition is gone breaks `import *`."""
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_cli_annotation_resolves():
+    """cli imports the engine's modules inside the functions that use them, so an
+    annotation naming one of their types would not resolve in cli's namespace."""
+    cli = importlib.import_module("rkpf.cli")
+    functions = [f for f in vars(cli).values()
+                 if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    assert len(functions) > 20
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

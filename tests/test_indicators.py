@@ -2,11 +2,12 @@
 import json
 import math
 import random
+import tempfile
 import tracemalloc
 from array import array
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from rkpf.errors import (
     UnknownSubjectArea,
 )
 from rkpf.indicators import (
-    PublicationRecord,
     Publications,
     load_publications,
     load_vocabulary,
@@ -43,27 +43,35 @@ def rec(
     expected=10.0,
     quartile="Q2",
 ):
-    return PublicationRecord(
-        id=rid,
-        year=year,
-        regions=frozenset(regions),
-        subject_areas=frozenset(areas),
-        citations=citations,
-        expected_citations=expected,
-        journal_quartile=quartile,
-    )
+    """One publication record, as a JSON-lines file holds it."""
+    return {
+        "id": rid,
+        "year": year,
+        "regions": list(regions),
+        "subject_areas": list(areas),
+        "citations": citations,
+        "expected_citations": expected,
+        "journal_quartile": quartile,
+    }
+
+
+def load(records, vocabulary=None):
+    """load_publications of the records, written one a line to a JSON-lines file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pubs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return load_publications(path, vocabulary)
 
 
 def indicators(records):
     """region_year_indicators of the records, keyed by (region, year)."""
-    rows = region_year_indicators(Publications.from_records(records))
+    rows = region_year_indicators(load(records))
     return {(r.region, r.year): r for r in rows}
 
 
 def one_cell(records):
     """The indicator row of the records, all moved into region A, 2019."""
-    moved = [replace(r, regions=frozenset({"A"}), year=2019) for r in records]
-    (row,) = indicators(moved).values()
+    (row,) = indicators([{**r, "regions": ["A"], "year": 2019} for r in records]).values()
     return row
 
 
@@ -78,9 +86,34 @@ def quartile_shares(records):
 
 def profile(records, vocabulary=VOCAB):
     """The thematic profile of the records, all moved into region A."""
-    moved = [replace(r, regions=frozenset({"A"})) for r in records]
-    incidences = Publications.from_records(moved).incidences
+    incidences = load([{**r, "regions": ["A"]} for r in records]).incidences
     return build_profile_matrix(incidences, vocabulary).shares[0]
+
+
+def ratio(record) -> float:
+    return record["citations"] / record["expected_citations"]
+
+
+def counted(records):
+    """Brute-force counts of records as load_publications reads them, one record at a
+    time: (record count, per (region, year) the bytes of its citation ratios in record
+    order, its Q1 count and its NONE count, per (region, subject area) its incidences)."""
+    cells, incidences = {}, Counter()
+    for r in records:
+        for region in r["regions"]:
+            ratios, q1, nq = cells.get((region, r["year"]), (b"", 0, 0))
+            cells[region, r["year"]] = (ratios + array("d", [ratio(r)]).tobytes(),
+                                        q1 + (r["journal_quartile"] == "Q1"),
+                                        nq + (r["journal_quartile"] == "NONE"))
+            for area in r["subject_areas"]:
+                incidences[region, area] += 1
+    return len(records), cells, dict(incidences)
+
+
+def counts_of(pubs):
+    """The counts of a Publications in the form counted gives them."""
+    cells = {key: (ratios.tobytes(), q1, nq) for key, (ratios, q1, nq) in pubs.cells.items()}
+    return len(pubs), cells, dict(pubs.incidences)
 
 
 def random_records(rng, n, year_range=(2018, 2020)):
@@ -92,8 +125,8 @@ def random_records(rng, n, year_range=(2018, 2020)):
             rec(
                 rid=f"p{i}",
                 year=int(rng.integers(*year_range)),
-                regions=tuple(regions),
-                areas=tuple(areas),
+                regions=regions.tolist(),
+                areas=areas.tolist(),
                 citations=int(rng.integers(0, 60)),
                 expected=float(rng.uniform(0.5, 25.0)),
                 quartile=str(rng.choice(["Q1", "Q2", "Q3", "Q4", "NONE"])),
@@ -103,17 +136,20 @@ def random_records(rng, n, year_range=(2018, 2020)):
 
 
 class TestRecordValidation:
-    def test_empty_regions_rejected(self):
-        with pytest.raises(ValueError):
-            rec(regions=())
+    """Each check of a record names the record, after the file:line that holds it."""
 
-    def test_negative_citations_rejected(self):
-        with pytest.raises(ValueError):
-            rec(citations=-1)
-
-    def test_zero_expected_rejected(self):
-        with pytest.raises(ValueError):
-            rec(expected=0.0)
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (rec(regions=()), "regions must be nonempty"),
+            (rec(citations=-1), "citations must be >= 0"),
+            (rec(expected=0.0), r"expected_citations must be finite and > 0"),
+        ],
+        ids=["empty-regions", "negative-citations", "zero-expected"],
+    )
+    def test_invalid_record_rejected(self, record, message):
+        with pytest.raises(NonNumericCell, match=rf"pubs.jsonl:1: record 'p1': {message}$"):
+            load([record])
 
     @pytest.mark.parametrize(
         "citations, expected",
@@ -123,21 +159,24 @@ class TestRecordValidation:
     def test_non_finite_ratio_rejected(self, citations, expected):
         # an int too large for a float fails like a ratio that overflows, naming the record
         message = "record 'p1': citations / expected_citations is not a finite float"
-        with pytest.raises(ValueError, match=message):
-            rec(citations=citations, expected=expected)
+        with pytest.raises(NonNumericCell, match=rf"pubs.jsonl:1: {message}$"):
+            load([rec(citations=citations, expected=expected)])
 
     @pytest.mark.parametrize(
-        "regions, areas, message",
+        "regions, areas, counted",
         [
-            ((" R1", "R2"), ("bio",), "record 'p1': region ' R1' has surrounding whitespace"),
-            (("R1",), ("bio\x00",), r"record 'p1': subject area 'bio\\x00' has surrounding"),
+            ((" R1", "R2"), ("bio",), {("R1", "bio"), ("R2", "bio")}),
+            (("R1",), ("bio\x00",), r"pubs.jsonl: subject area 'bio\\x00' has surrounding"),
         ],
         ids=["padded-region", "area-with-nul"],
     )
-    def test_name_a_file_would_change_rejected(self, regions, areas, message):
-        # the same record read from a file counts for 'R1': load_publications strips names
-        with pytest.raises(ValueError, match=message):
-            rec(regions=regions, areas=areas)
+    def test_names_are_read_as_table_cells(self, regions, areas, counted):
+        # names are stripped, and one that holds a NUL is named with the file
+        if isinstance(counted, str):
+            with pytest.raises(NonNumericCell, match=counted):
+                load([rec(regions=regions, areas=areas)])
+        else:
+            assert set(load([rec(regions=regions, areas=areas)]).incidences) == counted
 
     def test_fwci_whose_mean_overflows_names_the_cell(self):
         records = [rec(rid=f"p{i}", citations=17 * 10**307, expected=1.0) for i in (1, 2)]
@@ -171,7 +210,7 @@ class TestFullCounting:
         cells = indicators(records)
         total = sum(row.pub_count for row in cells.values())
         assert total >= len(records)
-        spans_two = any(len(r.regions) > 1 for r in records)
+        spans_two = any(len(r["regions"]) > 1 for r in records)
         assert (total > len(records)) == spans_two
 
 
@@ -192,7 +231,7 @@ class TestFwci:
 
     def test_empty_cell(self):
         # no records: no cell, so no FWCI to take
-        assert region_year_indicators(Publications.from_records([])) == []
+        assert region_year_indicators(Publications()) == []
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)
@@ -215,9 +254,9 @@ class TestFwci:
         ]
         scaled = [
             rec(
-                rid=r.id,
-                citations=r.citations * factor,
-                expected=r.expected_citations * factor,
+                rid=r["id"],
+                citations=r["citations"] * factor,
+                expected=r["expected_citations"] * factor,
             )
             for r in base
         ]
@@ -236,7 +275,7 @@ class TestFwci:
         # expected_citations scale freely; citations stay integers, so scale
         # both through the ratio directly
         scaled = [
-            rec(rid=r.id, citations=r.citations, expected=r.expected_citations / scale)
+            rec(rid=r["id"], citations=r["citations"], expected=r["expected_citations"] / scale)
             for r in base
         ]
         assert fwci(scaled) == pytest.approx(scale * fwci(base), rel=1e-9)
@@ -297,7 +336,7 @@ class TestThematicProfile:
         assert shares[VOCAB.index("chem")] == pytest.approx(1.0 / 3.0)
 
     def test_empty_region(self):
-        pubs = Publications.from_records([rec(regions=("A",))])
+        pubs = load([rec(regions=("A",))])
         with pytest.raises(EmptyRegion, match="region 'Z' has no publication records"):
             build_profile_matrix(pubs.incidences, VOCAB, ["A", "Z"])
 
@@ -325,18 +364,18 @@ class TestBruteForceOracles:
             # oracle: walk records one by one
             cells = {}
             for record in records:
-                for region in record.regions:
-                    cells.setdefault((region, record.year), []).append(record)
+                for region in record["regions"]:
+                    cells.setdefault((region, record["year"]), []).append(record)
             assert set(rows) == set(cells)
             for key, members in cells.items():
                 row = rows[key]
                 assert row.pub_count == len(members)
                 q1 = Fraction(
-                    100 * sum(1 for m in members if m.journal_quartile == "Q1"),
+                    100 * sum(1 for m in members if m["journal_quartile"] == "Q1"),
                     len(members),
                 )
                 nq = Fraction(
-                    100 * sum(1 for m in members if m.journal_quartile == "NONE"),
+                    100 * sum(1 for m in members if m["journal_quartile"] == "NONE"),
                     len(members),
                 )
                 # engine computes (100*count)/total in one correctly rounded
@@ -344,19 +383,19 @@ class TestBruteForceOracles:
                 # precision
                 assert row.q1_share == float(q1)
                 assert row.nq_share == float(nq)
-                fwci = sum(m.citations / m.expected_citations for m in members) / len(members)
+                fwci = sum(map(ratio, members)) / len(members)
                 assert abs(row.fwci - fwci) < 1e-12
 
     def test_profile_matches_exact_fractions(self):
         rng = np.random.default_rng(9)
         records = random_records(rng, 30)
-        profiles = build_profile_matrix(Publications.from_records(records).incidences, VOCAB)
-        assert profiles.regions == tuple(sorted({r for rec in records for r in rec.regions}))
+        profiles = build_profile_matrix(load(records).incidences, VOCAB)
+        assert profiles.regions == tuple(sorted({r for rec in records for r in rec["regions"]}))
         for i, region in enumerate(profiles.regions):
             counts = {code: 0 for code in VOCAB}
             for record in records:
-                if region in record.regions:
-                    for code in record.subject_areas:
+                if region in record["regions"]:
+                    for code in record["subject_areas"]:
                         counts[code] += 1
             total = sum(counts.values())
             for j, code in enumerate(VOCAB):
@@ -367,25 +406,8 @@ class TestIo:
     def test_jsonl_round_trip(self, tmp_path):
         records = random_records(np.random.default_rng(4), 8)
         path = tmp_path / "pubs.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": r.id,
-                            "year": r.year,
-                            "regions": sorted(r.regions),
-                            "subject_areas": sorted(r.subject_areas),
-                            "citations": r.citations,
-                            "expected_citations": r.expected_citations,
-                            "journal_quartile": r.journal_quartile,
-                        }
-                    )
-                    + "\n"
-                )
-        loaded = load_publications(path)
-        assert len(loaded) == len(records)
-        assert loaded == Publications.from_records(records)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert counts_of(load_publications(path)) == counted(records)
 
     def test_csv_semicolon_fields(self, tmp_path):
         path = tmp_path / "pubs.csv"
@@ -444,7 +466,7 @@ class TestIo:
         from rkpf.panel import load_panel_csv
 
         records = random_records(np.random.default_rng(6), 25, year_range=(2018, 2019))
-        rows = region_year_indicators(Publications.from_records(records))
+        rows = region_year_indicators(load(records))
         path = tmp_path / "indicators.csv"
         write_indicator_csv(rows, path)
         d = load_panel_csv(path)
@@ -466,16 +488,17 @@ _RAW_RECORD = st.fixed_dictionaries(
 
 
 def _records(raw):
-    """The PublicationRecords of raw records, read as load_publications reads them."""
+    """The raw records as load_publications reads them: integer years and citations,
+    a blank quartile read as NONE, each name listed once."""
     return [
-        PublicationRecord(
-            id=f"p{i}",
+        rec(
+            rid=f"p{i}",
             year=int(r["year"]),
-            regions=frozenset(r["regions"]),
-            subject_areas=frozenset(r["subject_areas"]),
+            regions=dict.fromkeys(r["regions"]),
+            areas=dict.fromkeys(r["subject_areas"]),
             citations=int(r["citations"]),
-            expected_citations=float(r["expected_citations"]),
-            journal_quartile=r["journal_quartile"].strip() or "NONE",
+            expected=float(r["expected_citations"]),
+            quartile=r["journal_quartile"].strip() or "NONE",
         )
         for i, r in enumerate(raw)
     ]
@@ -487,13 +510,13 @@ def _seed_way(raw):
     records = _records(raw)
     cells = {}
     for record in records:
-        for region in record.regions:
-            cells.setdefault((region, record.year), []).append(record)
+        for region in record["regions"]:
+            cells.setdefault((region, record["year"]), []).append(record)
     rows = []
     for (region, year), members in sorted(cells.items()):
-        ratios = [m.citations / m.expected_citations for m in members]
-        q1 = sum(m.journal_quartile == "Q1" for m in members)
-        nq = sum(m.journal_quartile == "NONE" for m in members)
+        ratios = list(map(ratio, members))
+        q1 = sum(m["journal_quartile"] == "Q1" for m in members)
+        nq = sum(m["journal_quartile"] == "NONE" for m in members)
         total = len(members)
         rows.append((region, year, total, float(np.mean(ratios)),
                      100.0 * q1 / total, 100.0 * nq / total))
@@ -502,8 +525,8 @@ def _seed_way(raw):
     for i, region in enumerate(regions):
         counts = np.zeros(len(VOCAB))
         for record in records:
-            if region in record.regions:
-                for code in record.subject_areas:
+            if region in record["regions"]:
+                for code in record["subject_areas"]:
                     counts[VOCAB.index(code)] += 1
         shares[i] = counts / counts.sum()
     return rows, shares
@@ -548,20 +571,22 @@ class TestColumnarReader:
                                                          suffix, raw):
         path = tmp_path_factory.mktemp("pubs") / f"pubs{suffix}"
         write(raw, path)
-        assert load_publications(path, VOCAB) == Publications.from_records(_records(raw))
+        assert counts_of(load_publications(path, VOCAB)) == counted(_records(raw))
 
 
-def test_loading_holds_counts_not_records(tmp_path):
+@pytest.mark.parametrize("year", [int, str], ids=["canonical", "string-year"])
+def test_loading_holds_counts_not_records(tmp_path, year):
     """While load_publications reads 20,000 records over 40 regions and 3 years,
     tracemalloc's peak stays under 64 bytes a record: the fold keeps each record's
     citation ratio once per region it lists, and nothing else of it. Records held as
-    columns peaked at about 305 bytes a record."""
+    columns peaked at about 305 bytes a record. A string year sends every record
+    through the record path, which folds a run of records at a time too."""
     rng = random.Random(5)
     regions = [f"R{i:02d}" for i in range(40)]
     n = 20_000
     lines = [
         json.dumps({
-            "id": f"p{i}", "year": rng.randrange(2018, 2021),
+            "id": f"p{i}", "year": year(rng.randrange(2018, 2021)),
             "regions": rng.sample(regions, rng.randint(1, 3)),
             "subject_areas": rng.sample(VOCAB, rng.randint(1, 3)),
             "citations": rng.randrange(60), "expected_citations": rng.uniform(0.5, 25.0),
@@ -608,8 +633,7 @@ def _loaded(path, vocabulary=VOCAB):
         pubs = load_publications(path, vocabulary)
     except EngineError as exc:
         return type(exc).__name__, str(exc)
-    cells = {key: (ratios.tobytes(), q1, nq) for key, (ratios, q1, nq) in pubs.cells.items()}
-    return len(pubs), cells, dict(pubs.incidences)
+    return counts_of(pubs)
 
 
 def _record_by_record(monkeypatch, path, vocabulary=VOCAB):
@@ -622,7 +646,7 @@ def _record_by_record(monkeypatch, path, vocabulary=VOCAB):
 def _decoded_record_by_record(monkeypatch, path, vocabulary=VOCAB):
     """What the record path gives on the values of each run decoded at once."""
     with monkeypatch.context() as patch:
-        patch.setattr(loader, "_fold_chunk", lambda *args: False)
+        patch.setattr(loader, "_canonical_columns", lambda *args: None)
         return _loaded(path, vocabulary)
 
 
@@ -724,15 +748,15 @@ def test_a_file_shorter_than_a_run_is_read_in_one(tmp_path, monkeypatch):
     path.write_text("".join(_record_line(i) + "\n" for i in range(3)), encoding="utf-8")
     assert loader.CHUNK_LINES > 3
     runs = []
-    fold = loader._fold_chunk
+    canonical = loader._canonical_columns
 
-    def folding(*args):
-        runs.append(fold(*args))
+    def checking(*args):
+        runs.append(canonical(*args))
         return runs[-1]
 
-    monkeypatch.setattr(loader, "_fold_chunk", folding)
+    monkeypatch.setattr(loader, "_canonical_columns", checking)
     got = _loaded(path)
-    assert runs == [True]
+    assert len(runs) == 1 and runs[0] is not None
     monkeypatch.undo()
     assert got == _record_by_record(monkeypatch, path)
 
@@ -750,18 +774,18 @@ def test_canonical_records_are_counted_without_the_record_path(tmp_path, monkeyp
     path = tmp_path / "pubs.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     read, decoded = [], []
-    add, line = loader._add_records, loader._json_line
+    checked, line = loader._checked_columns, loader._json_line
 
-    def adding(pubs, path, objects, vocabulary):
+    def checking(path, objects, vocabulary):
         objects = list(objects)
         read.extend(lineno for lineno, _ in objects)
-        add(pubs, path, objects, vocabulary)
+        return checked(path, objects, vocabulary)
 
     def decoding(text):
         decoded.append(text)
         return line(text)
 
-    monkeypatch.setattr(loader, "_add_records", adding)
+    monkeypatch.setattr(loader, "_checked_columns", checking)
     monkeypatch.setattr(loader, "_json_line", decoding)
     assert len(load_publications(path, VOCAB)) == _LINES
     assert read == [5, 6, 7, 8]

@@ -7,6 +7,7 @@ import io
 import json
 import shutil
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -506,10 +507,14 @@ def test_ingest_writes_the_same_publications_sidecar_twice(tmp_path):
 def test_the_publications_sidecar_gives_back_the_counts(tmp_path_factory, listed):
     """Regions and subject areas that the table name rule admits come back from the
     sidecar as load_publications(...).incidences counts them."""
-    pubs = Publications()
-    for regions, areas in listed:
-        pubs.add(2019, frozenset(regions), frozenset(areas), 1.0, "Q1")
-    path = tmp_path_factory.mktemp("pubs") / indicators.SIDECAR_NAME
+    root = tmp_path_factory.mktemp("pubs")
+    records = [{"id": f"p{i}", "year": 2019, "regions": regions, "subject_areas": areas,
+                "citations": 1, "expected_citations": 1.0, "journal_quartile": "Q1"}
+               for i, (regions, areas) in enumerate(listed)]
+    (root / "pubs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                     encoding="utf-8")
+    pubs = indicators.load_publications(root / "pubs.jsonl")
+    path = root / indicators.SIDECAR_NAME
     sources = {"pubs_sha256": "a" * 64, "vocab_sha256": "none"}
     indicators.write_incidence_sidecar(pubs, path, sources)
     assert indicators.read_incidence_sidecar(path, sources) == pubs.incidences
@@ -517,9 +522,9 @@ def test_the_publications_sidecar_gives_back_the_counts(tmp_path_factory, listed
 
 
 def test_a_name_a_sidecar_would_not_give_back_leaves_none(tmp_path):
-    """A unicode array drops a trailing NUL: such counts are decoded each time."""
+    """A unicode array drops a trailing NUL, so no sidecar is written for such a name.
+    load_publications refuses a name that holds a NUL, so the counts are built here."""
     path = tmp_path / indicators.SIDECAR_NAME
-    pubs = Publications()
-    pubs.add(2019, frozenset({"a\x00", "a"}), frozenset({"x"}), 1.0, "Q1")
+    pubs = Publications(records=1, incidences=Counter({("a\x00", "x"): 1, ("a", "x"): 1}))
     indicators.write_incidence_sidecar(pubs, path, {"pubs_sha256": "a" * 64})
     assert not path.exists()

@@ -1,6 +1,6 @@
 """Student t probabilities against mpmath at 50 digits.
 
-fit_model's two-sided p-values (estimation._inference) and monte_carlo's 97.5%
+fit_model's two-sided p-values (estimation._t_test) and monte_carlo's 97.5%
 critical value (estimation.t_critical) are checked at every dof the
 specification ladder produces at 78 x 12, 500 x 12 and 2000 x 20, in both tails
 and for |t| up to 40, and at small dofs: the Cauchy tail (dof 1), and either
@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rkpf.estimation import _inference, fit_model, t_critical
+from rkpf.estimation import _std_errors, _t_test, fit_model, t_critical
 from rkpf.simulate import DgpConfig, generate_panel
 from rkpf.suite import MAIN_TAGS, expand_notation
 
@@ -58,7 +58,7 @@ def test_ladder_dofs_are_the_fits_dofs():
 def test_two_sided_p_values(dof):
     t = np.array([sign * v for v in T_VALUES for sign in (1.0, -1.0)])
     # a unit covariance makes each coefficient its own t statistic
-    _, t_stats, p_values = _inference(np.eye(len(t)), t, dof)
+    t_stats, p_values = _t_test(_std_errors(np.eye(len(t))), t, dof)
     np.testing.assert_array_equal(t_stats, t)
     for t_value, got in zip(t, p_values):
         want = two_sided_p(dof, t_value)
@@ -76,6 +76,6 @@ def test_critical_values(dof):
 
 
 def test_p_value_at_infinite_and_nan_t():
-    _, t_stats, p_values = _inference(np.eye(3), np.array([np.inf, -np.inf, np.nan]), 30)
+    _, p_values = _t_test(_std_errors(np.eye(3)), np.array([np.inf, -np.inf, np.nan]), 30)
     assert p_values[:2].tolist() == [0.0, 0.0]
     assert np.isnan(p_values[2])

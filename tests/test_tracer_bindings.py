@@ -1,0 +1,66 @@
+"""The benchmark's tracer (perfbench/tracer.py) finds the engine functions it times by
+module and name, and its counters read their arguments by name: a change to the engine
+alone must keep every binding, or `perfbench/run.py --trace 1` fails. The tracer is
+loaded from its file, as it stands; it uses the standard library only."""
+import ast
+import importlib
+import importlib.util
+import inspect
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from rkpf.indicators import Publications
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _keys_read(function, mapping: str) -> set:
+    """The string keys that `function` reads from its local `mapping` by subscript."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name) and node.value.id == mapping
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def _arguments_read(function: str) -> set:
+    """The argument names the tracer reads from a call of the traced `function`: its
+    counter reads the bound arguments as `a`, and parallel_map's adoption as `bound`."""
+    hook = getattr(tracer.Tracer, f"_count_{function}", None)
+    read = set() if hook is None else _keys_read(hook, "a")
+    if function == "parallel_map":
+        read |= _keys_read(tracer.Tracer._adopt, "bound")
+    return read
+
+
+@pytest.mark.parametrize("module, function", tracer.LAYERS)
+def test_every_traced_function_resolves(module, function):
+    fn = getattr(importlib.import_module(f"rkpf.{module}"), function)
+    # the tracer names each span and finds each counter by the function's own name
+    assert fn.__name__ == function
+    assert _arguments_read(function) <= set(inspect.signature(fn).parameters)
+
+
+def test_the_arguments_the_counters_read_are_found():
+    read = set().union(*(_arguments_read(function) for _, function in tracer.LAYERS))
+    assert read == {"path", "items", "input_paths", "fn"}
+
+
+def test_publications_have_a_length():
+    # indicators.records counts len() of what load_publications returns
+    assert len(Publications(records=3)) == 3

@@ -1,4 +1,5 @@
 """Thematic weights construction and spatial lag operators."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from rkpf.errors import (
     RegionOrderMismatch,
 )
 from rkpf.estimation import ModelSpec, Term, build_design
-from rkpf.indicators import PublicationRecord, Publications
+from rkpf.indicators import load_publications
 from rkpf.panel import PanelDataset
 from rkpf.weights import (
     SpatialWeights,
@@ -314,10 +315,14 @@ class TestValidation:
         with pytest.raises(InvalidProfiles, match="'r1'"):
             profiles(shares)
 
-    def test_region_without_records_is_named(self):
-        rec = PublicationRecord("p1", 2019, frozenset({"A"}), frozenset({"s1"}), 1, 1.0, "Q1")
+    def test_region_without_records_is_named(self, tmp_path):
+        path = tmp_path / "pubs.jsonl"
+        path.write_text(json.dumps({"id": "p1", "year": 2019, "regions": ["A"],
+                                    "subject_areas": ["s1"], "citations": 1,
+                                    "expected_citations": 1.0, "journal_quartile": "Q1"}) + "\n",
+                        encoding="utf-8")
+        incidences = load_publications(path).incidences
         with pytest.raises(EmptyRegion, match="^region 'B' has no publication records$"):
-            incidences = Publications.from_records([rec]).incidences
             build_profile_matrix(incidences, ["s1", "s2"], ["A", "B"])
 
     def test_repeated_region_rejected(self):
