@@ -406,7 +406,7 @@ def load_publications(path, vocabulary=None) -> Publications:
             values = _json_run(lines)
             if values is None:
                 _fold(pubs, _checked_columns(path, _json_values(path, first, lines), vocabulary))
-            elif values:  # the values of the run's nonblank lines, if it has any
+            elif values:  # none for a run of blank lines
                 _fold(pubs, _canonical_columns(values, vocabulary) or _checked_columns(
                     path, zip(itertools.compress(itertools.count(first), lines), values),
                     vocabulary))
