@@ -2,7 +2,10 @@
 
 Region effects are absorbed by within-group demeaning; time effects enter as
 explicit dummies with the first year as baseline. The least-squares core is
-one R-only QR of [X y]. Covariance is either classical or a cluster-by-region
+one R-only QR of [X y]: build_design writes the design and the response into
+one (N, k+1) buffer, within_transform demeans it in place and ols_fit
+factorises it as it is, so a fit holds no other copy of the design than the
+QR's own. Covariance is either classical or a cluster-by-region
 sandwich with the small-sample factor G/(G-1) * (N-1)/(N-K), where K counts
 fitted columns plus absorbed region effects (the same convention used for
 degrees of freedom and t-distribution p-values). Rows come as G region
@@ -12,7 +15,7 @@ is a ValueError.
 
 The kernels (term_values, within_transform, ols_fit, classical_cov and
 cluster_robust_cov) also take arrays with leading axes: a stack of B
-replications' designs, (B, N, k), is fitted as B separate problems, each
+replications' [X y] buffers, (B, N, k+1), is fitted as B separate problems, each
 with the same numpy calls and so the same bits as when fitted alone.
 fit_model and fit_block, which fits Monte Carlo's stack of replications,
 agree because they run one checked core, _fit: the dof of design_dof, the
@@ -117,15 +120,23 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Design:
-    """Stacked design matrix and response.
+    """Stacked design matrix X and response y, as views of one [X y] buffer.
 
-    Rows are region-major, year-minor. Columns: regressor terms in spec
-    order, then T-1 time dummies (first year baseline), then the intercept.
+    Rows are region-major, year-minor. Columns of X: regressor terms in spec
+    order, then T-1 time dummies (first year baseline), then the intercept;
+    the buffer's last column is y.
     """
 
-    X: np.ndarray
-    y: np.ndarray
+    xy: np.ndarray
     column_labels: tuple[str, ...]
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.xy[..., :-1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.xy[..., -1]
 
 
 def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
@@ -208,12 +219,12 @@ def build_design(
     return Design(*_design_arrays(d, spec, w))
 
 
-def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """build_design's X, y and column labels, with no weights check; for a stack of
-    panels (see term_values) X is (..., n T, k) and y is (..., n T)."""
+def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, tuple[str, ...]]:
+    """build_design's C-contiguous [X y] buffer, (n T, k + 1), and column labels, with
+    no weights check; for a stack of panels (see term_values) the buffer is
+    (..., n T, k + 1)."""
     y = _finite(d, spec.dependent, d.var(spec.dependent))
     *lead, n, t = y.shape
-    y = y.reshape(*lead, -1)
 
     labels = [term.label for term in spec.regressors]
     if spec.time_dummies:
@@ -223,13 +234,14 @@ def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, np.ndarray, tuple
     if not labels:
         raise ValueError("empty design: no regressors, dummies, or intercept")
 
-    X = np.ones((*lead, n * t, len(labels)))  # the const column, if any, keeps its ones
+    xy = np.ones((*lead, n * t, len(labels) + 1))  # the const column, if any, keeps its ones
+    xy[..., -1] = y.reshape(*lead, -1)
     for j, term in enumerate(spec.regressors):
-        X[..., j] = term_values(d, term, w).reshape(*lead, -1)
+        xy[..., j] = term_values(d, term, w).reshape(*lead, -1)
     if spec.time_dummies:  # every region's T rows get the year identity, first year dropped
         k = len(spec.regressors)
-        X.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
-    return X, y, tuple(labels)
+        xy.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
+    return xy, tuple(labels)
 
 
 def design_dof(spec: ModelSpec, n_regions: int, n_years: int, where: str = "") -> tuple[int, int]:
@@ -244,19 +256,23 @@ def design_dof(spec: ModelSpec, n_regions: int, n_years: int, where: str = "") -
     return k, n_obs - k - n_absorbed
 
 
-def within_transform(
-    X: np.ndarray, y: np.ndarray, n_regions: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each region's mean from its rows, the n_regions equal blocks of X and y.
+def within_transform(xy: np.ndarray, n_regions: int) -> None:
+    """Subtract each region's mean from its rows, the n_regions equal blocks of the
+    C-contiguous float [X y] buffer xy (..., N, k+1), in place.
 
-    X is (..., N, k) and y (..., N); leading axes stack separate problems.
+    Leading axes stack separate problems. Each mean has the bits of the mean of
+    its column alone: a mean over a region's rows of the buffer adds them one by
+    one, as over X alone, but along a contiguous y numpy sums pairwise, so y's
+    means are taken along a copy of y.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    X4 = X.reshape(*X.shape[:-2], n_regions, -1, X.shape[-1])
-    y3 = y.reshape(*y.shape[:-1], n_regions, -1)
-    Xd = X4 - X4.mean(axis=-2, keepdims=True)
-    return Xd.reshape(X.shape), (y3 - y3.mean(axis=-1, keepdims=True)).reshape(y.shape)
+    if not (xy.dtype == np.float64 and xy.flags.c_contiguous and xy.flags.writeable):
+        raise ValueError("within_transform demeans a writeable C-contiguous float64 buffer")
+    lead = xy.shape[:-2]
+    xy4 = xy.reshape(*lead, n_regions, -1, xy.shape[-1])
+    means = xy4.mean(axis=-2, keepdims=True)
+    y = np.ascontiguousarray(xy[..., -1]).reshape(*lead, n_regions, -1)
+    means[..., 0, -1] = y.mean(axis=-1)
+    xy4 -= means
 
 
 @dataclass(frozen=True)
@@ -267,22 +283,23 @@ class OlsFit:
     xtx_inverse: np.ndarray  # (X'X)^-1 from the QR's R, shared by both covariances
 
 
-def ols_fit(X: np.ndarray, y: np.ndarray, labels=None) -> OlsFit:
-    """Least squares from one R-only QR of [X y]; rank deficiency is a hard error.
+def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
+    """Least squares of y on X from one R-only QR of the [X y] buffer xy (..., N, k+1),
+    whose last column is y; rank deficiency is a hard error.
 
     R's leading k x k block is the R of X and its column k is Q'y, so Q is
     never formed. The first column whose R diagonal collapses is reported as
     linearly dependent on the columns before it. One inverse of R gives both
-    the coefficients and (X'X)^-1. X (..., N, k) and y (..., N) may stack
-    problems along leading axes; each gets its own rank tolerance, and the
-    first problem with a collapsed column is the one reported.
+    the coefficients and (X'X)^-1. Leading axes of xy stack problems; each gets
+    its own rank tolerance, and the first problem with a collapsed column is
+    the one reported.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim < 2 or X.shape[-2] < X.shape[-1]:
-        raise ValueError(f"need at least as many rows as columns, got {X.shape}")
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim < 2 or xy.shape[-2] < xy.shape[-1] - 1:
+        raise ValueError(f"need at least as many rows as columns of X, got [X y] {xy.shape}")
+    X, y = xy[..., :-1], xy[..., -1]
     k = X.shape[-1]
-    r_xy = np.linalg.qr(np.concatenate([X, y[..., np.newaxis]], axis=-1), mode="r")
+    r_xy = np.linalg.qr(xy, mode="r")
     r = r_xy[..., :k, :k]
     diag = np.abs(np.einsum("...ii->...i", r))
     scale = diag.max(axis=-1, initial=0.0, keepdims=True)
@@ -475,21 +492,19 @@ def _check_finite(what: str, values: np.ndarray, labels) -> None:
         raise NonFiniteFit(f"the {what} of {labels[at[-1]]!r} is {values[at]}")
 
 
-def _absorb(X: np.ndarray, y: np.ndarray, spec: ModelSpec, n_regions: int):
-    """(X, y), demeaned by within_transform if spec has region effects."""
-    return within_transform(X, y, n_regions) if spec.region_effects else (X, y)
-
-
-def _fit(X: np.ndarray, y: np.ndarray, spec: ModelSpec, labels, n_regions: int, n_years: int):
+def _fit(xy: np.ndarray, spec: ModelSpec, labels, n_regions: int, n_years: int):
     """(dof, least-squares fit, spec's standard errors, classical standard errors) of
-    the absorbed design X (..., N, k), y (..., N) of an n x T panel, each checked.
+    the [X y] buffer xy (..., N, k+1) of an n x T panel, each checked; with region
+    effects, xy is demeaned in place first.
 
     Leading axes stack replications; each check then covers the whole stack and
     names the first replication that fails it.
     """
+    if spec.region_effects:
+        within_transform(xy, n_regions)
     _, dof = design_dof(spec, n_regions, n_years)
     with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
-        fit = ols_fit(X, y, labels)
+        fit = ols_fit(xy, labels)
     ok = np.isfinite(fit.ssr)
     if not ok.all():
         raise NonFiniteFit(
@@ -500,7 +515,7 @@ def _fit(X: np.ndarray, y: np.ndarray, spec: ModelSpec, labels, n_regions: int, 
     if spec.covariance == "classical":
         se = classical_se
     else:
-        se = _std_errors(cluster_robust_cov(fit, X, n_regions, dof))
+        se = _std_errors(cluster_robust_cov(fit, xy[..., :-1], n_regions, dof))
     _check_finite("standard error", se, labels)
     _check_finite("classical standard error", classical_se, labels)
     return dof, fit, se, classical_se
@@ -515,10 +530,18 @@ def fit_model(
     classical ones.
     """
     design = build_design(d, spec, w)
-    X, y, labels = design.X, design.y, design.column_labels
-    n_obs, k = X.shape
-    Xf, yf = _absorb(X, y, spec, d.n_regions)
-    dof, fit, se, classical_se = _fit(Xf, yf, spec, labels, d.n_regions, d.n_years)
+    xy, labels = design.xy, design.column_labels
+    del design  # xy is then the one reference to the buffer
+    n_obs, k = xy.shape[0], xy.shape[1] - 1
+    dof, fit, se, classical_se = _fit(xy, spec, labels, d.n_regions, d.n_years)
+    # the response of the (possibly demeaned) LS problem, as a copy: a dot product
+    # along the buffer's strided column adds in another order
+    yf = np.ascontiguousarray(xy[:, -1])
+    if spec.region_effects:
+        # the buffer was demeaned in place: the raw design is built again, now that
+        # the QR's copies are freed, without a second weights check
+        del xy
+        xy = _design_arrays(d, spec, w)[0]
     n_absorbed = n_obs - k - dof  # the region effects the dof nets out
     ssr = float(fit.ssr)
     t_stats, p_values = _t_test(se, fit.coefficients, dof)
@@ -533,7 +556,7 @@ def fit_model(
     tss = float(y_center @ y_center)
     r2_within = 1.0 - ssr / tss if tss > 0 else 0.0
     # overall R^2: squared correlation of Xb with the raw response
-    r2_overall = _squared_correlation(X @ fit.coefficients, y)
+    r2_overall = _squared_correlation(xy[:, :-1] @ fit.coefficients, xy[:, -1])
 
     aic = float("-inf") if ssr <= 0 else n_obs * math.log(ssr / n_obs) + 2 * (k + n_absorbed)
 
@@ -568,8 +591,7 @@ def fit_block(d, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     p-value is computed.
     """
     n, t = len(d.region_ids), len(d.years)
-    X, y, labels = _design_arrays(d, spec, d)
+    xy, labels = _design_arrays(d, spec, d)
     del d  # the design is all of the block that the fit reads
-    X, y = _absorb(X, y, spec, n)  # frees the raw design
-    _, fit, se, _ = _fit(X, y, spec, labels, n, t)
+    _, fit, se, _ = _fit(xy, spec, labels, n, t)
     return fit.coefficients, se

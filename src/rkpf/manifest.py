@@ -72,7 +72,16 @@ def write_sidecar(path, sources: dict, layout: dict, **arrays) -> None:
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for key, array in members.items():
             with zf.open(zipfile.ZipInfo(f"{key}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+                _write_npy(fh, array)
+
+
+def _write_npy(fh, array: np.ndarray) -> None:
+    """The bytes np.lib.format.write_array writes for `array` in C order, from the
+    array's own memory: into a zip member, write_array stages the data in 16 MiB
+    copies. np.require keeps a 0-d array 0-d, where np.ascontiguousarray would not."""
+    array = np.require(array, requirements="C")
+    np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+    fh.write(memoryview(array))
 
 
 def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None):

@@ -7,6 +7,7 @@ validate_balanced certifies the panel complete; nothing is imputed.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -260,15 +261,42 @@ def descriptive_stats(d: PanelDataset, names: list[str]) -> dict[str, dict[str, 
         flat = arr[~np.isnan(arr)]
         if flat.size == 0:
             raise UnknownVariable(f"variable {name!r} has no observed values")
+        q1, median, q3 = _quartiles(flat)
         table[name] = {
             "min": float(flat.min()),
-            "q1": float(np.percentile(flat, 25)),
-            "median": float(np.percentile(flat, 50)),
+            "q1": q1,
+            "median": median,
             "mean": float(flat.mean()),
-            "q3": float(np.percentile(flat, 75)),
+            "q3": q3,
             "max": float(flat.max()),
         }
     return table
+
+
+def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
+    """The quartiles of values (no NaN), from one sort.
+
+    Each has the bits of np.percentile's linear method, which would load numpy.ma
+    and partition the values once per quartile. At the virtual index
+    v = (n - 1) q it takes the sorted values a and b at floor(v) and floor(v) + 1
+    and g = v - floor(v), and gives a + (b - a) g for g < 1/2, else
+    b - (b - a) (1 - g). Where v is the last index (n = 1), numpy reads both
+    values at index -1, so g = v + 1. Only where the values hold zeros of both
+    signs may the sign of a zero quartile differ: np.percentile's partition
+    orders them in its own way.
+    """
+    s = np.sort(values)
+    last = len(s) - 1
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        v = last * q
+        i = math.floor(v)
+        g = v - i
+        if v >= last:
+            i, g = last, v + 1
+        a, b = float(s[i]), float(s[min(i + 1, last)])
+        quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return tuple(quartiles)
 
 
 def render_stats_text(table: dict[str, dict[str, float]]) -> str:

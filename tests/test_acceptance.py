@@ -94,7 +94,7 @@ def test_criterion_02_within_equals_lsdv():
         design = build_design(d, ModelSpec("y", (Term("x1"), Term("x2"))))
         dummies = np.zeros((n * t, n))
         dummies[np.arange(n * t), np.repeat(np.arange(n), t)] = 1.0
-        lsdv = ols_fit(np.hstack([design.X, dummies]), design.y)
+        lsdv = ols_fit(np.column_stack([design.X, dummies, design.y]))
 
         assert abs(fe.coefficients["x1"] - lsdv.coefficients[0]) <= 1e-8
         assert abs(fe.coefficients["x2"] - lsdv.coefficients[1]) <= 1e-8
@@ -108,7 +108,7 @@ def test_criterion_03_least_squares_oracle():
         cols = int(rng.integers(1, 9))
         X = rng.normal(size=(rows, cols))
         y = rng.normal(size=rows)
-        fit = ols_fit(X, y)
+        fit = ols_fit(np.column_stack([X, y]))
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
         scale = max(1.0, float(np.max(np.abs(oracle))))
         assert np.max(np.abs(fit.coefficients - oracle)) / scale <= 1e-8
@@ -122,7 +122,7 @@ def test_criterion_04_cluster_robust_oracle():
     clusters = np.repeat([0, 1, 2], 4)
     X = np.column_stack([x, np.ones(12)])
 
-    fit = ols_fit(X, y)
+    fit = ols_fit(np.column_stack([X, y]))
     engine = cluster_robust_cov(fit, X, 3, 12 - 2)
 
     # oracle: explicit per-cluster outer products and the stated factor

@@ -1081,6 +1081,17 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
         assert _probe(code % (argv, engine)) == [want, []], argv
 
 
+def test_stats_loads_no_numpy_ma(tmp_path):
+    """stats takes its quartiles from one sort: np.percentile would load numpy.ma,
+    which no subcommand needs."""
+    sim = tmp_path / "sim"
+    assert run("simulate", "--seed", 7, "--output-dir", sim) == 0
+    argv = ["stats", "--bundle", str(sim), "--output-dir", str(tmp_path / "stats")]
+    code = f"from rkpf.cli import main\ncode = main({argv!r})\n" \
+        "print(json.dumps([code, 'numpy.ma' in sys.modules]))"
+    assert _probe(code) == [0, False]
+
+
 # Installed first on sys.meta_path, this finder refuses every top-level package but the
 # standard library, numpy, PyYAML and rkpf, as if nothing else were installed.
 _ONLY_DEPENDENCIES = """

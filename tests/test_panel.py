@@ -187,3 +187,30 @@ class TestDescriptiveStats:
     def test_unknown_variable(self, toy):
         with pytest.raises(UnknownVariable):
             descriptive_stats(toy, ["nope"])
+
+
+def _percentile_samples():
+    rng = np.random.default_rng(25)
+    yield "n1", np.array([3.5])
+    yield "n2", np.array([2.0, -1.0])
+    yield "n3", np.array([0.1, 0.7, 0.2])
+    yield "ties", np.array([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 9.0])
+    yield "all-equal", np.full(11, 0.3)
+    yield "infinite", np.array([1.0, 2.0, np.inf])
+    for i in range(100):
+        n = int(rng.integers(1, 40 if i % 2 else 5000))
+        values = rng.standard_cauchy(n) if i % 3 else rng.integers(-3, 4, n).astype(float)
+        yield f"random-{i}-{n}", values * 10.0 ** int(rng.integers(-8, 9))
+
+
+@pytest.mark.parametrize(
+    "values", [v for _, v in _percentile_samples()], ids=[i for i, _ in _percentile_samples()]
+)
+def test_quartiles_are_the_bits_of_np_percentile(values):
+    d = make_panel(["A"], range(len(values)), x=values[np.newaxis, :])
+    stats = descriptive_stats(d, ["x"])["x"]
+    got = np.array([stats["q1"], stats["median"], stats["q3"]])
+    with np.errstate(invalid="ignore"):  # inf - inf, in numpy's interpolation as in ours
+        want = np.array([np.percentile(values, q) for q in (25, 50, 75)])
+    assert got.tobytes() == want.tobytes()
+    assert (stats["min"], stats["max"]) == (values.min(), values.max())

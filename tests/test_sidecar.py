@@ -7,6 +7,7 @@ import io
 import json
 import shutil
 import tracemalloc
+import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from rkpf import indicators, panel, weights
 from rkpf.cli import main
 from rkpf.errors import DuplicateRow, EngineError, InvalidProfiles, InvalidWeights, MissingColumn
 from rkpf.indicators import Publications
-from rkpf.manifest import file_digest, sidecar_path
+from rkpf.manifest import file_digest, sidecar_path, write_sidecar
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
 from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
 from rkpf.weights import write_weights_files, write_weights_sidecar
@@ -519,6 +520,44 @@ def test_the_publications_sidecar_gives_back_the_counts(tmp_path_factory, listed
     indicators.write_incidence_sidecar(pubs, path, sources)
     assert indicators.read_incidence_sidecar(path, sources) == pubs.incidences
     assert indicators.read_incidence_sidecar(path, {**sources, "vocab_sha256": "b"}) is None
+
+
+def _members_are_write_array_bytes(npz: Path) -> dict:
+    """The arrays of npz by member name, after checking that each member's bytes are
+    what np.lib.format.write_array writes for the array it holds."""
+    arrays = {}
+    with zipfile.ZipFile(npz) as zf:
+        for name in zf.namelist():
+            member = zf.read(name)
+            array = np.lib.format.read_array(io.BytesIO(member), allow_pickle=False)
+            want = io.BytesIO()
+            np.lib.format.write_array(want, array, allow_pickle=False)
+            assert member == want.getvalue(), (npz.name, name)
+            arrays[name] = array
+    return arrays
+
+
+def test_sidecar_members_are_the_bytes_of_write_array(tmp_path):
+    """write_sidecar writes each member from the array's memory, with the header and
+    data bytes np.lib.format.write_array gives: for the dataset, weights and
+    incidence layouts, and for the 0-d digests, which stay 0-d."""
+    sim = _simulated(tmp_path / "simulated")
+    bundle = _ingest(_pubs_inputs(tmp_path / "pubs"), "bundle")
+    for npz in (sim / "dataset.npz", sim / "weights.npz", bundle / indicators.SIDECAR_NAME):
+        arrays = _members_are_write_array_bytes(npz)
+        digests = [a for name, a in arrays.items() if name.endswith("sha256.npy")]
+        assert digests and all(a.shape == () and a.dtype.kind == "U" for a in digests)
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+def test_a_sidecar_member_is_written_in_c_order_from_any_layout(tmp_path, order):
+    values = np.arange(24.0).reshape(4, 6)
+    values = {"C": values, "F": np.asfortranarray(values), "strided": values[::2, 1::2]}[order]
+    path = tmp_path / "x.npz"
+    write_sidecar(path, {"sha256": "0" * 64}, {"values": ("f", 2)}, values=values)
+    arrays = _members_are_write_array_bytes(path)
+    assert arrays["values.npy"].flags.c_contiguous
+    np.testing.assert_array_equal(arrays["values.npy"], values)
 
 
 def test_a_name_a_sidecar_would_not_give_back_leaves_none(tmp_path):

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from rkpf.estimation import build_design
 from rkpf.indicators import Publications
+from rkpf.simulate import DgpConfig, generate_panel
+from rkpf.suite import expand_notation
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -64,3 +67,20 @@ def test_the_arguments_the_counters_read_are_found():
 def test_publications_have_a_length():
     # indicators.records counts len() of what load_publications returns
     assert len(Publications(records=3)) == 3
+
+
+def test_the_design_counter_reads_a_real_design():
+    """_count_build_design reads X.shape, X.tobytes() and y.tobytes() of what
+    build_design returns, which are views of one [X y] buffer."""
+    g = generate_panel(DgpConfig(n_regions=12, n_years=5, seed=4))
+    designs = [build_design(g.dataset, expand_notation(tag, "classical"), g.weights)
+               for tag in ("fe.tw.q.sl", "fe.tw.q.sl", "ols.q")]
+    t = tracer.Tracer()
+    suite = t.begin("suite.run_suite")
+    for design in designs:
+        t._count_build_design({}, design)
+    t.end(suite)
+    assert t.counters["estimation.design_bytes"] == sum(
+        design.X.shape[0] * design.X.shape[1] * 8 for design in designs)
+    assert t.counters["suite.build_design_calls"] == 3
+    assert t.design_reuse() == 2 / 3  # the repeated design is one distinct design
