@@ -54,11 +54,14 @@ def _write_dataset(dataset, out: Path) -> None:
     write_panel_sidecar(dataset, path, write_panel_csv(dataset, path))
 
 
-def _write_weights(w, out: Path) -> None:
-    from .weights import write_weights_files, write_weights_sidecar
+def _write_weights(regions, blocks, out: Path) -> tuple[str, ...]:
+    """weights.csv, weights.json and the CSV's sidecar of W's rows in blocks; returns
+    the isolated regions."""
+    from .weights import write_weight_rows
 
-    path = out / "weights.csv"
-    write_weights_sidecar(w, path, write_weights_files(w, path, out / "weights.json"))
+    return write_weight_rows(
+        regions, blocks, out / "weights.csv", out / "weights.json", sidecar=True
+    )
 
 
 def _out_dir(args) -> Path:
@@ -113,11 +116,11 @@ def _bundle_regions(bundle: str, inputs: dict) -> tuple[str, ...]:
 
 
 def _load_weights(path, inputs: dict):
-    """The --weights file, or None without one."""
-    from .weights import load_weights_csv
+    """The --weights file for take_lags (see weights.open_weights), or None without one."""
+    from .weights import open_weights
 
     with _reading(inputs, path) as path:
-        return load_weights_csv(path, inputs) if path else None
+        return open_weights(path, inputs) if path else None
 
 
 def _name_list(raw: str, what: str) -> list[str]:
@@ -200,8 +203,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_weights(args) -> int:
     from .manifest import build_manifest
-    from .weights import build_profile_matrix, build_weights, correlation_matrix
-    from .weights import load_profiles_csv
+    from .weights import build_profile_matrix, load_profiles_csv, weight_rows
 
     out = _out_dir(args)
     if not (args.profiles or args.pubs):
@@ -231,12 +233,12 @@ def cmd_weights(args) -> int:
             regions = _bundle_regions(args.bundle, inputs) if args.bundle else None
             profiles = build_profile_matrix(incidences, vocabulary, regions)
 
-    w = build_weights(correlation_matrix(profiles), profiles.regions)
-    _write_weights(w, out)
+    # W is written as it is computed, block by block of rows: it is never whole
+    isolated = _write_weights(profiles.regions, weight_rows(profiles), out)
     _write_json(out / "manifest.json", build_manifest("weights", inputs))
     print(
         f"weights written to {out} "
-        f"({len(w.regions)} regions, {len(w.isolated)} isolated)"
+        f"({len(profiles.regions)} regions, {len(isolated)} isolated)"
     )
     return 0
 
@@ -253,7 +255,7 @@ def cmd_fit(args) -> int:
     inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
-        # W is read, lagged and dropped here: no name holds it during the fit
+        # the lags are taken here, from W's rows block by block: W is never whole
         dataset, [spec] = take_lags(dataset, [spec], _load_weights(args.weights, inputs))
         fit = fit_model(dataset, spec)
 
@@ -282,8 +284,7 @@ def cmd_suite(args) -> int:
     inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
-        # W goes in with no name here, so once run_suite has taken the lags and
-        # dropped its own reference, nothing holds W during the fits
+        # run_suite takes the lags first, from W's rows block by block
         table = run_suite(
             dataset, _load_weights(args.weights, inputs), tags, args.covariance,
             dual_errors=args.dual_errors,
@@ -312,7 +313,7 @@ def cmd_simulate(args) -> int:
         generated = generate_panel(cfg)
         _write_dataset(generated.dataset, out)
     write_profiles_csv(generated.profiles, out / "profiles.csv")
-    _write_weights(generated.weights, out)
+    _write_weights(generated.weights.regions, [generated.weights.w], out)
     cfg.to_yaml(out / "dgp.yaml")
     config_text = json.dumps(cfg.to_mapping(), sort_keys=True)
     _write_json(out / "manifest.json", build_manifest("simulate", inputs, config_text))

@@ -2,10 +2,11 @@
 
 Region effects are absorbed by within-group demeaning; time effects enter as
 explicit dummies with the first year as baseline. The least-squares core is
-one R-only QR of [X y]: build_design writes the design and the response into
+an R-only QR of [X y]: build_design writes the design and the response into
 one (N, k+1) buffer, within_transform demeans it in place and ols_fit
-factorises it as it is, so a fit holds no other copy of the design than the
-QR's own. Covariance is either classical or a cluster-by-region
+factorises it by blocks of QR_BLOCK_ROWS rows (a flat TSQR), so a fit holds
+no other copy of the design than one block, and the overall R^2 rebuilds the
+raw design by blocks of regions. Covariance is either classical or a cluster-by-region
 sandwich with the small-sample factor G/(G-1) * (N-1)/(N-K), where K counts
 fitted columns plus absorbed region effects (the same convention used for
 degrees of freedom and t-distribution p-values). Rows come as G region
@@ -23,8 +24,9 @@ QR and every check of a fit, in one order.
 
 W's only use in a fit is the thematic lags W x. take_lags takes every
 distinct lag of a list of specs once, as a variable of the dataset, and
-rewrites the specs to read it, so that a caller can drop the dense n x n W
-before the first fit (the CLI's fit and suite do).
+rewrites the specs to read it, so that no fit holds W: fit_model takes its
+spec's lags so, and the CLI's fit and suite take them from the weights file's
+sidecar by row blocks (weights.open_weights), so that W is never whole.
 
 The Student t distribution is computed here with numpy and math alone. A
 two-sided p-value is twice the density's integral from |t| to infinity, by
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +55,7 @@ from .errors import (
     ZeroDof,
 )
 from .panel import PanelDataset
-from .weights import SpatialWeights, first_cell, lag_values
+from .weights import SpatialWeights, StreamedWeights, first_cell, lag_values
 
 # Table-style significance thresholds: *** 0.01, ** 0.05, * 0.10
 STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
@@ -183,15 +186,16 @@ def _check_weights(d: PanelDataset, specs, w: SpatialWeights | None) -> None:
 
 
 def take_lags(
-    d: PanelDataset, specs, w: SpatialWeights | None
+    d: PanelDataset, specs, w: SpatialWeights | StreamedWeights | None
 ) -> tuple[PanelDataset, list[ModelSpec]]:
-    """The spatial lags of specs taken once, so that W may be dropped before any fit.
+    """The spatial lags of specs taken once, so that no fit needs W.
 
     Returns d with one variable per distinct lag term, named by its label
     (slFWCI), and the specs with each lag term replaced by the plain Term of
-    that name. term_values computes each lag as build_design would, so the
-    fits on the result give the same labels and the same numbers as fits on
-    (d, specs, w). A plain term may not share its name with a lag's label.
+    that name. Each lag is computed as term_values would, all in one pass over
+    W's rows (w.lags), so the fits on the result give the same labels and the
+    same numbers as fits on (d, specs, w). A plain term may not share its name
+    with a lag's label.
     """
     specs = list(specs)
     _check_weights(d, specs, w)
@@ -202,7 +206,12 @@ def take_lags(
     clash = [t.name for spec in specs for t in spec.regressors if not t.lag and t.name in labels]
     if clash:
         raise ValueError(f"variable {clash[0]!r} has the name of a spatial lag term")
-    lagged = {t.label: term_values(d, t, w) for t in lags}
+    # each lag's variable is checked (and squared) as term_values does, then all
+    # lags are taken in one pass over W's rows, and each is checked as term_values does
+    bases = [term_values(d, replace(t, lag=False), None) for t in lags]
+    lagged = dict(zip((t.label for t in lags), w.lags(bases)))
+    for label, values in lagged.items():
+        _finite(d, label, values)
     d = PanelDataset(d.region_ids, d.years, {**d.variables, **lagged})
     plain = [
         replace(spec, regressors=tuple(Term(t.label) if t.lag else t for t in spec.regressors))
@@ -234,7 +243,7 @@ def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, tuple[str, ...]]:
     if not labels:
         raise ValueError("empty design: no regressors, dummies, or intercept")
 
-    xy = np.ones((*lead, n * t, len(labels) + 1))  # the const column, if any, keeps its ones
+    xy = _mapped_ones((*lead, n * t, len(labels) + 1))  # a const column keeps its ones
     xy[..., -1] = y.reshape(*lead, -1)
     for j, term in enumerate(spec.regressors):
         xy[..., j] = term_values(d, term, w).reshape(*lead, -1)
@@ -242,6 +251,26 @@ def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, tuple[str, ...]]:
         k = len(spec.regressors)
         xy.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
     return xy, tuple(labels)
+
+
+# a design of at least this many bytes gets a memory map of its own (_mapped_ones)
+MAPPED_BYTES = 1 << 20
+
+
+def _mapped_ones(shape: tuple[int, ...]) -> np.ndarray:
+    """np.ones(shape); from MAPPED_BYTES on, in an anonymous memory map of its own,
+    whose pages go back to the system when the array is freed. malloc keeps a freed
+    array in its heap once its mmap threshold has risen past the array's size (it
+    rises to the size of each mapped block it frees), so a suite's designs of
+    varying widths would otherwise leave one design resident beside the next. A
+    small design, such as one Monte Carlo replication's, reuses the heap's pages
+    instead of faulting in new ones. tracemalloc does not see a map."""
+    size = math.prod(shape)
+    if 8 * size < MAPPED_BYTES:
+        return np.ones(shape)
+    ones = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+    ones[...] = 1.0
+    return ones.reshape(shape)
 
 
 def design_dof(spec: ModelSpec, n_regions: int, n_years: int, where: str = "") -> tuple[int, int]:
@@ -283,9 +312,28 @@ class OlsFit:
     xtx_inverse: np.ndarray  # (X'X)^-1 from the QR's R, shared by both covariances
 
 
+# Rows of [X y] per QR: a buffer of up to one block is one np.linalg.qr; a longer
+# one is factorised block by block, which copies one block at a time where one QR
+# copies the whole buffer twice, and whose R has the same bits whatever the BLAS
+# thread count (one QR of 40000 rows differs between 1 and 2 threads).
+QR_BLOCK_ROWS = 1000
+
+
+def _r_factor(xy: np.ndarray) -> np.ndarray:
+    """The R of an R-only QR of xy (..., N, k+1), as a flat TSQR (Demmel et al. 2012):
+    R of the first QR_BLOCK_ROWS rows, then for each later block R <- R of [R; block].
+    Leading axes stack problems, each split the same way, so that a problem's R has
+    the same bits stacked or alone."""
+    r = np.linalg.qr(xy[..., :QR_BLOCK_ROWS, :], mode="r")
+    for start in range(QR_BLOCK_ROWS, xy.shape[-2], QR_BLOCK_ROWS):
+        block = xy[..., start : start + QR_BLOCK_ROWS, :]
+        r = np.linalg.qr(np.concatenate([r, block], axis=-2), mode="r")
+    return r
+
+
 def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
-    """Least squares of y on X from one R-only QR of the [X y] buffer xy (..., N, k+1),
-    whose last column is y; rank deficiency is a hard error.
+    """Least squares of y on X from an R-only QR of the [X y] buffer xy (..., N, k+1),
+    whose last column is y, by row blocks (_r_factor); rank deficiency is a hard error.
 
     R's leading k x k block is the R of X and its column k is Q'y, so Q is
     never formed. The first column whose R diagonal collapses is reported as
@@ -299,7 +347,7 @@ def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
         raise ValueError(f"need at least as many rows as columns of X, got [X y] {xy.shape}")
     X, y = xy[..., :-1], xy[..., -1]
     k = X.shape[-1]
-    r_xy = np.linalg.qr(xy, mode="r")
+    r_xy = _r_factor(xy)
     r = r_xy[..., :k, :k]
     diag = np.abs(np.einsum("...ii->...i", r))
     scale = diag.max(axis=-1, initial=0.0, keepdims=True)
@@ -341,7 +389,8 @@ def cluster_robust_cov(fit: OlsFit, X: np.ndarray, n_regions: int, dof: int) -> 
     X4 = np.asarray(X).reshape(*lead, g, -1, k)
     residuals = fit.residuals.reshape(*lead, g, -1, 1)
     scores = (np.swapaxes(X4, -1, -2) @ residuals)[..., 0]
-    meat = (scores[..., :, np.newaxis] * scores[..., np.newaxis, :]).sum(axis=-3)
+    # the sum of the G outer products, with no (..., G, k, k) temporary
+    meat = np.einsum("...gi,...gj->...ij", scores, scores, optimize=False)
     factor = (g / (g - 1)) * ((n - 1) / dof)
     return factor * fit.xtx_inverse @ meat @ fit.xtx_inverse
 
@@ -526,22 +575,26 @@ def fit_model(
 ) -> FitResult:
     """Estimate a ModelSpec: design -> (demean) -> QR least squares -> inference.
 
-    The result carries the spec's errors and, from the same (X'X)^-1, the
+    The spec's lags are taken first (take_lags), so the design is built from plain
+    columns. The result carries the spec's errors and, from the same (X'X)^-1, the
     classical ones.
     """
-    design = build_design(d, spec, w)
+    d, [plain] = take_lags(d, [spec], w)
+    del w
+    design = build_design(d, plain)
     xy, labels = design.xy, design.column_labels
     del design  # xy is then the one reference to the buffer
     n_obs, k = xy.shape[0], xy.shape[1] - 1
-    dof, fit, se, classical_se = _fit(xy, spec, labels, d.n_regions, d.n_years)
+    dof, fit, se, classical_se = _fit(xy, plain, labels, d.n_regions, d.n_years)
     # the response of the (possibly demeaned) LS problem, as a copy: a dot product
     # along the buffer's strided column adds in another order
     yf = np.ascontiguousarray(xy[:, -1])
     if spec.region_effects:
-        # the buffer was demeaned in place: the raw design is built again, now that
-        # the QR's copies are freed, without a second weights check
+        # the buffer was demeaned in place: X b and y of the raw design instead
         del xy
-        xy = _design_arrays(d, spec, w)[0]
+        fitted, y_raw = _raw_fitted(d, plain, fit.coefficients)
+    else:
+        fitted, y_raw = xy[:, :-1] @ fit.coefficients, xy[:, -1]
     n_absorbed = n_obs - k - dof  # the region effects the dof nets out
     ssr = float(fit.ssr)
     t_stats, p_values = _t_test(se, fit.coefficients, dof)
@@ -556,7 +609,7 @@ def fit_model(
     tss = float(y_center @ y_center)
     r2_within = 1.0 - ssr / tss if tss > 0 else 0.0
     # overall R^2: squared correlation of Xb with the raw response
-    r2_overall = _squared_correlation(xy[:, :-1] @ fit.coefficients, xy[:, -1])
+    r2_overall = _squared_correlation(fitted, y_raw)
 
     aic = float("-inf") if ssr <= 0 else n_obs * math.log(ssr / n_obs) + 2 * (k + n_absorbed)
 
@@ -579,6 +632,23 @@ def fit_model(
         classical_std_errors=dict(zip(labels, map(float, classical_se))),
         classical_p_values=dict(zip(labels, map(float, classical_p))),
     )
+
+
+def _raw_fitted(d: PanelDataset, spec: ModelSpec, coefficients: np.ndarray):
+    """(X b, y) of spec's raw design on d, whose spec has no lag: the design is built
+    again over blocks of regions of up to QR_BLOCK_ROWS rows, so no second whole
+    design is held. A blocked X b has the bits of the whole product."""
+    regions = max(1, QR_BLOCK_ROWS // d.n_years)
+    fitted, y = [], []
+    for start in range(0, d.n_regions, regions):
+        rows = slice(start, start + regions)
+        part = PanelDataset(
+            d.region_ids[rows], d.years, {name: v[rows] for name, v in d.variables.items()}
+        )
+        xy = _design_arrays(part, spec, None)[0]
+        fitted.append(xy[:, :-1] @ coefficients)
+        y.append(xy[:, -1].copy())  # a view would keep the block's buffer
+    return np.concatenate(fitted), np.concatenate(y)
 
 
 def fit_block(d, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:

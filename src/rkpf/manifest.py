@@ -10,6 +10,11 @@ the engine writes and later reads back has its sidecar beside it, `<stem>.npz`,
 keyed by the CSV alone; the incidence counts of a publications file sit in the
 bundle apart from their sources, keyed by the publications file and the
 vocabulary it was checked against.
+
+A sidecar member too large to hold whole (the weights matrix) is written by
+rows while its CSV is (RowsSidecar) and read back by rows (read_csv_sidecar
+with `by_rows`, then sidecar_rows); zipfile checks a member's CRC as its last
+byte is read.
 """
 from __future__ import annotations
 
@@ -23,6 +28,8 @@ import numpy as np
 DIGEST_KEY = "sha256"
 # a fixed member time, so that the same arrays give the same sidecar bytes
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
+# bytes per read of a member read by rows
+_CHUNK = 1 << 18
 
 
 def _stream_digest(fh) -> str:
@@ -71,8 +78,13 @@ def write_sidecar(path, sources: dict, layout: dict, **arrays) -> None:
     members.update({key: np.array(digest) for key, digest in sources.items()})
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for key, array in members.items():
-            with zf.open(zipfile.ZipInfo(f"{key}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
+            with _member(zf, key) as fh:
                 _write_npy(fh, array)
+
+
+def _member(zf: zipfile.ZipFile, key: str):
+    """The member of `key`, opened for writing."""
+    return zf.open(zipfile.ZipInfo(f"{key}.npy", _ZIP_TIME), "w", force_zip64=True)
 
 
 def _write_npy(fh, array: np.ndarray) -> None:
@@ -84,12 +96,75 @@ def _write_npy(fh, array: np.ndarray) -> None:
     fh.write(memoryview(array))
 
 
-def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None):
+class RowsSidecar:
+    """The sidecar of a CSV still being written, whose 2-D float64 member `key` is
+    written by rows: `arrays` go in at once, then write(rows) adds key's rows in
+    order, then finish(digest) adds the CSV's sha256 once the CSV is complete. The
+    members are those of write_csv_sidecar, in the same order, with the same bytes.
+
+    close() removes a sidecar that was not finished, so that none is left for a CSV
+    that failed; where an array of `arrays` does not fit `layout`, no sidecar is
+    written at all, and a stale one is removed.
+    """
+
+    def __init__(self, csv_path, layout: dict, key: str, shape: tuple, **arrays):
+        self.path = sidecar_path(csv_path)
+        self.shape, self.done = tuple(shape), 0
+        members = {name: np.asarray(value) for name, value in arrays.items()}
+        self.zf = self.fh = None
+        if not all(_fits(array, *layout[name]) for name, array in members.items()):
+            self.path.unlink(missing_ok=True)
+            return
+        self.zf = zipfile.ZipFile(self.path, "w", zipfile.ZIP_STORED)
+        try:
+            for name, array in members.items():
+                with _member(self.zf, name) as fh:
+                    _write_npy(fh, array)
+            self.fh = _member(self.zf, key)
+            header = {"descr": "<f8", "fortran_order": False, "shape": self.shape}
+            np.lib.format.write_array_header_1_0(self.fh, header)
+        except BaseException:
+            self.close()
+            raise
+
+    def write(self, rows: np.ndarray) -> None:
+        """Append rows (r, shape[1]) of the member."""
+        if self.fh is not None:
+            rows = np.require(rows, dtype="<f8", requirements="C")
+            self.fh.write(memoryview(rows))
+            self.done += len(rows)
+
+    def finish(self, digest: str) -> None:
+        """Add the CSV's sha256, once every row is written, and close the sidecar."""
+        if self.fh is None:
+            return
+        if self.done != self.shape[0]:
+            raise ValueError(f"{self.done} of {self.shape[0]} rows written to {self.path}")
+        self.fh.close()
+        self.fh = None
+        with _member(self.zf, DIGEST_KEY) as fh:
+            _write_npy(fh, np.array(digest))
+        self.zf.close()
+        self.zf = None
+
+    def close(self) -> None:
+        """Remove the sidecar, unless finish() completed it."""
+        if self.zf is not None:
+            if self.fh is not None:
+                self.fh.close()
+            self.zf.close()
+            self.zf = self.fh = None
+            self.path.unlink(missing_ok=True)
+
+
+def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None, by_rows=None):
     """The arrays of the sidecar at `path` by key, if it records exactly `sources`
     (key -> sha256 of the source file as it is now) and holds the keys of `layout`,
     each of the (dtype kind, ndim) given there; otherwise None, and the caller
     reads the sources.
 
+    `by_rows`, a key of layout for a 2-D float64 member, leaves that member unread:
+    in its place the arrays hold its shape, and sidecar_rows reads its rows.
     `digests`, if given, receives the sidecar's own sha256 under its path when it
     was opened, whether or not it is used.
     """
@@ -105,19 +180,77 @@ def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None)
             if digests is not None:
                 digests[str(path)] = own
             fh.seek(0)
-            with np.load(fh, allow_pickle=False) as npz:
-                if sorted(npz.files) != sorted([*sources, *layout]):
+            with zipfile.ZipFile(fh) as zf:
+                names = [*sources, *layout]
+                if sorted(zf.namelist()) != sorted(f"{key}.npy" for key in names):
                     return None
-                for key, digest in sources.items():
-                    recorded = npz[key]
-                    if not (_fits(recorded, "U", 0) and recorded.item() == digest):
-                        return None
-                arrays = {key: npz[key] for key in layout}
+                if not all(_recorded(zf, key) == digest for key, digest in sources.items()):
+                    return None
+                arrays = {key: _read_member(zf, key) for key in layout if key != by_rows}
+                if by_rows is not None:
+                    with zf.open(f"{by_rows}.npy") as member:
+                        arrays[by_rows] = _float_rows_header(member)
     except Exception:
         return None
-    if not all(_fits(arrays[key], *layout[key]) for key in layout):
+    if not all(_fits(arrays[key], *layout[key]) for key in layout if key != by_rows):
         return None
     return arrays
+
+
+def _read_member(zf: zipfile.ZipFile, key: str) -> np.ndarray:
+    with zf.open(f"{key}.npy") as member:
+        return np.lib.format.read_array(member, allow_pickle=False)
+
+
+def _recorded(zf: zipfile.ZipFile, key: str):
+    """The digest a member records, or None where it is no 0-d string."""
+    recorded = _read_member(zf, key)
+    return recorded.item() if _fits(recorded, "U", 0) else None
+
+
+def _float_rows_header(member) -> tuple[int, int]:
+    """The shape of the 2-D C-order float64 npy stream `member`, left at its data;
+    ValueError for any other array."""
+    version = np.lib.format.read_magic(member)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
+    else:
+        raise ValueError(f"npy format {version}")
+    if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
+        raise ValueError(f"not 2-D C-order float64 rows: {dtype}, {shape}")
+    return shape
+
+
+def sidecar_rows(csv_path, key: str, digest: str, block_rows: int):
+    """The rows of the 2-D float64 member `key` of csv_path's sidecar, in blocks of up
+    to block_rows: a generator that reads each block as it is resumed, once it has
+    found the sidecar to record `digest` for the CSV.
+
+    Every block is a view of one buffer, valid until the next block is read, and is
+    read into it _CHUNK bytes at a time: one read of a whole block from a zip member
+    can copy it, and a new array per block leaves the process's heap grown by two.
+
+    zipfile checks the member's CRC as its last block is read, so rows are only to
+    be trusted once the generator is exhausted. Any fault raises: zipfile.BadZipFile,
+    KeyError, OSError or ValueError.
+    """
+    with zipfile.ZipFile(sidecar_path(csv_path)) as zf:
+        if _recorded(zf, DIGEST_KEY) != digest:
+            raise ValueError(f"{sidecar_path(csv_path)} is not the sidecar of {digest}")
+        with zf.open(f"{key}.npy") as member:
+            n, m = _float_rows_header(member)
+            buffer = np.empty((min(block_rows, n), m), dtype="<f8")
+            for start in range(0, n, block_rows):
+                rows = buffer[: min(block_rows, n - start)]
+                view = memoryview(rows).cast("B")
+                for at in range(0, len(view), _CHUNK):
+                    data = member.read(min(_CHUNK, len(view) - at))
+                    view[at : at + _CHUNK] = data  # a short read fails here
+                yield rows
+            if member.read(1):
+                raise ValueError(f"{key}.npy holds more than {n} x {m} values")
 
 
 def write_csv_sidecar(csv_path, digest: str, layout: dict, **arrays) -> None:
@@ -126,11 +259,13 @@ def write_csv_sidecar(csv_path, digest: str, layout: dict, **arrays) -> None:
     write_sidecar(sidecar_path(csv_path), {DIGEST_KEY: digest}, layout, **arrays)
 
 
-def read_csv_sidecar(csv_path, layout: dict, digests: dict | None = None):
+def read_csv_sidecar(csv_path, layout: dict, digests: dict | None = None, by_rows=None):
     """read_sidecar of csv_path's sidecar beside it, keyed by the CSV's sha256, which
-    `digests` (if given) receives under the CSV's path."""
+    `digests` (if given) receives under the CSV's path; the arrays then also hold
+    that sha256 under DIGEST_KEY."""
     sources = {DIGEST_KEY: recorded_digest(csv_path, digests)}
-    return read_sidecar(sidecar_path(csv_path), sources, layout, digests)
+    arrays = read_sidecar(sidecar_path(csv_path), sources, layout, digests, by_rows)
+    return None if arrays is None else {**arrays, **sources}
 
 
 def build_manifest(command: str, input_paths: dict, config_text: str = "") -> dict:

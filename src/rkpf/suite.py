@@ -24,7 +24,7 @@ from .estimation import (
 )
 from .panel import PanelDataset
 from .runtime import parallel_map
-from .weights import SpatialWeights
+from .weights import SpatialWeights, StreamedWeights
 
 TOKENS = ("ols", "fe", "ow", "tw", "q", "sl", "a", "non", "noq")
 
@@ -165,7 +165,7 @@ class ComparisonTable:
 
 def run_suite(
     d: PanelDataset,
-    w: SpatialWeights | None,
+    w: SpatialWeights | StreamedWeights | None,
     tags,
     covariance: str = "cluster_by_region",
     dual_errors: bool = False,

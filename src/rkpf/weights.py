@@ -6,10 +6,16 @@ with its diagonal zeroed, negative entries clamped to zero (negatively
 correlated regions are treated as neutral), and rows standardized to sum to
 one. Rows that clamp to all zeros are isolated and keep zero spatial lags.
 
-W is dense, n x n, and is held once: build_weights turns the correlation
-matrix into W in place, and SpatialWeights freezes the array it is given
-rather than copying it. The thematic lags W x are its only use in a fit
-(estimation.take_lags), so the CLI's fit and suite drop W once they are taken.
+W is dense, n x n, and every step of it is row-local: a block of W's rows is
+the correlations of those regions' profiles with all regions, clamped and
+standardized (weight_rows), and a block of rows lags each region of it
+(lag_rows). So the CLI never holds W whole: weights writes it block by block
+to weights.csv, weights.json and its sidecar (write_weight_rows), and fit and
+suite take the lags from the sidecar block by block (open_weights), where W's
+only use in a fit is the thematic lags W x (estimation.take_lags). A block is
+about W_BLOCK_BYTES. The whole-matrix calls (correlation_matrix,
+build_weights, SpatialWeights and simulate's weights) are the one-block case,
+and a W that fits one block is that one product in the CLI too.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -30,10 +37,12 @@ from .errors import (
     RegionOrderMismatch,
     UnknownSubjectArea,
 )
-from .manifest import read_csv_sidecar, write_csv_sidecar
+from .manifest import DIGEST_KEY, RowsSidecar, read_csv_sidecar, sidecar_rows
 from .tables import check_names, format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
+# about 4 MB of W's rows per block: 256 rows at 2000 regions
+W_BLOCK_BYTES = 4 << 20
 # (dtype kind, ndim) of each array of a weights sidecar
 SIDECAR_LAYOUT = {"regions": ("U", 1), "w": ("f", 2)}
 
@@ -86,6 +95,13 @@ class SpatialWeights:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
 
+    def lags(self, values: list) -> list:
+        """lag_values of each (n, T) array of values, by the row blocks that
+        StreamedWeights reads, so that both give the same bits."""
+        n = len(self.regions)
+        step = weight_block_rows(n)
+        return lag_rows((self.w[start : start + step] for start in range(0, n, step)), values)
+
 
 def first_cell(mask: np.ndarray) -> tuple[int, ...]:
     """The index of the first True cell of mask, leading axes first."""
@@ -107,28 +123,50 @@ def check_profile_rows(regions, shares: np.ndarray) -> None:
         )
 
 
-def check_weight_rows(regions, w: np.ndarray) -> np.ndarray:
-    """The row sums of w (..., n, n), once every matrix of the stack is checked to be
-    finite and nonnegative with a zero diagonal, each row summing to 0 or 1; else
-    InvalidWeights, naming the first failing row by its region in regions."""
-    # whole-array reductions, with no n x n temporary: NaN fails the first test,
+def weight_block_rows(n: int) -> int:
+    """Rows of an n x n W per block: all n where W fits W_BLOCK_BYTES, else about
+    W_BLOCK_BYTES of rows, a multiple of 64."""
+    if n * n * 8 <= W_BLOCK_BYTES:
+        return max(n, 1)
+    return max(64, W_BLOCK_BYTES // (8 * n) // 64 * 64)
+
+
+def _diagonal(rows: np.ndarray, start: int) -> np.ndarray:
+    """A view of the cells of W's diagonal in rows (..., r, n), W's rows start:start + r."""
+    return np.einsum("...ii->...i", rows[..., start : start + rows.shape[-2]])
+
+
+def check_weight_rows(regions, w: np.ndarray, start: int = 0) -> np.ndarray:
+    """The row sums of w (..., r, n), W's rows start:start + r (all of a square w by
+    default), once every matrix of the stack is checked to be finite and nonnegative
+    with a zero diagonal, each row summing to 0 or 1; else InvalidWeights, naming the
+    first failing row by its region in regions."""
+    # whole-array reductions, with no r x n temporary: NaN fails the first test,
     # and initial=0.0 lets an empty matrix pass
     if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < np.inf):
         bad = ~np.isfinite(w) | (w < 0)  # built only to name the row
         raise InvalidWeights(
-            f"row for {regions[first_cell(bad.any(axis=-1))[-1]]!r} has a negative or "
-            "non-finite weight"
+            f"row for {regions[start + first_cell(bad.any(axis=-1))[-1]]!r} has a negative "
+            "or non-finite weight"
         )
-    if np.any(np.einsum("...ii->...i", w) != 0):
+    if np.any(_diagonal(w, start) != 0):
         raise InvalidWeights("weights diagonal must be exactly zero")
     sums = w.sum(axis=-1)
     ok = (sums == 0) | (np.abs(sums - 1.0) <= _ROW_SUM_TOL)
     if not ok.all():
         at = first_cell(~ok)
         raise InvalidWeights(
-            f"row for {regions[at[-1]]!r} sums to {sums[at]}, expected 0 or 1"
+            f"row for {regions[start + at[-1]]!r} sums to {sums[at]}, expected 0 or 1"
         )
     return sums
+
+
+def _check_dimensions(shares: np.ndarray) -> None:
+    n, s = shares.shape
+    if n < 2 or s < 2:
+        raise DegenerateDimensions(
+            f"need at least 2 regions and 2 subject areas, got {n} x {s}"
+        )
 
 
 def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
@@ -137,26 +175,24 @@ def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
     Zero-variance rows (uniform profiles) correlate 0 with everything,
     themselves included; positive-variance rows keep diagonal 1.
     """
-    n, s = m.shares.shape
-    if n < 2 or s < 2:
-        raise DegenerateDimensions(
-            f"need at least 2 regions and 2 subject areas, got {n} x {s}"
-        )
+    _check_dimensions(m.shares)
     return profile_correlations(m.shares)
 
 
-def profile_correlations(shares: np.ndarray) -> np.ndarray:
-    """correlation_matrix of each (n, S) share matrix of a stack (..., n, S)."""
+def profile_correlations(shares: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start:stop (all by default) of correlation_matrix of each (n, S) share
+    matrix of a stack (..., n, S)."""
     centered = shares - shares.mean(axis=-1, keepdims=True)
     norms = np.sqrt((centered**2).sum(axis=-1))
     degenerate = norms == 0
     safe = np.where(degenerate, 1.0, norms)
     unit = centered / safe[..., np.newaxis]
-    corr = unit @ np.swapaxes(unit, -1, -2)
-    corr[degenerate] = 0.0  # rows, then columns, with no n x n mask
+    corr = unit[..., start:stop, :] @ np.swapaxes(unit, -1, -2)
+    rows = degenerate[..., start:stop]
+    corr[rows] = 0.0  # rows, then columns, with no r x n mask
     np.swapaxes(corr, -1, -2)[degenerate] = 0.0
     np.clip(corr, -1.0, 1.0, out=corr)
-    np.einsum("...ii->...i", corr)[~degenerate] = 1.0
+    _diagonal(corr, start)[~rows] = 1.0
     return corr
 
 
@@ -177,13 +213,28 @@ def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
     return SpatialWeights(tuple(regions), standardize_rows(w))
 
 
-def standardize_rows(w: np.ndarray) -> np.ndarray:
-    """build_weights' arithmetic on a writeable stack (..., n, n), in place; returns w."""
-    np.einsum("...ii->...i", w)[...] = 0.0
+def standardize_rows(w: np.ndarray, start: int = 0) -> np.ndarray:
+    """build_weights' arithmetic on a writeable stack (..., r, n) of W's rows
+    start:start + r (all of a square w by default), in place; returns w."""
+    _diagonal(w, start)[...] = 0.0
     np.clip(w, 0.0, None, out=w)
     sums = w.sum(axis=-1)
     w /= np.where(sums > 0, sums, 1.0)[..., np.newaxis]  # x / 1.0 == x: a zero row stays zero
     return w
+
+
+def weight_rows(m: ThematicProfileMatrix):
+    """build_weights(correlation_matrix(m)).w as blocks of weight_block_rows rows, in
+    order: each is correlation rows against all regions, then clamped and
+    standardized, which is row-local. A W that fits one block is that one product.
+    DegenerateDimensions is raised here, before any block."""
+    _check_dimensions(m.shares)
+    n = len(m.regions)
+    step = weight_block_rows(n)
+    return (
+        standardize_rows(profile_correlations(m.shares, start, start + step), start)
+        for start in range(0, n, step)
+    )
 
 
 def build_profile_matrix(
@@ -232,6 +283,20 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
     return w.w @ values
 
 
+def lag_rows(blocks, values: list) -> list:
+    """The lag of each (..., n, T) array of values, from W's rows given as blocks
+    (..., r, n) in order that cover all n rows: rows a:b of a lag are W[a:b] @ v. The
+    lags of a W in one block are lag_values'."""
+    lagged = [np.empty_like(v) for v in values]
+    start = 0
+    for rows in blocks:
+        stop = start + rows.shape[-2]
+        for out, v in zip(lagged, values):
+            out[..., start:stop, :] = rows @ v
+        start = stop
+    return lagged
+
+
 # ---------------------------------------------------------------------------
 # i/o
 # ---------------------------------------------------------------------------
@@ -245,36 +310,68 @@ def _json_array(items, depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
-def write_weights_files(w: SpatialWeights, csv_path, json_path) -> str:
-    """weights.csv and weights.json in one pass, formatting each weight once.
+def _checked_rows(regions, blocks):
+    """(first row, block, its row sums) of each block (r, n) of W's rows, in order,
+    once check_weight_rows has checked it; ValueError unless the blocks are the
+    n x n W of the n regions."""
+    n, start = len(regions), 0
+    for rows in blocks:
+        if rows.shape[-1] != n:
+            raise ValueError(f"weights rows of {rows.shape[-1]} columns for {n} regions")
+        sums = check_weight_rows(regions, rows, start)
+        yield start, rows, sums
+        start += rows.shape[0]
+        del rows  # before the next block is computed
+    if start != n:
+        raise ValueError(f"{start} rows of weights for {n} regions")
+
+
+def write_weight_rows(regions, blocks, csv_path, json_path, sidecar: bool = False):
+    """weights.csv and weights.json of W, and with `sidecar` the CSV's sidecar, in one
+    pass over W's rows, given as blocks (r, n) in order; each weight is formatted
+    once, and each block is checked as SpatialWeights checks W. Returns the isolated
+    regions, sorted.
 
     The CSV is a dense matrix with a region header row and column; the JSON
     equals json.dump({"regions", "w", "isolated"}, indent=2) plus a newline,
-    byte for byte. Both are written row by row, and neither where write_table
-    refuses the header. Returns the sha256 of the CSV as written.
+    byte for byte. All are written row by row, and none where write_table refuses
+    the header. The sidecar's members are regions, w and last the CSV's sha256.
     """
+    regions = tuple(regions)
+    n = len(regions)
+    isolated = []
+    opened = []  # the sidecar, once write_table has checked the header
 
     def rows():
         # write_table draws the first row once it has checked the header; each
         # row's JSON block is written as it draws the row's cells
-        with open(json_path, "w", encoding="utf-8", newline="") as fh:
-            regions = _json_array(list(map(json.dumps, w.regions)), 1)
-            fh.write('{\n  "regions": ' + regions + ',\n  "w": [')
-            for i, (region, formatted) in enumerate(zip(w.regions, format_rows(w.w))):
+        fh = files.enter_context(open(json_path, "w", encoding="utf-8", newline=""))
+        if sidecar:
+            npz = RowsSidecar(csv_path, SIDECAR_LAYOUT, "w", (n, n), regions=regions)
+            opened.append(files.enter_context(contextlib.closing(npz)))
+        names = _json_array(list(map(json.dumps, regions)), 1)
+        fh.write('{\n  "regions": ' + names + ',\n  "w": [')
+        for start, block, sums in _checked_rows(regions, blocks):
+            isolated.extend(regions[start + i] for i in np.flatnonzero(sums == 0).tolist())
+            for npz in opened:
+                npz.write(block)
+            for i, formatted in enumerate(format_rows(block), start):
                 fh.write(("," if i else "") + "\n    " + _json_array(formatted, 2))
-                yield (region,), formatted
-            isolated = sorted(w.regions[i] for i in w.isolated)
-            fh.write(("\n  ]" if w.regions else "]") + ',\n  "isolated": ')
-            fh.write(_json_array(list(map(json.dumps, isolated)), 1) + "\n}\n")
+                yield (regions[i],), formatted
+            del block  # before the next block is computed
+        fh.write(("\n  ]" if regions else "]") + ',\n  "isolated": ')
+        fh.write(_json_array(list(map(json.dumps, sorted(isolated))), 1) + "\n}\n")
 
-    with contextlib.closing(rows()) as body:  # closes weights.json if write_table fails
-        return write_table(csv_path, ["region", *w.regions], body)
+    with contextlib.ExitStack() as files:  # closes weights.json, and an unfinished sidecar
+        digest = write_table(csv_path, ["region", *regions], rows())
+        for npz in opened:
+            npz.finish(digest)
+    return tuple(sorted(isolated))
 
 
-def write_weights_sidecar(w: SpatialWeights, csv_path, digest: str) -> None:
-    """The sidecar of the weights CSV that write_weights_files wrote to csv_path,
-    returning `digest`."""
-    write_csv_sidecar(csv_path, digest, SIDECAR_LAYOUT, regions=w.regions, w=w.w)
+def write_weights_files(w: SpatialWeights, csv_path, json_path, sidecar: bool = False) -> None:
+    """write_weight_rows of a whole W."""
+    write_weight_rows(w.regions, [w.w], csv_path, json_path, sidecar)
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:
@@ -301,16 +398,68 @@ def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndar
 
 def load_weights_csv(path, digests: dict | None = None) -> SpatialWeights:
     """Load a dense weights CSV, from its sidecar when one records the CSV's digest
-    (see write_weights_sidecar). `digests`, if given, receives the sha256 of each
+    (see write_weight_rows). `digests`, if given, receives the sha256 of each
     file read, by path."""
     arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests)
     if arrays is not None:
         with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
             return SpatialWeights(tuple(arrays["regions"].tolist()), arrays["w"])
+    return _load_text(path)
+
+
+def _load_text(path) -> SpatialWeights:
     columns, regions, w = _read_region_matrix(path)
     if regions != columns:
         raise RegionOrderMismatch(f"{path}: row and column region order differ")
     return SpatialWeights(regions, w)
+
+
+def open_weights(path, digests: dict | None = None):
+    """The weights CSV at path, for estimation.take_lags, with W never whole: a
+    StreamedWeights where its sidecar records the CSV's digest and holds the weights
+    layout with an n x n float64 W for its n regions; otherwise the SpatialWeights
+    that load_weights_csv parses from the text. `digests`, if given, receives the
+    sha256 of each file read, by path."""
+    arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests, by_rows="w")
+    if arrays is not None:
+        regions = tuple(arrays["regions"].tolist())
+        with contextlib.suppress(InvalidWeights):
+            check_names(regions, InvalidWeights, "region")
+            if arrays["w"] == (len(regions), len(regions)):
+                return StreamedWeights(Path(path), regions, arrays[DIGEST_KEY])
+    return _load_text(path)
+
+
+@dataclass(frozen=True)
+class StreamedWeights:
+    """A weights CSV whose sidecar open_weights found usable: its regions, and its
+    lags taken from the sidecar's W by blocks of weight_block_rows rows.
+
+    Each block is checked as SpatialWeights checks W. The lags are trusted only once
+    the last block is read, when zipfile has checked the member's CRC; on any
+    failure they are discarded and taken from the CSV as load_weights_csv parses it.
+    """
+
+    path: Path
+    regions: tuple[str, ...]
+    digest: str  # the CSV's sha256, which the sidecar records
+
+    def lags(self, values: list) -> list:
+        """lag_values of each (n, T) array of values."""
+        n = len(self.regions)
+        blocks = sidecar_rows(self.path, "w", self.digest, weight_block_rows(n))
+        # a sidecar is a cache of the CSV: whatever is wrong with it, the CSV is read
+        with contextlib.suppress(Exception), contextlib.closing(blocks):
+            return lag_rows((rows for _, rows, _ in _checked_rows(self.regions, blocks)), values)
+        try:
+            w = _load_text(self.path)
+            if w.regions != self.regions:
+                raise RegionOrderMismatch("weights regions do not match dataset regions")
+        except EngineError as exc:  # named by this file, as the CLI names a loader's errors
+            if str(exc).startswith(f"{self.path}:"):
+                raise
+            raise type(exc)(f"{self.path}: {exc}") from None
+        return w.lags(values)
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:

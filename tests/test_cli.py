@@ -327,16 +327,18 @@ class TestFit:
     ],
 )
 def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatch, argv):
-    """fit and suite take the spatial lags once and release W before the first QR."""
+    """fit and suite take the spatial lags once and release W before the first QR,
+    where W is parsed whole from a weights CSV without a sidecar."""
     import weakref
 
     import rkpf.estimation
     import rkpf.weights
 
     loaded = []
+    load_text = rkpf.weights._load_text
 
     def loading(*args, **kwargs):
-        w = load_weights_csv(*args, **kwargs)
+        w = load_text(*args, **kwargs)
         loaded.append((weakref.ref(w), weakref.ref(w.w)))
         return w
 
@@ -347,7 +349,7 @@ def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatc
         held.append([ref() is not None for ref in loaded[0]])
         return ols_fit(*args, **kwargs)
 
-    monkeypatch.setattr(rkpf.weights, "load_weights_csv", loading)
+    monkeypatch.setattr(rkpf.weights, "_load_text", loading)
     monkeypatch.setattr(rkpf.estimation, "ols_fit", fitting)
     weights = model_bundle / "weights.csv"
     assert run(*argv, "--bundle", model_bundle, "--weights", weights,

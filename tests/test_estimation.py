@@ -1,12 +1,18 @@
 """Design construction, within/LSDV estimation, and covariance oracles."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import rkpf
+from rkpf.cli import BLAS_THREAD_VARIABLES
 from rkpf.errors import (
     MissingWeights,
     RankDeficient,
@@ -16,6 +22,8 @@ from rkpf.errors import (
 )
 from rkpf.choices import COVARIANCE_KINDS, MAIN_TAGS
 from rkpf.estimation import (
+    MAPPED_BYTES,
+    QR_BLOCK_ROWS,
     ModelSpec,
     OlsFit,
     Term,
@@ -636,7 +644,8 @@ class TestFitModel:
 
 def copied_fit(X, y, n_regions: int, region_effects: bool):
     """The least-squares fit by the route that copies the design: demeaned copies of
-    X (..., N, k) and y (..., N), np.concatenate of [X y] and np.linalg.qr of that.
+    X (..., N, k) and y (..., N), np.concatenate of [X y] and its R as ols_fit takes
+    it: np.linalg.qr of up to 1000 rows, else R <- R of [R; next 1000 rows].
     Returns the fit and the X and y it was fitted on."""
     X, y = np.array(X), np.array(y)
     if region_effects:
@@ -645,7 +654,11 @@ def copied_fit(X, y, n_regions: int, region_effects: bool):
         X = (X4 - X4.mean(axis=-2, keepdims=True)).reshape(X.shape)
         y = (y3 - y3.mean(axis=-1, keepdims=True)).reshape(y.shape)
     k = X.shape[-1]
-    r_xy = np.linalg.qr(np.concatenate([X, y[..., np.newaxis]], axis=-1), mode="r")
+    xy = np.concatenate([X, y[..., np.newaxis]], axis=-1)
+    r_xy = np.linalg.qr(xy[..., :1000, :], mode="r")
+    for start in range(1000, xy.shape[-2], 1000):
+        r_xy = np.linalg.qr(np.concatenate([r_xy, xy[..., start:start + 1000, :]], axis=-2),
+                            mode="r")
     r_inv = np.linalg.inv(r_xy[..., :k, :k])
     coef = (r_inv @ r_xy[..., :k, k, np.newaxis])[..., 0]
     residuals = y - (X @ coef[..., np.newaxis])[..., 0]
@@ -723,7 +736,8 @@ class TestOneBuffer:
         g = generate_panel(DgpConfig(n_regions=12, n_years=5, seed=2))
         design = build_design(g.dataset, expand_notation("fe.tw.q.sl", "classical"), g.weights)
         assert design.xy.flags.c_contiguous
-        assert design.X.base is design.xy and design.y.base is design.xy
+        assert np.shares_memory(design.X, design.xy) and np.shares_memory(design.y, design.xy)
+        assert not (design.X.flags.owndata or design.y.flags.owndata)
         assert design.xy.shape == (60, len(design.column_labels) + 1)
 
     def test_within_transform_refuses_a_buffer_it_cannot_demean_in_place(self):
@@ -731,13 +745,18 @@ class TestOneBuffer:
         with pytest.raises(ValueError, match="C-contiguous"):
             within_transform(xy[:, :2], 2)
 
-    def test_one_fit_holds_the_buffer_and_the_qr_copies_alone(self):
-        """tracemalloc's peak of one fe.tw.q.sl fit stays under 3.5 [X y] buffers: the
-        buffer and the QR's copies. Holding the raw and demeaned designs and
-        concatenating them again takes about 4."""
-        g = generate_panel(DgpConfig(n_regions=500, n_years=12, seed=3))
+    def test_one_fit_holds_the_buffer_alone(self):
+        """One fe.tw.q.sl fit holds its [X y] buffer and less than half a buffer more:
+        the QR copies one block of rows at a time, the cluster meat makes no (G, k, k)
+        temporary, the overall R^2 rebuilds the raw design by blocks of regions, and
+        the three lags are columns of the dataset. The buffer (2.1 MB) is a memory
+        map, which tracemalloc does not see, so its peak stays under half a buffer;
+        the QR's two whole copies took it to about 3."""
+        g = generate_panel(DgpConfig(n_regions=1000, n_years=12, seed=3))
         spec = expand_notation("fe.tw.q.sl", "cluster_by_region")
-        k, _ = design_dof(spec, 500, 12)
+        k, _ = design_dof(spec, 1000, 12)
+        buffer = 1000 * 12 * (k + 1) * 8
+        assert buffer >= MAPPED_BYTES
         fit_model(g.dataset, spec, g.weights)  # first-call caches out of the measurement
         tracemalloc.start()
         try:
@@ -745,7 +764,107 @@ class TestOneBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * (500 * 12 * (k + 1) * 8)
+        assert peak <= 0.5 * buffer
+
+
+def outer_product_meat(scores):
+    """The cluster meat as the sum of the G outer products, with its (..., G, k, k)
+    temporary."""
+    return (scores[..., :, np.newaxis] * scores[..., np.newaxis, :]).sum(axis=-3)
+
+
+class TestClusterMeat:
+    """cluster_robust_cov sums the G outer products with einsum, with no (..., G, k, k)
+    temporary and the bits of the outer-product sum."""
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("g", [2, 78, 2000])
+    def test_has_the_bits_of_the_outer_product_sum(self, g, stack):
+        rng = np.random.default_rng(g)
+        t, k = 5, 29
+        X = rng.standard_normal((*stack, g * t, k))
+        residuals = rng.standard_normal((*stack, g * t))
+        xtx_inverse = np.broadcast_to(np.eye(k), (*stack, k, k))
+        fit = OlsFit(np.zeros((*stack, k)), residuals, np.zeros(stack), xtx_inverse)
+        scores = (np.swapaxes(X.reshape(*stack, g, t, k), -1, -2)
+                  @ residuals.reshape(*stack, g, t, 1))[..., 0]
+        dof = g * t - k
+        want = ((g / (g - 1)) * ((g * t - 1) / dof)) * xtx_inverse @ outer_product_meat(
+            scores) @ xtx_inverse
+        assert cluster_robust_cov(fit, X, g, dof).tobytes() == want.tobytes()
+
+    def test_holds_no_g_by_k_by_k_temporary(self):
+        g, t, k = 2000, 2, 29
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((g * t, k))
+        fit = OlsFit(np.zeros(k), rng.standard_normal(g * t), np.float64(0.0), np.eye(k))
+        cluster_robust_cov(fit, X, g, g * t - k)  # first-call caches out of the measurement
+        tracemalloc.start()
+        try:
+            cluster_robust_cov(fit, X, g, g * t - k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the outer products alone are 13.5 MB
+
+
+class TestRowBlockedQr:
+    """ols_fit factorises a buffer of more than QR_BLOCK_ROWS rows block by block."""
+
+    @pytest.mark.parametrize("rows", [31, 500, 936, QR_BLOCK_ROWS])
+    def test_one_block_is_one_qr(self, rows):
+        xy = np.random.default_rng(rows).standard_normal((rows, 31))
+        k = 30
+        r_xy = np.linalg.qr(xy, mode="r")
+        r_inv = np.linalg.inv(r_xy[:k, :k])
+        coef = r_inv @ r_xy[:k, k]
+        fit = ols_fit(xy)
+        assert fit.coefficients.tobytes() == coef.tobytes()
+        assert fit.xtx_inverse.tobytes() == (r_inv @ r_inv.T).tobytes()
+
+    def test_many_blocks_agree_with_lstsq(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40000, 30)) * rng.uniform(0.1, 10.0, 30)
+        y = X @ rng.standard_normal(30) + rng.standard_normal(40000)
+        want = np.linalg.lstsq(X, y, rcond=None)[0]
+        got = ols_fit(joined(X, y)).coefficients
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+    def test_collinearity_that_no_single_block_shows_is_named(self):
+        """Columns 1 and 2 are zero in all but the last block; there column 2 is twice
+        column 1, and each block alone has the other columns' full rank."""
+        rng = np.random.default_rng(6)
+        n = 3 * QR_BLOCK_ROWS + 7
+        X = rng.standard_normal((n, 4))
+        X[:, 1:3] = 0.0
+        X[-50:, 1] = rng.standard_normal(50)
+        X[-50:, 2] = 2.0 * X[-50:, 1]
+        labels = ("a", "b", "c", "d")
+        with pytest.raises(RankDeficient, match="c is collinear"):
+            ols_fit(joined(X, rng.standard_normal(n)), labels)
+        X[-50:, 2] = rng.standard_normal(50)  # a column nonzero in one block only
+        assert np.all(np.isfinite(ols_fit(joined(X, rng.standard_normal(n)), labels).coefficients))
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        """ols_fit of a 40000 x 31 [X y] buffer, the fe.tw.q.sl shape at 2000 x 20, in
+        processes with 1 and 2 BLAS threads: one QR of it differs between them."""
+        script = (
+            "import sys, numpy as np\n"
+            "from rkpf.estimation import ols_fit\n"
+            "xy = np.random.default_rng(5).standard_normal((40000, 31))\n"
+            "fit = ols_fit(xy)\n"
+            "sys.stdout.write((fit.coefficients.tobytes() + fit.xtx_inverse.tobytes()).hex())\n"
+        )
+        src = str(Path(rkpf.__file__).resolve().parents[1])
+        out = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update({name: threads for name in BLAS_THREAD_VARIABLES})
+            out[threads] = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            ).stdout
+        assert out["1"] and out["1"] == out["2"]
 
 
 class TestStars:

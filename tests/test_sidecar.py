@@ -23,7 +23,7 @@ from rkpf.indicators import Publications
 from rkpf.manifest import file_digest, sidecar_path, write_sidecar
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
 from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
-from rkpf.weights import write_weights_files, write_weights_sidecar
+from rkpf.weights import write_weights_files
 
 # every name the rule admits: with a comma, a quote, CR/LF or inner spaces, none around
 NAMES = st.text(st.sampled_from(["a", "b", "é", ",", '"', "\r", "\n", " ", "\t"]),
@@ -127,7 +127,7 @@ def test_weights_sidecar_matches_text(tmp_path_factory, matrix):
     regions, w = matrix
     sw = SpatialWeights(tuple(regions), w)
     path = tmp_path_factory.mktemp("w") / "weights.csv"
-    write_weights_sidecar(sw, path, write_weights_files(sw, path, path.with_name("w.json")))
+    write_weights_files(sw, path, path.with_name("w.json"), sidecar=True)
     with_sidecar, text = _both_paths(load_weights_csv, path)
     assert with_sidecar == text
 
@@ -141,7 +141,7 @@ def test_names_the_text_would_not_give_back_leave_no_sidecar(tmp_path, regions):
     error = MissingColumn if "region" in regions else InvalidWeights
     with pytest.raises(error):
         sw = SpatialWeights(regions, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        write_weights_sidecar(sw, path, write_weights_files(sw, path, tmp_path / "w.json"))
+        write_weights_files(sw, path, tmp_path / "w.json", sidecar=True)
     assert not sidecar_path(path).exists()
     assert list(tmp_path.iterdir()) == []
 
@@ -567,3 +567,103 @@ def test_a_name_a_sidecar_would_not_give_back_leaves_none(tmp_path):
     pubs = Publications(records=1, incidences=Counter({("a\x00", "x"): 1, ("a", "x"): 1}))
     indicators.write_incidence_sidecar(pubs, path, {"pubs_sha256": "a" * 64})
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# W by blocks of rows: weights writes it, and fit and suite read it, never whole
+# ---------------------------------------------------------------------------
+
+WIDE = 1500  # regions: W is 18 MB, five blocks of 320 rows
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory) -> Path:
+    """A simulated WIDE x 3 bundle (sim) and the weights that rkpf weights wrote from
+    its profiles (w)."""
+    root = tmp_path_factory.mktemp("wide")
+    (root / "c.yaml").write_text(f"panel: {{n_regions: {WIDE}, n_years: 3}}\n", encoding="utf-8")
+    assert _main(["simulate", "--config", root / "c.yaml", "--seed", "3",
+                  "--output-dir", root / "sim"])[0] == 0
+    assert _main(["weights", "--profiles", root / "sim" / "profiles.csv",
+                  "--bundle", root / "sim", "--output-dir", root / "w"])[0] == 0
+    return root
+
+
+def test_weights_writes_the_files_of_the_whole_matrix(wide, tmp_path):
+    """The files that rkpf weights streams, block by block, are those written from W
+    whole. At 1500 regions the blocks' products differ from the one product by BLAS
+    rounding alone."""
+    profiles = weights.load_profiles_csv(wide / "sim" / "profiles.csv")
+    assert weights.weight_block_rows(WIDE) < WIDE
+    whole = SpatialWeights(profiles.regions, np.concatenate(list(weights.weight_rows(profiles))))
+    write_weights_files(whole, tmp_path / "weights.csv", tmp_path / "weights.json", sidecar=True)
+    for name in ("weights.csv", "weights.json", "weights.npz"):
+        assert (tmp_path / name).read_bytes() == (wide / "w" / name).read_bytes(), name
+    one_product = weights.build_weights(weights.correlation_matrix(profiles)).w
+    np.testing.assert_allclose(whole.w, one_product, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("step", ["weights", "suite"])
+def test_no_step_holds_half_of_w(wide, tmp_path, step):
+    """tracemalloc's peak of weights, and of a suite with spatial lags, stays under
+    half of W's n^2 doubles: each holds one block of W's rows at a time."""
+    argv = {
+        "weights": ["weights", "--profiles", wide / "sim" / "profiles.csv"],
+        "suite": ["suite", "--specs", "fe.tw.q.sl", "--bundle", wide / "sim",
+                  "--weights", wide / "w" / "weights.csv"],
+    }[step]
+    tracemalloc.start()
+    try:
+        code, err = _main([*argv, "--output-dir", tmp_path / step])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 0.5 * WIDE * WIDE * 8
+
+
+@pytest.mark.parametrize("fault", ["second block", "missing rows"])
+def test_a_stream_that_fails_leaves_no_sidecar(tmp_path, fault):
+    """write_weight_rows checks each block as it comes: a bad block, or too few rows,
+    raises after the first block has gone to the files, and no sidecar is left."""
+    good = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    blocks = [good, np.array([[0.0, 2.0, 0.0]])] if fault == "second block" else [good]
+    path = tmp_path / "weights.csv"
+    with pytest.raises(InvalidWeights if fault == "second block" else ValueError):
+        weights.write_weight_rows(("a", "b", "c"), blocks, path, tmp_path / "w.json",
+                                  sidecar=True)
+    assert not sidecar_path(path).exists()
+
+
+def _flip_a_weight(npz: Path) -> None:
+    """Flip the lowest bit of a nonzero weight in the middle of the sidecar's W: the
+    weights still pass every check, and only the member's CRC tells."""
+    raw = bytearray(npz.read_bytes())
+    with zipfile.ZipFile(npz) as zf:
+        at = zf.getinfo("w.npy").header_offset
+    name_length, extra_length = np.frombuffer(raw[at + 26 : at + 30], dtype="<u2")
+    npy = at + 30 + int(name_length) + int(extra_length)
+    data = npy + 10 + int(np.frombuffer(raw[npy + 8 : npy + 10], dtype="<u2")[0])
+    w = np.frombuffer(raw[data : data + 8 * WIDE * WIDE], dtype="<f8")
+    cell = WIDE * WIDE // 2 + int(np.argmax(w[WIDE * WIDE // 2 :] > 0))
+    raw[data + 8 * cell] ^= 1
+    npz.write_bytes(bytes(raw))
+
+
+def test_a_weight_only_the_crc_catches_changes_no_result(wide, tmp_path):
+    argv = ["suite", "--specs", "fe.tw.q.sl", "--dual-errors", "--bundle", wide / "sim"]
+    assert _main([*argv, "--weights", wide / "w" / "weights.csv",
+                  "--output-dir", tmp_path / "intact"])[0] == 0
+    flipped = tmp_path / "w"
+    shutil.copytree(wide / "w", flipped)
+    _flip_a_weight(flipped / "weights.npz")
+    # the sidecar's digest and layout hold, so its rows are read until the CRC fails
+    assert isinstance(weights.open_weights(flipped / "weights.csv"), weights.StreamedWeights)
+    assert _main([*argv, "--weights", flipped / "weights.csv",
+                  "--output-dir", tmp_path / "flipped"])[0] == 0
+    for name in ("suite.json", "suite.txt"):
+        assert (tmp_path / "flipped" / name).read_bytes() == (
+            tmp_path / "intact" / name).read_bytes()
+    inputs = json.loads((tmp_path / "flipped" / "manifest.json").read_text())["inputs"]
+    npz = str(flipped / "weights.npz")
+    assert inputs[npz] == file_digest(npz) != file_digest(wide / "w" / "weights.npz")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rkpf.estimation
+import rkpf.weights
 from rkpf.errors import (
     DualErrorsNeedRobust,
     InvalidTag,
@@ -241,18 +242,19 @@ class TestTakeLags:
 
     def test_the_ladder_lags_each_variable_once(self, small_world, monkeypatch):
         calls = []
-        lag_values = rkpf.estimation.lag_values
+        lag_rows = rkpf.weights.lag_rows
 
-        def counting(w, values):
-            calls.append(1)
-            return lag_values(w, values)
+        def counting(blocks, values):
+            calls.append(len(values))
+            return lag_rows(blocks, values)
 
-        monkeypatch.setattr(rkpf.estimation, "lag_values", counting)
+        monkeypatch.setattr(rkpf.weights, "lag_rows", counting)
         run_suite(small_world.dataset, small_world.weights, MAIN_TAGS, dual_errors=True)
-        assert len(calls) == 3  # FWCI, Q1SH and NQSH, where each sl tag lagged its own
+        # FWCI, Q1SH and NQSH, in one pass over W, where each sl tag lagged its own
+        assert calls == [3]
 
     def test_weights_are_checked_before_any_lag(self, small_world, monkeypatch):
-        monkeypatch.setattr(rkpf.estimation, "lag_values", None)  # a lag would fail
+        monkeypatch.setattr(rkpf.weights, "lag_rows", None)  # a lag would fail
         d = small_world.dataset
         other = PanelDataset(d.region_ids[::-1], d.years, {})
         specs = [expand_notation("fe.tw"), expand_notation("fe.tw.q.sl")]
