@@ -228,10 +228,11 @@ def build_design(
     return Design(*_design_arrays(d, spec, w))
 
 
-def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, tuple[str, ...]]:
+def _design_arrays(d, spec: ModelSpec, w, out=None) -> tuple[np.ndarray, tuple[str, ...]]:
     """build_design's C-contiguous [X y] buffer, (n T, k + 1), and column labels, with
     no weights check; for a stack of panels (see term_values) the buffer is
-    (..., n T, k + 1)."""
+    (..., n T, k + 1). `out`, a flat float64 array of at least the buffer's size,
+    holds the buffer where given."""
     y = _finite(d, spec.dependent, d.var(spec.dependent))
     *lead, n, t = y.shape
 
@@ -243,7 +244,13 @@ def _design_arrays(d, spec: ModelSpec, w) -> tuple[np.ndarray, tuple[str, ...]]:
     if not labels:
         raise ValueError("empty design: no regressors, dummies, or intercept")
 
-    xy = _mapped_ones((*lead, n * t, len(labels) + 1))  # a const column keeps its ones
+    # the buffer starts as ones, which the const column, if any, keeps
+    shape = (*lead, n * t, len(labels) + 1)
+    if out is None:
+        xy = _mapped_ones(shape)
+    else:
+        xy = out[: math.prod(shape)].reshape(shape)
+        xy[...] = 1.0
     xy[..., -1] = y.reshape(*lead, -1)
     for j, term in enumerate(spec.regressors):
         xy[..., j] = term_values(d, term, w).reshape(*lead, -1)
@@ -651,17 +658,20 @@ def _raw_fitted(d: PanelDataset, spec: ModelSpec, coefficients: np.ndarray):
     return np.concatenate(fitted), np.concatenate(y)
 
 
-def fit_block(d, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The estimates (B, k) and the spec's standard errors (B, k) of a stack of B
     panels, each the bits fit_model gives it alone: both run the one core, _fit.
 
     d is a simulate.PanelBlock: PanelDataset's region_ids, years and var, over
     (B, n, T) variables, and its (B, n, n) weights as d.w. A failing check raises
     fit_model's error for the first replication that fails it. No t statistic or
-    p-value is computed.
+    p-value is computed. `out`, a flat float64 array of at least B n T (k + 1)
+    elements, holds the block's [X y] buffer where given, so that Monte Carlo's
+    blocks reuse one buffer: allocating one a block left malloc to map, trim and
+    fault in fresh pages for each.
     """
     n, t = len(d.region_ids), len(d.years)
-    xy, labels = _design_arrays(d, spec, d)
+    xy, labels = _design_arrays(d, spec, d, out)
     del d  # the design is all of the block that the fit reads
     _, fit, se, _ = _fit(xy, spec, labels, n, t)
     return fit.coefficients, se

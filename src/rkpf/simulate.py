@@ -19,8 +19,8 @@ draws carries a leading replication axis, so that each numpy call serves the
 whole block. generate_panel is its one-replication case. Monte Carlo fits
 its replications in such blocks (estimation.fit_block, which runs
 fit_model's checked core), as many as fit one block's [X y] buffer, n T (k + 1)
-float64s each, into BLOCK_BYTES; a block that fails a check is run again
-as blocks of one.
+float64s each, into BLOCK_BYTES, and every block is built in one such buffer;
+a block that fails a check is run again as blocks of one.
 """
 from __future__ import annotations
 
@@ -543,7 +543,7 @@ def monte_carlo(
     spec = expand_notation(spec_tag, covariance)
     _check_generated(cfg, spec, spec_tag)
     n, t = cfg.n_regions, cfg.n_years
-    _, dof = design_dof(spec, n, t, where=f"spec {spec_tag!r} on a {n} x {t} panel: ")
+    k, dof = design_dof(spec, n, t, where=f"spec {spec_tag!r} on a {n} x {t} panel: ")
     labels = [term.label for term in spec.regressors]
     tracked = [label for label in labels if label in cfg.true_coefficients]
     columns = [labels.index(label) for label in tracked]
@@ -554,7 +554,7 @@ def monte_carlo(
     def fit(start: int, stop: int) -> None:
         rngs = [np.random.default_rng(s) for s in streams[start:stop]]
         try:
-            fitted = fit_block(generate_block(cfg, rngs), spec)
+            fitted = fit_block(generate_block(cfg, rngs), spec, buffer)
         except EngineError as exc:
             if stop - start == 1:
                 key = streams[start].spawn_key
@@ -565,6 +565,7 @@ def monte_carlo(
             results[:, start:stop] = np.take(fitted, columns, axis=-1)
 
     size = block_size(cfg, spec)
+    buffer = np.empty(size * n * t * (k + 1))  # every block's [X y], in turn
     for start in range(0, replications, size):
         fit(start, min(start + size, replications))
     crit = t_critical(dof)

@@ -731,6 +731,9 @@ class TestOneBuffer:
         coefficients, errors = fit_block(block, spec)
         assert coefficients.tobytes() == fit.coefficients.tobytes()
         assert errors.tobytes() == se.tobytes()
+        # a buffer that Monte Carlo reuses across blocks, larger and not blank
+        reused = fit_block(block, spec, np.full(xy.size + 7, np.nan))
+        assert [a.tobytes() for a in reused] == [coefficients.tobytes(), errors.tobytes()]
 
     def test_design_is_views_of_one_buffer(self):
         g = generate_panel(DgpConfig(n_regions=12, n_years=5, seed=2))
