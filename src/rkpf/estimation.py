@@ -265,7 +265,7 @@ MAPPED_BYTES = 1 << 20
 
 
 def _mapped_ones(shape: tuple[int, ...]) -> np.ndarray:
-    """np.ones(shape); from MAPPED_BYTES on, in an anonymous memory map of its own,
+    """np.ones(shape); from MAPPED_BYTES on, in a private anonymous memory map of its own,
     whose pages go back to the system when the array is freed. malloc keeps a freed
     array in its heap once its mmap threshold has risen past the array's size (it
     rises to the size of each mapped block it frees), so a suite's designs of
@@ -275,7 +275,7 @@ def _mapped_ones(shape: tuple[int, ...]) -> np.ndarray:
     size = math.prod(shape)
     if 8 * size < MAPPED_BYTES:
         return np.ones(shape)
-    ones = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+    ones = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=float)
     ones[...] = 1.0
     return ones.reshape(shape)
 

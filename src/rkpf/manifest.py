@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import zipfile
+import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,6 +31,8 @@ DIGEST_KEY = "sha256"
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 # bytes per read of a member read by rows
 _CHUNK = 1 << 18
+# what sidecar_rows raises for a damaged, truncated or foreign sidecar
+SIDECAR_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, zlib.error)
 
 
 def _stream_digest(fh) -> str:
@@ -233,8 +236,8 @@ def sidecar_rows(csv_path, key: str, digest: str, block_rows: int):
     can copy it, and a new array per block leaves the process's heap grown by two.
 
     zipfile checks the member's CRC as its last block is read, so rows are only to
-    be trusted once the generator is exhausted. Any fault raises: zipfile.BadZipFile,
-    KeyError, OSError or ValueError.
+    be trusted once the generator is exhausted. Any fault of the sidecar raises one of
+    SIDECAR_FAULTS.
     """
     with zipfile.ZipFile(sidecar_path(csv_path)) as zf:
         if _recorded(zf, DIGEST_KEY) != digest:

@@ -41,8 +41,7 @@ from .weights import (
     ThematicProfileMatrix,
     check_profile_rows,
     check_weight_rows,
-    profile_correlations,
-    standardize_rows,
+    weight_matrix,
 )
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
@@ -55,7 +54,7 @@ MAX_CELLS = 2**24
 # Monte Carlo fits as many replications at once as keep one block's [X y] buffer,
 # n*T*(k+1) float64s each, within this: 2 at 78 x 12 with k = 21 columns, and
 # 1 from about 2000 x 20. A block's fit holds that buffer, demeaned in place, and
-# the QR's two copies of it. Larger blocks trade memory for time: 200
+# its QR copies one block of rows of it at a time. Larger blocks trade memory for time: 200
 # replications of fe.tw.q.sl at 78 x 12 (in-process, 1 BLAS thread, 2-vCPU host)
 # took 0.22 s at 384 KiB (B = 2), 0.19 s at 768 KiB (B = 4) and 0.18 s at
 # 1536 KiB (B = 9), with tracemalloc peaks of 1.2, 2.1 and 4.4 MB.
@@ -413,7 +412,7 @@ def generate_block(cfg: DgpConfig, rngs) -> PanelBlock:
     # thematic profiles -> weights; low concentration keeps profiles
     # heterogeneous so clamping leaves real cross-region weight variation
     check_profile_rows(regions, shares)
-    w = standardize_rows(profile_correlations(shares))
+    w = weight_matrix(shares)
     check_weight_rows(regions, w)
 
     variables: dict[str, np.ndarray] = {}

@@ -7,15 +7,16 @@ correlated regions are treated as neutral), and rows standardized to sum to
 one. Rows that clamp to all zeros are isolated and keep zero spatial lags.
 
 W is dense, n x n, and every step of it is row-local: a block of W's rows is
-the correlations of those regions' profiles with all regions, clamped and
-standardized (weight_rows), and a block of rows lags each region of it
-(lag_rows). So the CLI never holds W whole: weights writes it block by block
+the correlations of those regions' profiles with all regions (correlation_rows),
+clamped and standardized (weight_rows), and a block of rows lags each region of
+it (lag_rows). So the CLI never holds W whole: weights writes it block by block
 to weights.csv, weights.json and its sidecar (write_weight_rows), and fit and
 suite take the lags from the sidecar block by block (open_weights), where W's
 only use in a fit is the thematic lags W x (estimation.take_lags). A block is
-about W_BLOCK_BYTES. The whole-matrix calls (correlation_matrix,
-build_weights, SpatialWeights and simulate's weights) are the one-block case,
-and a W that fits one block is that one product in the CLI too.
+weight_block_rows rows, about W_BLOCK_BYTES, and a W that fits one block is
+one product. A block's product has bits that depend on its shape, so every W
+and every lag is taken by these same blocks, whether W is whole
+(correlation_matrix, simulate's weight_matrix, lag_values) or streamed.
 """
 from __future__ import annotations
 
@@ -37,7 +38,13 @@ from .errors import (
     RegionOrderMismatch,
     UnknownSubjectArea,
 )
-from .manifest import DIGEST_KEY, RowsSidecar, read_csv_sidecar, sidecar_rows
+from .manifest import (
+    DIGEST_KEY,
+    SIDECAR_FAULTS,
+    RowsSidecar,
+    read_csv_sidecar,
+    sidecar_rows,
+)
 from .tables import check_names, format_rows, read_matrix, write_table
 
 _ROW_SUM_TOL = 1e-9
@@ -96,11 +103,8 @@ class SpatialWeights:
         object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
 
     def lags(self, values: list) -> list:
-        """lag_values of each (n, T) array of values, by the row blocks that
-        StreamedWeights reads, so that both give the same bits."""
-        n = len(self.regions)
-        step = weight_block_rows(n)
-        return lag_rows((self.w[start : start + step] for start in range(0, n, step)), values)
+        """lag_values of each (n, T) array of values."""
+        return lag_rows(_row_blocks(self.w), values)
 
 
 def first_cell(mask: np.ndarray) -> tuple[int, ...]:
@@ -176,24 +180,41 @@ def correlation_matrix(m: ThematicProfileMatrix) -> np.ndarray:
     themselves included; positive-variance rows keep diagonal 1.
     """
     _check_dimensions(m.shares)
-    return profile_correlations(m.shares)
+    return _correlations(m.shares)
 
 
-def profile_correlations(shares: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start:stop (all by default) of correlation_matrix of each (n, S) share
-    matrix of a stack (..., n, S)."""
+def correlation_rows(shares: np.ndarray, out: np.ndarray | None = None):
+    """(first row, rows) of each block of weight_block_rows rows of correlation_matrix
+    of each (n, S) share matrix of a stack (..., n, S), in order; where `out`, a
+    (..., n, n) array, is given, the rows are computed into their rows of it. Every W
+    is taken by these blocks, whole or streamed: a block is a BLAS product of its rows
+    against all regions, whose bits depend on its shape."""
     centered = shares - shares.mean(axis=-1, keepdims=True)
     norms = np.sqrt((centered**2).sum(axis=-1))
     degenerate = norms == 0
     safe = np.where(degenerate, 1.0, norms)
     unit = centered / safe[..., np.newaxis]
-    corr = unit[..., start:stop, :] @ np.swapaxes(unit, -1, -2)
-    rows = degenerate[..., start:stop]
-    corr[rows] = 0.0  # rows, then columns, with no r x n mask
-    np.swapaxes(corr, -1, -2)[degenerate] = 0.0
-    np.clip(corr, -1.0, 1.0, out=corr)
-    _diagonal(corr, start)[~rows] = 1.0
-    return corr
+    n = shares.shape[-2]
+    step = weight_block_rows(n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        into = None if out is None else out[..., rows, :]
+        corr = np.matmul(unit[..., rows, :], np.swapaxes(unit, -1, -2), out=into)
+        corr[degenerate[..., rows]] = 0.0  # rows, then columns, with no r x n mask
+        np.swapaxes(corr, -1, -2)[degenerate] = 0.0
+        np.clip(corr, -1.0, 1.0, out=corr)
+        _diagonal(corr, start)[~degenerate[..., rows]] = 1.0
+        yield start, corr
+        del corr  # before the next block is computed
+
+
+def _correlations(shares: np.ndarray) -> np.ndarray:
+    """correlation_matrix of each share matrix of a stack (..., n, S), computed by
+    correlation_rows' blocks into one array."""
+    whole = np.empty((*shares.shape[:-1], shares.shape[-2]))
+    for _ in correlation_rows(shares, whole):
+        pass
+    return whole
 
 
 def build_weights(c: np.ndarray, regions=None) -> SpatialWeights:
@@ -224,17 +245,24 @@ def standardize_rows(w: np.ndarray, start: int = 0) -> np.ndarray:
 
 
 def weight_rows(m: ThematicProfileMatrix):
-    """build_weights(correlation_matrix(m)).w as blocks of weight_block_rows rows, in
+    """build_weights(correlation_matrix(m)).w as its blocks of correlation_rows, in
     order: each is correlation rows against all regions, then clamped and
-    standardized, which is row-local. A W that fits one block is that one product.
-    DegenerateDimensions is raised here, before any block."""
+    standardized, which is row-local. DegenerateDimensions is raised here, before
+    any block."""
     _check_dimensions(m.shares)
-    n = len(m.regions)
-    step = weight_block_rows(n)
-    return (
-        standardize_rows(profile_correlations(m.shares, start, start + step), start)
-        for start in range(0, n, step)
-    )
+
+    def blocks():
+        for start, rows in correlation_rows(m.shares):
+            yield standardize_rows(rows, start)
+            del rows  # before the next block is computed
+
+    return blocks()
+
+
+def weight_matrix(shares: np.ndarray) -> np.ndarray:
+    """build_weights(correlation_matrix(...)).w of each share matrix of a stack
+    (..., n, S); its rows are those of weight_rows, as standardizing is row-local."""
+    return standardize_rows(_correlations(shares))
 
 
 def build_profile_matrix(
@@ -280,13 +308,22 @@ def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
     Isolated regions get 0. Rows follow w.regions; callers check the order.
     A stack of weights w.w (..., n, n) lags a stack of values (..., n, T).
     """
-    return w.w @ values
+    return lag_rows(_row_blocks(w.w), [values])[0]
+
+
+def _row_blocks(w: np.ndarray):
+    """The rows of each W of a stack (..., n, n) in blocks of weight_block_rows rows,
+    in order: the blocks by which every lag is taken."""
+    n = w.shape[-1]
+    step = weight_block_rows(n)
+    return (w[..., start : start + step, :] for start in range(0, n, step))
 
 
 def lag_rows(blocks, values: list) -> list:
     """The lag of each (..., n, T) array of values, from W's rows given as blocks
-    (..., r, n) in order that cover all n rows: rows a:b of a lag are W[a:b] @ v. The
-    lags of a W in one block are lag_values'."""
+    (..., r, n) of weight_block_rows rows in order: rows a:b of a lag are
+    W[a:b] @ v. A product's bits depend on its shape, so a lag has the same bits
+    whether W is whole (_row_blocks) or streamed from a sidecar."""
     lagged = [np.empty_like(v) for v in values]
     start = 0
     for rows in blocks:
@@ -448,8 +485,8 @@ class StreamedWeights:
         """lag_values of each (n, T) array of values."""
         n = len(self.regions)
         blocks = sidecar_rows(self.path, "w", self.digest, weight_block_rows(n))
-        # a sidecar is a cache of the CSV: whatever is wrong with it, the CSV is read
-        with contextlib.suppress(Exception), contextlib.closing(blocks):
+        # a sidecar is a cache of the CSV: whatever a damaged one raises, the CSV is read
+        with contextlib.suppress(*SIDECAR_FAULTS, EngineError), contextlib.closing(blocks):
             return lag_rows((rows for _, rows, _ in _checked_rows(self.regions, blocks)), values)
         try:
             w = _load_text(self.path)

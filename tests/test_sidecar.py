@@ -591,16 +591,15 @@ def wide(tmp_path_factory) -> Path:
 
 def test_weights_writes_the_files_of_the_whole_matrix(wide, tmp_path):
     """The files that rkpf weights streams, block by block, are those written from W
-    whole. At 1500 regions the blocks' products differ from the one product by BLAS
-    rounding alone."""
+    whole, as the library builds it, and those that rkpf simulate wrote beside the
+    profiles: every W is taken by the same blocks of rows."""
     profiles = weights.load_profiles_csv(wide / "sim" / "profiles.csv")
     assert weights.weight_block_rows(WIDE) < WIDE
-    whole = SpatialWeights(profiles.regions, np.concatenate(list(weights.weight_rows(profiles))))
+    whole = weights.build_weights(weights.correlation_matrix(profiles), profiles.regions)
     write_weights_files(whole, tmp_path / "weights.csv", tmp_path / "weights.json", sidecar=True)
     for name in ("weights.csv", "weights.json", "weights.npz"):
         assert (tmp_path / name).read_bytes() == (wide / "w" / name).read_bytes(), name
-    one_product = weights.build_weights(weights.correlation_matrix(profiles)).w
-    np.testing.assert_allclose(whole.w, one_product, rtol=0, atol=1e-16)
+        assert (wide / "sim" / name).read_bytes() == (wide / "w" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("step", ["weights", "suite"])
@@ -620,6 +619,20 @@ def test_no_step_holds_half_of_w(wide, tmp_path, step):
         tracemalloc.stop()
     assert code == 0, err
     assert peak < 0.5 * WIDE * WIDE * 8
+
+
+def test_a_fault_of_the_code_is_not_taken_for_a_damaged_sidecar(wide, monkeypatch):
+    """Only what a damaged sidecar raises sends the lags to the CSV's text: any other
+    error is raised, not hidden by a parse that holds all of W."""
+    streamed = weights.open_weights(wide / "w" / "weights.csv")
+    assert isinstance(streamed, weights.StreamedWeights)
+
+    def broken(regions, blocks):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(weights, "_checked_rows", broken)
+    with pytest.raises(TypeError, match="broken"):
+        streamed.lags([np.zeros((WIDE, 3))])
 
 
 @pytest.mark.parametrize("fault", ["second block", "missing rows"])

@@ -28,8 +28,9 @@ from rkpf.weights import (
     lag_values,
     load_profiles_csv,
     load_weights_csv,
-    profile_correlations,
-    standardize_rows,
+    weight_block_rows,
+    weight_matrix,
+    weight_rows,
     write_profiles_csv,
     write_weights_csv,
 )
@@ -98,12 +99,32 @@ class TestStacks:
         rng = np.random.default_rng(3)
         shares = rng.dirichlet(np.full(5, 0.3), size=(3, 6))
         shares[1, 2] = shares[2] = 0.2  # uniform rows: zero variance, isolated regions
-        w = standardize_rows(profile_correlations(shares))
+        w = weight_matrix(shares)
         sums = check_weight_rows(self.regions, w)
         assert (sums[2] == 0).all() and sums[1, 2] == 0
         for b in range(3):
             alone = build_weights(correlation_matrix(profiles(shares[b])), self.regions)
             assert w[b].tobytes() == alone.w.tobytes()
+
+    def test_every_w_and_lag_past_one_block_takes_the_same_blocks(self):
+        """Past one block of rows, a stack's W, each W alone and the streamed blocks
+        have the same bits, and so do a stack's lags and each W's lags alone."""
+        n = 800
+        assert weight_block_rows(n) < n
+        rng = np.random.default_rng(5)
+        shares = rng.dirichlet(np.full(27, 0.3), size=(2, n))
+        values = rng.normal(size=(2, n, 4))
+        regions = tuple(f"r{i}" for i in range(n))
+        w = weight_matrix(shares)
+        lagged = lag_values(SpatialWeights(regions, w[0]), values[0])  # a 2-D W
+        stacked = lag_values(type("Stack", (), {"w": w})(), values)
+        for b in range(2):
+            m = ThematicProfileMatrix(regions, tuple(f"s{j}" for j in range(27)), shares[b])
+            alone = build_weights(correlation_matrix(m), regions)
+            assert w[b].tobytes() == alone.w.tobytes()
+            assert np.concatenate(list(weight_rows(m))).tobytes() == alone.w.tobytes()
+            assert stacked[b].tobytes() == alone.lags([values[b]])[0].tobytes()
+        assert lagged.tobytes() == stacked[0].tobytes()
 
     def test_the_first_bad_row_of_a_stack_is_named(self):
         shares = np.full((2, 6, 4), 0.25)
