@@ -115,12 +115,20 @@ def _bundle_regions(bundle: str, inputs: dict) -> tuple[str, ...]:
         return load_panel_csv(path, inputs).region_ids
 
 
-def _load_weights(path, inputs: dict):
-    """The --weights file for take_lags (see weights.open_weights), or None without one."""
-    from .weights import open_weights
+def _load_weights(path, inputs: dict, dataset_path, regions):
+    """The --weights file for take_lags (see weights.load_weights_csv), or None without
+    one; its regions must be `regions`, those of the dataset at dataset_path, in order."""
+    from .weights import load_weights_csv
 
     with _reading(inputs, path) as path:
-        return open_weights(path, inputs) if path else None
+        if path is None:
+            return None
+        w = load_weights_csv(path, inputs)
+        if w.regions != regions:
+            raise RegionOrderMismatch(
+                f"weights regions do not match the regions of {dataset_path} in order"
+            )
+        return w
 
 
 def _name_list(raw: str, what: str) -> list[str]:
@@ -255,8 +263,12 @@ def cmd_fit(args) -> int:
     inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
-        # the lags are taken here, from W's rows block by block: W is never whole
-        dataset, [spec] = take_lags(dataset, [spec], _load_weights(args.weights, inputs))
+        # the lags are taken here, from W's rows block by block: W is never whole, and
+        # is freed before the fit (passed to fit_model, it would stay on this frame's
+        # stack during the fit before Python 3.11)
+        dataset, [spec] = take_lags(
+            dataset, [spec], _load_weights(args.weights, inputs, path, dataset.region_ids)
+        )
         fit = fit_model(dataset, spec)
 
     _write_json(out / "fit.json", fit.to_dict())
@@ -286,8 +298,8 @@ def cmd_suite(args) -> int:
         dataset = load_panel_csv(path, inputs)
         # run_suite takes the lags first, from W's rows block by block
         table = run_suite(
-            dataset, _load_weights(args.weights, inputs), tags, args.covariance,
-            dual_errors=args.dual_errors,
+            dataset, _load_weights(args.weights, inputs, path, dataset.region_ids), tags,
+            args.covariance, dual_errors=args.dual_errors,
         )
 
     _write_json(out / "suite.json", table.to_dict())

@@ -26,7 +26,7 @@ W's only use in a fit is the thematic lags W x. take_lags takes every
 distinct lag of a list of specs once, as a variable of the dataset, and
 rewrites the specs to read it, so that no fit holds W: fit_model takes its
 spec's lags so, and the CLI's fit and suite take them from the weights file's
-sidecar by row blocks (weights.open_weights), so that W is never whole.
+sidecar by row blocks (weights.load_weights_csv), so that W is never whole.
 
 The Student t distribution is computed here with numpy and math alone. A
 two-sided p-value is twice the density's integral from |t| to infinity, by

@@ -11,13 +11,15 @@ keyed by the CSV alone; the incidence counts of a publications file sit in the
 bundle apart from their sources, keyed by the publications file and the
 vocabulary it was checked against.
 
-A sidecar member too large to hold whole (the weights matrix) is written by
-rows while its CSV is (RowsSidecar) and read back by rows (read_csv_sidecar
-with `by_rows`, then sidecar_rows); zipfile checks a member's CRC as its last
-byte is read.
+Every sidecar is written by one class, Sidecar: its arrays, then a member too
+large to hold whole (the weights matrix), if any, by rows while its CSV is
+written, then last the sources' digests. That member is read back by rows too
+(read_csv_sidecar with `by_rows`, then sidecar_rows); zipfile checks a member's
+CRC as its last byte is read.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import zipfile
 import zlib
@@ -63,55 +65,38 @@ def _fits(array: np.ndarray, kind: str, ndim: int) -> bool:
     return array.dtype.kind == kind and array.ndim == ndim
 
 
-def write_sidecar(path, sources: dict, layout: dict, **arrays) -> None:
-    """Write the sidecar at `path`: `arrays`, each of the (dtype kind, ndim) that
-    `layout` gives for its key, then `sources`, the sha256 of each source file by
-    key (a CSV's sidecar has the one key DIGEST_KEY).
-
-    The arrays must be what the sources' loader returns; the names in them
-    follow tables.check_names. No sidecar is written, and a stale one is removed,
-    where an array has another kind or rank: an int beyond int64 is an object,
-    and an empty list of names a float.
-    """
-    path = Path(path)
-    members = {key: np.asarray(value) for key, value in arrays.items()}
-    if not all(_fits(array, *layout[key]) for key, array in members.items()):
-        path.unlink(missing_ok=True)
-        return
-    members.update({key: np.array(digest) for key, digest in sources.items()})
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for key, array in members.items():
-            with _member(zf, key) as fh:
-                _write_npy(fh, array)
-
-
 def _member(zf: zipfile.ZipFile, key: str):
     """The member of `key`, opened for writing."""
     return zf.open(zipfile.ZipInfo(f"{key}.npy", _ZIP_TIME), "w", force_zip64=True)
 
 
-def _write_npy(fh, array: np.ndarray) -> None:
-    """The bytes np.lib.format.write_array writes for `array` in C order, from the
-    array's own memory: into a zip member, write_array stages the data in 16 MiB
-    copies. np.require keeps a 0-d array 0-d, where np.ascontiguousarray would not."""
+def _add(zf: zipfile.ZipFile, key: str, array: np.ndarray) -> None:
+    """The member of `key`: the bytes np.lib.format.write_array writes for `array` in
+    C order, from the array's own memory: into a zip member, write_array stages the
+    data in 16 MiB copies. np.require keeps a 0-d array 0-d, where
+    np.ascontiguousarray would not."""
     array = np.require(array, requirements="C")
-    np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
-    fh.write(memoryview(array))
+    with _member(zf, key) as fh:
+        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+        fh.write(memoryview(array))
 
 
-class RowsSidecar:
-    """The sidecar of a CSV still being written, whose 2-D float64 member `key` is
-    written by rows: `arrays` go in at once, then write(rows) adds key's rows in
-    order, then finish(digest) adds the CSV's sha256 once the CSV is complete. The
-    members are those of write_csv_sidecar, in the same order, with the same bytes.
+class Sidecar:
+    """The sidecar at `path`, written member by member: `arrays` go in at once, each
+    of the (dtype kind, ndim) that `layout` gives for its key; with `key`, write(rows)
+    then adds the rows of that 2-D float64 member of `shape` in order, as its CSV is
+    written; last, finish(sources) adds the sha256 of each source file by key (a
+    CSV's sidecar has the one key DIGEST_KEY) and closes the sidecar.
 
-    close() removes a sidecar that was not finished, so that none is left for a CSV
-    that failed; where an array of `arrays` does not fit `layout`, no sidecar is
-    written at all, and a stale one is removed.
+    The arrays must be what the sources' loader returns; the names in them follow
+    tables.check_names. No sidecar is written, and a stale one is removed, where an
+    array has another kind or rank: an int beyond int64 is an object, and an empty
+    list of names a float. close() removes a sidecar that was not finished, so that
+    none is left for sources that failed.
     """
 
-    def __init__(self, csv_path, layout: dict, key: str, shape: tuple, **arrays):
-        self.path = sidecar_path(csv_path)
+    def __init__(self, path, layout: dict, key=None, shape=(0, 0), **arrays):
+        self.path = Path(path)
         self.shape, self.done = tuple(shape), 0
         members = {name: np.asarray(value) for name, value in arrays.items()}
         self.zf = self.fh = None
@@ -121,32 +106,33 @@ class RowsSidecar:
         self.zf = zipfile.ZipFile(self.path, "w", zipfile.ZIP_STORED)
         try:
             for name, array in members.items():
-                with _member(self.zf, name) as fh:
-                    _write_npy(fh, array)
-            self.fh = _member(self.zf, key)
-            header = {"descr": "<f8", "fortran_order": False, "shape": self.shape}
-            np.lib.format.write_array_header_1_0(self.fh, header)
+                _add(self.zf, name, array)
+            if key is not None:
+                self.fh = _member(self.zf, key)
+                header = {"descr": "<f8", "fortran_order": False, "shape": self.shape}
+                np.lib.format.write_array_header_1_0(self.fh, header)
         except BaseException:
             self.close()
             raise
 
     def write(self, rows: np.ndarray) -> None:
-        """Append rows (r, shape[1]) of the member."""
+        """Append rows (r, shape[1]) of the member `key`."""
         if self.fh is not None:
             rows = np.require(rows, dtype="<f8", requirements="C")
             self.fh.write(memoryview(rows))
             self.done += len(rows)
 
-    def finish(self, digest: str) -> None:
-        """Add the CSV's sha256, once every row is written, and close the sidecar."""
-        if self.fh is None:
+    def finish(self, sources: dict) -> None:
+        """Add `sources`, once every row is written, and close the sidecar."""
+        if self.zf is None:
             return
         if self.done != self.shape[0]:
             raise ValueError(f"{self.done} of {self.shape[0]} rows written to {self.path}")
-        self.fh.close()
-        self.fh = None
-        with _member(self.zf, DIGEST_KEY) as fh:
-            _write_npy(fh, np.array(digest))
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
+        for key, digest in sources.items():
+            _add(self.zf, key, np.array(digest))
         self.zf.close()
         self.zf = None
 
@@ -158,6 +144,12 @@ class RowsSidecar:
             self.zf.close()
             self.zf = self.fh = None
             self.path.unlink(missing_ok=True)
+
+
+def write_sidecar(path, sources: dict, layout: dict, **arrays) -> None:
+    """The sidecar at `path` of `arrays` and `sources`, written at once (see Sidecar)."""
+    with contextlib.closing(Sidecar(path, layout, **arrays)) as sidecar:
+        sidecar.finish(sources)
 
 
 def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None, by_rows=None):
@@ -254,12 +246,6 @@ def sidecar_rows(csv_path, key: str, digest: str, block_rows: int):
                 yield rows
             if member.read(1):
                 raise ValueError(f"{key}.npy holds more than {n} x {m} values")
-
-
-def write_csv_sidecar(csv_path, digest: str, layout: dict, **arrays) -> None:
-    """write_sidecar for csv_path's sidecar beside it, keyed by `digest`, the sha256
-    of the CSV as it was written."""
-    write_sidecar(sidecar_path(csv_path), {DIGEST_KEY: digest}, layout, **arrays)
 
 
 def read_csv_sidecar(csv_path, layout: dict, digests: dict | None = None, by_rows=None):

@@ -20,7 +20,7 @@ from .errors import (
     NonNumericCell,
     UnknownVariable,
 )
-from .manifest import read_csv_sidecar, write_csv_sidecar
+from .manifest import DIGEST_KEY, read_csv_sidecar, sidecar_path, write_sidecar
 from .tables import check_names, format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
@@ -182,9 +182,9 @@ def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
     for out, arr in zip(values, d.variables.values()):
         np.take(arr, order, axis=0, out=out)
     np.copyto(values, np.nan, where=np.isnan(values))
-    write_csv_sidecar(
-        csv_path,
-        digest,
+    write_sidecar(
+        sidecar_path(csv_path),
+        {DIGEST_KEY: digest},
         SIDECAR_LAYOUT,
         regions=[d.region_ids[i] for i in order],
         years=d.years,

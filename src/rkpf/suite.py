@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 
 from .choices import MAIN_TAGS
-from .errors import DualErrorsNeedRobust, InvalidTag, NoInteriorMaximum
+from .errors import DualErrorsNeedRobust, EngineError, InvalidTag, NoInteriorMaximum
 from .estimation import (
     FitResult,
     ModelSpec,
@@ -179,12 +179,21 @@ def run_suite(
 
     Each distinct spatial lag is taken once (take_lags), and w is dropped
     before the first fit, so a caller that passes its only reference to W
-    frees it for the fits. The fits carry the lag-free specs.
+    frees it for the fits. The fits carry the lag-free specs. A fit's EngineError
+    names its tag.
     """
     tags = tuple(tags)
     d, specs = take_lags(d, suite_specs(tags, covariance, dual_errors), w)
     del w
-    fits = tuple(parallel_map(lambda s: fit_model(d, s), specs))
+
+    def fit(tagged):
+        tag, spec = tagged
+        try:
+            return fit_model(d, spec)
+        except EngineError as exc:
+            raise type(exc)(f"spec {tag!r}: {exc}") from None
+
+    fits = tuple(parallel_map(fit, list(zip(tags, specs))))
     return ComparisonTable(tags, fits, dual_errors)
 
 

@@ -11,8 +11,8 @@ the correlations of those regions' profiles with all regions (correlation_rows),
 clamped and standardized (weight_rows), and a block of rows lags each region of
 it (lag_rows). So the CLI never holds W whole: weights writes it block by block
 to weights.csv, weights.json and its sidecar (write_weight_rows), and fit and
-suite take the lags from the sidecar block by block (open_weights), where W's
-only use in a fit is the thematic lags W x (estimation.take_lags). A block is
+suite take the lags from the sidecar block by block (load_weights_csv), where
+W's only use in a fit is the thematic lags W x (estimation.take_lags). A block is
 weight_block_rows rows, about W_BLOCK_BYTES, and a W that fits one block is
 one product. A block's product has bits that depend on its shape, so every W
 and every lag is taken by these same blocks, whether W is whole
@@ -41,8 +41,9 @@ from .errors import (
 from .manifest import (
     DIGEST_KEY,
     SIDECAR_FAULTS,
-    RowsSidecar,
+    Sidecar,
     read_csv_sidecar,
+    sidecar_path,
     sidecar_rows,
 )
 from .tables import check_names, format_rows, read_matrix, write_table
@@ -384,7 +385,7 @@ def write_weight_rows(regions, blocks, csv_path, json_path, sidecar: bool = Fals
         # row's JSON block is written as it draws the row's cells
         fh = files.enter_context(open(json_path, "w", encoding="utf-8", newline=""))
         if sidecar:
-            npz = RowsSidecar(csv_path, SIDECAR_LAYOUT, "w", (n, n), regions=regions)
+            npz = Sidecar(sidecar_path(csv_path), SIDECAR_LAYOUT, "w", (n, n), regions=regions)
             opened.append(files.enter_context(contextlib.closing(npz)))
         names = _json_array(list(map(json.dumps, regions)), 1)
         fh.write('{\n  "regions": ' + names + ',\n  "w": [')
@@ -402,23 +403,18 @@ def write_weight_rows(regions, blocks, csv_path, json_path, sidecar: bool = Fals
     with contextlib.ExitStack() as files:  # closes weights.json, and an unfinished sidecar
         digest = write_table(csv_path, ["region", *regions], rows())
         for npz in opened:
-            npz.finish(digest)
+            npz.finish({DIGEST_KEY: digest})
     return tuple(sorted(isolated))
-
-
-def write_weights_files(w: SpatialWeights, csv_path, json_path, sidecar: bool = False) -> None:
-    """write_weight_rows of a whole W."""
-    write_weight_rows(w.regions, [w.w], csv_path, json_path, sidecar)
 
 
 def write_weights_csv(w: SpatialWeights, path) -> None:
     """weights.csv alone."""
-    write_weights_files(w, path, os.devnull)
+    write_weight_rows(w.regions, [w.w], path, os.devnull)
 
 
 def write_weights_json(w: SpatialWeights, path) -> None:
     """weights.json alone."""
-    write_weights_files(w, os.devnull, path)
+    write_weight_rows(w.regions, [w.w], os.devnull, path)
 
 
 def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -433,17 +429,6 @@ def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndar
     return tuple(columns), tuple(region for region, in labels), matrix
 
 
-def load_weights_csv(path, digests: dict | None = None) -> SpatialWeights:
-    """Load a dense weights CSV, from its sidecar when one records the CSV's digest
-    (see write_weight_rows). `digests`, if given, receives the sha256 of each
-    file read, by path."""
-    arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests)
-    if arrays is not None:
-        with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
-            return SpatialWeights(tuple(arrays["regions"].tolist()), arrays["w"])
-    return _load_text(path)
-
-
 def _load_text(path) -> SpatialWeights:
     columns, regions, w = _read_region_matrix(path)
     if regions != columns:
@@ -451,12 +436,12 @@ def _load_text(path) -> SpatialWeights:
     return SpatialWeights(regions, w)
 
 
-def open_weights(path, digests: dict | None = None):
+def load_weights_csv(path, digests: dict | None = None) -> SpatialWeights | StreamedWeights:
     """The weights CSV at path, for estimation.take_lags, with W never whole: a
-    StreamedWeights where its sidecar records the CSV's digest and holds the weights
-    layout with an n x n float64 W for its n regions; otherwise the SpatialWeights
-    that load_weights_csv parses from the text. `digests`, if given, receives the
-    sha256 of each file read, by path."""
+    StreamedWeights where its sidecar records the CSV's digest (see
+    write_weight_rows) and holds the weights layout with an n x n float64 W for its
+    n regions; otherwise the SpatialWeights parsed from the text. `digests`, if
+    given, receives the sha256 of each file read, by path."""
     arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests, by_rows="w")
     if arrays is not None:
         regions = tuple(arrays["regions"].tolist())
@@ -469,12 +454,12 @@ def open_weights(path, digests: dict | None = None):
 
 @dataclass(frozen=True)
 class StreamedWeights:
-    """A weights CSV whose sidecar open_weights found usable: its regions, and its
-    lags taken from the sidecar's W by blocks of weight_block_rows rows.
+    """A weights CSV whose sidecar load_weights_csv found usable: its regions, and
+    its lags taken from the sidecar's W by blocks of weight_block_rows rows.
 
     Each block is checked as SpatialWeights checks W. The lags are trusted only once
     the last block is read, when zipfile has checked the member's CRC; on any
-    failure they are discarded and taken from the CSV as load_weights_csv parses it.
+    failure they are discarded and taken from the W parsed from the CSV's text.
     """
 
     path: Path

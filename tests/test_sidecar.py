@@ -23,7 +23,7 @@ from rkpf.indicators import Publications
 from rkpf.manifest import file_digest, sidecar_path, write_sidecar
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
 from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
-from rkpf.weights import write_weights_files
+from rkpf.weights import write_weight_rows
 
 # every name the rule admits: with a comma, a quote, CR/LF or inner spaces, none around
 NAMES = st.text(st.sampled_from(["a", "b", "é", ",", '"', "\r", "\n", " ", "\t"]),
@@ -33,7 +33,11 @@ VALUES = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_in
 
 
 def _fingerprint(loaded):
-    """A loaded panel or weights as something == compares bit for bit."""
+    """A loaded panel or weights as something == compares bit for bit; the W of
+    weights streamed from a sidecar is read whole from that sidecar."""
+    if isinstance(loaded, weights.StreamedWeights):
+        with np.load(sidecar_path(loaded.path)) as npz:
+            loaded = SpatialWeights(loaded.regions, npz["w"])
     if isinstance(loaded, SpatialWeights):
         return loaded.regions, loaded.w.shape, loaded.w.tobytes()
     return (loaded.region_ids, loaded.years, list(loaded.variables),
@@ -127,7 +131,7 @@ def test_weights_sidecar_matches_text(tmp_path_factory, matrix):
     regions, w = matrix
     sw = SpatialWeights(tuple(regions), w)
     path = tmp_path_factory.mktemp("w") / "weights.csv"
-    write_weights_files(sw, path, path.with_name("w.json"), sidecar=True)
+    write_weight_rows(sw.regions, [sw.w], path, path.with_name("w.json"), sidecar=True)
     with_sidecar, text = _both_paths(load_weights_csv, path)
     assert with_sidecar == text
 
@@ -136,12 +140,12 @@ def test_weights_sidecar_matches_text(tmp_path_factory, matrix):
 def test_names_the_text_would_not_give_back_leave_no_sidecar(tmp_path, regions):
     """Text strips names and a unicode array drops a NUL; a header with a repeated
     name does not load at all. SpatialWeights refuses the first two and
-    write_weights_files the third, so neither a table nor a sidecar is written."""
+    write_weight_rows the third, so neither a table nor a sidecar is written."""
     path = tmp_path / "weights.csv"
     error = MissingColumn if "region" in regions else InvalidWeights
     with pytest.raises(error):
         sw = SpatialWeights(regions, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        write_weights_files(sw, path, tmp_path / "w.json", sidecar=True)
+        write_weight_rows(sw.regions, [sw.w], path, tmp_path / "w.json", sidecar=True)
     assert not sidecar_path(path).exists()
     assert list(tmp_path.iterdir()) == []
 
@@ -191,7 +195,7 @@ def test_a_header_that_repeats_a_name_is_refused_before_any_file(tmp_path, write
         sw = SpatialWeights(("region", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         path = tmp_path / "weights.csv"
         with pytest.raises(MissingColumn, match="header name 'region' appears more than once"):
-            write_weights_files(sw, path, tmp_path / "weights.json")
+            write_weight_rows(sw.regions, [sw.w], path, tmp_path / "weights.json")
     else:
         d = PanelDataset(("a", "b"), (2009,), {"year": [[1.0], [2.0]]})
         path = tmp_path / "dataset.csv"
@@ -596,7 +600,8 @@ def test_weights_writes_the_files_of_the_whole_matrix(wide, tmp_path):
     profiles = weights.load_profiles_csv(wide / "sim" / "profiles.csv")
     assert weights.weight_block_rows(WIDE) < WIDE
     whole = weights.build_weights(weights.correlation_matrix(profiles), profiles.regions)
-    write_weights_files(whole, tmp_path / "weights.csv", tmp_path / "weights.json", sidecar=True)
+    write_weight_rows(whole.regions, [whole.w], tmp_path / "weights.csv",
+                      tmp_path / "weights.json", sidecar=True)
     for name in ("weights.csv", "weights.json", "weights.npz"):
         assert (tmp_path / name).read_bytes() == (wide / "w" / name).read_bytes(), name
         assert (wide / "sim" / name).read_bytes() == (wide / "w" / name).read_bytes(), name
@@ -624,7 +629,7 @@ def test_no_step_holds_half_of_w(wide, tmp_path, step):
 def test_a_fault_of_the_code_is_not_taken_for_a_damaged_sidecar(wide, monkeypatch):
     """Only what a damaged sidecar raises sends the lags to the CSV's text: any other
     error is raised, not hidden by a parse that holds all of W."""
-    streamed = weights.open_weights(wide / "w" / "weights.csv")
+    streamed = load_weights_csv(wide / "w" / "weights.csv")
     assert isinstance(streamed, weights.StreamedWeights)
 
     def broken(regions, blocks):
@@ -671,7 +676,7 @@ def test_a_weight_only_the_crc_catches_changes_no_result(wide, tmp_path):
     shutil.copytree(wide / "w", flipped)
     _flip_a_weight(flipped / "weights.npz")
     # the sidecar's digest and layout hold, so its rows are read until the CRC fails
-    assert isinstance(weights.open_weights(flipped / "weights.csv"), weights.StreamedWeights)
+    assert isinstance(load_weights_csv(flipped / "weights.csv"), weights.StreamedWeights)
     assert _main([*argv, "--weights", flipped / "weights.csv",
                   "--output-dir", tmp_path / "flipped"])[0] == 0
     for name in ("suite.json", "suite.txt"):

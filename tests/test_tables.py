@@ -36,8 +36,8 @@ from rkpf.weights import (
     load_profiles_csv,
     load_weights_csv,
     write_profiles_csv,
+    write_weight_rows,
     write_weights_csv,
-    write_weights_files,
 )
 
 
@@ -76,7 +76,7 @@ def test_names_with_comma_and_quote_round_trip(tmp_path):
 )
 def test_weights_files_are_the_csv_and_json_modules_bytes(tmp_path, regions, rows):
     w = SpatialWeights(regions, np.array(rows))
-    write_weights_files(w, tmp_path / "w.csv", tmp_path / "w.json")
+    write_weight_rows(w.regions, [w.w], tmp_path / "w.csv", tmp_path / "w.json")
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["region", *regions])
