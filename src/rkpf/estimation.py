@@ -22,11 +22,10 @@ fit_model and fit_block, which fits Monte Carlo's stack of replications,
 agree because they run one checked core, _fit: the dof of design_dof, the
 QR and every check of a fit, in one order.
 
-W's only use in a fit is the thematic lags W x. take_lags takes every
-distinct lag of a list of specs once, as a variable of the dataset, and
-rewrites the specs to read it, so that no fit holds W: fit_model takes its
-spec's lags so, and the CLI's fit and suite take them from the weights file's
-sidecar by row blocks (weights.load_weights_csv), so that W is never whole.
+W's only use in a fit is the thematic lags W x, and take_lags is the only code
+that meets W: it takes every distinct lag of a list of specs once, as a
+variable of the dataset, and rewrites the specs to read it. Every design and
+fit takes its lags so first, and a lag term in term_values is an error.
 
 The Student t distribution is computed here with numpy and math alone. A
 two-sided p-value is twice the density's integral from |t| to infinity, by
@@ -55,7 +54,7 @@ from .errors import (
     ZeroDof,
 )
 from .panel import PanelDataset
-from .weights import SpatialWeights, StreamedWeights, first_cell, lag_values
+from .weights import first_cell
 
 # Table-style significance thresholds: *** 0.01, ** 0.05, * 0.10
 STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
@@ -157,19 +156,16 @@ def _finite(d: PanelDataset, label: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def term_values(d: PanelDataset, term: Term, w: SpatialWeights | None) -> np.ndarray:
-    """A term's (n, T) values: its variable, squared and/or spatially lagged by w.
-
-    d and w may also be a stack of panels and its weights (simulate.PanelBlock
-    for both), whose variables are (..., n, T) and whose w is (..., n, n).
-    """
-    values = _finite(d, term.name, d.var(term.name))
-    if term.squared:
-        with np.errstate(over="ignore"):  # _finite names a term that overflows
-            values = values**2
+def term_values(d: PanelDataset, term: Term) -> np.ndarray:
+    """A term's (n, T) values, or (..., n, T) of a stack of panels (simulate.PanelBlock):
+    its variable, squared if the term asks; a lag term is a ValueError (see take_lags)."""
     if term.lag:
-        values = lag_values(w, values)
-    return _finite(d, term.label, values)
+        raise ValueError(f"spatial lag term {term.label!r} has no weights: take_lags takes it")
+    values = _finite(d, term.name, d.var(term.name))
+    if not term.squared:
+        return values
+    with np.errstate(over="ignore"):  # _finite names a term that overflows
+        return _finite(d, term.label, values**2)
 
 
 def require_weights(specs, weights_given: bool) -> None:
@@ -178,59 +174,52 @@ def require_weights(specs, weights_given: bool) -> None:
         raise MissingWeights("spec contains spatial-lag terms but no weights given")
 
 
-def _check_weights(d: PanelDataset, specs, w: SpatialWeights | None) -> None:
-    """Raise unless every spatial lag of specs has weights, in the dataset's region order."""
-    require_weights(specs, w is not None)
-    if w is not None and w.regions != d.region_ids:
-        raise RegionOrderMismatch("weights regions do not match dataset regions")
-
-
-def take_lags(
-    d: PanelDataset, specs, w: SpatialWeights | StreamedWeights | None
-) -> tuple[PanelDataset, list[ModelSpec]]:
-    """The spatial lags of specs taken once, so that no fit needs W.
-
-    Returns d with one variable per distinct lag term, named by its label
-    (slFWCI), and the specs with each lag term replaced by the plain Term of
-    that name. Each lag is computed as term_values would, all in one pass over
-    W's rows (w.lags), so the fits on the result give the same labels and the
-    same numbers as fits on (d, specs, w). A plain term may not share its name
-    with a lag's label.
-    """
-    specs = list(specs)
-    _check_weights(d, specs, w)
-    lags = list(dict.fromkeys(t for spec in specs for t in spec.regressors if t.lag))
-    if not lags:
-        return d, specs
+@functools.lru_cache(maxsize=64)  # Monte Carlo rewrites its spec once a run, not a block
+def _lag_plan(specs: tuple[ModelSpec, ...]):
+    """take_lags' (distinct lag terms, the Term each lags, plain specs) of specs."""
+    lags = tuple(dict.fromkeys(t for spec in specs for t in spec.regressors if t.lag))
     labels = {t.label for t in lags}
     clash = [t.name for spec in specs for t in spec.regressors if not t.lag and t.name in labels]
     if clash:
         raise ValueError(f"variable {clash[0]!r} has the name of a spatial lag term")
-    # each lag's variable is checked (and squared) as term_values does, then all
-    # lags are taken in one pass over W's rows, and each is checked as term_values does
-    bases = [term_values(d, replace(t, lag=False), None) for t in lags]
-    lagged = dict(zip((t.label for t in lags), w.lags(bases)))
-    for label, values in lagged.items():
-        _finite(d, label, values)
-    d = PanelDataset(d.region_ids, d.years, {**d.variables, **lagged})
-    plain = [
+    plain = tuple(
         replace(spec, regressors=tuple(Term(t.label) if t.lag else t for t in spec.regressors))
         for spec in specs
-    ]
-    return d, plain
+    )
+    return lags, tuple(Term(t.name, t.squared) for t in lags), plain
 
 
-def build_design(
-    d: PanelDataset, spec: ModelSpec, w: SpatialWeights | None = None
-) -> Design:
-    """Assemble the stacked design matrix and response for a ModelSpec."""
-    _check_weights(d, [spec], w)
-    return Design(*_design_arrays(d, spec, w))
+def take_lags(d: PanelDataset, specs, w) -> tuple[PanelDataset, list[ModelSpec]]:
+    """The spatial lags of specs taken once, as variables, so that no design needs W.
+
+    w (None where no spec has a lag term) gives its regions, which must be d's in
+    order, and the lags of a list of arrays in one pass over W's rows: SpatialWeights,
+    StreamedWeights, or a simulate.PanelBlock as its own weights. Returns d extended
+    (dataclasses.replace) by a checked variable per distinct lag term, named by its
+    label (slFWCI), and the specs reading it; a plain term may not take that name.
+    """
+    specs = tuple(specs)
+    require_weights(specs, w is not None)
+    if w is not None and w.regions != d.region_ids:
+        raise RegionOrderMismatch("weights regions do not match dataset regions")
+    lags, bases, plain = _lag_plan(specs)
+    if not lags:
+        return d, list(specs)
+    lagged = dict(zip((t.label for t in lags), w.lags([term_values(d, t) for t in bases])))
+    for label, values in lagged.items():
+        _finite(d, label, values)
+    return replace(d, variables={**d.variables, **lagged}), list(plain)
 
 
-def _design_arrays(d, spec: ModelSpec, w, out=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """build_design's C-contiguous [X y] buffer, (n T, k + 1), and column labels, with
-    no weights check; for a stack of panels (see term_values) the buffer is
+def build_design(d: PanelDataset, spec: ModelSpec, w=None) -> Design:
+    """The stacked design matrix and response of a ModelSpec, its lags taken first."""
+    d, [spec] = take_lags(d, [spec], w)
+    return Design(*_design_arrays(d, spec))
+
+
+def _design_arrays(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """build_design's C-contiguous [X y] buffer, (n T, k + 1), and column labels, of a
+    spec with no lag term; for a stack of panels (see term_values) the buffer is
     (..., n T, k + 1). `out`, a flat float64 array of at least the buffer's size,
     holds the buffer where given."""
     y = _finite(d, spec.dependent, d.var(spec.dependent))
@@ -253,7 +242,7 @@ def _design_arrays(d, spec: ModelSpec, w, out=None) -> tuple[np.ndarray, tuple[s
         xy[...] = 1.0
     xy[..., -1] = y.reshape(*lead, -1)
     for j, term in enumerate(spec.regressors):
-        xy[..., j] = term_values(d, term, w).reshape(*lead, -1)
+        xy[..., j] = term_values(d, term).reshape(*lead, -1)
     if spec.time_dummies:  # every region's T rows get the year identity, first year dropped
         k = len(spec.regressors)
         xy.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
@@ -577,9 +566,7 @@ def _fit(xy: np.ndarray, spec: ModelSpec, labels, n_regions: int, n_years: int):
     return dof, fit, se, classical_se
 
 
-def fit_model(
-    d: PanelDataset, spec: ModelSpec, w: SpatialWeights | None = None
-) -> FitResult:
+def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
     """Estimate a ModelSpec: design -> (demean) -> QR least squares -> inference.
 
     The spec's lags are taken first (take_lags), so the design is built from plain
@@ -652,7 +639,7 @@ def _raw_fitted(d: PanelDataset, spec: ModelSpec, coefficients: np.ndarray):
         part = PanelDataset(
             d.region_ids[rows], d.years, {name: v[rows] for name, v in d.variables.items()}
         )
-        xy = _design_arrays(part, spec, None)[0]
+        xy = _design_arrays(part, spec)[0]
         fitted.append(xy[:, :-1] @ coefficients)
         y.append(xy[:, -1].copy())  # a view would keep the block's buffer
     return np.concatenate(fitted), np.concatenate(y)
@@ -663,7 +650,7 @@ def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     panels, each the bits fit_model gives it alone: both run the one core, _fit.
 
     d is a simulate.PanelBlock: PanelDataset's region_ids, years and var, over
-    (B, n, T) variables, and its (B, n, n) weights as d.w. A failing check raises
+    (B, n, T) variables, and its own weights for take_lags. A failing check raises
     fit_model's error for the first replication that fails it. No t statistic or
     p-value is computed. `out`, a flat float64 array of at least B n T (k + 1)
     elements, holds the block's [X y] buffer where given, so that Monte Carlo's
@@ -671,7 +658,8 @@ def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     fault in fresh pages for each.
     """
     n, t = len(d.region_ids), len(d.years)
-    xy, labels = _design_arrays(d, spec, d, out)
+    d, [spec] = take_lags(d, [spec], d)
+    xy, labels = _design_arrays(d, spec, out)
     del d  # the design is all of the block that the fit reads
     _, fit, se, _ = _fit(xy, spec, labels, n, t)
     return fit.coefficients, se

@@ -16,11 +16,12 @@ identity as a uniform -q shift; under fixed effects it is absorbed.
 generate_block draws B replications at once: each draws from its own
 generator, with the same calls in the same order, and every array after the
 draws carries a leading replication axis, so that each numpy call serves the
-whole block. generate_panel is its one-replication case. Monte Carlo fits
-its replications in such blocks (estimation.fit_block, which runs
-fit_model's checked core), as many as fit one block's [X y] buffer, n T (k + 1)
-float64s each, into BLOCK_BYTES, and every block is built in one such buffer;
-a block that fails a check is run again as blocks of one.
+whole block; its true lag terms, like a fit's, come from estimation.take_lags,
+the block being its own weights. generate_panel is its one-replication case.
+Monte Carlo fits its replications in such blocks (estimation.fit_block, which
+runs fit_model's checked core), as many as fit one block's [X y] buffer,
+n T (k + 1) float64s each, into BLOCK_BYTES, and every block is built in one
+such buffer; a block that fails a check is run again as blocks of one.
 """
 from __future__ import annotations
 
@@ -32,7 +33,9 @@ import numpy as np
 
 from .choices import MAX_REPLICATIONS
 from .errors import ConfigError, DuplicateRow, EngineError, InvalidProfiles, UnknownVariable
-from .estimation import ModelSpec, design_dof, fit_block, parse_term_label, t_critical, term_values
+from .estimation import (
+    ModelSpec, design_dof, fit_block, parse_term_label, t_critical, take_lags, term_values
+)
 from .panel import RESERVED_COLUMNS, PanelDataset
 from .suite import expand_notation
 from .tables import check_names
@@ -42,6 +45,7 @@ from .weights import (
     check_profile_rows,
     check_weight_rows,
     weight_matrix,
+    whole_lags,
 )
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), replication streams via SeedSequence.spawn"
@@ -333,9 +337,9 @@ class GeneratedPanel:
 class PanelBlock:
     """B generated panels at once, each array with a leading replication axis.
 
-    It reads as a PanelDataset does (region_ids, years, var) and holds the
-    weights stack as w, so that term_values and estimation.fit_block take it
-    for both. Names are not checked here.
+    It reads as a PanelDataset does (region_ids, years, var) and as its own
+    weights (regions, lags) over the weights stack w, so that
+    estimation.take_lags takes it for both. Names are not checked here.
     """
 
     region_ids: tuple[str, ...]
@@ -346,6 +350,20 @@ class PanelBlock:
 
     def var(self, name: str) -> np.ndarray:
         return self.variables[name]
+
+    @property
+    def regions(self) -> tuple[str, ...]:
+        return self.region_ids
+
+    def lags(self, values: list) -> list:
+        """The lag of each (B, n, T) array of values, each replication's by its own W."""
+        return whole_lags(self.w, values)
+
+
+@functools.lru_cache(maxsize=64)  # take_lags rewrites the truth once a run, not a block
+def _truth(labels: tuple[str, ...]) -> ModelSpec:
+    """The DGP's true terms, by their labels, as the regressors of the outcome's spec."""
+    return ModelSpec("log(PUB21EMP)", tuple(map(parse_term_label, labels)))
 
 
 @functools.cache
@@ -436,13 +454,14 @@ def generate_block(cfg: DgpConfig, rngs) -> PanelBlock:
         noise[..., j] = rho * noise[..., j - 1] + scale * innovations[..., j]
     noise *= cfg.noise_sd
 
-    # the estimator's own term builder, so slFWCI or FWCI^2 means the same to both;
-    # the block's variables gain the outcome once the terms are taken
+    # the estimator's own lags and terms, so slFWCI or FWCI^2 means the same to both;
+    # the block's variables gain the outcome, and not the lags, once the terms are taken
     years = tuple(range(cfg.first_year, cfg.first_year + t))
     block = PanelBlock(regions, years, shares, w, variables)
+    lagged, [truth] = take_lags(block, [_truth(tuple(cfg.true_coefficients))], block)
     log_y = np.zeros((size, n, t))
-    for label, coef in cfg.true_coefficients.items():
-        log_y += coef * term_values(block, parse_term_label(label), block)
+    for term, coef in zip(truth.regressors, cfg.true_coefficients.values()):
+        log_y += coef * term_values(lagged, term)
     log_y += region_effects[..., np.newaxis] + tau + noise
     log_y -= cfg.quality_substitution
 

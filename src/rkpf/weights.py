@@ -11,12 +11,13 @@ the correlations of those regions' profiles with all regions (correlation_rows),
 clamped and standardized (weight_rows), and a block of rows lags each region of
 it (lag_rows). So the CLI never holds W whole: weights writes it block by block
 to weights.csv, weights.json and its sidecar (write_weight_rows), and fit and
-suite take the lags from the sidecar block by block (load_weights_csv), where
-W's only use in a fit is the thematic lags W x (estimation.take_lags). A block is
-weight_block_rows rows, about W_BLOCK_BYTES, and a W that fits one block is
-one product. A block's product has bits that depend on its shape, so every W
-and every lag is taken by these same blocks, whether W is whole
-(correlation_matrix, simulate's weight_matrix, lag_values) or streamed.
+suite take the lags from the sidecar block by block (load_weights_csv). Every
+lag is taken by estimation.take_lags, which calls a weights object's lags: a
+StreamedWeights', or whole_lags of SpatialWeights or simulate's PanelBlock. A
+block is weight_block_rows rows, about W_BLOCK_BYTES, and a W that fits one
+block is one product. A block's product has bits that depend on its shape, so
+every W and every lag is taken by these same blocks, whether W is whole
+(correlation_matrix, simulate's weight_matrix, whole_lags) or streamed.
 """
 from __future__ import annotations
 
@@ -104,8 +105,8 @@ class SpatialWeights:
         object.__setattr__(self, "isolated", frozenset(np.flatnonzero(sums == 0).tolist()))
 
     def lags(self, values: list) -> list:
-        """lag_values of each (n, T) array of values."""
-        return lag_rows(_row_blocks(self.w), values)
+        """W v of each (n, T) array v of values (0 for an isolated region)."""
+        return whole_lags(self.w, values)
 
 
 def first_cell(mask: np.ndarray) -> tuple[int, ...]:
@@ -303,28 +304,19 @@ def build_profile_matrix(
     return ThematicProfileMatrix(tuple(regions), tuple(vocabulary), shares)
 
 
-def lag_values(w: SpatialWeights, values: np.ndarray) -> np.ndarray:
-    """Spatial lag of an (n, T) array: out[r, t] = sum_j W[r, j] * values[j, t].
-
-    Isolated regions get 0. Rows follow w.regions; callers check the order.
-    A stack of weights w.w (..., n, n) lags a stack of values (..., n, T).
-    """
-    return lag_rows(_row_blocks(w.w), [values])[0]
-
-
-def _row_blocks(w: np.ndarray):
-    """The rows of each W of a stack (..., n, n) in blocks of weight_block_rows rows,
-    in order: the blocks by which every lag is taken."""
+def whole_lags(w: np.ndarray, values: list) -> list:
+    """The lag of each (..., n, T) array of values by a whole W or stack of them
+    (..., n, n), by blocks of weight_block_rows rows (lag_rows)."""
     n = w.shape[-1]
     step = weight_block_rows(n)
-    return (w[..., start : start + step, :] for start in range(0, n, step))
+    return lag_rows((w[..., start : start + step, :] for start in range(0, n, step)), values)
 
 
 def lag_rows(blocks, values: list) -> list:
     """The lag of each (..., n, T) array of values, from W's rows given as blocks
     (..., r, n) of weight_block_rows rows in order: rows a:b of a lag are
     W[a:b] @ v. A product's bits depend on its shape, so a lag has the same bits
-    whether W is whole (_row_blocks) or streamed from a sidecar."""
+    whether W is whole (whole_lags) or streamed from a sidecar."""
     lagged = [np.empty_like(v) for v in values]
     start = 0
     for rows in blocks:
@@ -467,7 +459,7 @@ class StreamedWeights:
     digest: str  # the CSV's sha256, which the sidecar records
 
     def lags(self, values: list) -> list:
-        """lag_values of each (n, T) array of values."""
+        """SpatialWeights.lags of each (n, T) array of values."""
         n = len(self.regions)
         blocks = sidecar_rows(self.path, "w", self.digest, weight_block_rows(n))
         # a sidecar is a cache of the CSV: whatever a damaged one raises, the CSV is read
@@ -481,7 +473,7 @@ class StreamedWeights:
             if str(exc).startswith(f"{self.path}:"):
                 raise
             raise type(exc)(f"{self.path}: {exc}") from None
-        return w.lags(values)
+        return whole_lags(w.w, values)
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:

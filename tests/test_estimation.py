@@ -38,6 +38,8 @@ from rkpf.estimation import (
     ols_fit,
     parse_term_label,
     significance_stars,
+    take_lags,
+    term_values,
     within_transform,
 )
 from rkpf.panel import PanelDataset
@@ -193,6 +195,16 @@ class TestBuildDesign:
         spec = ModelSpec("y", (Term("x", lag=True),), intercept=True)
         with pytest.raises(MissingWeights):
             build_design(d, spec)
+
+    def test_a_lag_term_that_skips_take_lags_raises(self):
+        """Only take_lags meets W: a lag term that reaches a term or a design without
+        it raises, named by its label (build_design takes it: test_missing_weights)."""
+        d = panel(["A", "B"], [2009], y=[[1.0], [2.0]], x=[[3.0], [4.0]])
+        spec = ModelSpec("y", (Term("x", squared=True, lag=True),), intercept=True)
+        with pytest.raises(ValueError, match=r"^spatial lag term 'slx\^2' has no weights"):
+            term_values(d, spec.regressors[0])
+        with pytest.raises(ValueError, match=r"^spatial lag term 'slx\^2'"):
+            _design_arrays(d, spec)
 
     def test_unknown_variable(self):
         d = panel(["A", "B"], [2009], y=[[1.0], [2.0]])
@@ -723,7 +735,8 @@ class TestOneBuffer:
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
         block = generate_block(cfg, [np.random.default_rng(s) for s in streams])
         spec = expand_notation(tag, covariance)
-        xy, _ = _design_arrays(block, spec, block)
+        lagged, [plain] = take_lags(block, [spec], block)
+        xy, _ = _design_arrays(lagged, plain)
         _, dof = design_dof(spec, 30, 8)
         fit, Xf, _ = copied_fit(xy[..., :-1], xy[..., -1], 30, spec.region_effects)
         se, _ = copied_errors(fit, Xf, spec, 30, dof)
@@ -871,13 +884,20 @@ class TestRowBlockedQr:
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         """ols_fit of a 40000 x 31 [X y] buffer, the fe.tw.q.sl shape at 2000 x 20, in
-        processes with 1 and 2 BLAS threads: one QR of it differs between them."""
+        processes with 1 and 2 BLAS threads: one QR of it differs between them. Its
+        coefficients, (X'X)^-1, residuals and cluster covariance over 2000 regions have
+        the same bits, and so has the cluster covariance of a stack of two 78 x 12
+        fits, Monte Carlo's block. (Its SSR does not: it differs by 1 ulp.)"""
         script = (
             "import sys, numpy as np\n"
-            "from rkpf.estimation import ols_fit\n"
+            "from rkpf.estimation import cluster_robust_cov, ols_fit\n"
             "xy = np.random.default_rng(5).standard_normal((40000, 31))\n"
             "fit = ols_fit(xy)\n"
-            "sys.stdout.write((fit.coefficients.tobytes() + fit.xtx_inverse.tobytes()).hex())\n"
+            "stack = np.random.default_rng(6).standard_normal((2, 936, 22))\n"
+            "parts = [fit.coefficients, fit.xtx_inverse, fit.residuals,\n"
+            "         cluster_robust_cov(fit, xy[:, :-1], 2000, 40000 - 30),\n"
+            "         cluster_robust_cov(ols_fit(stack), stack[..., :-1], 78, 936 - 21)]\n"
+            "sys.stdout.write(b''.join(p.tobytes() for p in parts).hex())\n"
         )
         src = str(Path(rkpf.__file__).resolve().parents[1])
         out = {}

@@ -17,6 +17,7 @@ from rkpf.errors import (
 from rkpf.estimation import ModelSpec, Term, build_design
 from rkpf.indicators import load_publications
 from rkpf.panel import PanelDataset
+from rkpf.simulate import PanelBlock
 from rkpf.weights import (
     SpatialWeights,
     ThematicProfileMatrix,
@@ -25,7 +26,6 @@ from rkpf.weights import (
     check_profile_rows,
     check_weight_rows,
     correlation_matrix,
-    lag_values,
     load_profiles_csv,
     load_weights_csv,
     weight_block_rows,
@@ -116,8 +116,8 @@ class TestStacks:
         values = rng.normal(size=(2, n, 4))
         regions = tuple(f"r{i}" for i in range(n))
         w = weight_matrix(shares)
-        lagged = lag_values(SpatialWeights(regions, w[0]), values[0])  # a 2-D W
-        stacked = lag_values(type("Stack", (), {"w": w})(), values)
+        lagged = SpatialWeights(regions, w[0]).lags([values[0]])[0]  # a 2-D W
+        stacked = PanelBlock(regions, (2020, 2021, 2022, 2023), shares, w, {}).lags([values])[0]
         for b in range(2):
             m = ThematicProfileMatrix(regions, tuple(f"s{j}" for j in range(27)), shares[b])
             alone = build_weights(correlation_matrix(m), regions)
@@ -226,12 +226,12 @@ class TestBuildWeights:
 class TestSpatialLag:
     def test_swap(self):
         w = SpatialWeights(("A", "B"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        lagged = lag_values(w, np.array([[2.0], [4.0]]))
+        lagged = w.lags([np.array([[2.0], [4.0]])])[0]
         np.testing.assert_allclose(lagged[:, 0], [4.0, 2.0])
 
     def test_isolated_region_gets_zero(self):
         w = SpatialWeights(("A", "B"), np.array([[0.0, 0.0], [1.0, 0.0]]))
-        lagged = lag_values(w, np.array([[2.0, 3.0], [4.0, 5.0]]))
+        lagged = w.lags([np.array([[2.0, 3.0], [4.0, 5.0]])])[0]
         np.testing.assert_array_equal(lagged[0], [0.0, 0.0])
 
     def test_weighted_dot_product(self):
@@ -243,12 +243,12 @@ class TestSpatialLag:
             ]
         )
         w = SpatialWeights(("A", "B", "C"), w_matrix)
-        lagged = lag_values(w, np.array([[9.0], [4.0], [8.0]]))
+        lagged = w.lags([np.array([[9.0], [4.0], [8.0]])])[0]
         assert lagged[0, 0] == pytest.approx(0.25 * 4.0 + 0.75 * 8.0)
         assert lagged[0, 0] == pytest.approx(7.0)
 
     def test_region_order_mismatch(self):
-        # lag_values trusts the row order; build_design checks it against the panel
+        # lags trust the row order; take_lags checks it against the panel
         d = PanelDataset(("A", "B"), (2019,), {"x": [[1.0], [2.0]]})
         w = SpatialWeights(("B", "A"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(RegionOrderMismatch):
@@ -258,7 +258,7 @@ class TestSpatialLag:
         rng = np.random.default_rng(2)
         w = build_weights(random_symmetric(rng, 6))
         values = np.tile([[3.0, 7.0, 1.0]], (6, 1))  # constant across regions
-        lagged = lag_values(w, values)
+        lagged = w.lags([values])[0]
         for i in range(6):
             if i not in w.isolated:
                 np.testing.assert_allclose(lagged[i], values[i], atol=1e-12)
@@ -271,8 +271,8 @@ class TestSpatialLag:
         x = rng.normal(size=(5, 3))
         y = rng.normal(size=(5, 3))
         a, b = rng.normal(), rng.normal()
-        combined = lag_values(w, a * x + b * y)
-        separate = a * lag_values(w, x) + b * lag_values(w, y)
+        combined = w.lags([a * x + b * y])[0]
+        separate = a * w.lags([x])[0] + b * w.lags([y])[0]
         assert np.max(np.abs(combined - separate)) < 1e-12
 
 
