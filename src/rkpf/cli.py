@@ -251,31 +251,37 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    from .estimation import fit_model, require_weights, take_lags
-    from .manifest import build_manifest
+def _fits(args, tags, dual_errors=False):
+    """The ComparisonTable of fit and suite, one column per tag, and the inputs read.
+    W reaches run_suite as a bare argument, held by no name, so that it is freed before
+    the first fit. Estimation loads first, and the callers' writers after: a child's
+    peak RSS moves with the order in which its modules load."""
+    from .estimation import require_weights
     from .panel import load_panel_csv
-    from .suite import ComparisonTable, expand_notation, render_fit_text, render_table
+    from .suite import run_suite, suite_specs
 
-    out = _out_dir(args)
-    spec = expand_notation(args.spec, args.covariance)
-    require_weights([spec], args.weights is not None)
+    require_weights(suite_specs(tags, args.covariance, dual_errors), args.weights is not None)
     inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
-        # the lags are taken here, from W's rows block by block: W is never whole, and
-        # is freed before the fit (passed to fit_model, it would stay on this frame's
-        # stack during the fit before Python 3.11)
-        dataset, [spec] = take_lags(
-            dataset, [spec], _load_weights(args.weights, inputs, path, dataset.region_ids)
+        table = run_suite(
+            dataset, _load_weights(args.weights, inputs, path, dataset.region_ids), tags,
+            args.covariance, dual_errors=dual_errors,
         )
-        fit = fit_model(dataset, spec)
+    return table, inputs
 
+
+def cmd_fit(args) -> int:
+    out = _out_dir(args)
+    table, inputs = _fits(args, [args.spec])
+    from .manifest import build_manifest
+    from .suite import render_fit_text, render_table
+
+    fit = table.fits[0]
     _write_json(out / "fit.json", fit.to_dict())
     fmt = args.format
     text = render_fit_text(fit)
     if fmt in ("csv", "md"):
-        table = ComparisonTable((args.spec,), (fit,))
         _write_text(out / f"fit.{fmt}", render_table(table, fmt))
     elif fmt != "json":
         _write_text(out / "fit.txt", text)
@@ -285,22 +291,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from .estimation import require_weights
-    from .manifest import build_manifest
-    from .panel import load_panel_csv
-    from .suite import render_table, run_suite, suite_specs
-
     out = _out_dir(args)
-    tags = _name_list(args.specs, "tag")
-    require_weights(suite_specs(tags, args.covariance, args.dual_errors), args.weights is not None)
-    inputs = {}
-    with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
-        dataset = load_panel_csv(path, inputs)
-        # run_suite takes the lags first, from W's rows block by block
-        table = run_suite(
-            dataset, _load_weights(args.weights, inputs, path, dataset.region_ids), tags,
-            args.covariance, dual_errors=args.dual_errors,
-        )
+    table, inputs = _fits(args, _name_list(args.specs, "tag"), args.dual_errors)
+    from .manifest import build_manifest
+    from .suite import render_table
 
     _write_json(out / "suite.json", table.to_dict())
     fmt = args.format
@@ -409,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format",
             choices=("text", "csv", "md", "json"),
             default="text",
-            help="rendering of the human-readable table (json: sidecar only)",
+            help="rendering of the human-readable table (json: fit.json or suite.json only)",
         )
         p.add_argument("--bundle", required=True)
         p.add_argument("--weights", help="weights CSV (required for sl tags)")

@@ -37,16 +37,9 @@ _CHUNK = 1 << 18
 SIDECAR_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, zlib.error)
 
 
-def _stream_digest(fh) -> str:
-    h = hashlib.sha256()
-    for chunk in iter(lambda: fh.read(65536), b""):
-        h.update(chunk)
-    return h.hexdigest()
-
-
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
-        return _stream_digest(fh)
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def recorded_digest(path, digests: dict | None) -> str:
@@ -171,7 +164,7 @@ def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None,
     # foreign, pickled, wrongly typed), the sources are read instead.
     try:
         with fh:
-            own = _stream_digest(fh)
+            own = hashlib.file_digest(fh, "sha256").hexdigest()
             if digests is not None:
                 digests[str(path)] = own
             fh.seek(0)

@@ -178,9 +178,8 @@ def run_suite(
     condensed two-line reporting style; this needs robust covariance.
 
     Each distinct spatial lag is taken once (take_lags), and w is dropped
-    before the first fit, so a caller that passes its only reference to W
-    frees it for the fits. The fits carry the lag-free specs. A fit's EngineError
-    names its tag.
+    before the first fit, so W is freed for the fits unless the caller holds it.
+    The fits carry the lag-free specs. A fit's EngineError names its tag.
     """
     tags = tuple(tags)
     d, specs = take_lags(d, suite_specs(tags, covariance, dual_errors), w)

@@ -330,16 +330,7 @@ class TestFit:
     "argv",
     [
         pytest.param(["fit", "--spec", "fe.tw.q.sl"], id="fit"),
-        pytest.param(
-            ["suite", "--dual-errors"],
-            id="suite",
-            # run_suite drops the only reference to W that it was passed, which frees
-            # W only where the caller holds no copy of its arguments during the call
-            marks=pytest.mark.skipif(
-                sys.version_info < (3, 11),
-                reason="CPython before 3.11 keeps a call's arguments on the caller's stack",
-            ),
-        ),
+        pytest.param(["suite", "--dual-errors"], id="suite"),
     ],
 )
 def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatch, argv):
@@ -433,6 +424,39 @@ def test_weights_in_another_region_order_name_both_files(
     assert not (tmp_path / "out" / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["suite"], ["fit", "--spec", "fe.ow.q"]],
+                         ids=["suite", "fit"])
+def test_a_failing_fit_names_its_tag(tmp_path, capsys, argv):
+    """On a 3 x 3 bundle, 9 observations, the first tag with more columns and region
+    effects than that fails, and its error names the tag."""
+    config = tmp_path / "tiny.yaml"
+    config.write_text("panel: {n_regions: 3, n_years: 3}\n", encoding="utf-8")
+    bundle = tmp_path / "bundle"
+    assert run("simulate", "--config", config, "--output-dir", bundle) == 0
+    capsys.readouterr()
+    assert run(*argv, "--bundle", bundle, "--weights", bundle / "weights.csv",
+               "--output-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"error: {bundle / 'dataset.csv'}: spec 'fe.ow.q': no residual degrees of "
+        "freedom (n=9, k=7+3)\n"
+    )
+
+
+def test_fit_is_a_one_spec_suite(model_bundle, tmp_path):
+    """fit of a tag writes the table and the fit that suite of that tag alone writes."""
+    weights = model_bundle / "weights.csv"
+    for fmt in ("md", "csv"):
+        fit, suite = tmp_path / f"fit-{fmt}", tmp_path / f"suite-{fmt}"
+        assert run("fit", "--bundle", model_bundle, "--weights", weights,
+                   "--spec", "fe.tw.q.sl", "--format", fmt, "--output-dir", fit) == 0
+        assert run("suite", "--bundle", model_bundle, "--weights", weights,
+                   "--specs", "fe.tw.q.sl", "--format", fmt, "--output-dir", suite) == 0
+        assert (fit / f"fit.{fmt}").read_bytes() == (suite / f"suite.{fmt}").read_bytes()
+        fit_json = json.loads((fit / "fit.json").read_text(encoding="utf-8"))
+        suite_json = json.loads((suite / "suite.json").read_text(encoding="utf-8"))
+        assert fit_json == suite_json["fits"][0]
+
+
 class TestSuite:
     def test_default_seven(self, model_bundle, tmp_path):
         out = tmp_path / "suite"
@@ -483,21 +507,6 @@ class TestSuite:
             "suite", "--bundle", model_bundle, "--specs", ",",
             "--output-dir", tmp_path / "s",
         ) == 2
-
-    def test_a_failing_fit_names_its_tag(self, tmp_path, capsys):
-        """On a 3 x 3 bundle, 9 observations, the first tag with more columns and region
-        effects than that fails, and its error names the tag."""
-        config = tmp_path / "tiny.yaml"
-        config.write_text("panel: {n_regions: 3, n_years: 3}\n", encoding="utf-8")
-        bundle = tmp_path / "bundle"
-        assert run("simulate", "--config", config, "--output-dir", bundle) == 0
-        capsys.readouterr()
-        assert run("suite", "--bundle", bundle, "--weights", bundle / "weights.csv",
-                   "--output-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err == (
-            f"error: {bundle / 'dataset.csv'}: spec 'fe.ow.q': no residual degrees of "
-            "freedom (n=9, k=7+3)\n"
-        )
 
     def test_json_format_writes_sidecar_only(self, model_bundle, tmp_path):
         out = tmp_path / "suite"
