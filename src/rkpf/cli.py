@@ -16,7 +16,8 @@ This module imports no engine module at load: each subcommand imports what it
 uses when it runs, from the module that defines it, so --version, --help and a
 usage error load no numpy, and `stats` loads no estimator. main() sets one BLAS
 thread before that, in os.environ; in a process that has loaded numpy already,
-BLAS keeps the thread count it started with.
+BLAS keeps the thread count it started with. With one thread, `weights` formats a
+W of several blocks in forked processes; beside a BLAS thread, it forks none.
 """
 from __future__ import annotations
 
@@ -460,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # One BLAS thread, whatever the environment says: the CLI's fits are small, BLAS
     # threads cost them more than they gain, and the bytes it writes must not depend
-    # on the thread count. Set before a subcommand loads numpy and so its BLAS.
+    # on the thread count. Set before a subcommand loads numpy and so its BLAS, which
+    # then starts no thread: a process of one thread may fork the processes that
+    # format a wide W's rows (see weights.write_weight_rows).
     for name in BLAS_THREAD_VARIABLES:
         os.environ[name] = "1"
     args = build_parser().parse_args(argv)

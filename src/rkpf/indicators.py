@@ -441,7 +441,7 @@ def load_vocabulary(path) -> list[str]:
 def write_indicator_csv(rows: list[RegionYearIndicators], path) -> None:
     """CSV compatible with panel ingestion (region,year,PUBS,FWCI,Q1SH,NQSH)."""
     fields = INDICATOR_COLUMNS.values()
-    body = (((r.region, r.year), [repr(getattr(r, f)) for f in fields]) for r in rows)
+    body = (((r.region, r.year), ",".join([repr(getattr(r, f)) for f in fields])) for r in rows)
     write_table(path, ["region", "year", *INDICATOR_COLUMNS], body)
 
 

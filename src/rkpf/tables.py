@@ -183,17 +183,18 @@ def _read_matrix_c(path, label_columns):
 
 
 def format_rows(values):
-    """Each row of a 2-D float array as repr strings, NaN (a missing cell) as ""."""
+    """Each row of a 2-D float array as one text: its numbers' reprs joined by commas,
+    NaN (a missing cell) as an empty cell. A float's repr holds no comma."""
     if not np.isnan(values).any():
-        return (list(map(repr, row.tolist())) for row in values)
-    return (["" if x != x else repr(x) for x in row.tolist()] for row in values)
+        return (",".join(map(repr, row.tolist())) for row in values)
+    return (",".join(["" if x != x else repr(x) for x in row.tolist()]) for row in values)
 
 
 def write_table(path, header, rows) -> str:
-    """Write a header and rows of (label cells, numbers already formatted as text);
-    return the sha256 of the bytes written.
+    """Write a header and rows of (label cells, the row's numbers as one text, as
+    format_rows gives it); return the sha256 of the bytes written.
 
-    Only the header and labels are `csv`-quoted (a CR or LF too); numbers are joined as is.
+    Only the header and labels are `csv`-quoted (a CR or LF too); numbers are written as is.
     A header that check_names refuses, such as one that repeats a name, raises before
     the file is opened.
     """
@@ -212,5 +213,5 @@ def write_table(path, header, rows) -> str:
         write(line.pop()[:-2] + "\n")
         for labels, numbers in rows:
             quoted.writerow([*labels, ""])  # "a,b,\r\n" for labels a and b
-            write(line.pop()[:-2] + ",".join(numbers) + "\n")
+            write(line.pop()[:-2] + numbers + "\n")
     return digest.hexdigest()

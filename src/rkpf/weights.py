@@ -18,9 +18,18 @@ block is weight_block_rows rows, about W_BLOCK_BYTES, and a W that fits one
 block is one product. A block's product has bits that depend on its shape, so
 every W and every lag is taken by these same blocks, whether W is whole
 (correlation_matrix, simulate's weight_matrix, whole_lags) or streamed.
+
+Each row's numbers are formatted once, as one text (tables.format_rows), which
+is the row of weights.csv and, laid out, of weights.json. Formatting W's text is
+most of the time it takes to write a W of more than one block, and rows format
+independently, so a process with more than one CPU and no thread besides its own
+forks worker processes that format copied chunks of rows; it keeps the checks,
+the sidecar, the order of the rows and the CSV's digest. A W of one block is
+formatted in process: forking would cost it more than it saves.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import os
@@ -52,6 +61,10 @@ from .tables import check_names, format_rows, read_matrix, write_table
 _ROW_SUM_TOL = 1e-9
 # about 4 MB of W's rows per block: 256 rows at 2000 regions
 W_BLOCK_BYTES = 4 << 20
+# processes that format the rows of a W of more than one block, at most, and the
+# rows of W that one of them formats per call
+FORMAT_WORKERS = 4
+FORMAT_CHUNK_ROWS = 16
 # (dtype kind, ndim) of each array of a weights sidecar
 SIDECAR_LAYOUT = {"regions": ("U", 1), "w": ("f", 2)}
 
@@ -356,6 +369,53 @@ def _checked_rows(regions, blocks):
         raise ValueError(f"{start} rows of weights for {n} regions")
 
 
+def _format_workers(n: int) -> int:
+    """Processes that format the rows of an n x n W: one per CPU, at most
+    FORMAT_WORKERS, where W spans more than one block; none (W is formatted in this
+    process) where it is one block, the process has one CPU, or it runs a thread
+    besides its own, such as a BLAS thread, as a fork of it could deadlock."""
+    if weight_block_rows(n) >= n:
+        return 0
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # not Linux
+        return 0
+    return min(cpus, FORMAT_WORKERS) if cpus > 1 and threads == 1 else 0
+
+
+def _format_chunk(rows: np.ndarray) -> list[str]:
+    """format_rows' texts of a chunk of W's rows, in a worker process."""
+    return list(format_rows(rows))
+
+
+def _row_texts(blocks, workers: int, files):
+    """format_rows' text of each row of blocks (r, n) of W's rows, in order: in this
+    process without workers, else by a fork-context pool of that many processes,
+    which the ExitStack files shuts down. The pool gets copied chunks of
+    FORMAT_CHUNK_ROWS rows, at most two per worker in flight, so that it holds no
+    block and a bounded part of W's text."""
+    if not workers:
+        for block in blocks:
+            yield from format_rows(block)
+            del block  # before the next block is computed
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    files.callback(pool.shutdown, cancel_futures=True)
+    pending = collections.deque()
+    for block in blocks:
+        for at in range(0, block.shape[0], FORMAT_CHUNK_ROWS):
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_format_chunk, block[at : at + FORMAT_CHUNK_ROWS].copy()))
+        del block  # before the next block is computed
+    while pending:
+        yield from pending.popleft().result()
+
+
 def write_weight_rows(regions, blocks, csv_path, json_path, sidecar: bool = False):
     """weights.csv and weights.json of W, and with `sidecar` the CSV's sidecar, in one
     pass over W's rows, given as blocks (r, n) in order; each weight is formatted
@@ -366,29 +426,37 @@ def write_weight_rows(regions, blocks, csv_path, json_path, sidecar: bool = Fals
     equals json.dump({"regions", "w", "isolated"}, indent=2) plus a newline,
     byte for byte. All are written row by row, and none where write_table refuses
     the header. The sidecar's members are regions, w and last the CSV's sha256.
+    A row's numbers are formatted once, as format_rows' text, in worker processes
+    where _format_workers gives any; everything else (the checks, the isolated
+    regions, the sidecar, the files and the CSV's digest) is done here, in order.
     """
     regions = tuple(regions)
     n = len(regions)
     isolated = []
     opened = []  # the sidecar, once write_table has checked the header
 
+    def checked():
+        for start, block, sums in _checked_rows(regions, blocks):
+            isolated.extend(regions[start + i] for i in np.flatnonzero(sums == 0).tolist())
+            for npz in opened:
+                npz.write(block)
+            yield block
+            del block  # before the next block is computed
+
     def rows():
         # write_table draws the first row once it has checked the header; each
-        # row's JSON block is written as it draws the row's cells
+        # row's JSON block is written as it draws the row's text
         fh = files.enter_context(open(json_path, "w", encoding="utf-8", newline=""))
         if sidecar:
             npz = Sidecar(sidecar_path(csv_path), SIDECAR_LAYOUT, "w", (n, n), regions=regions)
             opened.append(files.enter_context(contextlib.closing(npz)))
         names = _json_array(list(map(json.dumps, regions)), 1)
         fh.write('{\n  "regions": ' + names + ',\n  "w": [')
-        for start, block, sums in _checked_rows(regions, blocks):
-            isolated.extend(regions[start + i] for i in np.flatnonzero(sums == 0).tolist())
-            for npz in opened:
-                npz.write(block)
-            for i, formatted in enumerate(format_rows(block), start):
-                fh.write(("," if i else "") + "\n    " + _json_array(formatted, 2))
-                yield (regions[i],), formatted
-            del block  # before the next block is computed
+        for i, text in enumerate(_row_texts(checked(), _format_workers(n), files)):
+            # a float's repr holds no comma, so the JSON row is the text laid out
+            fh.write(("," if i else "") + "\n    [\n      " + text.replace(",", ",\n      ")
+                     + "\n    ]")
+            yield (regions[i],), text
         fh.write(("\n  ]" if regions else "]") + ',\n  "isolated": ')
         fh.write(_json_array(list(map(json.dumps, sorted(isolated))), 1) + "\n}\n")
 

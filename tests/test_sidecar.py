@@ -5,7 +5,10 @@ types refuse it when they are built, and write_table a header that repeats one."
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 from collections import Counter
@@ -624,6 +627,117 @@ def test_no_step_holds_half_of_w(wide, tmp_path, step):
         tracemalloc.stop()
     assert code == 0, err
     assert peak < 0.5 * WIDE * WIDE * 8
+
+
+# the CPUs this process may run on; a W of several blocks is formatted by worker
+# processes only where there are at least two
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+POOLED = pytest.mark.skipif(len(CPUS) < 2, reason="one CPU: W is formatted in process")
+# a child interpreter imports rkpf from this checkout, and its numpy starts no BLAS
+# thread, so that it may fork the processes that format W
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(Path(weights.__file__).resolve().parents[1]),
+    **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+}
+
+
+@POOLED
+def test_pooled_and_inline_weights_are_the_oracles_bytes(wide, tmp_path):
+    """rkpf weights formats a W of several blocks in worker processes where it has
+    two CPUs, and in its own where it is pinned to one: both write the CSV that
+    ",".join(map(repr, row)) gives and the JSON that json.dumps gives, of the W that
+    the library builds at one BLAS thread, as the CLI runs."""
+    profiles = wide / "sim" / "profiles.csv"
+    argv = [sys.executable, "-m", "rkpf.cli", "weights", "--profiles", str(profiles)]
+    pins = {"pooled": None, "inline": lambda: os.sched_setaffinity(0, {CPUS[0]})}
+    for name, pin in pins.items():
+        subprocess.run([*argv, "--output-dir", str(tmp_path / name)], env=CHILD_ENV,
+                       preexec_fn=pin, capture_output=True, check=True, timeout=120)
+    build = ("import sys, numpy as np\nfrom rkpf import weights\n"
+             "p = weights.load_profiles_csv(sys.argv[1])\n"
+             "np.save(sys.argv[2], weights.build_weights(weights.correlation_matrix(p)).w)")
+    subprocess.run([sys.executable, "-c", build, str(profiles), str(tmp_path / "w.npy")],
+                   env=CHILD_ENV, capture_output=True, check=True, timeout=120)
+    w = SpatialWeights(weights.load_profiles_csv(profiles).regions, np.load(tmp_path / "w.npy"))
+    regions = list(w.regions)
+    lines = [",".join(["region", *regions]) + "\n"]
+    lines += [f"{region}," + ",".join(map(repr, row.tolist())) + "\n"
+              for region, row in zip(regions, w.w)]
+    csv_bytes = "".join(lines).encode()
+    del lines
+    isolated = sorted(regions[i] for i in w.isolated)
+    json_bytes = (json.dumps({"regions": regions, "w": w.w.tolist(), "isolated": isolated},
+                             indent=2) + "\n").encode()
+    for name in pins:
+        assert (tmp_path / name / "weights.csv").read_bytes() == csv_bytes, name
+        assert (tmp_path / name / "weights.json").read_bytes() == json_bytes, name
+    npz = [(tmp_path / name / "weights.npz").read_bytes() for name in pins]
+    assert npz[0] == npz[1]
+
+
+# write_weight_rows of a ring W of two blocks in a child, with a fault; prints what
+# it raised, the processes left and whether a sidecar was left
+FAULT_CHILD = """
+import json, multiprocessing, os, sys
+from pathlib import Path
+import numpy as np
+from rkpf import weights
+from rkpf.manifest import sidecar_path
+
+fault, out = sys.argv[1], Path(sys.argv[2])
+n = 1000
+step = weights.weight_block_rows(n)
+assert step < n and weights._format_workers(n) > 1
+w = np.zeros((n, n))
+ring = np.arange(n)
+w[ring, (ring + 1) % n] = w[ring, (ring - 1) % n] = 0.5
+blocks = [w[:step], w[step:]]
+parent, format_rows = os.getpid(), weights.format_rows
+
+
+def in_worker(rows):
+    if os.getpid() != parent:
+        if fault == "worker dies":
+            os._exit(1)
+        raise RuntimeError("the formatter failed")
+    return format_rows(rows)
+
+
+if fault == "second block":
+    blocks[1] = -blocks[1]
+elif fault != "none":
+    weights.format_rows = in_worker
+raised = None
+try:
+    weights.write_weight_rows([f"r{i}" for i in range(n)], blocks, out / "weights.csv",
+                              out / "weights.json", sidecar=True)
+except Exception as exc:
+    raised = f"{type(exc).__name__}: {exc}"
+print(json.dumps([raised, len(multiprocessing.active_children()),
+                  sidecar_path(out / "weights.csv").exists()]))
+"""
+
+
+@POOLED
+@pytest.mark.parametrize("fault, raised", [
+    ("none", None),
+    ("second block", "InvalidWeights: row for 'r512' has a negative or non-finite weight"),
+    ("worker raises", "RuntimeError: the formatter failed"),
+    ("worker dies", "BrokenProcessPool: "),
+])
+def test_a_pooled_write_leaves_no_process(tmp_path, fault, raised):
+    """A write whose rows worker processes format leaves no process behind, and no
+    sidecar unless it is done: a bad second block raises InvalidWeights, an error
+    in a worker's formatter is raised, and a worker that dies breaks the pool,
+    which is raised, not waited on."""
+    done = subprocess.run([sys.executable, "-c", FAULT_CHILD, fault, str(tmp_path)],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got, children, sidecar = json.loads(done.stdout)
+    assert got is None if raised is None else got.startswith(raised), got
+    assert children == 0
+    assert sidecar == (fault == "none")
 
 
 def test_a_fault_of_the_code_is_not_taken_for_a_damaged_sidecar(wide, monkeypatch):

@@ -105,7 +105,7 @@ AWKWARD_FLOATS = (-0.0, 1e-05, 1e16, 5e-324)
 def test_write_table_is_the_csv_modules_bytes(tmp_path):
     rows = [(("a,b", 2009), [1e16, -0.0, 5e-324]), (('say "hi"', 2010), [1e-05, 0.1, 2.5])]
     write_table(tmp_path / "m.csv", ["region", "year", "x", "y", "z"],
-                ((labels, map(repr, values)) for labels, values in rows))
+                ((labels, ",".join(map(repr, values))) for labels, values in rows))
     want = csv_module_bytes(["region", "year", "x", "y", "z"],
                             [[*labels, *values] for labels, values in rows])
     assert (tmp_path / "m.csv").read_bytes() == want
