@@ -61,10 +61,12 @@ from .tables import check_names, format_rows, read_matrix, write_table
 _ROW_SUM_TOL = 1e-9
 # about 4 MB of W's rows per block: 256 rows at 2000 regions
 W_BLOCK_BYTES = 4 << 20
-# processes that format the rows of a W of more than one block, at most, and the
-# rows of W that one of them formats per call
-FORMAT_WORKERS = 4
+# processes that format the rows of a W of more than one block, at most; the rows
+# of W that one of them formats per call; and the calls in flight, at most, whatever
+# the number of processes, which bounds the part of W's text that the writer holds
+FORMAT_WORKERS = 2
 FORMAT_CHUNK_ROWS = 16
+FORMAT_CHUNKS_IN_FLIGHT = 4
 # (dtype kind, ndim) of each array of a weights sidecar
 SIDECAR_LAYOUT = {"regions": ("U", 1), "w": ("f", 2)}
 
@@ -345,12 +347,19 @@ def lag_rows(blocks, values: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _json_array(items, depth: int) -> str:
-    """JSON texts as one array, laid out as json.dump(indent=2) does at nesting `depth`."""
-    if not items:
+def _json_array(joined: str, depth: int, sep: str) -> str:
+    """The JSON array of the JSON texts that `sep` joins in `joined`, none of which
+    holds `sep`, laid out as json.dump(indent=2) does at nesting `depth`."""
+    if not joined:
         return "[]"
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    return "[" + inner + joined.replace(sep, "," + inner) + "\n" + "  " * depth + "]"
+
+
+def _json_names(names) -> str:
+    """The JSON array of the strings `names` in weights.json; a JSON text holds no
+    newline."""
+    return _json_array("\n".join(map(json.dumps, names)), 1, "\n")
 
 
 def _checked_rows(regions, blocks):
@@ -393,8 +402,8 @@ def _row_texts(blocks, workers: int, files):
     """format_rows' text of each row of blocks (r, n) of W's rows, in order: in this
     process without workers, else by a fork-context pool of that many processes,
     which the ExitStack files shuts down. The pool gets copied chunks of
-    FORMAT_CHUNK_ROWS rows, at most two per worker in flight, so that it holds no
-    block and a bounded part of W's text."""
+    FORMAT_CHUNK_ROWS rows, at most FORMAT_CHUNKS_IN_FLIGHT of them at once, so that
+    it holds no block and a bounded part of W's text."""
     if not workers:
         for block in blocks:
             yield from format_rows(block)
@@ -408,7 +417,7 @@ def _row_texts(blocks, workers: int, files):
     pending = collections.deque()
     for block in blocks:
         for at in range(0, block.shape[0], FORMAT_CHUNK_ROWS):
-            if len(pending) == 2 * workers:
+            if len(pending) == FORMAT_CHUNKS_IN_FLIGHT:
                 yield from pending.popleft().result()
             pending.append(pool.submit(_format_chunk, block[at : at + FORMAT_CHUNK_ROWS].copy()))
         del block  # before the next block is computed
@@ -450,15 +459,13 @@ def write_weight_rows(regions, blocks, csv_path, json_path, sidecar: bool = Fals
         if sidecar:
             npz = Sidecar(sidecar_path(csv_path), SIDECAR_LAYOUT, "w", (n, n), regions=regions)
             opened.append(files.enter_context(contextlib.closing(npz)))
-        names = _json_array(list(map(json.dumps, regions)), 1)
-        fh.write('{\n  "regions": ' + names + ',\n  "w": [')
+        fh.write('{\n  "regions": ' + _json_names(regions) + ',\n  "w": [')
         for i, text in enumerate(_row_texts(checked(), _format_workers(n), files)):
             # a float's repr holds no comma, so the JSON row is the text laid out
-            fh.write(("," if i else "") + "\n    [\n      " + text.replace(",", ",\n      ")
-                     + "\n    ]")
+            fh.write(("," if i else "") + "\n    " + _json_array(text, 2, ","))
             yield (regions[i],), text
         fh.write(("\n  ]" if regions else "]") + ',\n  "isolated": ')
-        fh.write(_json_array(list(map(json.dumps, sorted(isolated))), 1) + "\n}\n")
+        fh.write(_json_names(sorted(isolated)) + "\n}\n")
 
     with contextlib.ExitStack() as files:  # closes weights.json, and an unfinished sidecar
         digest = write_table(csv_path, ["region", *regions], rows())

@@ -676,6 +676,35 @@ def test_pooled_and_inline_weights_are_the_oracles_bytes(wide, tmp_path):
     assert npz[0] == npz[1]
 
 
+# rkpf weights at WIDE regions in a child whose rows worker processes format; prints
+# its exit code and the tracemalloc peak of the writing process
+POOLED_PEAK_CHILD = """
+import contextlib, io, sys, tracemalloc
+from rkpf import weights
+from rkpf.cli import main
+
+assert weights._format_workers(int(sys.argv[1])) > 1
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["weights", "--profiles", sys.argv[2], "--output-dir", sys.argv[3]])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@POOLED
+def test_a_pooled_weights_step_holds_under_half_of_w(wide, tmp_path):
+    """As test_no_step_holds_half_of_w[weights], where worker processes format W's
+    rows: the chunks in flight, and their texts, are bounded whatever the number of
+    CPUs, so the writer's tracemalloc peak stays under half of W's n^2 doubles."""
+    done = subprocess.run(
+        [sys.executable, "-c", POOLED_PEAK_CHILD, str(WIDE), str(wide / "sim" / "profiles.csv"),
+         str(tmp_path / "w")], env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, peak = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak < 0.5 * WIDE * WIDE * 8
+
+
 # write_weight_rows of a ring W of two blocks in a child, with a fault; prints what
 # it raised, the processes left and whether a sidecar was left
 FAULT_CHILD = """
