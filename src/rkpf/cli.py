@@ -254,9 +254,8 @@ def cmd_weights(args) -> int:
 
 def _fits(args, tags, dual_errors=False):
     """The ComparisonTable of fit and suite, one column per tag, and the inputs read.
-    W reaches run_suite as a bare argument, held by no name, so that it is freed before
-    the first fit. Estimation loads first, and the callers' writers after: a child's
-    peak RSS moves with the order in which its modules load."""
+    Estimation loads first, and the callers' writers after: a child's peak RSS moves
+    with the order in which its modules load."""
     from .estimation import require_weights
     from .panel import load_panel_csv
     from .suite import run_suite, suite_specs

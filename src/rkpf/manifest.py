@@ -13,9 +13,9 @@ vocabulary it was checked against.
 
 Every sidecar is written by one class, Sidecar: its arrays, then a member too
 large to hold whole (the weights matrix), if any, by rows while its CSV is
-written, then last the sources' digests. That member is read back by rows too
-(read_csv_sidecar with `by_rows`, then sidecar_rows); zipfile checks a member's
-CRC as its last byte is read.
+written, then last the sources' digests. That member is read back by rows too,
+and only by sidecar_rows, which checks that the sidecar records its CSV's digest;
+zipfile checks a member's CRC as its last byte is read.
 """
 from __future__ import annotations
 
@@ -145,14 +145,12 @@ def write_sidecar(path, sources: dict, layout: dict, **arrays) -> None:
         sidecar.finish(sources)
 
 
-def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None, by_rows=None):
+def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None):
     """The arrays of the sidecar at `path` by key, if it records exactly `sources`
     (key -> sha256 of the source file as it is now) and holds the keys of `layout`,
     each of the (dtype kind, ndim) given there; otherwise None, and the caller
     reads the sources.
 
-    `by_rows`, a key of layout for a 2-D float64 member, leaves that member unread:
-    in its place the arrays hold its shape, and sidecar_rows reads its rows.
     `digests`, if given, receives the sidecar's own sha256 under its path when it
     was opened, whether or not it is used.
     """
@@ -174,13 +172,10 @@ def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None,
                     return None
                 if not all(_recorded(zf, key) == digest for key, digest in sources.items()):
                     return None
-                arrays = {key: _read_member(zf, key) for key in layout if key != by_rows}
-                if by_rows is not None:
-                    with zf.open(f"{by_rows}.npy") as member:
-                        arrays[by_rows] = _float_rows_header(member)
+                arrays = {key: _read_member(zf, key) for key in layout}
     except Exception:
         return None
-    if not all(_fits(arrays[key], *layout[key]) for key in layout if key != by_rows):
+    if not all(_fits(arrays[key], *layout[key]) for key in layout):
         return None
     return arrays
 
@@ -239,15 +234,6 @@ def sidecar_rows(csv_path, key: str, digest: str, block_rows: int):
                 yield rows
             if member.read(1):
                 raise ValueError(f"{key}.npy holds more than {n} x {m} values")
-
-
-def read_csv_sidecar(csv_path, layout: dict, digests: dict | None = None, by_rows=None):
-    """read_sidecar of csv_path's sidecar beside it, keyed by the CSV's sha256, which
-    `digests` (if given) receives under the CSV's path; the arrays then also hold
-    that sha256 under DIGEST_KEY."""
-    sources = {DIGEST_KEY: recorded_digest(csv_path, digests)}
-    arrays = read_sidecar(sidecar_path(csv_path), sources, layout, digests, by_rows)
-    return None if arrays is None else {**arrays, **sources}
 
 
 def build_manifest(command: str, input_paths: dict, config_text: str = "") -> dict:

@@ -20,7 +20,7 @@ from .errors import (
     NonNumericCell,
     UnknownVariable,
 )
-from .manifest import DIGEST_KEY, read_csv_sidecar, sidecar_path, write_sidecar
+from .manifest import DIGEST_KEY, read_sidecar, recorded_digest, sidecar_path, write_sidecar
 from .tables import check_names, format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
@@ -110,7 +110,8 @@ def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
     sidecar when one records the CSV's digest (see write_panel_sidecar).
     `digests`, if given, receives the sha256 of each file read, by path.
     """
-    arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests)
+    sources = {DIGEST_KEY: recorded_digest(path, digests)}
+    arrays = read_sidecar(sidecar_path(path), sources, SIDECAR_LAYOUT, digests)
     if arrays is not None:
         with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
             return PanelDataset(

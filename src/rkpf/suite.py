@@ -24,7 +24,6 @@ from .estimation import (
 )
 from .panel import PanelDataset
 from .runtime import parallel_map
-from .weights import SpatialWeights, StreamedWeights
 
 TOKENS = ("ols", "fe", "ow", "tw", "q", "sl", "a", "non", "noq")
 
@@ -165,7 +164,7 @@ class ComparisonTable:
 
 def run_suite(
     d: PanelDataset,
-    w: SpatialWeights | StreamedWeights | None,
+    w,
     tags,
     covariance: str = "cluster_by_region",
     dual_errors: bool = False,
@@ -177,9 +176,9 @@ def run_suite(
     the robust ones and stars follow the classical p-values, matching the
     condensed two-line reporting style; this needs robust covariance.
 
-    Each distinct spatial lag is taken once (take_lags), and w is dropped
-    before the first fit, so W is freed for the fits unless the caller holds it.
-    The fits carry the lag-free specs. A fit's EngineError names its tag.
+    Each distinct spatial lag is taken once, by take_lags from w (a
+    weights.StreamedWeights reads W's rows only there), and w is dropped before
+    the first fit. The fits carry the lag-free specs. A fit's EngineError names its tag.
     """
     tags = tuple(tags)
     d, specs = take_lags(d, suite_specs(tags, covariance, dual_errors), w)

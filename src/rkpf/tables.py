@@ -12,11 +12,12 @@ import csv
 import hashlib
 import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EngineError, MissingColumn, MissingData, NonNumericCell
+from .errors import MissingColumn, MissingData, NonNumericCell
 
 
 def check_names(names, error, what: str) -> None:
@@ -45,8 +46,17 @@ def read_table(path):
 
 def _rows(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
+        yield from _csv_rows(path, csv.reader(fh))
+
+
+def _csv_rows(path, reader, width=None, before: int = 0, found: bool = False):
+    """The stripped header that a table's csv reader reads first, unless the table's
+    `width` is given; then (line number, stripped cells) of each row, after `before`
+    lines, blank rows skipped. An empty file, a byte-order mark, a repeated column
+    name, a row of other than `width` cells, and a table without data rows (unless
+    some were `found` before) raise."""
+    try:
+        if width is None:
             header = next(reader, [])
             if header[:1] and header[0].startswith("\ufeff"):
                 raise byte_order_mark(path)
@@ -56,20 +66,20 @@ def _rows(path):
             if len(set(header)) != len(header):
                 raise MissingColumn(f"{path}: a column name repeats in the header")
             yield header
-            header_only = True
-            for row in reader:
-                cells = list(map(str.strip, row))
-                if not any(cells):
-                    continue
-                if len(cells) != len(header):
-                    raise NonNumericCell(
-                        f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(cells)}"
-                    )
-                header_only = False
-                yield reader.line_num, cells
-        except csv.Error as exc:  # such as a stray quote that runs past the field size limit
-            raise NonNumericCell(f"{path}:{reader.line_num}: {exc}") from None
-    if header_only:
+            width = len(header)
+        for row in reader:
+            cells = list(map(str.strip, row))
+            if not any(cells):
+                continue
+            if len(cells) != width:
+                raise NonNumericCell(
+                    f"{path}:{before + reader.line_num}: expected {width} cells, got {len(cells)}"
+                )
+            found = True
+            yield before + reader.line_num, cells
+    except csv.Error as exc:  # such as a stray quote that runs past the field size limit
+        raise NonNumericCell(f"{path}:{before + reader.line_num}: {exc}") from None
+    if not found:
         raise MissingData(f"{path}: header only, no data rows")
 
 
@@ -110,55 +120,46 @@ def parse_floats(cells, columns, where) -> np.ndarray:
 
 
 def read_matrix(path, label_columns, check_labels=None):
-    """(value column names, label cells per row, float matrix) of a table.
+    """(value column names, label cells per row, float matrix) of a table: the one
+    block of read_matrix_rows."""
+    columns, blocks = read_matrix_rows(path, label_columns, sys.maxsize, check_labels)
+    [(labels, values)] = blocks
+    return columns, labels, values
+
+
+def read_matrix_rows(path, label_columns, block_rows: int, check_labels=None):
+    """(value column names, lazy iterator of (label cells per row, float block)) of a
+    table: the header is read here, and then a block of each block_rows data rows
+    (blank rows are none) as the iterator reaches it.
 
     `label_columns(header)` checks the stripped header, raising the caller's
     error, and returns the indices of the text columns; every other column
-    holds numbers, read as parse_floats reads them. `check_labels(line
-    number, label cells)`, if given, sees each row in order before its
-    numbers are read. The file is parsed in C when its label columns come
-    first and it holds no quote, empty cell or non-finite number. Otherwise
-    read_table and parse_floats read it row by row, and they give the
-    file:line messages.
+    holds numbers, read as parse_floats reads them. `check_labels(line number,
+    label cells)`, if given, sees each row in order before its numbers are read.
+    A block is parsed in C when the label columns come first and it holds no
+    quote, empty cell or non-finite number. From the first block that does, csv
+    and parse_floats read the rest row by row, and give the file:line messages.
     """
+    blocks = _matrix_blocks(path, label_columns, block_rows, check_labels)
+    return next(blocks), blocks
+
+
+def _matrix_blocks(path, label_columns, block_rows, check_labels):
     check_labels = check_labels or (lambda lineno, labels: None)
-    parsed = None
-    with contextlib.suppress(ValueError, csv.Error, EngineError):
-        parsed = _read_matrix_c(path, label_columns)
-    if parsed is not None:
-        columns, lines, labels, values = parsed
-        for lineno, row_labels in zip(lines, labels):
-            check_labels(lineno, row_labels)
-        return columns, labels, values
-    header, rows = read_table(path)
-    label_idx = label_columns(header)
-    value_idx = [j for j in range(len(header)) if j not in label_idx]
-    columns = [header[j] for j in value_idx]
-    labels, values = [], []
-    for lineno, cells in rows:
-        labels.append(tuple(cells[i] for i in label_idx))
-        check_labels(lineno, labels[-1])
-        values.append(parse_floats([cells[j] for j in value_idx], columns, f"{path}:{lineno}"))
-    return columns, labels, np.stack(values)
-
-
-def _read_matrix_c(path, label_columns):
-    """(columns, line numbers, labels, matrix) by np.loadtxt, or None or an
-    exception where the file needs the per-row path."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if len(set(header)) != len(header):
-            return None
+        # lines by readline, not next(fh), which would disable fh.tell()
+        reader = csv.reader(iter(fh.readline, ""))
+        header = next(_csv_rows(path, reader))
         label_idx = list(label_columns(header))
-        n = len(label_idx)
-        if label_idx != list(range(n)) or n == len(header):
-            return None
-        lines, labels = [], []
+        value_idx = [j for j in range(len(header)) if j not in label_idx]
+        columns = [header[j] for j in value_idx]
+        yield columns
+        # before: the lines ahead of the next block; found: whether a data row was read
+        n, before, found = len(label_idx), reader.line_num, False
 
         def numbers():
             # physical lines are records, since no line holds a quote
-            for lineno, line in enumerate(fh, start=reader.line_num + 1):
+            for lineno, line in enumerate(iter(fh.readline, ""), start=before + 1):
                 if not line.strip():
                     continue
                 if '"' in line:
@@ -166,20 +167,42 @@ def _read_matrix_c(path, label_columns):
                 *cells, rest = line.split(",", n)
                 if len(cells) < n or not rest.strip():  # loadtxt would skip an empty rest
                     raise ValueError("too few cells")
-                lines.append(lineno)
+                linenos.append(lineno)
                 labels.append(tuple(map(str.strip, cells)))
                 yield rest
+                if len(labels) == block_rows:
+                    return
 
-        rows = numbers()
-        first = next(rows, None)
-        if first is None:
-            return None
-        values = np.loadtxt(
-            itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2
-        )
-    if values.shape != (len(labels), len(header) - n) or not np.isfinite(values).all():
-        return None
-    return header[n:], lines, labels, values
+        while label_idx == list(range(n)) and value_idx:  # the C parse of a block
+            at, linenos, labels, values = fh.tell(), [], [], None
+            rests = numbers()
+            with contextlib.suppress(ValueError):
+                first = next(rests, None)
+                if first is not None:
+                    values = np.loadtxt(
+                        itertools.chain([first], rests), delimiter=",", comments=None, ndmin=2
+                    )
+                    if values.shape != (len(labels), len(columns)) or not np.isfinite(values).all():
+                        values = None
+            if values is None:  # csv reads the rest, from this block's first line
+                fh.seek(at)
+                break
+            for lineno, row_labels in zip(linenos, labels):
+                check_labels(lineno, row_labels)
+            before, found = linenos[-1], True
+            yield labels, values
+            del values  # before the next block is read
+        labels, values = [], []
+        rows = _csv_rows(path, csv.reader(iter(fh.readline, "")), len(header), before, found)
+        for lineno, cells in rows:
+            labels.append(tuple(cells[i] for i in label_idx))
+            check_labels(lineno, labels[-1])
+            values.append(parse_floats([cells[j] for j in value_idx], columns, f"{path}:{lineno}"))
+            if len(labels) == block_rows:
+                yield labels, np.stack(values)
+                labels, values = [], []
+        if labels:
+            yield labels, np.stack(values)
 
 
 def format_rows(values):

@@ -11,13 +11,14 @@ the correlations of those regions' profiles with all regions (correlation_rows),
 clamped and standardized (weight_rows), and a block of rows lags each region of
 it (lag_rows). So the CLI never holds W whole: weights writes it block by block
 to weights.csv, weights.json and its sidecar (write_weight_rows), and fit and
-suite take the lags from the sidecar block by block (load_weights_csv). Every
-lag is taken by estimation.take_lags, which calls a weights object's lags: a
-StreamedWeights', or whole_lags of SpatialWeights or simulate's PanelBlock. A
-block is weight_block_rows rows, about W_BLOCK_BYTES, and a W that fits one
-block is one product. A block's product has bits that depend on its shape, so
-every W and every lag is taken by these same blocks, whether W is whole
-(correlation_matrix, simulate's weight_matrix, whole_lags) or streamed.
+suite take the lags block by block from the sidecar, or else from the CSV's
+text (StreamedWeights). Every lag is taken by estimation.take_lags, which calls
+a weights object's lags: a StreamedWeights', or whole_lags of SpatialWeights or
+simulate's PanelBlock. A block is weight_block_rows rows, about W_BLOCK_BYTES,
+and a W that fits one block is one product. A block's product has bits that
+depend on its shape, so every W and every lag is taken by these same blocks,
+whether W is whole (correlation_matrix, simulate's weight_matrix, whole_lags) or
+streamed.
 
 Each row's numbers are formatted once, as one text (tables.format_rows), which
 is the row of weights.csv and, laid out, of weights.json. Formatting W's text is
@@ -52,11 +53,11 @@ from .manifest import (
     DIGEST_KEY,
     SIDECAR_FAULTS,
     Sidecar,
-    read_csv_sidecar,
+    recorded_digest,
     sidecar_path,
     sidecar_rows,
 )
-from .tables import check_names, format_rows, read_matrix, write_table
+from .tables import check_names, format_rows, not_utf8, read_matrix, read_matrix_rows, write_table
 
 _ROW_SUM_TOL = 1e-9
 # about 4 MB of W's rows per block: 256 rows at 2000 regions
@@ -339,6 +340,7 @@ def lag_rows(blocks, values: list) -> list:
         for out, v in zip(lagged, values):
             out[..., start:stop, :] = rows @ v
         start = stop
+        del rows  # before the next block is read
     return lagged
 
 
@@ -484,71 +486,76 @@ def write_weights_json(w: SpatialWeights, path) -> None:
     write_weight_rows(w.regions, [w.w], os.devnull, path)
 
 
-def _read_region_matrix(path) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Column labels, row regions and cells of a table whose first column is 'region'."""
+def _region_first(path):
+    """tables' label_columns of a table at path whose first column is 'region'."""
 
     def region_first(header):
         if header[:1] != ["region"]:
             raise MissingColumn(f"{path}: first header cell must be 'region'")
         return [0]
 
-    columns, labels, matrix = read_matrix(path, region_first)
-    return tuple(columns), tuple(region for region, in labels), matrix
+    return region_first
 
 
-def _load_text(path) -> SpatialWeights:
-    columns, regions, w = _read_region_matrix(path)
-    if regions != columns:
-        raise RegionOrderMismatch(f"{path}: row and column region order differ")
-    return SpatialWeights(regions, w)
-
-
-def load_weights_csv(path, digests: dict | None = None) -> SpatialWeights | StreamedWeights:
-    """The weights CSV at path, for estimation.take_lags, with W never whole: a
-    StreamedWeights where its sidecar records the CSV's digest (see
-    write_weight_rows) and holds the weights layout with an n x n float64 W for its
-    n regions; otherwise the SpatialWeights parsed from the text. `digests`, if
-    given, receives the sha256 of each file read, by path."""
-    arrays = read_csv_sidecar(path, SIDECAR_LAYOUT, digests, by_rows="w")
-    if arrays is not None:
-        regions = tuple(arrays["regions"].tolist())
-        with contextlib.suppress(InvalidWeights):
-            check_names(regions, InvalidWeights, "region")
-            if arrays["w"] == (len(regions), len(regions)):
-                return StreamedWeights(Path(path), regions, arrays[DIGEST_KEY])
-    return _load_text(path)
+def load_weights_csv(path, digests: dict | None = None) -> StreamedWeights:
+    """The weights CSV at path, for estimation.take_lags: of its text, only the header,
+    which gives the regions, is read here (see StreamedWeights). `digests`, if given,
+    receives the sha256 of the CSV and, where it opens, of its sidecar, by path."""
+    digest = recorded_digest(path, digests)
+    with contextlib.suppress(OSError):  # no sidecar, or none this process can open
+        recorded_digest(sidecar_path(path), digests)
+    regions, blocks = read_matrix_rows(path, _region_first(path), 1)
+    blocks.close()
+    check_names(regions, InvalidWeights, "region")
+    return StreamedWeights(Path(path), tuple(regions), digest)
 
 
 @dataclass(frozen=True)
 class StreamedWeights:
-    """A weights CSV whose sidecar load_weights_csv found usable: its regions, and
-    its lags taken from the sidecar's W by blocks of weight_block_rows rows.
-
-    Each block is checked as SpatialWeights checks W. The lags are trusted only once
-    the last block is read, when zipfile has checked the member's CRC; on any
-    failure they are discarded and taken from the W parsed from the CSV's text.
+    """A weights CSV: its regions, and its lags taken from W's rows by blocks of
+    weight_block_rows rows, each checked as SpatialWeights checks W. The rows come
+    from the sidecar where it records the CSV's digest, and its lags are trusted
+    only once zipfile has checked the member's CRC, as the last block is read; on
+    any failure of the sidecar, they are taken again from the CSV's text
+    (text_rows), whose errors name the CSV.
     """
 
     path: Path
     regions: tuple[str, ...]
-    digest: str  # the CSV's sha256, which the sidecar records
+    digest: str  # the CSV's sha256 when load_weights_csv read it
 
     def lags(self, values: list) -> list:
         """SpatialWeights.lags of each (n, T) array of values."""
-        n = len(self.regions)
-        blocks = sidecar_rows(self.path, "w", self.digest, weight_block_rows(n))
+        blocks = sidecar_rows(self.path, "w", self.digest, weight_block_rows(len(self.regions)))
         # a sidecar is a cache of the CSV: whatever a damaged one raises, the CSV is read
         with contextlib.suppress(*SIDECAR_FAULTS, EngineError), contextlib.closing(blocks):
             return lag_rows((rows for _, rows, _ in _checked_rows(self.regions, blocks)), values)
         try:
-            w = _load_text(self.path)
-            if w.regions != self.regions:
-                raise RegionOrderMismatch("weights regions do not match dataset regions")
+            return lag_rows(self.text_rows(), values)
         except EngineError as exc:  # named by this file, as the CLI names a loader's errors
             if str(exc).startswith(f"{self.path}:"):
                 raise
             raise type(exc)(f"{self.path}: {exc}") from None
-        return whole_lags(w.w, values)
+        except UnicodeDecodeError:  # the CLI would name the file it is reading, not this one
+            raise not_utf8(self.path) from None
+
+    def text_rows(self):
+        """The blocks (r, n) of W's rows in the CSV's text, in order, each checked as
+        SpatialWeights checks W once its rows are found to be of the header's regions
+        in order (else RegionOrderMismatch)."""
+        n = len(self.regions)
+        _, blocks = read_matrix_rows(self.path, _region_first(self.path), weight_block_rows(n))
+        mismatch = RegionOrderMismatch(f"{self.path}: row and column region order differ")
+        start = 0
+        for labels, rows in blocks:
+            if tuple(region for region, in labels) != self.regions[start : start + len(labels)]:
+                raise mismatch
+            check_weight_rows(self.regions, rows, start)
+            start += len(labels)
+            yield rows
+            del rows  # before the next block is read
+        if start != n:
+            raise mismatch
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
@@ -556,5 +563,5 @@ def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:
 
 
 def load_profiles_csv(path) -> ThematicProfileMatrix:
-    areas, regions, shares = _read_region_matrix(path)
-    return ThematicProfileMatrix(regions, areas, shares)
+    areas, labels, shares = read_matrix(path, _region_first(path))
+    return ThematicProfileMatrix(tuple(region for region, in labels), tuple(areas), shares)

@@ -18,7 +18,6 @@ import rkpf
 from rkpf.cli import main
 from rkpf.panel import load_panel_csv, write_panel_csv
 from rkpf.simulate import DEFAULT_REGRESSORS, DgpConfig, generate_panel
-from rkpf.manifest import sidecar_path
 from rkpf.weights import (
     SpatialWeights,
     StreamedWeights,
@@ -33,12 +32,10 @@ def run(*argv):
 
 
 def whole_weights(path) -> SpatialWeights:
-    """The weights that rkpf weights wrote to path, which load_weights_csv streams
-    from the sidecar, with W read whole from that sidecar."""
+    """The weights CSV at path, which load_weights_csv streams, with W joined from
+    the checked blocks of rows of its text."""
     streamed = load_weights_csv(path)
-    assert isinstance(streamed, StreamedWeights)
-    with np.load(sidecar_path(path)) as npz:
-        return SpatialWeights(streamed.regions, npz["w"])
+    return SpatialWeights(streamed.regions, np.concatenate(list(streamed.text_rows())))
 
 
 @pytest.fixture
@@ -334,34 +331,36 @@ class TestFit:
     ],
 )
 def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatch, argv):
-    """fit and suite take the spatial lags once and release W before the first QR,
-    where W is parsed whole from a weights CSV without a sidecar."""
+    """fit and suite take the spatial lags once and release the weights, and each
+    block of W's rows, before the first QR, where the rows are parsed from the text
+    of a weights CSV without a sidecar."""
     import weakref
 
     import rkpf.estimation
     import rkpf.weights
 
     loaded = []
-    load_text = rkpf.weights._load_text
+    text_rows = rkpf.weights.StreamedWeights.text_rows
 
-    def loading(*args, **kwargs):
-        w = load_text(*args, **kwargs)
-        loaded.append((weakref.ref(w), weakref.ref(w.w)))
-        return w
+    def reading(self):
+        loaded.append(weakref.ref(self))
+        for rows in text_rows(self):
+            loaded.append(weakref.ref(rows))
+            yield rows
 
     held = []
     ols_fit = rkpf.estimation.ols_fit
 
     def fitting(*args, **kwargs):
-        held.append([ref() is not None for ref in loaded[0]])
+        held.append([ref() is not None for ref in loaded])
         return ols_fit(*args, **kwargs)
 
-    monkeypatch.setattr(rkpf.weights, "_load_text", loading)
+    monkeypatch.setattr(rkpf.weights.StreamedWeights, "text_rows", reading)
     monkeypatch.setattr(rkpf.estimation, "ols_fit", fitting)
     weights = model_bundle / "weights.csv"
     assert run(*argv, "--bundle", model_bundle, "--weights", weights,
                "--output-dir", tmp_path / "out") == 0
-    assert len(loaded) == 1
+    assert len(loaded) == 2  # the weights, and W's 12 rows in one block
     assert held == [[False, False]] * (1 if argv[0] == "fit" else 7)
 
 
@@ -371,7 +370,7 @@ def _weights_file(model_bundle, path, sidecar, reverse=False):
     regions in reverse order where `reverse`."""
     from rkpf.weights import write_weight_rows
 
-    w = load_weights_csv(model_bundle / "weights.csv")
+    w = whole_weights(model_bundle / "weights.csv")
     order = slice(None, None, -1 if reverse else 1)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_weight_rows(w.regions[order], [w.w[order, order]], path, os.devnull, sidecar=sidecar)
@@ -403,7 +402,7 @@ def test_fit_and_suite_read_weights_through_load_weights_csv(
     monkeypatch.setattr(rkpf.weights, "load_weights_csv", counted)
     assert run(*FIT_AND_SUITE[command], "--bundle", model_bundle, "--weights", weights,
                "--output-dir", tmp_path / "out") == 0
-    assert loaded == [(weights, StreamedWeights if sidecar else SpatialWeights)]
+    assert loaded == [(weights, StreamedWeights)]
 
 
 @pytest.mark.parametrize("sidecar", [False, True], ids=["text", "sidecar"])
@@ -422,6 +421,29 @@ def test_weights_in_another_region_order_name_both_files(
         f"{model_bundle / 'dataset.csv'} in order\n"
     )
     assert not (tmp_path / "out" / f"{command}.json").exists()
+
+
+def test_a_spec_without_lags_reads_no_weight_row(model_bundle, tmp_path, capsys):
+    """With --weights and a spec without an sl term, no row of W is read: a text W
+    with a negative weight, which a lag refuses, leaves fit's result as it is
+    without --weights."""
+    lines = (model_bundle / "weights.csv").read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    cells[2] = "-0.5"  # off the diagonal of the first row
+    lines[1] = ",".join(cells)
+    weights = tmp_path / "w" / "weights.csv"
+    weights.parent.mkdir()
+    weights.write_text("\n".join(lines), encoding="utf-8")
+    fit = ["fit", "--bundle", model_bundle, "--spec"]
+    assert run(*fit, "fe.tw.q", "--output-dir", tmp_path / "plain") == 0
+    assert run(*fit, "fe.tw.q", "--weights", weights, "--output-dir", tmp_path / "w-fit") == 0
+    assert (tmp_path / "w-fit" / "fit.json").read_bytes() == (
+        tmp_path / "plain" / "fit.json").read_bytes()
+    capsys.readouterr()
+    assert run(*fit, "fe.tw.q.sl", "--weights", weights, "--output-dir", tmp_path / "sl") == 2
+    assert capsys.readouterr().err == (
+        f"error: {weights}: row for {cells[0]!r} has a negative or non-finite weight\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["suite"], ["fit", "--spec", "fe.ow.q"]],

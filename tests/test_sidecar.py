@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from rkpf import indicators, panel, weights
 from rkpf.cli import main
 from rkpf.errors import DuplicateRow, EngineError, InvalidProfiles, InvalidWeights, MissingColumn
 from rkpf.indicators import Publications
-from rkpf.manifest import file_digest, sidecar_path, write_sidecar
+from rkpf.manifest import SIDECAR_FAULTS, file_digest, sidecar_path, sidecar_rows, write_sidecar
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
 from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
 from rkpf.weights import write_weight_rows
@@ -37,10 +38,15 @@ VALUES = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_in
 
 def _fingerprint(loaded):
     """A loaded panel or weights as something == compares bit for bit; the W of
-    weights streamed from a sidecar is read whole from that sidecar."""
+    weights is joined from the blocks of rows that its lags read: the sidecar's where
+    it records the CSV's digest, else the checked blocks of the text."""
     if isinstance(loaded, weights.StreamedWeights):
-        with np.load(sidecar_path(loaded.path)) as npz:
-            loaded = SpatialWeights(loaded.regions, npz["w"])
+        step = weights.weight_block_rows(len(loaded.regions))
+        try:
+            blocks = [rows.copy() for rows in sidecar_rows(loaded.path, "w", loaded.digest, step)]
+        except SIDECAR_FAULTS:
+            blocks = list(loaded.text_rows())
+        loaded = SpatialWeights(loaded.regions, np.concatenate(blocks))
     if isinstance(loaded, SpatialWeights):
         return loaded.regions, loaded.w.shape, loaded.w.tobytes()
     return (loaded.region_ids, loaded.years, list(loaded.variables),
@@ -226,11 +232,12 @@ def test_a_valid_sidecar_is_loaded_without_parsing_the_text(tmp_path, monkeypatc
         raise AssertionError("parsed the text")
 
     monkeypatch.setattr(panel, "read_matrix", no_parse)
-    monkeypatch.setattr(weights, "read_matrix", no_parse)
+    monkeypatch.setattr(weights.StreamedWeights, "text_rows", no_parse)
     digests = {}
-    got = [_fingerprint(load_panel_csv(sim / "dataset.csv", digests)),
-           _fingerprint(load_weights_csv(sim / "weights.csv", digests))]
+    streamed = load_weights_csv(sim / "weights.csv", digests)
+    got = [_fingerprint(load_panel_csv(sim / "dataset.csv", digests)), _fingerprint(streamed)]
     assert got == want
+    streamed.lags([np.zeros((len(streamed.regions), 4))])  # from the sidecar alone
     assert digests == {str(sim / name): file_digest(sim / name)
                        for name in ("dataset.csv", "dataset.npz", "weights.csv", "weights.npz")}
 
@@ -585,14 +592,16 @@ WIDE = 1500  # regions: W is 18 MB, five blocks of 320 rows
 
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory) -> Path:
-    """A simulated WIDE x 3 bundle (sim) and the weights that rkpf weights wrote from
-    its profiles (w)."""
+    """A simulated WIDE x 3 bundle (sim), the weights that rkpf weights wrote from
+    its profiles (w), and a copy of their CSV alone, without its sidecar (text)."""
     root = tmp_path_factory.mktemp("wide")
     (root / "c.yaml").write_text(f"panel: {{n_regions: {WIDE}, n_years: 3}}\n", encoding="utf-8")
     assert _main(["simulate", "--config", root / "c.yaml", "--seed", "3",
                   "--output-dir", root / "sim"])[0] == 0
     assert _main(["weights", "--profiles", root / "sim" / "profiles.csv",
                   "--bundle", root / "sim", "--output-dir", root / "w"])[0] == 0
+    (root / "text").mkdir()
+    shutil.copy(root / "w" / "weights.csv", root / "text")
     return root
 
 
@@ -610,14 +619,17 @@ def test_weights_writes_the_files_of_the_whole_matrix(wide, tmp_path):
         assert (wide / "sim" / name).read_bytes() == (wide / "w" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("step", ["weights", "suite"])
+@pytest.mark.parametrize("step", ["weights", "suite", "fit-text", "suite-text"])
 def test_no_step_holds_half_of_w(wide, tmp_path, step):
-    """tracemalloc's peak of weights, and of a suite with spatial lags, stays under
-    half of W's n^2 doubles: each holds one block of W's rows at a time."""
+    """tracemalloc's peak of weights, and of a fit or suite with spatial lags, stays
+    under half of W's n^2 doubles: each holds one block of W's rows at a time,
+    whether its lags read the rows from the sidecar or from the text (-text)."""
+    bundle = ["--bundle", wide / "sim", "--weights"]
     argv = {
         "weights": ["weights", "--profiles", wide / "sim" / "profiles.csv"],
-        "suite": ["suite", "--specs", "fe.tw.q.sl", "--bundle", wide / "sim",
-                  "--weights", wide / "w" / "weights.csv"],
+        "suite": ["suite", "--specs", "fe.tw.q.sl", *bundle, wide / "w" / "weights.csv"],
+        "fit-text": ["fit", "--spec", "fe.tw.q.sl", *bundle, wide / "text" / "weights.csv"],
+        "suite-text": ["suite", "--specs", "fe.tw.q.sl", *bundle, wide / "text" / "weights.csv"],
     }[step]
     tracemalloc.start()
     try:
@@ -627,6 +639,79 @@ def test_no_step_holds_half_of_w(wide, tmp_path, step):
         tracemalloc.stop()
     assert code == 0, err
     assert peak < 0.5 * WIDE * WIDE * 8
+
+
+LAGGED = {"fit": ["fit", "--spec", "fe.tw.q.sl"], "suite": ["suite", "--specs", "fe.tw.q.sl"]}
+
+
+def _edited_text(wide: Path, root: Path, edit) -> Path:
+    """A copy of the weights CSV at WIDE, without a sidecar, whose lines (bytes, split
+    at LF) `edit` changes in place."""
+    lines = (wide / "w" / "weights.csv").read_bytes().split(b"\n")
+    edit(lines)
+    root.mkdir()
+    (root / "weights.csv").write_bytes(b"\n".join(lines))
+    return root / "weights.csv"
+
+
+def _lagged_run(wide: Path, command: str, weights_csv: Path, out: Path) -> tuple:
+    """(exit code, stderr, the files written but the manifest, whether a manifest
+    was written) of LAGGED[command] on the WIDE bundle."""
+    code, err = _main([*LAGGED[command], "--bundle", wide / "sim", "--weights", weights_csv,
+                       "--output-dir", out])
+    files = sorted(out.iterdir()) if out.exists() else []
+    results = {p.name: p.read_bytes() for p in files if p.name != "manifest.json"}
+    return code, err, results, (out / "manifest.json").exists()
+
+
+def test_the_texts_blocks_are_data_rows(wide, tmp_path):
+    """W's text is read by blocks of weight_block_rows data rows: with CRLF line ends,
+    and a blank line after data row 320, the end of the first block, fit and suite
+    write the bytes that the lags from the sidecar give."""
+    assert weights.weight_block_rows(WIDE) == 320
+
+    def crlf_and_a_blank_line(lines):
+        lines.insert(1 + 320, b"")
+        lines[:-1] = [line + b"\r" for line in lines[:-1]]
+
+    text = _edited_text(wide, tmp_path / "text", crlf_and_a_blank_line)
+    for command in LAGGED:
+        want = _lagged_run(wide, command, wide / "w" / "weights.csv", tmp_path / command)
+        assert want[0] == 0 and want[2], want[1]
+        assert _lagged_run(wide, command, text, tmp_path / f"{command}-text") == want
+
+
+def test_a_byte_that_is_not_utf8_in_the_last_block_names_the_weights_file(wide, tmp_path):
+    """W's rows are parsed while fit reads the dataset, yet a Latin-1 byte on a row of
+    W's last block, past the text the header's read decodes, is named by the weights
+    file and its line."""
+
+    def latin1(lines):
+        lines[1400] += "é".encode("latin-1")  # data row 1400: the last block is 1281-1500
+
+    text = _edited_text(wide, tmp_path / "text", latin1)
+    code, err, results, manifest = _lagged_run(wide, "fit", text, tmp_path / "fit")
+    assert (code, results, manifest) == (2, {}, False)
+    assert err.startswith(f"error: {text}:1401: not UTF-8 text: ") and err.count("\n") == 1
+
+
+def test_a_bad_last_row_of_the_text_writes_nothing(wide, tmp_path):
+    """A text W whose last row does not sum to 0 or 1 fails fit and suite with the
+    error that names the weights file and the row's region, and no file is written."""
+
+    def doubled_weight(lines):
+        cells = lines[WIDE].split(b",")
+        at = max(range(1, len(cells)), key=lambda j: float(cells[j]))
+        cells[at] = repr(2 * float(cells[at])).encode()
+        lines[WIDE] = b",".join(cells)
+
+    text = _edited_text(wide, tmp_path / "text", doubled_weight)
+    for command in LAGGED:
+        code, err, results, manifest = _lagged_run(wide, command, text, tmp_path / command)
+        assert (code, results, manifest) == (2, {}, False)
+        assert re.fullmatch(
+            f"error: {re.escape(str(text))}: row for 'R1500' sums to \\S+, expected 0 or 1\n", err
+        ), err
 
 
 # the CPUs this process may run on; a W of several blocks is formatted by worker
@@ -771,7 +856,7 @@ def test_a_pooled_write_leaves_no_process(tmp_path, fault, raised):
 
 def test_a_fault_of_the_code_is_not_taken_for_a_damaged_sidecar(wide, monkeypatch):
     """Only what a damaged sidecar raises sends the lags to the CSV's text: any other
-    error is raised, not hidden by a parse that holds all of W."""
+    error is raised, not hidden by a parse of the text."""
     streamed = load_weights_csv(wide / "w" / "weights.csv")
     assert isinstance(streamed, weights.StreamedWeights)
 

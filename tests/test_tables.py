@@ -27,9 +27,10 @@ from rkpf.errors import (
 )
 from rkpf.indicators import RegionYearIndicators, load_vocabulary, write_indicator_csv
 from rkpf.panel import RESERVED_COLUMNS, PanelDataset, load_panel_csv, write_panel_csv
-from rkpf.tables import parse_floats, read_table, write_table
+from rkpf.tables import parse_floats, read_matrix_rows, read_table, write_table
 from rkpf.weights import (
     SpatialWeights,
+    StreamedWeights,
     ThematicProfileMatrix,
     build_weights,
     correlation_matrix,
@@ -56,7 +57,7 @@ def test_names_with_comma_and_quote_round_trip(tmp_path):
     write_weights_csv(w, tmp_path / "weights.csv")
     loaded = load_weights_csv(tmp_path / "weights.csv")
     assert loaded.regions == regions
-    np.testing.assert_array_equal(loaded.w, w.w)
+    np.testing.assert_array_equal(np.concatenate(list(loaded.text_rows())), w.w)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +216,12 @@ def reference_panel(path) -> PanelDataset:
 
 
 def outcome(load, path):
-    """What a loader gives: its error, or its labels and the bytes of its arrays."""
+    """What a loader gives: its error, or its labels and the bytes of its arrays; the
+    W of streamed weights is joined from the checked blocks of rows of the text."""
     try:
         result = load(path)
+        if isinstance(result, StreamedWeights):
+            result = SpatialWeights(result.regions, np.concatenate(list(result.text_rows())))
     except EngineError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(result, SpatialWeights):
@@ -293,6 +297,42 @@ def test_panel_readers_agree(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("p") / "panel.csv"
     path.write_bytes(data.draw(table_text(header, rows)).encode("utf-8"))
     assert outcome(load_panel_csv, path) == outcome(reference_panel, path)
+
+
+def read_joined(path, block_rows):
+    """read_matrix_rows of a table whose label columns come first, its blocks joined,
+    and the calls of check_labels: (columns, labels, bytes of the values, calls), or the
+    error's type and message with the calls."""
+    calls = []
+    try:
+        columns, blocks = read_matrix_rows(path, lambda header: [0, 1], block_rows,
+                                           lambda *call: calls.append(call))
+        labels, values = [], []
+        for block_labels, block in blocks:
+            assert 0 < len(block_labels) <= block_rows and len(block) == len(block_labels)
+            labels += block_labels
+            values.append(block)
+        return columns, labels, np.concatenate(values).tobytes(), calls
+    except EngineError as exc:
+        return type(exc).__name__, str(exc), calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blocks_of_rows_join_to_the_whole_table(tmp_path_factory, data):
+    """read_matrix_rows by blocks of a few data rows gives the labels, bits, line
+    numbers and errors of the one block of the whole table, whatever a block holds:
+    a quote, a cell across lines, a blank line, an awkward cell, CRLF line ends."""
+    names = data.draw(st.lists(st.sampled_from([*NAMES, "line\nbreak"]), min_size=1,
+                               max_size=3, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [[csv_cell(name), str(year), data.draw(finite), data.draw(finite)]
+            for name in names for year in (2009, 2010)]
+    path = tmp_path_factory.mktemp("m") / "m.csv"
+    path.write_bytes(data.draw(table_text(["region", "year", "a", "b"], rows)).encode("utf-8"))
+    whole = read_joined(path, len(rows))
+    for block_rows in (1, 2, 3):
+        assert read_joined(path, block_rows) == whole, block_rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Thematic weights construction and spatial lag operators."""
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,10 +283,28 @@ class TestIo:
         w = build_weights(random_symmetric(rng, 4), ["A", "B", "C", "D"])
         path = tmp_path / "w.csv"
         write_weights_csv(w, path)
-        loaded = load_weights_csv(path)
+        streamed = load_weights_csv(path)
+        loaded = SpatialWeights(streamed.regions, np.concatenate(list(streamed.text_rows())))
         assert loaded.regions == w.regions
         np.testing.assert_array_equal(loaded.w, w.w)
         assert loaded.isolated == w.isolated
+
+    @pytest.mark.parametrize("rows", ["ABC", "AB", "ABCA", "ACB"],
+                             ids=["same", "fewer", "more", "reordered"])
+    def test_text_rows_must_be_the_header_regions_in_order(self, tmp_path, rows):
+        """The lags from a text W check that its rows are the header's regions in
+        order, however many blocks its rows fill."""
+        cells = {"A": "0.0,0.5,0.5", "B": "0.5,0.0,0.5", "C": "0.5,0.5,0.0"}
+        path = tmp_path / "w.csv"
+        path.write_text("region,A,B,C\n" + "".join(f"{r},{cells[r]}\n" for r in rows),
+                        encoding="utf-8")
+        w = load_weights_csv(path)
+        if rows == "ABC":
+            w.lags([np.ones((3, 2))])
+            return
+        with pytest.raises(RegionOrderMismatch,
+                           match=f"^{re.escape(str(path))}: row and column region order differ$"):
+            w.lags([np.ones((3, 2))])
 
     def test_profiles_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
