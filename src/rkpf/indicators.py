@@ -18,6 +18,7 @@ again (see rkpf.manifest).
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -36,7 +37,7 @@ from .errors import (
     NonNumericCell,
     UnknownSubjectArea,
 )
-from .manifest import read_sidecar, recorded_digest, write_sidecar
+from .manifest import SIDECAR_FAULTS, read_sidecar, recorded_digest, write_sidecar
 from .tables import byte_order_mark, check_names, read_table, write_table
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
@@ -466,12 +467,9 @@ def sidecar_sources(pubs_path, vocab_path=None, digests: dict | None = None) -> 
 
 def write_incidence_sidecar(pubs: Publications, path, sources: dict) -> None:
     """Write pubs.incidences to `path`, keyed by `sources` (see sidecar_sources): the
-    sorted regions by the sorted subject areas. None is written where a unicode array
-    would not give a name back: one holding a NUL."""
+    sorted regions by the sorted subject areas."""
     regions = sorted({region for region, _ in pubs.incidences})
     areas = sorted({area for _, area in pubs.incidences})
-    if any("\x00" in name for name in (*regions, *areas)):
-        return
     row = {region: i for i, region in enumerate(regions)}
     column = {area: j for j, area in enumerate(areas)}
     counts = np.zeros((len(regions), len(areas)), dtype=np.int64)
@@ -487,15 +485,14 @@ def read_incidence_sidecar(path, sources: dict, digests: dict | None = None):
     fit its names; otherwise None, and the caller decodes the publications file.
     `digests`, if given, receives the sidecar's own sha256 under its path if it was
     opened."""
-    arrays = read_sidecar(path, sources, SIDECAR_LAYOUT, digests)
-    if arrays is None:
-        return None
-    regions, areas = arrays["regions"].tolist(), arrays["subject_areas"].tolist()
-    counts = arrays["incidences"]
-    if counts.shape != (len(regions), len(areas)):
-        return None
-    rows, columns = np.nonzero(counts)
-    return {
-        (regions[i], areas[j]): n
-        for i, j, n in zip(rows.tolist(), columns.tolist(), counts[rows, columns].tolist())
-    }
+    with contextlib.suppress(*SIDECAR_FAULTS):
+        arrays = read_sidecar(path, sources, SIDECAR_LAYOUT, digests)
+        regions, areas = arrays["regions"].tolist(), arrays["subject_areas"].tolist()
+        counts = arrays["incidences"]
+        if counts.shape == (len(regions), len(areas)):
+            rows, columns = np.nonzero(counts)
+            return {
+                (regions[i], areas[j]): n
+                for i, j, n in zip(rows.tolist(), columns.tolist(), counts[rows, columns].tolist())
+            }
+    return None

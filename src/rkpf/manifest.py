@@ -13,14 +13,18 @@ vocabulary it was checked against.
 
 Every sidecar is written by one class, Sidecar: its arrays, then a member too
 large to hold whole (the weights matrix), if any, by rows while its CSV is
-written, then last the sources' digests. That member is read back by rows too,
-and only by sidecar_rows, which checks that the sidecar records its CSV's digest;
-zipfile checks a member's CRC as its last byte is read.
+written, then last the sources' digests. Every sidecar is opened by one
+function, open_sidecar, which checks its members and the digests it records:
+read_sidecar then reads its arrays whole, and member_rows the large member by
+rows; zipfile checks a member's CRC as its last byte is read. Whatever is wrong
+with a sidecar raises one of SIDECAR_FAULTS, on which its loader reads the
+sources instead.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import tokenize
 import zipfile
 import zlib
 from datetime import datetime, timezone
@@ -28,13 +32,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import EngineError
+
 DIGEST_KEY = "sha256"
 # a fixed member time, so that the same arrays give the same sidecar bytes
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 # bytes per read of a member read by rows
 _CHUNK = 1 << 18
-# what sidecar_rows raises for a damaged, truncated or foreign sidecar
-SIDECAR_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, zlib.error)
+# what a missing, damaged, truncated, stale or foreign sidecar raises: zipfile raises
+# RuntimeError for an encrypted member, and NotImplementedError, a RuntimeError, for
+# an unknown compression method; numpy SyntaxError or tokenize.TokenError for an npy
+# header that is no Python literal, and MemoryError for one whose shape cannot be
+# allocated; a loader's type EngineError for arrays it refuses
+SIDECAR_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, MemoryError, OSError, RuntimeError,
+                  SyntaxError, tokenize.TokenError, ValueError, zlib.error, EngineError)
 
 
 def file_digest(path) -> str:
@@ -145,38 +156,36 @@ def write_sidecar(path, sources: dict, layout: dict, **arrays) -> None:
         sidecar.finish(sources)
 
 
-def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None):
-    """The arrays of the sidecar at `path` by key, if it records exactly `sources`
-    (key -> sha256 of the source file as it is now) and holds the keys of `layout`,
-    each of the (dtype kind, ndim) given there; otherwise None, and the caller
-    reads the sources.
-
-    `digests`, if given, receives the sidecar's own sha256 under its path when it
-    was opened, whether or not it is used.
-    """
-    try:
-        fh = open(path, "rb")
-    except OSError:  # no sidecar, or none this process can open
-        return None
-    # A sidecar is a cache of its sources: whatever is wrong with it (truncated,
-    # foreign, pickled, wrongly typed), the sources are read instead.
-    try:
-        with fh:
-            own = hashlib.file_digest(fh, "sha256").hexdigest()
-            if digests is not None:
-                digests[str(path)] = own
+@contextlib.contextmanager
+def open_sidecar(path, sources: dict, names, digests: dict | None = None):
+    """The sidecar at `path`, open as a zipfile.ZipFile, once it is found to hold
+    exactly the members of `sources` and `names` and to record `sources` (key ->
+    sha256 of the source file as it is now). `digests`, if given, receives the
+    sidecar's own sha256 under its path once it is opened, whether or not it is
+    used. Any fault of the sidecar, here or as its members are read, raises one of
+    SIDECAR_FAULTS, and the caller reads the sources."""
+    with open(path, "rb") as fh:
+        if digests is not None:
+            digests[str(path)] = hashlib.file_digest(fh, "sha256").hexdigest()
             fh.seek(0)
-            with zipfile.ZipFile(fh) as zf:
-                names = [*sources, *layout]
-                if sorted(zf.namelist()) != sorted(f"{key}.npy" for key in names):
-                    return None
-                if not all(_recorded(zf, key) == digest for key, digest in sources.items()):
-                    return None
-                arrays = {key: _read_member(zf, key) for key in layout}
-    except Exception:
-        return None
+        with zipfile.ZipFile(fh) as zf:
+            if sorted(zf.namelist()) != sorted(f"{key}.npy" for key in [*sources, *names]):
+                raise ValueError(f"{path} holds other members than {[*sources, *names]}")
+            for key, digest in sources.items():
+                recorded = _read_member(zf, key)
+                if not _fits(recorded, "U", 0) or recorded.item() != digest:
+                    raise ValueError(f"{path} records another {key} than {digest}")
+            yield zf
+
+
+def read_sidecar(path, sources: dict, layout: dict, digests: dict | None = None) -> dict:
+    """The arrays of the sidecar at `path` by key, each of the (dtype kind, ndim)
+    that `layout` gives for its key, where open_sidecar(path, sources, layout,
+    digests) opens it; otherwise one of SIDECAR_FAULTS."""
+    with open_sidecar(path, sources, layout, digests) as zf:
+        arrays = {key: _read_member(zf, key) for key in layout}
     if not all(_fits(arrays[key], *layout[key]) for key in layout):
-        return None
+        raise ValueError(f"{path} holds arrays of other types than {layout}")
     return arrays
 
 
@@ -185,31 +194,10 @@ def _read_member(zf: zipfile.ZipFile, key: str) -> np.ndarray:
         return np.lib.format.read_array(member, allow_pickle=False)
 
 
-def _recorded(zf: zipfile.ZipFile, key: str):
-    """The digest a member records, or None where it is no 0-d string."""
-    recorded = _read_member(zf, key)
-    return recorded.item() if _fits(recorded, "U", 0) else None
-
-
-def _float_rows_header(member) -> tuple[int, int]:
-    """The shape of the 2-D C-order float64 npy stream `member`, left at its data;
-    ValueError for any other array."""
-    version = np.lib.format.read_magic(member)
-    if version == (1, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-    elif version == (2, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
-    else:
-        raise ValueError(f"npy format {version}")
-    if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
-        raise ValueError(f"not 2-D C-order float64 rows: {dtype}, {shape}")
-    return shape
-
-
-def sidecar_rows(csv_path, key: str, digest: str, block_rows: int):
-    """The rows of the 2-D float64 member `key` of csv_path's sidecar, in blocks of up
-    to block_rows: a generator that reads each block as it is resumed, once it has
-    found the sidecar to record `digest` for the CSV.
+def member_rows(zf: zipfile.ZipFile, key: str, block_rows: int):
+    """The rows of the 2-D float64 member `key` of the sidecar zf (see open_sidecar),
+    in blocks of up to block_rows: a generator that reads each block as it is
+    resumed.
 
     Every block is a view of one buffer, valid until the next block is read, and is
     read into it _CHUNK bytes at a time: one read of a whole block from a zip member
@@ -219,21 +207,23 @@ def sidecar_rows(csv_path, key: str, digest: str, block_rows: int):
     be trusted once the generator is exhausted. Any fault of the sidecar raises one of
     SIDECAR_FAULTS.
     """
-    with zipfile.ZipFile(sidecar_path(csv_path)) as zf:
-        if _recorded(zf, DIGEST_KEY) != digest:
-            raise ValueError(f"{sidecar_path(csv_path)} is not the sidecar of {digest}")
-        with zf.open(f"{key}.npy") as member:
-            n, m = _float_rows_header(member)
-            buffer = np.empty((min(block_rows, n), m), dtype="<f8")
-            for start in range(0, n, block_rows):
-                rows = buffer[: min(block_rows, n - start)]
-                view = memoryview(rows).cast("B")
-                for at in range(0, len(view), _CHUNK):
-                    data = member.read(min(_CHUNK, len(view) - at))
-                    view[at : at + _CHUNK] = data  # a short read fails here
-                yield rows
-            if member.read(1):
-                raise ValueError(f"{key}.npy holds more than {n} x {m} values")
+    with zf.open(f"{key}.npy") as member:
+        if np.lib.format.read_magic(member) != (1, 0):  # the one format Sidecar writes
+            raise ValueError(f"{key}.npy is not in npy format 1.0")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+        if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
+            raise ValueError(f"{key}.npy holds no 2-D C-order float64 rows: {dtype}, {shape}")
+        n, m = shape
+        buffer = np.empty((min(block_rows, n), m), dtype="<f8")
+        for start in range(0, n, block_rows):
+            rows = buffer[: min(block_rows, n - start)]
+            view = memoryview(rows).cast("B")
+            for at in range(0, len(view), _CHUNK):
+                data = member.read(min(_CHUNK, len(view) - at))
+                view[at : at + _CHUNK] = data  # a short read fails here
+            yield rows
+        if member.read(1):
+            raise ValueError(f"{key}.npy holds more than {n} x {m} values")
 
 
 def build_manifest(command: str, input_paths: dict, config_text: str = "") -> dict:

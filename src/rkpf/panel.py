@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import (
     DuplicateRow,
-    EngineError,
     MissingColumn,
     NonConsecutiveYears,
     NonNumericCell,
     UnknownVariable,
 )
-from .manifest import DIGEST_KEY, read_sidecar, recorded_digest, sidecar_path, write_sidecar
+from .manifest import DIGEST_KEY, SIDECAR_FAULTS, read_sidecar, recorded_digest, sidecar_path
+from .manifest import write_sidecar
 from .tables import check_names, format_rows, read_matrix, write_table
 
 RESERVED_COLUMNS = ("region", "year")
@@ -111,14 +111,13 @@ def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
     `digests`, if given, receives the sha256 of each file read, by path.
     """
     sources = {DIGEST_KEY: recorded_digest(path, digests)}
-    arrays = read_sidecar(sidecar_path(path), sources, SIDECAR_LAYOUT, digests)
-    if arrays is not None:
-        with contextlib.suppress(EngineError, ValueError):  # rejected: parse the text
-            return PanelDataset(
-                tuple(arrays["regions"].tolist()),
-                tuple(arrays["years"].tolist()),
-                dict(zip(arrays["variables"].tolist(), arrays["values"])),
-            )
+    with contextlib.suppress(*SIDECAR_FAULTS):  # no sidecar to use: parse the text
+        arrays = read_sidecar(sidecar_path(path), sources, SIDECAR_LAYOUT, digests)
+        return PanelDataset(
+            tuple(arrays["regions"].tolist()),
+            tuple(arrays["years"].tolist()),
+            dict(zip(arrays["variables"].tolist(), arrays["values"])),
+        )
 
     def label_columns(header):
         for col in RESERVED_COLUMNS:

@@ -53,9 +53,11 @@ from .manifest import (
     DIGEST_KEY,
     SIDECAR_FAULTS,
     Sidecar,
+    file_digest,
+    member_rows,
+    open_sidecar,
     recorded_digest,
     sidecar_path,
-    sidecar_rows,
 )
 from .tables import check_names, format_rows, not_utf8, read_matrix, read_matrix_rows, write_table
 
@@ -526,9 +528,12 @@ class StreamedWeights:
 
     def lags(self, values: list) -> list:
         """SpatialWeights.lags of each (n, T) array of values."""
-        blocks = sidecar_rows(self.path, "w", self.digest, weight_block_rows(len(self.regions)))
+        npz = sidecar_path(self.path)
         # a sidecar is a cache of the CSV: whatever a damaged one raises, the CSV is read
-        with contextlib.suppress(*SIDECAR_FAULTS, EngineError), contextlib.closing(blocks):
+        with (contextlib.suppress(*SIDECAR_FAULTS),
+              open_sidecar(npz, {DIGEST_KEY: self.digest}, SIDECAR_LAYOUT) as zf,
+              contextlib.closing(member_rows(zf, "w", weight_block_rows(len(self.regions))))
+              as blocks):
             return lag_rows((rows for _, rows, _ in _checked_rows(self.regions, blocks)), values)
         try:
             return lag_rows(self.text_rows(), values)
@@ -542,7 +547,8 @@ class StreamedWeights:
     def text_rows(self):
         """The blocks (r, n) of W's rows in the CSV's text, in order, each checked as
         SpatialWeights checks W once its rows are found to be of the header's regions
-        in order (else RegionOrderMismatch)."""
+        in order (else RegionOrderMismatch); after the last, InvalidWeights where the
+        CSV no longer has the digest it had when it was loaded."""
         n = len(self.regions)
         _, blocks = read_matrix_rows(self.path, _region_first(self.path), weight_block_rows(n))
         mismatch = RegionOrderMismatch(f"{self.path}: row and column region order differ")
@@ -556,6 +562,8 @@ class StreamedWeights:
             del rows  # before the next block is read
         if start != n:
             raise mismatch
+        if file_digest(self.path) != self.digest:
+            raise InvalidWeights(f"{self.path}: changed since it was loaded as {self.digest}")
 
 
 def write_profiles_csv(m: ThematicProfileMatrix, path) -> None:

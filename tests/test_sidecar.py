@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tracemalloc
 import zipfile
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,8 @@ from hypothesis import strategies as st
 from rkpf import indicators, panel, weights
 from rkpf.cli import main
 from rkpf.errors import DuplicateRow, EngineError, InvalidProfiles, InvalidWeights, MissingColumn
-from rkpf.indicators import Publications
-from rkpf.manifest import SIDECAR_FAULTS, file_digest, sidecar_path, sidecar_rows, write_sidecar
+from rkpf.manifest import SIDECAR_FAULTS, file_digest, member_rows, open_sidecar, sidecar_path
+from rkpf.manifest import write_sidecar
 from rkpf.panel import PanelDataset, load_panel_csv, write_panel_csv, write_panel_sidecar
 from rkpf.weights import SpatialWeights, ThematicProfileMatrix, load_weights_csv
 from rkpf.weights import write_weight_rows
@@ -43,7 +42,9 @@ def _fingerprint(loaded):
     if isinstance(loaded, weights.StreamedWeights):
         step = weights.weight_block_rows(len(loaded.regions))
         try:
-            blocks = [rows.copy() for rows in sidecar_rows(loaded.path, "w", loaded.digest, step)]
+            with open_sidecar(sidecar_path(loaded.path), {"sha256": loaded.digest},
+                              weights.SIDECAR_LAYOUT) as zf:
+                blocks = [rows.copy() for rows in member_rows(zf, "w", step)]
         except SIDECAR_FAULTS:
             blocks = list(loaded.text_rows())
         loaded = SpatialWeights(loaded.regions, np.concatenate(blocks))
@@ -266,9 +267,39 @@ def test_an_edited_csv_wins_over_its_sidecar(tmp_path):
         assert _outcome(load, sim / name) == edited
 
 
+def test_a_weights_csv_edited_after_it_was_loaded_is_refused(tmp_path):
+    """Without a sidecar, the lags are taken from the CSV's text as it is when they
+    are taken: once its last block is read, a CSV that no longer has the digest it
+    was loaded with, which a manifest lists, is refused with an error that names it."""
+    sim = _simulated(tmp_path)
+    path = sim / "weights.csv"
+    sidecar_path(path).unlink()
+    streamed = load_weights_csv(path)
+    values = [np.arange(len(streamed.regions) * 4.0).reshape(-1, 4)]
+    streamed.lags(values)
+    # swap the two largest cells of the first row: the row keeps its sum
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    i, j = sorted(range(1, len(cells)), key=lambda k: float(cells[k]))[-2:]
+    cells[i], cells[j] = cells[j], cells[i]
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(InvalidWeights, match=f"^{re.escape(str(path))}: changed since it was"):
+        streamed.lags(values)
+    load_weights_csv(path).lags(values)  # the edited CSV, loaded again, is a valid W
+
+
 def _savez(path, **arrays):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+# bytes of an npy header replaced by others, and what numpy then raises: its dict
+# left open (tokenize.TokenError), a dtype that is no type (SyntaxError), or a shape
+# of 10**12 values in the last axis, which cannot be allocated (MemoryError)
+NPY_HEADER_DAMAGE = {"npy-header-not-literal": (b"}", b"("),
+                     "npy-descr-not-a-dtype": (b"'descr': '<", b"'descr': ',"),
+                     "npy-shape-too-large": (b"1), }" + b" " * 12, b"1000000000000), }")}
 
 
 def _break(kind: str, npz: Path, layout: dict, sources: dict) -> None:
@@ -295,6 +326,36 @@ def _break(kind: str, npz: Path, layout: dict, sources: dict) -> None:
                   layout.items()})
     elif kind == "stale":  # well formed, but of other sources
         _savez(npz, **{key: np.array("0" * 64) for key in sources}, **right)
+    elif kind in ("unknown-compression", "encrypted"):  # zipfile refuses to read a member
+        raw = bytearray(good)
+        # the central directory entry of the last member of the layout, which its name ends
+        entry = raw.rindex(f"{[*layout][-1]}.npy".encode()) - 46
+        assert raw[entry : entry + 4] == b"PK\x01\x02"
+        if kind == "encrypted":
+            raw[entry + 8] |= 1
+        else:
+            raw[entry + 10 : entry + 12] = (99).to_bytes(2, "little")
+        npz.write_bytes(bytes(raw))
+    elif kind in NPY_HEADER_DAMAGE:  # numpy's parser refuses the last member's header
+        with zipfile.ZipFile(npz, "w") as zf:
+            for key, array in {**recorded, **right}.items():
+                member = io.BytesIO()
+                np.lib.format.write_array(member, array)
+                data = member.getvalue()
+                if key == [*layout][-1]:
+                    old, new = NPY_HEADER_DAMAGE[kind]
+                    assert old in data
+                    data = data.replace(old, new, 1)
+                zf.writestr(f"{key}.npy", data)
+    elif kind == "refused-by-its-type":  # keyed, but with a name repeated and W negated
+        with np.load(io.BytesIO(good)) as members:
+            arrays = {key: members[key] for key in members.files}
+        for key, (k, _) in layout.items():
+            if k == "U":
+                arrays[key][1] = arrays[key][0]
+            elif k == "f":
+                arrays[key] = -arrays[key]
+        _savez(npz, **arrays)
     elif kind == "directory":
         npz.unlink()
         npz.mkdir()
@@ -303,7 +364,8 @@ def _break(kind: str, npz: Path, layout: dict, sources: dict) -> None:
 
 
 BROKEN = ("truncated", "zero-byte", "npy-not-npz", "foreign-key", "object-dtype",
-          "wrongly-typed", "stale", "directory", "deleted")
+          "wrongly-typed", "stale", "unknown-compression", "encrypted", *NPY_HEADER_DAMAGE,
+          "directory", "deleted")
 STEPS = {
     "suite": ["suite", "--specs", "fe.tw.q,fe.tw.q.sl", "--weights", "sim/weights.csv"],
     "fit": ["fit", "--spec", "fe.tw.q.sl", "--weights", "sim/weights.csv"],
@@ -326,7 +388,9 @@ def _run_steps(root: Path, tag: str) -> dict:
     return found
 
 
-@pytest.mark.parametrize("kind", BROKEN)
+# the panel and W are checked by their types, which refuse a repeated region or a
+# negative weight; the incidence counts are built into no such type
+@pytest.mark.parametrize("kind", [*BROKEN, "refused-by-its-type"])
 def test_a_broken_sidecar_changes_no_result(tmp_path, kind):
     sim = _simulated(tmp_path)
     good = _run_steps(tmp_path, "good")
@@ -572,15 +636,6 @@ def test_a_sidecar_member_is_written_in_c_order_from_any_layout(tmp_path, order)
     arrays = _members_are_write_array_bytes(path)
     assert arrays["values.npy"].flags.c_contiguous
     np.testing.assert_array_equal(arrays["values.npy"], values)
-
-
-def test_a_name_a_sidecar_would_not_give_back_leaves_none(tmp_path):
-    """A unicode array drops a trailing NUL, so no sidecar is written for such a name.
-    load_publications refuses a name that holds a NUL, so the counts are built here."""
-    path = tmp_path / indicators.SIDECAR_NAME
-    pubs = Publications(records=1, incidences=Counter({("a\x00", "x"): 1, ("a", "x"): 1}))
-    indicators.write_incidence_sidecar(pubs, path, {"pubs_sha256": "a" * 64})
-    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
