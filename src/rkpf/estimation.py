@@ -1,12 +1,15 @@
 """Least-squares panel estimation with fixed effects and robust covariance.
 
 Region effects are absorbed by within-group demeaning; time effects enter as
-explicit dummies with the first year as baseline. The least-squares core is
-an R-only QR of [X y]: build_design writes the design and the response into
-one (N, k+1) buffer, within_transform demeans it in place and ols_fit
-factorises it by blocks of QR_BLOCK_ROWS rows (a flat TSQR), so a fit holds
-no other copy of the design than one block, and the overall R^2 rebuilds the
-raw design by blocks of regions. Covariance is either classical or a cluster-by-region
+explicit dummies with the first year as baseline. The least-squares core,
+_least_squares, takes the design [X y] as chunks of QR_BLOCK_ROWS rows, in two
+passes: an R-only QR by chunks (a flat TSQR), then the residuals y - X b and each
+region's cluster score X_g'u_g. fit_model never holds its design whole: each
+chunk is cut from a block of the whole regions its rows fall in, built and
+demeaned alone (demeaning is region-local), and built again in the second pass,
+which also takes X b of the raw rows for the overall R^2. fit_block cuts the
+same chunks from one stacked buffer, and ols_fit from the buffer it is given.
+Covariance is either classical or a cluster-by-region
 sandwich with the small-sample factor G/(G-1) * (N-1)/(N-K), where K counts
 fitted columns plus absorbed region effects (the same convention used for
 degrees of freedom and t-distribution p-values). Rows come as G region
@@ -19,8 +22,8 @@ cluster_robust_cov) also take arrays with leading axes: a stack of B
 replications' [X y] buffers, (B, N, k+1), is fitted as B separate problems, each
 with the same numpy calls and so the same bits as when fitted alone.
 fit_model and fit_block, which fits Monte Carlo's stack of replications,
-agree because they run one checked core, _fit: the dof of design_dof, the
-QR and every check of a fit, in one order.
+agree because they run one checked core, _fit, over the same chunks: the dof
+of design_dof, the QR and every check of a fit, in one order.
 
 W's only use in a fit is the thematic lags W x, and take_lags is the only code
 that meets W: it takes every distinct lag of a list of specs once, as a
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -222,9 +224,14 @@ def _design_arrays(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, tuple[str,
     spec with no lag term; for a stack of panels (see term_values) the buffer is
     (..., n T, k + 1). `out`, a flat float64 array of at least the buffer's size,
     holds the buffer where given."""
-    y = _finite(d, spec.dependent, d.var(spec.dependent))
-    *lead, n, t = y.shape
+    labels, y, terms = _columns(d, spec)
+    return _design_block(spec, y, terms, out), labels
 
+
+def _columns(d, spec: ModelSpec):
+    """(column labels, response, terms) of the design of a spec with no lag term: the
+    response's and each term's (..., n, T) values, each checked once, whole."""
+    y = _finite(d, spec.dependent, d.var(spec.dependent))
     labels = [term.label for term in spec.regressors]
     if spec.time_dummies:
         labels += [f"year_{year}" for year in d.years[1:]]
@@ -232,41 +239,26 @@ def _design_arrays(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, tuple[str,
         labels.append("const")
     if not labels:
         raise ValueError("empty design: no regressors, dummies, or intercept")
+    return tuple(labels), y, [term_values(d, term) for term in spec.regressors]
 
-    # the buffer starts as ones, which the const column, if any, keeps
-    shape = (*lead, n * t, len(labels) + 1)
-    if out is None:
-        xy = _mapped_ones(shape)
-    else:
-        xy = out[: math.prod(shape)].reshape(shape)
-        xy[...] = 1.0
+
+def _design_block(spec: ModelSpec, y: np.ndarray, terms, out=None) -> np.ndarray:
+    """The [X y] buffer (..., n T, k + 1) of spec's design on the (..., n, T) values of
+    its response y and its terms (_columns), or on a block of their regions: the
+    terms, the T-1 year dummies, the constant and y. `out`, a flat float64 array of
+    at least the buffer's size, holds it where given."""
+    *lead, n, t = y.shape
+    k = len(terms)
+    shape = (*lead, n * t, k + (t - 1) * spec.time_dummies + spec.intercept + 1)
+    xy = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
     xy[..., -1] = y.reshape(*lead, -1)
-    for j, term in enumerate(spec.regressors):
-        xy[..., j] = term_values(d, term).reshape(*lead, -1)
+    for j, values in enumerate(terms):
+        xy[..., j] = values.reshape(*lead, -1)
     if spec.time_dummies:  # every region's T rows get the year identity, first year dropped
-        k = len(spec.regressors)
         xy.reshape(*lead, n, t, -1)[..., k : k + t - 1] = np.eye(t)[:, 1:]
-    return xy, tuple(labels)
-
-
-# a design of at least this many bytes gets a memory map of its own (_mapped_ones)
-MAPPED_BYTES = 1 << 20
-
-
-def _mapped_ones(shape: tuple[int, ...]) -> np.ndarray:
-    """np.ones(shape); from MAPPED_BYTES on, in a private anonymous memory map of its own,
-    whose pages go back to the system when the array is freed. malloc keeps a freed
-    array in its heap once its mmap threshold has risen past the array's size (it
-    rises to the size of each mapped block it frees), so a suite's designs of
-    varying widths would otherwise leave one design resident beside the next. A
-    small design, such as one Monte Carlo replication's, reuses the heap's pages
-    instead of faulting in new ones. tracemalloc does not see a map."""
-    size = math.prod(shape)
-    if 8 * size < MAPPED_BYTES:
-        return np.ones(shape)
-    ones = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=float)
-    ones[...] = 1.0
-    return ones.reshape(shape)
+    if spec.intercept:
+        xy[..., -2] = 1.0
+    return xy
 
 
 def design_dof(spec: ModelSpec, n_regions: int, n_years: int, where: str = "") -> tuple[int, int]:
@@ -308,46 +300,94 @@ class OlsFit:
     xtx_inverse: np.ndarray  # (X'X)^-1 from the QR's R, shared by both covariances
 
 
-# Rows of [X y] per QR: a buffer of up to one block is one np.linalg.qr; a longer
-# one is factorised block by block, which copies one block at a time where one QR
-# copies the whole buffer twice, and whose R has the same bits whatever the BLAS
-# thread count (one QR of 40000 rows differs between 1 and 2 threads).
+# Rows of [X y] per chunk. Every product over a design's rows (the QR, X b and the
+# residuals) is taken over the same chunks of QR_BLOCK_ROWS rows, counted from the
+# design's first row, whether the design is one buffer (_buffer_chunks) or is built
+# by blocks of regions (_region_chunks): a product's bits depend on the rows it is
+# taken over (X b over blocks of 999 rows differs from the whole product in some
+# rows; over chunks of 1000 it does not), so a fit has the same bits whatever holds
+# its design. The QR copies one chunk at a time, where one QR copies the whole
+# buffer twice, and its R has the same bits whatever the BLAS thread count (one QR
+# of 40000 rows differs between 1 and 2 threads).
 QR_BLOCK_ROWS = 1000
 
 
-def _r_factor(xy: np.ndarray) -> np.ndarray:
-    """The R of an R-only QR of xy (..., N, k+1), as a flat TSQR (Demmel et al. 2012):
-    R of the first QR_BLOCK_ROWS rows, then for each later block R <- R of [R; block].
-    Leading axes stack problems, each split the same way, so that a problem's R has
-    the same bits stacked or alone."""
-    r = np.linalg.qr(xy[..., :QR_BLOCK_ROWS, :], mode="r")
-    for start in range(QR_BLOCK_ROWS, xy.shape[-2], QR_BLOCK_ROWS):
-        block = xy[..., start : start + QR_BLOCK_ROWS, :]
-        r = np.linalg.qr(np.concatenate([r, block], axis=-2), mode="r")
+def _buffer_chunks(xy: np.ndarray):
+    """The chunks of the whole [X y] buffer xy (..., N, k+1) (see _least_squares)."""
+    n = xy.shape[-2]
+    return lambda coefficients=None: (
+        (xy, 0, slice(start, min(start + QR_BLOCK_ROWS, n)), None)
+        for start in range(0, n, QR_BLOCK_ROWS)
+    )
+
+
+def _region_chunks(spec: ModelSpec, y: np.ndarray, terms):
+    """The chunks of spec's design on the (n, T) values of its response y and terms
+    (_columns), never held whole (see _least_squares): each chunk's block is the design
+    of the whole regions its rows fall in, built and, with region effects, demeaned
+    alone. Given coefficients b, a chunk of a demeaned block comes with X b of its
+    raw rows, taken before the block is demeaned."""
+    n, t = y.shape
+
+    def chunks(coefficients=None):
+        for start in range(0, n * t, QR_BLOCK_ROWS):
+            stop = min(start + QR_BLOCK_ROWS, n * t)
+            first, last = start // t, -(-stop // t)
+            xy = _design_block(spec, y[first:last], [v[first:last] for v in terms])
+            rows = slice(start - first * t, stop - first * t)
+            raw = None
+            if spec.region_effects:
+                if coefficients is not None:
+                    raw = xy[rows, :-1] @ coefficients
+                within_transform(xy, last - first)
+            yield xy, first * t, rows, raw
+            del xy, raw  # before the next block is built
+
+    return chunks
+
+
+def _r_factor(chunks) -> np.ndarray:
+    """The R of an R-only QR of the rows of a design's [X y] chunks (..., r, k+1), as
+    chunks() gives them (see _least_squares), as a flat TSQR (Demmel et al. 2012): R
+    of the first chunk, then for each later one R <- R of [R; chunk]. Leading axes
+    stack problems, each split the same way, so that a problem's R has the same bits
+    stacked or alone."""
+    r = None
+    for block, _, rows, _ in chunks:
+        chunk = block[..., rows, :]
+        r = np.linalg.qr(chunk if r is None else np.concatenate([r, chunk], axis=-2), mode="r")
+        del block, chunk  # before the next block is built
     return r
 
 
-def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
-    """Least squares of y on X from an R-only QR of the [X y] buffer xy (..., N, k+1),
-    whose last column is y, by row blocks (_r_factor); rank deficiency is a hard error.
+def _least_squares(chunks, n_rows: int, labels=None, n_regions: int = 0, overall=False):
+    """(OlsFit, cluster scores, fitted, response) of least squares of y on X over the
+    n_rows rows of an [X y] design, in two passes over its chunks of QR_BLOCK_ROWS
+    rows.
+
+    chunks(b) gives, for each chunk in order, (block, offset, rows, raw): the chunk
+    is block[..., rows, :], block (..., r, k+1) holds whole regions of the design
+    from its row `offset` on, and raw is X b of the chunk's raw rows where its block
+    was demeaned (given b), else None. Pass 1 factorises the chunks (_r_factor);
+    rank deficiency is a hard error. Pass 2 takes the residuals y - X b by chunks
+    and, given n_regions (clusters of equal row counts), each cluster's score X_g'u_g
+    from its block once its residuals are known: (..., n_regions, k), else None.
+    With `overall`, it also keeps X b of the raw rows (fitted) and y of the fitted
+    rows (response), (n_rows,) each; else both are None.
 
     R's leading k x k block is the R of X and its column k is Q'y, so Q is
     never formed. The first column whose R diagonal collapses is reported as
     linearly dependent on the columns before it. One inverse of R gives both
-    the coefficients and (X'X)^-1. Leading axes of xy stack problems; each gets
-    its own rank tolerance, and the first problem with a collapsed column is
-    the one reported.
+    the coefficients and (X'X)^-1. Leading axes stack problems; each gets its own
+    rank tolerance, and the first problem with a collapsed column is the one
+    reported.
     """
-    xy = np.asarray(xy, dtype=float)
-    if xy.ndim < 2 or xy.shape[-2] < xy.shape[-1] - 1:
-        raise ValueError(f"need at least as many rows as columns of X, got [X y] {xy.shape}")
-    X, y = xy[..., :-1], xy[..., -1]
-    k = X.shape[-1]
-    r_xy = _r_factor(xy)
+    r_xy = _r_factor(chunks())
+    k = r_xy.shape[-1] - 1
     r = r_xy[..., :k, :k]
     diag = np.abs(np.einsum("...ii->...i", r))
     scale = diag.max(axis=-1, initial=0.0, keepdims=True)
-    tol = max(X.shape[-2:]) * np.finfo(float).eps * scale
+    tol = max(n_rows, k) * np.finfo(float).eps * scale
     dependent = diag <= tol
     if dependent.any():
         j = int(np.argwhere(dependent)[0][-1])
@@ -358,13 +398,47 @@ def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
         )
     r_inv = np.linalg.inv(r)
     coef = (r_inv @ r_xy[..., :k, k, np.newaxis])[..., 0]
-    residuals = y - (X @ coef[..., np.newaxis])[..., 0]
-    return OlsFit(
+    lead = coef.shape[:-1]
+    residuals = np.empty((*lead, n_rows))
+    scores = np.empty((*lead, n_regions, k)) if n_regions else None
+    fitted, response = (np.empty(n_rows), np.empty(n_rows)) if overall else (None, None)
+    t, scored = n_rows // max(n_regions, 1), 0
+    for block, offset, rows, raw in chunks(coef):
+        at = slice(offset + rows.start, offset + rows.stop)
+        chunk = block[..., rows, :]
+        product = (chunk[..., :-1] @ coef[..., np.newaxis])[..., 0]
+        np.subtract(chunk[..., -1], product, out=residuals[..., at])
+        if overall:
+            fitted[at] = product if raw is None else raw
+            response[at] = chunk[..., -1]
+        done = at.stop // t if n_regions else 0
+        if done > scored:  # the clusters whose last row this chunk holds
+            X = block[..., scored * t - offset : done * t - offset, :-1]
+            u = residuals[..., scored * t : done * t]
+            with np.errstate(invalid="ignore"):  # a non-finite SSR is named first
+                scores[..., scored:done, :] = (
+                    np.swapaxes(X.reshape(*lead, done - scored, t, k), -1, -2)
+                    @ u.reshape(*lead, done - scored, t, 1)
+                )[..., 0]
+            scored = done
+            del X
+        del block, chunk  # before the next block is built
+    fit = OlsFit(
         coefficients=coef,
         residuals=residuals,
         ssr=(residuals[..., np.newaxis, :] @ residuals[..., np.newaxis])[..., 0, 0],
         xtx_inverse=r_inv @ np.swapaxes(r_inv, -1, -2),
     )
+    return fit, scores, fitted, response
+
+
+def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
+    """Least squares of y on X from an R-only QR of the [X y] buffer xy (..., N, k+1),
+    whose last column is y: _least_squares over the buffer's chunks."""
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim < 2 or xy.shape[-2] < xy.shape[-1] - 1:
+        raise ValueError(f"need at least as many rows as columns of X, got [X y] {xy.shape}")
+    return _least_squares(_buffer_chunks(xy), xy.shape[-2], labels)[0]
 
 
 def classical_cov(fit: OlsFit, dof: int) -> np.ndarray:
@@ -373,18 +447,23 @@ def classical_cov(fit: OlsFit, dof: int) -> np.ndarray:
 
 
 def cluster_robust_cov(fit: OlsFit, X: np.ndarray, n_regions: int, dof: int) -> np.ndarray:
-    """Cluster sandwich (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1, one cluster per region.
+    """Cluster sandwich (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1, one cluster per region:
+    _sandwich of the scores X_g'u_g of the rows of X (..., N, k), n_regions equal blocks."""
+    *lead, n, k = np.shape(X)
+    X4 = np.asarray(X).reshape(*lead, max(n_regions, 1), -1, k)
+    residuals = fit.residuals.reshape(*X4.shape[:-1], 1)
+    return _sandwich(fit, (np.swapaxes(X4, -1, -2) @ residuals)[..., 0], dof)
+
+
+def _sandwich(fit: OlsFit, scores: np.ndarray, dof: int) -> np.ndarray:
+    """The cluster sandwich of fit from its G clusters' scores X_g'u_g (..., G, k).
 
     Scaled by G/(G-1) * (N-1)/(N-K); dof = N-K with K = fitted columns +
-    absorbed region effects. The rows of X (..., N, k) are n_regions equal blocks.
+    absorbed region effects.
     """
-    g = n_regions
+    g, n = scores.shape[-2], fit.residuals.shape[-1]
     if g < 2:
         raise SingleCluster("cluster-robust covariance needs at least 2 clusters")
-    *lead, n, k = np.shape(X)
-    X4 = np.asarray(X).reshape(*lead, g, -1, k)
-    residuals = fit.residuals.reshape(*lead, g, -1, 1)
-    scores = (np.swapaxes(X4, -1, -2) @ residuals)[..., 0]
     # the sum of the G outer products, with no (..., G, k, k) temporary
     meat = np.einsum("...gi,...gj->...ij", scores, scores, optimize=False)
     factor = (g / (g - 1)) * ((n - 1) / dof)
@@ -537,19 +616,20 @@ def _check_finite(what: str, values: np.ndarray, labels) -> None:
         raise NonFiniteFit(f"the {what} of {labels[at[-1]]!r} is {values[at]}")
 
 
-def _fit(xy: np.ndarray, spec: ModelSpec, labels, n_regions: int, n_years: int):
-    """(dof, least-squares fit, spec's standard errors, classical standard errors) of
-    the [X y] buffer xy (..., N, k+1) of an n x T panel, each checked; with region
-    effects, xy is demeaned in place first.
+def _fit(chunks, spec: ModelSpec, labels, n_regions: int, n_years: int, overall=False):
+    """(dof, least-squares fit, spec's standard errors, classical standard errors,
+    fitted, response) of the [X y] design of an n x T panel that chunks gives, each
+    checked (_least_squares, which gives fitted and response with `overall`).
 
     Leading axes stack replications; each check then covers the whole stack and
     names the first replication that fails it.
     """
-    if spec.region_effects:
-        within_transform(xy, n_regions)
     _, dof = design_dof(spec, n_regions, n_years)
+    clusters = 0 if spec.covariance == "classical" else n_regions
     with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
-        fit = ols_fit(xy, labels)
+        fit, scores, fitted, response = _least_squares(
+            chunks, n_regions * n_years, labels, clusters, overall
+        )
     ok = np.isfinite(fit.ssr)
     if not ok.all():
         raise NonFiniteFit(
@@ -557,38 +637,27 @@ def _fit(xy: np.ndarray, spec: ModelSpec, labels, n_regions: int, n_years: int):
         )
     _check_finite("estimate", fit.coefficients, labels)
     classical_se = _std_errors(classical_cov(fit, dof))
-    if spec.covariance == "classical":
-        se = classical_se
-    else:
-        se = _std_errors(cluster_robust_cov(fit, xy[..., :-1], n_regions, dof))
+    se = classical_se if scores is None else _std_errors(_sandwich(fit, scores, dof))
     _check_finite("standard error", se, labels)
     _check_finite("classical standard error", classical_se, labels)
-    return dof, fit, se, classical_se
+    return dof, fit, se, classical_se, fitted, response
 
 
 def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
     """Estimate a ModelSpec: design -> (demean) -> QR least squares -> inference.
 
     The spec's lags are taken first (take_lags), so the design is built from plain
-    columns. The result carries the spec's errors and, from the same (X'X)^-1, the
-    classical ones.
+    columns, by blocks of regions (_region_chunks). The result carries the spec's
+    errors and, from the same (X'X)^-1, the classical ones.
     """
     d, [plain] = take_lags(d, [spec], w)
     del w
-    design = build_design(d, plain)
-    xy, labels = design.xy, design.column_labels
-    del design  # xy is then the one reference to the buffer
-    n_obs, k = xy.shape[0], xy.shape[1] - 1
-    dof, fit, se, classical_se = _fit(xy, plain, labels, d.n_regions, d.n_years)
-    # the response of the (possibly demeaned) LS problem, as a copy: a dot product
-    # along the buffer's strided column adds in another order
-    yf = np.ascontiguousarray(xy[:, -1])
-    if spec.region_effects:
-        # the buffer was demeaned in place: X b and y of the raw design instead
-        del xy
-        fitted, y_raw = _raw_fitted(d, plain, fit.coefficients)
-    else:
-        fitted, y_raw = xy[:, :-1] @ fit.coefficients, xy[:, -1]
+    labels, y, terms = _columns(d, plain)
+    n_obs, k = d.n_obs, len(labels)
+    # X b of the raw design, and y of the (possibly demeaned) LS problem
+    dof, fit, se, classical_se, fitted, yf = _fit(
+        _region_chunks(plain, y, terms), plain, labels, d.n_regions, d.n_years, overall=True
+    )
     n_absorbed = n_obs - k - dof  # the region effects the dof nets out
     ssr = float(fit.ssr)
     t_stats, p_values = _t_test(se, fit.coefficients, dof)
@@ -603,7 +672,7 @@ def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
     tss = float(y_center @ y_center)
     r2_within = 1.0 - ssr / tss if tss > 0 else 0.0
     # overall R^2: squared correlation of Xb with the raw response
-    r2_overall = _squared_correlation(fitted, y_raw)
+    r2_overall = _squared_correlation(fitted, np.ascontiguousarray(y).reshape(-1))
 
     aic = float("-inf") if ssr <= 0 else n_obs * math.log(ssr / n_obs) + 2 * (k + n_absorbed)
 
@@ -628,26 +697,10 @@ def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
     )
 
 
-def _raw_fitted(d: PanelDataset, spec: ModelSpec, coefficients: np.ndarray):
-    """(X b, y) of spec's raw design on d, whose spec has no lag: the design is built
-    again over blocks of regions of up to QR_BLOCK_ROWS rows, so no second whole
-    design is held. A blocked X b has the bits of the whole product."""
-    regions = max(1, QR_BLOCK_ROWS // d.n_years)
-    fitted, y = [], []
-    for start in range(0, d.n_regions, regions):
-        rows = slice(start, start + regions)
-        part = PanelDataset(
-            d.region_ids[rows], d.years, {name: v[rows] for name, v in d.variables.items()}
-        )
-        xy = _design_arrays(part, spec)[0]
-        fitted.append(xy[:, :-1] @ coefficients)
-        y.append(xy[:, -1].copy())  # a view would keep the block's buffer
-    return np.concatenate(fitted), np.concatenate(y)
-
-
 def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The estimates (B, k) and the spec's standard errors (B, k) of a stack of B
-    panels, each the bits fit_model gives it alone: both run the one core, _fit.
+    panels, each the bits fit_model gives it alone: both run the one core, _fit, on
+    the same chunks of rows; here they are cut from one stacked buffer.
 
     d is a simulate.PanelBlock: PanelDataset's region_ids, years and var, over
     (B, n, T) variables, and its own weights for take_lags. A failing check raises
@@ -661,5 +714,7 @@ def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     d, [spec] = take_lags(d, [spec], d)
     xy, labels = _design_arrays(d, spec, out)
     del d  # the design is all of the block that the fit reads
-    _, fit, se, _ = _fit(xy, spec, labels, n, t)
+    if spec.region_effects:
+        within_transform(xy, n)
+    _, fit, se, *_ = _fit(_buffer_chunks(xy), spec, labels, n, t)
     return fit.coefficients, se

@@ -11,9 +11,9 @@ keyed by the CSV alone; the incidence counts of a publications file sit in the
 bundle apart from their sources, keyed by the publications file and the
 vocabulary it was checked against.
 
-Every sidecar is written by one class, Sidecar: its arrays, then a member too
-large to hold whole (the weights matrix), if any, by rows while its CSV is
-written, then last the sources' digests. Every sidecar is opened by one
+Every sidecar is written by one class, Sidecar: its arrays, then a member not
+to be held whole (the weights matrix, a panel's values), if any, by rows as they
+are made, then last the sources' digests. Every sidecar is opened by one
 function, open_sidecar, which checks its members and the digests it records:
 read_sidecar then reads its arrays whole, and member_rows the large member by
 rows; zipfile checks a member's CRC as its last byte is read. Whatever is wrong
@@ -88,9 +88,9 @@ def _add(zf: zipfile.ZipFile, key: str, array: np.ndarray) -> None:
 class Sidecar:
     """The sidecar at `path`, written member by member: `arrays` go in at once, each
     of the (dtype kind, ndim) that `layout` gives for its key; with `key`, write(rows)
-    then adds the rows of that 2-D float64 member of `shape` in order, as its CSV is
-    written; last, finish(sources) adds the sha256 of each source file by key (a
-    CSV's sidecar has the one key DIGEST_KEY) and closes the sidecar.
+    then adds the rows (along its first axis) of that float64 member of `shape` in
+    order, as they are made; last, finish(sources) adds the sha256 of each source
+    file by key (a CSV's sidecar has the one key DIGEST_KEY) and closes the sidecar.
 
     The arrays must be what the sources' loader returns; the names in them follow
     tables.check_names. No sidecar is written, and a stale one is removed, where an
@@ -120,7 +120,7 @@ class Sidecar:
             raise
 
     def write(self, rows: np.ndarray) -> None:
-        """Append rows (r, shape[1]) of the member `key`."""
+        """Append rows (r, *shape[1:]) of the member `key`."""
         if self.fh is not None:
             rows = np.require(rows, dtype="<f8", requirements="C")
             self.fh.write(memoryview(rows))

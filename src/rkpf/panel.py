@@ -3,10 +3,16 @@
 A PanelDataset is an immutable region x year table of named numeric
 variables. Cells that were absent from the input are stored as NaN until
 validate_balanced certifies the panel complete; nothing is imputed.
+
+No reader or writer holds a second whole copy of the values: load_panel_csv
+parses a panel's text by blocks of rows, keeping of each row only codes of its
+region and year; write_panel_csv formats the rows by blocks of regions, and
+write_panel_sidecar writes the values one variable at a time.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -14,14 +20,15 @@ import numpy as np
 
 from .errors import (
     DuplicateRow,
+    EngineError,
     MissingColumn,
     NonConsecutiveYears,
     NonNumericCell,
     UnknownVariable,
 )
-from .manifest import DIGEST_KEY, SIDECAR_FAULTS, read_sidecar, recorded_digest, sidecar_path
-from .manifest import write_sidecar
-from .tables import check_names, format_rows, read_matrix, write_table
+from .manifest import DIGEST_KEY, SIDECAR_FAULTS, Sidecar, read_sidecar, recorded_digest
+from .manifest import sidecar_path
+from .tables import check_names, format_rows, read_matrix_rows, write_table
 
 RESERVED_COLUMNS = ("region", "year")
 # (dtype kind, ndim) of each array of a panel's sidecar; values is (variable, region, year)
@@ -109,6 +116,11 @@ def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
     checked separately by validate_balanced. The arrays come from the CSV's
     sidecar when one records the CSV's digest (see write_panel_sidecar).
     `digests`, if given, receives the sha256 of each file read, by path.
+
+    The text is parsed by blocks of 1024 data rows (tables.read_matrix_rows). Of
+    each row only its region and year, as codes, and its line are kept beside the
+    block's numbers, until the last block is read and the table is filled, block by
+    block. An error names the first faulty row of the file.
     """
     sources = {DIGEST_KEY: recorded_digest(path, digests)}
     with contextlib.suppress(*SIDECAR_FAULTS):  # no sidecar to use: parse the text
@@ -127,8 +139,10 @@ def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
             raise MissingColumn(f"{path}: no variable columns beyond region,year")
         return [header.index(col) for col in RESERVED_COLUMNS]
 
-    seen: set[tuple[str, int]] = set()
-    years = []
+    # region and year codes in order of first appearance; a row's key is the pair
+    regions: dict[str, int] = {}
+    years: dict[int, int] = {}
+    keys, lines = [], []  # of the rows of the block being read
 
     def check_labels(lineno, labels):
         region, year_cell = labels
@@ -138,59 +152,91 @@ def load_panel_csv(path, digests: dict | None = None) -> PanelDataset:
             raise NonNumericCell(
                 f"{path}:{lineno}: year column: cannot parse {year_cell!r}"
             ) from None
-        if (region, year) in seen:
-            raise DuplicateRow(f"{path}:{lineno}: duplicate row for {region!r}, {year}")
-        seen.add((region, year))
-        years.append(year)
+        keys.append(regions.setdefault(region, len(regions)) << 32
+                    | years.setdefault(year, len(years)))
+        lines.append(lineno)
 
-    var_names, labels, values = read_matrix(path, label_columns, check_labels)
-    regions = [region for region, _ in labels]
+    var_names, blocks = read_matrix_rows(path, label_columns, 1024, check_labels)
+    parsed = []  # (keys, lines, numbers) of each block read
+
+    def refuse_repeats():
+        """Raise DuplicateRow naming the first row whose key an earlier row has."""
+        row_keys = np.concatenate([k for k, _, _ in parsed] + [np.array(keys, dtype=np.int64)])
+        _, first = np.unique(row_keys, return_index=True)
+        repeat = np.ones(len(row_keys), dtype=bool)
+        repeat[first] = False
+        if repeat.any():
+            i = int(np.argmax(repeat))
+            lineno = np.concatenate([n for _, n, _ in parsed] + [np.array(lines, dtype=np.int64)])[i]
+            region, year = list(regions)[row_keys[i] >> 32], list(years)[row_keys[i] & 0xFFFFFFFF]
+            raise DuplicateRow(f"{path}:{lineno}: duplicate row for {region!r}, {year}")
+
+    try:
+        for _, values in blocks:
+            parsed.append((np.array(keys, dtype=np.int64), np.array(lines, dtype=np.int64), values))
+            keys.clear()
+            lines.clear()
+    except (EngineError, UnicodeDecodeError):  # unless a row before it repeats a key
+        refuse_repeats()
+        raise
+    refuse_repeats()
 
     first, last = min(years), max(years)
-    if last - first >= len(years):
+    n_rows = sum(len(values) for _, _, values in parsed)
+    if last - first >= n_rows:
         # a balanced panel has a row for every year it spans
         raise NonConsecutiveYears(f"{path}: years {first}-{last} outnumber the data rows")
-    region_ids = tuple(sorted(set(regions)))
-    index = {r: i for i, r in enumerate(region_ids)}
+    region_ids = tuple(sorted(regions))
+    row_of = np.empty(len(regions), dtype=np.intp)
+    row_of[[regions[r] for r in region_ids]] = np.arange(len(region_ids))
+    column_of = np.array([year - first for year in years], dtype=np.intp)
     table = np.full((len(var_names), len(region_ids), last - first + 1), np.nan)
-    table[:, [index[r] for r in regions], [y - first for y in years]] = values.T
+    while parsed:
+        block_keys, _, values = parsed.pop(0)
+        table[:, row_of[block_keys >> 32], column_of[block_keys & 0xFFFFFFFF]] = values.T
     return PanelDataset(region_ids, tuple(range(first, last + 1)), dict(zip(var_names, table)))
 
 
 def write_panel_csv(d: PanelDataset, path) -> str:
     """Write the canonical long CSV, region-major: NaN as an empty cell, inf an error.
 
-    Returns the sha256 of the bytes written.
+    Rows are stacked and formatted by blocks of regions, so no second whole copy of
+    the values is made. Returns the sha256 of the bytes written.
     """
-    values = np.stack(list(d.variables.values()), axis=-1).reshape(d.n_obs, -1)
-    if np.isinf(values).any():
-        row, col = np.argwhere(np.isinf(values))[0]
+    names, arrays = list(d.variables), list(d.variables.values())
+    infinite = [(int(np.argmax(cells)), j) for j, v in enumerate(arrays)
+                if (cells := np.isinf(v).reshape(-1)).any()]
+    if infinite:  # the first in the file's order
+        row, col = min(infinite)
         where = f"{d.region_ids[row // d.n_years]}, {d.years[row % d.n_years]}"
-        raise NonNumericCell(f"{list(d.variables)[col]!r} is {values[row, col]} at {where}")
-    keys = ((region, year) for region in d.region_ids for year in d.years)
-    return write_table(path, ["region", "year", *d.variables], zip(keys, format_rows(values)))
+        raise NonNumericCell(f"{names[col]!r} is {arrays[col].reshape(-1)[row]} at {where}")
+    step = max(1, 1024 // max(d.n_years, 1))  # regions per block
+
+    def rows(start):
+        block = np.stack([v[start : start + step] for v in arrays], axis=-1)
+        return zip(itertools.product(d.region_ids[start : start + step], d.years),
+                   format_rows(block.reshape(-1, len(arrays))))
+
+    blocks = map(rows, range(0, d.n_regions, step))
+    return write_table(path, ["region", "year", *names], itertools.chain.from_iterable(blocks))
 
 
 def write_panel_sidecar(d: PanelDataset, csv_path, digest: str) -> None:
     """The sidecar of the panel CSV that write_panel_csv wrote to csv_path, returning
     `digest`: the dataset as load_panel_csv returns it, regions sorted and every
-    missing cell the NaN an empty cell parses to."""
+    missing cell the NaN an empty cell parses to. Its (variable, region, year) values
+    are written one variable at a time, each reordered and made canonical alone."""
     order = sorted(range(d.n_regions), key=d.region_ids.__getitem__)
-    # one (variable, region, year) array, filled in region order and made canonical
-    # in place, so that writing it adds only the writer's copy
-    values = np.empty((len(d.variables), d.n_regions, d.n_years))
-    for out, arr in zip(values, d.variables.values()):
-        np.take(arr, order, axis=0, out=out)
-    np.copyto(values, np.nan, where=np.isnan(values))
-    write_sidecar(
-        sidecar_path(csv_path),
-        {DIGEST_KEY: digest},
-        SIDECAR_LAYOUT,
-        regions=[d.region_ids[i] for i in order],
-        years=d.years,
-        variables=list(d.variables),
-        values=values,
-    )
+    shape = (len(d.variables), d.n_regions, d.n_years)
+    with contextlib.closing(Sidecar(
+        sidecar_path(csv_path), SIDECAR_LAYOUT, "values", shape,
+        regions=[d.region_ids[i] for i in order], years=d.years, variables=list(d.variables),
+    )) as sidecar:
+        for arr in d.variables.values():
+            values = np.take(arr, order, axis=0)
+            np.copyto(values, np.nan, where=np.isnan(values))
+            sidecar.write(values[np.newaxis])
+        sidecar.finish({DIGEST_KEY: digest})
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,23 @@ class TestIngest:
         assert ["B", 2010, "v"] in report["gaps"]
         assert not (out / "dataset.csv").exists()
 
+    def test_shuffled_rows_give_the_same_bundle(self, tmp_path):
+        """A panel's rows in another order, past one block of parsed rows, give the
+        bytes of dataset.csv and dataset.npz that the panel in order gives."""
+        g = generate_panel(DgpConfig(n_regions=90, n_years=12, seed=5))
+        write_panel_csv(g.dataset, tmp_path / "panel.csv")
+        header, *rows = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines(True)
+        assert len(rows) > 1024
+        order = np.random.default_rng(0).permutation(len(rows))
+        (tmp_path / "shuffled.csv").write_text(header + "".join(rows[i] for i in order),
+                                               encoding="utf-8")
+        for name in ("panel", "shuffled"):
+            assert run("ingest", "--panel", tmp_path / f"{name}.csv",
+                       "--output-dir", tmp_path / name) == 0
+        for name in ("dataset.csv", "dataset.npz"):
+            assert (tmp_path / "panel" / name).read_bytes() == (
+                tmp_path / "shuffled" / name).read_bytes()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run("ingest", "--panel", tmp_path / "nope.csv") in (1, 2)
 
@@ -349,14 +366,14 @@ def test_weights_are_dropped_before_every_fit(model_bundle, tmp_path, monkeypatc
             yield rows
 
     held = []
-    ols_fit = rkpf.estimation.ols_fit
+    r_factor = rkpf.estimation._r_factor
 
-    def fitting(*args, **kwargs):
+    def factorising(chunks):  # a fit's first QR: its first pass over the design
         held.append([ref() is not None for ref in loaded])
-        return ols_fit(*args, **kwargs)
+        return r_factor(chunks)
 
     monkeypatch.setattr(rkpf.weights.StreamedWeights, "text_rows", reading)
-    monkeypatch.setattr(rkpf.estimation, "ols_fit", fitting)
+    monkeypatch.setattr(rkpf.estimation, "_r_factor", factorising)
     weights = model_bundle / "weights.csv"
     assert run(*argv, "--bundle", model_bundle, "--weights", weights,
                "--output-dir", tmp_path / "out") == 0

@@ -1,4 +1,6 @@
 """Panel store: loading, validation, descriptive stats."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,31 @@ class TestLoadPanelCsv:
         d = load_panel_csv(path)
         assert d.region_ids == ("A", "B")
         np.testing.assert_array_equal(d.var("v"), [[1, 2], [3, 4]])
+
+
+    def test_the_text_is_parsed_holding_its_values_about_twice(self, tmp_path):
+        """load_panel_csv parses the text by blocks of rows and keeps, of each row, its
+        codes and line beside the block's numbers; the table is then filled block by
+        block. tracemalloc's peak stays under 2.5 times the values, the bound the panel
+        sidecar's writer is held to, where one parse of the whole text, with a label
+        tuple and a (region, year) key per row, reached 7."""
+        rng = np.random.default_rng(1)
+        n, t = 1000, 20
+        values = rng.standard_normal((10, n, t))
+        regions = tuple(f"R{i:04d}" for i in rng.permutation(n))
+        write_panel_csv(PanelDataset(regions, tuple(range(2000, 2000 + t)),
+                                     {f"v{j}": v for j, v in enumerate(values)}),
+                        tmp_path / "panel.csv")
+        load_panel_csv(tmp_path / "panel.csv")  # first-call caches out of the measurement
+        tracemalloc.start()
+        try:
+            d = load_panel_csv(tmp_path / "panel.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * values.nbytes
+        order = np.argsort(regions)
+        assert all(np.array_equal(d.var(f"v{j}"), v[order]) for j, v in enumerate(values))
 
 
 class TestPanelInvariants:

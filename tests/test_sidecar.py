@@ -232,7 +232,7 @@ def test_a_valid_sidecar_is_loaded_without_parsing_the_text(tmp_path, monkeypatc
     def no_parse(*args, **kwargs):
         raise AssertionError("parsed the text")
 
-    monkeypatch.setattr(panel, "read_matrix", no_parse)
+    monkeypatch.setattr(panel, "read_matrix_rows", no_parse)
     monkeypatch.setattr(weights.StreamedWeights, "text_rows", no_parse)
     digests = {}
     streamed = load_weights_csv(sim / "weights.csv", digests)

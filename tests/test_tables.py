@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import shutil
 import tempfile
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkpf import panel
 from rkpf.cli import main
 from rkpf.errors import (
     DuplicateRow,
@@ -336,6 +338,88 @@ def test_blocks_of_rows_join_to_the_whole_table(tmp_path_factory, data):
 
 
 # ---------------------------------------------------------------------------
+# the panel parsed by blocks of rows
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def panel_blocks(rows):
+    """Within, load_panel_csv parses its text by blocks of `rows` data rows."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(panel, "read_matrix_rows",
+                            lambda path, columns, _, check=None: read_matrix_rows(
+                                path, columns, rows, check))
+        yield
+
+
+# data rows of a 2-region, 3-year panel; blocks of 3 rows end after R1's last year
+PANEL_ROWS = ["R1,2009,1.5,2", "R1,2010,2.5,3", "R1,2011,3.5,4",
+              "R2,2009,4.5,5", "R2,2010,5.5,6", "R2,2011,6.5,7"]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (PANEL_ROWS[:3] + ["R1,2010,9,9"] + PANEL_ROWS[3:],
+     "{path}:5: duplicate row for 'R1', 2010"),
+    (PANEL_ROWS[:3] + ["R2,20x0,9,9"] + PANEL_ROWS[3:],
+     "{path}:5: year column: cannot parse '20x0'"),
+    (PANEL_ROWS[:4] + ["R2,2010,abc,6"] + PANEL_ROWS[5:],
+     "{path}:6: column 'v': cannot parse 'abc' as a finite number"),
+    # the first fault of the file wins, whichever block holds the next
+    (PANEL_ROWS[:3] + ["R1,2009,9,9", "R2,2009,4.5,inf"] + PANEL_ROWS[4:],
+     "{path}:5: duplicate row for 'R1', 2009"),
+    (PANEL_ROWS[:3] + ["R2,2009,4.5,nan", "R1,2009,9,9"] + PANEL_ROWS[4:],
+     "{path}:5: column 'w': cannot parse 'nan' as a finite number"),
+    (PANEL_ROWS[:2] + ["R1,2011,3.5,4,5"] + PANEL_ROWS[3:] + ["R1,2009,1,1"],
+     "{path}:4: expected 4 cells, got 5"),
+], ids=["duplicate-across-blocks", "bad-year", "non-numeric-cell", "duplicate-then-inf",
+        "nan-then-duplicate", "wide-row-then-duplicate"])
+@pytest.mark.parametrize("block_rows", [1, 3, 4])
+def test_a_fault_past_a_block_boundary_has_the_message_of_the_whole_text(
+        tmp_path, rows, message, block_rows):
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(["region,year,v,w", *rows]) + "\n", encoding="utf-8")
+    want = ("DuplicateRow" if "duplicate" in message else "NonNumericCell",
+            message.format(path=path))
+    assert outcome(load_panel_csv, path) == outcome(reference_panel, path) == want
+    with panel_blocks(block_rows):
+        assert outcome(load_panel_csv, path) == want
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4])
+def test_crlf_and_a_blank_line_at_a_block_boundary_read_as_the_text(tmp_path, block_rows):
+    path = tmp_path / "panel.csv"
+    lines = ["region,year,v,w", *PANEL_ROWS[:3], "", *PANEL_ROWS[3:], " ", ""]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    want = outcome(load_panel_csv, path)
+    assert want == outcome(reference_panel, path) and want[0] == ("R1", "R2")
+    with panel_blocks(block_rows):
+        assert outcome(load_panel_csv, path) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_panel_readers_agree_by_blocks_of_rows(tmp_path_factory, data):
+    """load_panel_csv by blocks of 1-3 data rows gives what the per-row reader gives,
+    a repeated row and an unparsable year among the faults drawn."""
+    regions = data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [[csv_cell(region), str(year), data.draw(finite)]
+            for region in regions for year in (2009, 2010)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(i + 1, len(rows))), list(rows[i]))
+        else:
+            rows[i][1] = data.draw(st.sampled_from(["20O9", "", "2009.0", "1e3"]))
+    path = tmp_path_factory.mktemp("p") / "panel.csv"
+    path.write_bytes(data.draw(table_text(["region", "year", "v"], rows)).encode("utf-8"))
+    want = outcome(reference_panel, path)
+    for block_rows in (1, 2, 3):
+        with panel_blocks(block_rows):
+            assert outcome(load_panel_csv, path) == want, block_rows
+
+
+# ---------------------------------------------------------------------------
 # fuzz: corrupted input files exit 0 or 2 from every command, never 1
 # ---------------------------------------------------------------------------
 
@@ -468,3 +552,80 @@ def test_corrupted_inputs_exit_0_or_2(good_files, data):
         for npz in ("bundle/dataset.npz", "weights.npz"):
             (root / npz).unlink()
         assert with_sidecars == run_all()
+
+
+# ---------------------------------------------------------------------------
+# mutations of ingest's panel: exit 0 or 2, the same by blocks of rows
+# ---------------------------------------------------------------------------
+
+PANEL_MUTATIONS = ("truncate", "bit-flip", "duplicate-line", "drop-line", "swap-lines", "bom",
+                   "crlf", "byte-ff", "empty", "drop-column", "nan", "inf", "1e400",
+                   "empty-cell")
+
+
+def mutated(data: bytes, kind: str, rng) -> bytes:
+    """data, a table's bytes ending in a newline, with one mutation of `kind`."""
+    lines = data.split(b"\n")[:-1]
+    if kind == "truncate":
+        return data[: rng.randrange(len(data))]
+    if kind == "bit-flip":
+        i = rng.randrange(len(data))
+        return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1 :]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "byte-ff":
+        i = rng.randrange(len(data) + 1)
+        return data[:i] + b"\xff" + data[i:]
+    if kind == "empty":
+        return b""
+    if kind == "drop-column":
+        j = rng.randrange(len(lines[0].split(b",")))
+        lines = [b",".join(c for k, c in enumerate(line.split(b",")) if k != j) for line in lines]
+    elif kind in ("duplicate-line", "drop-line", "swap-lines"):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if kind == "duplicate-line":
+            lines.insert(j, lines[i])
+        elif kind == "drop-line":
+            del lines[i]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    else:  # a number cell becomes nan, inf, 1e400 or empty
+        i = rng.randrange(1, len(lines))
+        cells = lines[i].split(b",")
+        cells[rng.randrange(2, len(cells))] = {"empty-cell": b""}.get(kind, kind.encode())
+        lines[i] = b",".join(cells)
+    return b"\n".join(lines) + b"\n"
+
+
+def test_ingest_of_a_mutated_panel_exits_0_or_2(tmp_path):
+    """150 mutations of a panel.csv of 20 rows, at a pinned seed: ingest exits 0 or 2,
+    an exit 2 explains itself on stderr (`error: `) or, for an unbalanced panel, with
+    the balance report on stdout, and parsing by blocks of 3 rows gives the same exit,
+    output and bundle as parsing it whole."""
+    from rkpf.simulate import DgpConfig, generate_panel
+
+    source = tmp_path / "source.csv"
+    write_panel_csv(generate_panel(DgpConfig(n_regions=5, n_years=4, seed=2)).dataset, source)
+    data, rng = source.read_bytes(), random.Random(7)
+    path, out = tmp_path / "panel.csv", tmp_path / "bundle"
+
+    def ingest():
+        shutil.rmtree(out, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["ingest", "--panel", str(path), "--output-dir", str(out)])
+        files = {f.name: f.read_bytes() for f in sorted(out.glob("*")) if f.name != "manifest.json"}
+        return code, stdout.getvalue(), stderr.getvalue(), files
+
+    for trial in range(150):
+        kind = PANEL_MUTATIONS[trial % len(PANEL_MUTATIONS)]
+        path.write_bytes(mutated(data, kind, rng))
+        code, stdout, stderr, files = ended = ingest()
+        assert code in (0, 2), (kind, stderr)
+        if code == 2:
+            assert stderr.startswith("error: ") or (
+                not stderr and "balance check: FAIL" in stdout), (kind, stdout, stderr)
+        with panel_blocks(3):
+            assert ingest() == ended, kind
