@@ -238,7 +238,7 @@ def cmd_weights(args) -> int:
             if incidences is None:
                 incidences = load_publications(path, vocabulary).incidences
             if vocabulary is None:
-                vocabulary = sorted({area for _, area in incidences})
+                vocabulary = incidences[1]
             regions = _bundle_regions(args.bundle, inputs) if args.bundle else None
             profiles = build_profile_matrix(incidences, vocabulary, regions)
 

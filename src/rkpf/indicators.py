@@ -11,7 +11,8 @@ is checked and then counted by one fold (`_fold`) into `Publications`, the
 counts these computations read, and no record. A run is checked one record at
 a time by `_record_columns`, the reference, which names a bad record by its
 file:line; a JSON-lines run whose records are all in the canonical shape is
-checked in bulk instead (`_canonical_columns`). `ingest` leaves the incidence counts in the bundle as
+checked in bulk instead (`_canonical_columns`). The incidence counts are one
+matrix, sorted as `Publications.incidences`, that `ingest` leaves in the bundle as
 `publications.npz`, keyed by the sha256 of the publications file and of its
 vocabulary, so that `weights` builds its profiles without decoding the file
 again (see rkpf.manifest).
@@ -24,7 +25,6 @@ import json
 import math
 import operator
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from json.decoder import WHITESPACE
 
@@ -45,24 +45,33 @@ QUARTILES = ("Q1", "Q2", "Q3", "Q4", "NONE")
 INDICATOR_COLUMNS = {"PUBS": "pub_count", "FWCI": "fwci", "Q1SH": "q1_share", "NQSH": "nq_share"}
 
 
-@dataclass
+@dataclass(eq=False)
 class Publications:
     """Checked publication records, folded into the counts the indicators and the
     thematic profiles read; `len()` is the number of records. load_publications
-    fills it, and _fold is the one code that writes `cells` and `incidences`.
+    fills it, and _fold is the one code that writes it.
 
     `cells` maps each (region, year) that a record lists to [the citation ratios
-    of its records in record order, its Q1 count, its NONE count]. `incidences`
-    counts each (region, subject area) that a record lists together, so it
-    covers every region and every subject area the records list.
+    of its records in record order, its Q1 count, its NONE count]. `regions` and
+    `areas` code each name as the records first list it, and `counts[region, area]`
+    counts the records that list both; its rows and columns past the codes are 0.
     """
 
     records: int = 0
     cells: dict = field(default_factory=dict)
-    incidences: Counter = field(default_factory=Counter)
+    regions: dict = field(default_factory=dict)
+    areas: dict = field(default_factory=dict)
+    counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.int64))
 
     def __len__(self) -> int:
         return self.records
+
+    @property
+    def incidences(self) -> tuple:
+        """(the sorted regions, the sorted subject areas, a new matrix of their counts)."""
+        regions, areas = sorted(self.regions), sorted(self.areas)
+        at = np.ix_([self.regions[name] for name in regions], [self.areas[name] for name in areas])
+        return regions, areas, self.counts[at]
 
 
 @dataclass(frozen=True)
@@ -376,11 +385,15 @@ def _fold(pubs: Publications, columns: tuple) -> None:
     counts = np.bincount(pairs)
     present = np.flatnonzero(counts)
     region, area = np.divmod(present, len(area_names))
-    keys = zip(map(region_names.__getitem__, region.tolist()),
-               map(area_names.__getitem__, area.tolist()))
-    incidences = pubs.incidences
-    for key, k in zip(keys, counts[present].tolist()):
-        incidences[key] += k
+    # a new name takes the next code; a dimension grows at least twofold: few copies a file
+    rows, columns = (np.array([codes.setdefault(name, len(codes)) for name in names], np.intp)
+                     for codes, names in ((pubs.regions, region_names), (pubs.areas, area_names)))
+    grow = [max(want - n, n) if want > n else 0
+            for want, n in zip((len(pubs.regions), len(pubs.areas)), pubs.counts.shape)]
+    if any(grow):
+        pubs.counts = np.pad(pubs.counts, [(0, grow[0]), (0, grow[1])])
+    # the run's pairs are unique, so one fancy-indexed add counts each once
+    pubs.counts[rows[region], columns[area]] += counts[present]
     pubs.records += n
 
 
@@ -419,9 +432,8 @@ def load_publications(path, vocabulary=None) -> Publications:
             _fold(pubs, _checked_columns(path, run, vocabulary))
     if not len(pubs):
         raise MissingData(f"{path}: no publication records")
-    # once over the distinct names, not per record: the incidences list every one
-    regions, areas = map(set, zip(*pubs.incidences))
-    for what, names in (("region", regions), ("subject area", areas)):
+    # once over the distinct names, not per record: the codes name every one
+    for what, names in (("region", pubs.regions), ("subject area", pubs.areas)):
         check_names(sorted(names), lambda message: NonNumericCell(f"{path}: {message}"), what)
     return pubs
 
@@ -468,13 +480,7 @@ def sidecar_sources(pubs_path, vocab_path=None, digests: dict | None = None) -> 
 def write_incidence_sidecar(pubs: Publications, path, sources: dict) -> None:
     """Write pubs.incidences to `path`, keyed by `sources` (see sidecar_sources): the
     sorted regions by the sorted subject areas."""
-    regions = sorted({region for region, _ in pubs.incidences})
-    areas = sorted({area for _, area in pubs.incidences})
-    row = {region: i for i, region in enumerate(regions)}
-    column = {area: j for j, area in enumerate(areas)}
-    counts = np.zeros((len(regions), len(areas)), dtype=np.int64)
-    for (region, area), n in pubs.incidences.items():
-        counts[row[region], column[area]] = n
+    regions, areas, counts = pubs.incidences
     write_sidecar(path, sources, SIDECAR_LAYOUT,
                   regions=regions, subject_areas=areas, incidences=counts)
 
@@ -490,9 +496,5 @@ def read_incidence_sidecar(path, sources: dict, digests: dict | None = None):
         regions, areas = arrays["regions"].tolist(), arrays["subject_areas"].tolist()
         counts = arrays["incidences"]
         if counts.shape == (len(regions), len(areas)):
-            rows, columns = np.nonzero(counts)
-            return {
-                (regions[i], areas[j]): n
-                for i, j, n in zip(rows.tolist(), columns.tolist(), counts[rows, columns].tolist())
-            }
+            return regions, areas, counts
     return None

@@ -286,40 +286,38 @@ def weight_matrix(shares: np.ndarray) -> np.ndarray:
 
 
 def build_profile_matrix(
-    incidences: dict,
+    incidences: tuple,
     vocabulary: list[str],
     regions: list[str] | None = None,
 ) -> ThematicProfileMatrix:
     """Per-region subject-area incidence shares over a fixed vocabulary.
 
-    `incidences` counts each (region, subject area) that the records list
-    together (Publications.incidences): a record listing k subject areas
-    contributes one incidence to each of them in every region it lists. A
-    region's shares are its incidences divided by its total. Regions default to
-    every region the counts hold, sorted.
+    `incidences` is (regions, subject areas, counts) as Publications.incidences gives
+    it: a record listing k subject areas adds one to each of them in the row of every
+    region it lists. A region's shares are its incidences divided by its total.
+    Regions default to those of the counts.
     """
+    names, areas, counts = incidences
     if regions is None:
-        regions = sorted({region for region, _ in incidences})
-    row = {region: i for i, region in enumerate(dict.fromkeys(regions))}
-    column = {code: j for j, code in enumerate(vocabulary)}
-    counts = np.zeros((len(row), len(vocabulary)))
-    unknown: dict[str, list[str]] = {}
-    for (region, code), n in incidences.items():
-        if region in row:
-            if code in column:
-                counts[row[region], column[code]] = n
-            else:
-                unknown.setdefault(region, []).append(code)
-    totals = counts.sum(axis=1)
-    for region in regions:
-        if region in unknown:
+        regions = names
+    row, column = ({name: i for i, name in enumerate(axis)} for axis in (names, areas))
+    # a last row and column of zeros: a region or a vocabulary code without counts
+    padded = np.zeros((len(names) + 1, len(areas) + 1))
+    padded[:-1, :-1] = counts
+    at = [row.get(region, -1) for region in regions]
+    over = padded[np.ix_(at, [column.get(code, -1) for code in vocabulary])]
+    codes = frozenset(vocabulary)
+    unknown = [j for j, area in enumerate(areas) if area not in codes]
+    totals = over.sum(axis=1)
+    for region, i, total in zip(regions, at, totals):
+        stray = [areas[j] for j in unknown if padded[i, j]]
+        if stray:
             raise UnknownSubjectArea(
-                f"region {region!r}: subject areas {sorted(unknown[region])} not in vocabulary"
+                f"region {region!r}: subject areas {sorted(stray)} not in vocabulary"
             )
-        if not totals[row[region]]:
+        if not total:
             raise EmptyRegion(f"region {region!r} has no publication records")
-    shares = (counts / totals[:, np.newaxis])[[row[region] for region in regions]]
-    return ThematicProfileMatrix(tuple(regions), tuple(vocabulary), shares)
+    return ThematicProfileMatrix(tuple(regions), tuple(vocabulary), over / totals[:, np.newaxis])
 
 
 def whole_lags(w: np.ndarray, values: list) -> list:
