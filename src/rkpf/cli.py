@@ -7,10 +7,15 @@ of every file its command read, so reruns are verifiable. The dataset.csv and
 weights.csv that ingest, weights and simulate write get a binary sidecar (see
 rkpf.manifest) that later steps load instead of parsing the text, and ingest
 --pubs leaves the publications' incidence counts in the bundle for weights
---pubs --bundle, which then does not decode the same file again. Exit codes:
-0 success, 2 input or validation error (one line naming the input at fault,
-such as a path that is missing, a directory, or under a regular file), 1
-internal error.
+--pubs --bundle, which then does not decode the same file again.
+
+main() gives every subcommand one frame: it makes --output-dir, runs the
+command with the dict in which the command lists each input it reads, and
+writes manifest.json last, from that dict and the config text the command
+returns, only when the command succeeds. Exit codes: 0 success, 2 input or
+validation error, always one `error:` line on stderr naming the input at
+fault (such as a path that is missing, a directory, or under a regular file,
+or a panel that is not balanced), 1 internal error.
 
 This module imports no engine module at load: each subcommand imports what it
 uses when it runs, from the module that defines it, so --version, --help and a
@@ -63,12 +68,6 @@ def _write_weights(regions, blocks, out: Path) -> tuple[str, ...]:
     return write_weight_rows(
         regions, blocks, out / "weights.csv", out / "weights.json", sidecar=True
     )
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 @contextlib.contextmanager
@@ -157,7 +156,7 @@ def _reorder_profiles(profiles, region_order):
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, out: Path, inputs: dict) -> str:
     import numpy as np
 
     from .indicators import (
@@ -170,11 +169,8 @@ def cmd_ingest(args) -> int:
         write_incidence_sidecar,
         write_indicator_csv,
     )
-    from .manifest import build_manifest
     from .panel import load_panel_csv, validate_balanced
 
-    out = _out_dir(args)
-    inputs = {}
     with _reading(inputs, args.panel) as path:
         dataset = load_panel_csv(path, inputs)
 
@@ -200,24 +196,23 @@ def cmd_ingest(args) -> int:
     _write_json(out / "validation.json", report.to_dict())
     print(report.render_text())
     if not report.passed:
-        return 2
+        raise MissingData(
+            f"{args.panel}: not balanced: {len(report.gaps)} of its cells missing, "
+            f"listed in {out / 'validation.json'}"
+        )
 
     _write_dataset(dataset, out)
     if args.pubs:
         write_incidence_sidecar(pubs, out / SIDECAR_NAME, sources)
-    _write_json(out / "manifest.json", build_manifest("ingest", inputs))
     print(f"bundle written to {out}")
-    return 0
+    return ""
 
 
-def cmd_weights(args) -> int:
-    from .manifest import build_manifest
+def cmd_weights(args, out: Path, inputs: dict) -> str:
     from .weights import build_profile_matrix, load_profiles_csv, weight_rows
 
-    out = _out_dir(args)
     if not (args.profiles or args.pubs):
         raise MissingData("weights needs --profiles or --pubs")
-    inputs = {}
     if args.profiles:
         with _reading(inputs, args.profiles) as path:
             profiles = load_profiles_csv(path)
@@ -244,37 +239,33 @@ def cmd_weights(args) -> int:
 
     # W is written as it is computed, block by block of rows: it is never whole
     isolated = _write_weights(profiles.regions, weight_rows(profiles), out)
-    _write_json(out / "manifest.json", build_manifest("weights", inputs))
     print(
         f"weights written to {out} "
         f"({len(profiles.regions)} regions, {len(isolated)} isolated)"
     )
-    return 0
+    return ""
 
 
-def _fits(args, tags, dual_errors=False):
-    """The ComparisonTable of fit and suite, one column per tag, and the inputs read.
-    Estimation loads first, and the callers' writers after: a child's peak RSS moves
-    with the order in which its modules load."""
+def _fits(args, inputs: dict, tags, dual_errors=False):
+    """The ComparisonTable of fit and suite, one column per tag, listing the files
+    read in inputs. Estimation loads first, and the callers' writers after: a child's
+    peak RSS moves with the order in which its modules load."""
     from .estimation import require_weights
     from .panel import load_panel_csv
     from .suite import run_suite, suite_specs
 
     require_weights(suite_specs(tags, args.covariance, dual_errors), args.weights is not None)
-    inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
         table = run_suite(
             dataset, _load_weights(args.weights, inputs, path, dataset.region_ids), tags,
             args.covariance, dual_errors=dual_errors,
         )
-    return table, inputs
+    return table
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
-    table, inputs = _fits(args, [args.spec])
-    from .manifest import build_manifest
+def cmd_fit(args, out: Path, inputs: dict) -> str:
+    table = _fits(args, inputs, [args.spec])
     from .suite import render_fit_text, render_table
 
     fit = table.fits[0]
@@ -285,15 +276,12 @@ def cmd_fit(args) -> int:
         _write_text(out / f"fit.{fmt}", render_table(table, fmt))
     elif fmt != "json":
         _write_text(out / "fit.txt", text)
-    _write_json(out / "manifest.json", build_manifest("fit", inputs, config_text=args.spec))
     print(text)
-    return 0
+    return args.spec
 
 
-def cmd_suite(args) -> int:
-    out = _out_dir(args)
-    table, inputs = _fits(args, _name_list(args.specs, "tag"), args.dual_errors)
-    from .manifest import build_manifest
+def cmd_suite(args, out: Path, inputs: dict) -> str:
+    table = _fits(args, inputs, _name_list(args.specs, "tag"), args.dual_errors)
     from .suite import render_table
 
     _write_json(out / "suite.json", table.to_dict())
@@ -302,18 +290,14 @@ def cmd_suite(args) -> int:
     ext = {"text": "txt", "csv": "csv", "md": "md"}
     if fmt != "json":
         _write_text(out / f"suite.{ext[fmt]}", text if fmt == "text" else render_table(table, fmt))
-    _write_json(out / "manifest.json", build_manifest("suite", inputs, config_text=args.specs))
     print(text)
-    return 0
+    return args.specs
 
 
-def cmd_simulate(args) -> int:
-    from .manifest import build_manifest
+def cmd_simulate(args, out: Path, inputs: dict) -> str:
     from .simulate import generate_panel
     from .weights import write_profiles_csv
 
-    out = _out_dir(args)
-    inputs = {}
     cfg = _dgp_config(args, inputs)
     with _reading(inputs, args.config):  # a panel that overflows is the config's
         generated = generate_panel(cfg)
@@ -321,23 +305,18 @@ def cmd_simulate(args) -> int:
     write_profiles_csv(generated.profiles, out / "profiles.csv")
     _write_weights(generated.weights.regions, [generated.weights.w], out)
     cfg.to_yaml(out / "dgp.yaml")
-    config_text = json.dumps(cfg.to_mapping(), sort_keys=True)
-    _write_json(out / "manifest.json", build_manifest("simulate", inputs, config_text))
     print(
         f"synthetic bundle written to {out} "
         f"({cfg.n_regions} regions x {cfg.n_years} years, seed {cfg.seed})"
     )
-    return 0
+    return json.dumps(cfg.to_mapping(), sort_keys=True)
 
 
-def cmd_mc(args) -> int:
-    from .manifest import build_manifest
+def cmd_mc(args, out: Path, inputs: dict) -> str:
     from .simulate import monte_carlo
     from .suite import expand_notation
 
-    out = _out_dir(args)
     expand_notation(args.spec, args.covariance)
-    inputs = {}
     cfg = _dgp_config(args, inputs)
     with _reading(inputs, args.config):  # such as a panel too small for the spec
         report = monte_carlo(cfg, args.spec, args.reps, args.covariance)
@@ -345,28 +324,22 @@ def cmd_mc(args) -> int:
     _write_json(out / "mc.json", report.to_dict())
     text = report.render_text()
     _write_text(out / "mc.txt", text)
-    config_text = json.dumps(cfg.to_mapping(), sort_keys=True) + f"|{args.spec}|{args.reps}"
-    _write_json(out / "manifest.json", build_manifest("mc", inputs, config_text))
     print(text)
-    return 0
+    return json.dumps(cfg.to_mapping(), sort_keys=True) + f"|{args.spec}|{args.reps}"
 
 
-def cmd_stats(args) -> int:
-    from .manifest import build_manifest
+def cmd_stats(args, out: Path, inputs: dict) -> str:
     from .panel import descriptive_stats, load_panel_csv, render_stats_text
 
-    out = _out_dir(args)
     names = _name_list(args.vars, "variable") if args.vars else None
-    inputs = {}
     with _reading(inputs, Path(args.bundle) / DATASET_NAME) as path:
         dataset = load_panel_csv(path, inputs)
         table = descriptive_stats(dataset, names or list(dataset.variables))
     _write_json(out / "stats.json", table)
     text = render_stats_text(table)
     _write_text(out / "stats.txt", text)
-    _write_json(out / "manifest.json", build_manifest("stats", inputs))
     print(text)
-    return 0
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +441,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "vocab", None) and not args.pubs:
         args.parser.error("argument --vocab: needs --pubs")
+    # The frame of every subcommand: the output directory first, before the command
+    # checks its flags; the manifest last, only on success. Every EngineError, and
+    # every OSError on a path, is an exit 2 with one `error:` line.
     try:
-        return args.func(args)
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs = {}
+        config_text = args.func(args, out, inputs)
+        # every subcommand has loaded rkpf.manifest by now, through its loaders or writers
+        from .manifest import build_manifest
+
+        _write_json(out / "manifest.json", build_manifest(args.command, inputs, config_text))
+        return 0
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

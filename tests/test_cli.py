@@ -1,5 +1,6 @@
 """Command-line surfaces: bundles, exit codes, file outputs."""
 import builtins
+import hashlib
 import importlib
 import inspect
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import rkpf
+from rkpf.choices import MAIN_TAGS
 from rkpf.cli import main
 from rkpf.panel import load_panel_csv, write_panel_csv
 from rkpf.simulate import DEFAULT_REGRESSORS, DgpConfig, generate_panel
@@ -87,17 +89,25 @@ class TestIngest:
         report = json.loads((out / "validation.json").read_text())
         assert report["passed"] is True
 
-    def test_unbalanced_exits_2_with_gaps(self, tmp_path):
+    def test_unbalanced_exits_2_with_gaps(self, tmp_path, capsys):
+        """One `error:` line names the panel and validation.json; the balance report
+        is on stdout, and no bundle or manifest is written."""
         path = tmp_path / "panel.csv"
         path.write_text(
             "region,year,v\nA,2009,1\nA,2010,2\nB,2009,3\n", encoding="utf-8"
         )
         out = tmp_path / "bundle"
         assert run("ingest", "--panel", path, "--output-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: not balanced: 1 of its cells missing, "
+            f"listed in {out / 'validation.json'}\n"
+        )
+        assert "balance check: FAIL" in captured.out
         report = json.loads((out / "validation.json").read_text())
         assert report["passed"] is False
         assert ["B", 2010, "v"] in report["gaps"]
-        assert not (out / "dataset.csv").exists()
+        assert sorted(f.name for f in out.iterdir()) == ["validation.json"]
 
     def test_shuffled_rows_give_the_same_bundle(self, tmp_path):
         """A panel's rows in another order, past one block of parsed rows, give the
@@ -179,6 +189,35 @@ class TestIngest:
         )
         out = tmp_path / "bundle"
         assert run("ingest", "--panel", panel, "--pubs", pubs, "--output-dir", out) == 2
+
+    def test_pubs_replace_the_panels_own_indicator_columns(self, tmp_path):
+        """--pubs computes PUBS, FWCI, Q1SH and NQSH from the records alone: a panel's
+        own columns of those names keep their place but not their values, PUBS is
+        appended, and a cell no record covers is missing, failing the balance check."""
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            "region,year,FWCI,v,Q1SH,NQSH\nA,2019,9,1,9,9\nB,2019,9,2,9,9\n",
+            encoding="utf-8",
+        )
+        record = {**_RECORD, "year": 2019, "citations": 3, "expected_citations": 2.0}
+        pubs = tmp_path / "pubs.jsonl"
+        pubs.write_text("".join(json.dumps({**record, "id": r, "regions": [r]}) + "\n"
+                                for r in ("A", "B")), encoding="utf-8")
+        out = tmp_path / "bundle"
+        assert run("ingest", "--panel", panel, "--pubs", pubs, "--output-dir", out) == 0
+        header = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "region,year,FWCI,v,Q1SH,NQSH,PUBS"
+        d = load_panel_csv(out / "dataset.csv")
+        np.testing.assert_array_equal(d.var("FWCI")[:, 0], [1.5, 1.5])
+        np.testing.assert_array_equal(d.var("Q1SH")[:, 0], [100.0, 100.0])
+        np.testing.assert_array_equal(d.var("NQSH")[:, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(d.var("v")[:, 0], [1.0, 2.0])
+
+        pubs.write_text(json.dumps({**record, "regions": ["A"]}) + "\n", encoding="utf-8")
+        out = tmp_path / "uncovered"
+        assert run("ingest", "--panel", panel, "--pubs", pubs, "--output-dir", out) == 2
+        gaps = json.loads((out / "validation.json").read_text())["gaps"]
+        assert gaps == [["B", 2019, name] for name in ("FWCI", "NQSH", "PUBS", "Q1SH")]
 
     def test_pubs_names_are_stripped_as_table_cells(self, tmp_path, padded_pubs):
         """Records listing " R1" and "R3 " count for the panel's R1 and R3."""
@@ -881,11 +920,13 @@ class TestMalformedInputs:
             "mc": ["--reps", 2, *(["--config", bad] if prepare else ["--seed", -1])],
         }[command]
         capsys.readouterr()
-        assert run(command, *argv, "--output-dir", tmp_path / "out") == 2
+        out = tmp_path / "out"
+        assert run(command, *argv, "--output-dir", out) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err + captured.out
         error_lines = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
         assert len(error_lines) == 1 and bad_name in error_lines[0]
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -914,6 +955,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(*[a.replace("SIM", str(sim)) for a in argv], "--output-dir", "out") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out", "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -942,8 +984,10 @@ class TestMalformedInputs:
         """Every file is valid, so the error line is the flag's alone."""
         capsys.readouterr()
         argv = [a.replace("SIM", str(sim)) for a in argv]
-        assert run(*argv, "--output-dir", tmp_path / "out") == 2
+        out = tmp_path / "out"
+        assert run(*argv, "--output-dir", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mc_fits_the_log_of_an_outcome_that_overflows(self, tmp_path):
@@ -1092,9 +1136,13 @@ class TestManifestInputs:
     OUTPUT = {"simulate": "sim", "ingest": "bundle", "weights": "weights"}
 
     @pytest.fixture(scope="class")
-    def runs(self, tmp_path_factory):
-        """Per step: (files it read, its manifest's inputs), run in order in one directory."""
-        work = tmp_path_factory.mktemp("pipeline")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("pipeline")
+
+    @pytest.fixture(scope="class")
+    def runs(self, work):
+        """Per step: (files it read, its manifest, the files in its output directory),
+        run in order in one directory."""
         old = os.getcwd()
         os.chdir(work)
         try:
@@ -1113,8 +1161,8 @@ class TestManifestInputs:
                 out = self.OUTPUT.get(name, name)
                 code, read = _run_recording_reads([*argv, "--output-dir", out])
                 assert code == 0, name
-                inputs = json.loads(Path(out, "manifest.json").read_text())["inputs"]
-                found[name] = (read, inputs, {str(p) for p in Path(out).iterdir()})
+                manifest = json.loads(Path(out, "manifest.json").read_text())
+                found[name] = (read, manifest, {str(p) for p in Path(out).iterdir()})
             return found
         finally:
             os.chdir(old)
@@ -1133,15 +1181,32 @@ class TestManifestInputs:
 
     @pytest.mark.parametrize("step", list(STEPS))
     def test_manifest_lists_every_file_read(self, runs, step):
-        read, inputs, _ = runs[step]
-        assert set(inputs) == read
+        read, manifest, _ = runs[step]
+        assert set(manifest["inputs"]) == read
         assert {p for p in read if p.endswith(".npz")} == self.SIDECARS.get(step, set())
 
     @pytest.mark.parametrize("step", list(STEPS))
     def test_manifest_lists_no_file_written(self, runs, step):
-        _, inputs, written = runs[step]
+        _, manifest, written = runs[step]
         assert "manifest.json" in {Path(p).name for p in written}
-        assert not set(inputs) & written
+        assert not set(manifest["inputs"]) & written
+
+    @pytest.mark.parametrize("step", list(STEPS))
+    def test_manifest_names_its_command_and_digests_its_config(self, runs, work, step):
+        """config_digest is the sha256 of the config text: --spec or --specs as given,
+        the DGP config's JSON (with |spec|reps for mc), or nothing."""
+        _, manifest, _ = runs[step]
+        argv = self.STEPS[step]
+        small = DgpConfig.from_yaml(work / "small.yaml")
+        dgp = {"simulate": DgpConfig(seed=7), "simulate-config": small,
+               "mc": DgpConfig(seed=11), "mc-config": small}.get(step)
+        config_text = {"fit": "fe.tw.q.sl", "suite": ",".join(MAIN_TAGS)}.get(step, "")
+        if dgp is not None:
+            config_text = json.dumps(dgp.to_mapping(), sort_keys=True)
+            if argv[0] == "mc":
+                config_text += "|fe.tw.q|2"
+        assert manifest["command"] == argv[0]
+        assert manifest["config_digest"] == hashlib.sha256(config_text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("module", ["rkpf", "rkpf.suite"])

@@ -599,11 +599,30 @@ def mutated(data: bytes, kind: str, rng) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+def _run_main(argv, out: Path):
+    """(exit code, stdout, stderr, {name: bytes} of the files out holds but the
+    manifest) of main(argv) into a fresh output directory out; the exit 0 or 2 of a
+    run is checked against its stderr and manifest."""
+    shutil.rmtree(out, ignore_errors=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(a) for a in argv] + ["--output-dir", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    if code == 2:  # one `error:` line, and no manifest
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert not (out / "manifest.json").exists()
+    else:
+        assert (out / "manifest.json").exists()
+    files = {f.name: f.read_bytes() for f in sorted(out.glob("*")) if f.name != "manifest.json"}
+    return code, stdout.getvalue(), err, files
+
+
 def test_ingest_of_a_mutated_panel_exits_0_or_2(tmp_path):
     """150 mutations of a panel.csv of 20 rows, at a pinned seed: ingest exits 0 or 2,
-    an exit 2 explains itself on stderr (`error: `) or, for an unbalanced panel, with
-    the balance report on stdout, and parsing by blocks of 3 rows gives the same exit,
-    output and bundle as parsing it whole."""
+    an exit 2 (an unbalanced panel's too) gives one `error: ` line and no manifest, and
+    parsing by blocks of 3 rows gives the same exit, output and bundle as parsing it
+    whole."""
     from rkpf.simulate import DgpConfig, generate_panel
 
     source = tmp_path / "source.csv"
@@ -611,21 +630,42 @@ def test_ingest_of_a_mutated_panel_exits_0_or_2(tmp_path):
     data, rng = source.read_bytes(), random.Random(7)
     path, out = tmp_path / "panel.csv", tmp_path / "bundle"
 
-    def ingest():
-        shutil.rmtree(out, ignore_errors=True)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["ingest", "--panel", str(path), "--output-dir", str(out)])
-        files = {f.name: f.read_bytes() for f in sorted(out.glob("*")) if f.name != "manifest.json"}
-        return code, stdout.getvalue(), stderr.getvalue(), files
-
     for trial in range(150):
         kind = PANEL_MUTATIONS[trial % len(PANEL_MUTATIONS)]
         path.write_bytes(mutated(data, kind, rng))
-        code, stdout, stderr, files = ended = ingest()
-        assert code in (0, 2), (kind, stderr)
-        if code == 2:
-            assert stderr.startswith("error: ") or (
-                not stderr and "balance check: FAIL" in stdout), (kind, stdout, stderr)
+        ended = _run_main(["ingest", "--panel", path], out)
         with panel_blocks(3):
-            assert ingest() == ended, kind
+            assert _run_main(["ingest", "--panel", path], out) == ended, kind
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    """simulate's bundle of 6 regions x 4 years: dataset, profiles and weights."""
+    config = tmp_path_factory.mktemp("config") / "c.yaml"
+    config.write_text("panel: {n_regions: 6, n_years: 4}\n", encoding="utf-8")
+    out = tmp_path_factory.mktemp("small")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simulate", "--config", str(config), "--seed", "1", "--output-dir", str(out)])
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("profiles.csv", ["weights", "--profiles", "IN/profiles.csv"]),
+    # beside weights.npz, stale, so fit reads the mutated text
+    ("weights.csv", ["fit", "--bundle", "SIM", "--weights", "IN/weights.csv",
+                     "--spec", "fe.tw.q.sl"]),
+    # beside dataset.npz, stale, so stats reads the mutated text
+    ("dataset.csv", ["stats", "--bundle", "IN"]),
+], ids=["weights-profiles", "fit-weights", "stats-dataset"])
+def test_a_mutated_input_exits_0_or_2(small_bundle, tmp_path, name, argv):
+    """100 mutations of one input of a 6 x 4 bundle, at a pinned seed: the step exits
+    0 with a manifest, or 2 with one `error: ` line and no manifest."""
+    inputs = tmp_path / "in"
+    shutil.copytree(small_bundle, inputs)
+    argv = [a.replace("IN", str(inputs)).replace("SIM", str(small_bundle)) for a in argv]
+    data, rng = (small_bundle / name).read_bytes(), random.Random(11)
+    for trial in range(100):
+        kind = PANEL_MUTATIONS[trial % len(PANEL_MUTATIONS)]
+        (inputs / name).write_bytes(mutated(data, kind, rng))
+        _run_main(argv, tmp_path / "out")
