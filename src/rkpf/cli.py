@@ -12,10 +12,11 @@ rkpf.manifest) that later steps load instead of parsing the text, and ingest
 main() gives every subcommand one frame: it makes --output-dir, runs the
 command with the dict in which the command lists each input it reads, and
 writes manifest.json last, from that dict and the config text the command
-returns, only when the command succeeds. Exit codes: 0 success, 2 input or
-validation error, always one `error:` line on stderr naming the input at
-fault (such as a path that is missing, a directory, or under a regular file,
-or a panel that is not balanced), 1 internal error.
+returns, only when the command succeeds; a command that fails leaves no empty
+directory that main() made. Exit codes: 0 success, 2 input or validation error,
+always one `error:` line on stderr naming the input at fault (such as a path that
+is missing, a directory, or under a regular file, or a panel that is not
+balanced), 1 internal error.
 
 This module imports no engine module at load: each subcommand imports what it
 uses when it runs, from the module that defines it, so --version, --help and a
@@ -229,7 +230,7 @@ def cmd_weights(args, out: Path, inputs: dict) -> str:
             if args.bundle:  # its ingest may have left the counts of these very files
                 sources = sidecar_sources(path, args.vocab, inputs)
                 sidecar = Path(args.bundle) / SIDECAR_NAME
-                incidences = read_incidence_sidecar(sidecar, sources, inputs)
+                incidences = read_incidence_sidecar(sidecar, sources, vocabulary, inputs)
             if incidences is None:
                 incidences = load_publications(path, vocabulary).incidences
             if vocabulary is None:
@@ -443,9 +444,13 @@ def main(argv=None) -> int:
         args.parser.error("argument --vocab: needs --pubs")
     # The frame of every subcommand: the output directory first, before the command
     # checks its flags; the manifest last, only on success. Every EngineError, and
-    # every OSError on a path, is an exit 2 with one `error:` line.
+    # every OSError on a path, is an exit 2 with one `error:` line. A run that fails
+    # removes the directories it made (--output-dir and its missing parents) that are
+    # still empty.
+    made = []
     try:
         out = Path(args.output_dir)
+        made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         inputs = {}
         config_text = args.func(args, out, inputs)
@@ -456,14 +461,19 @@ def main(argv=None) -> int:
         return 0
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:
         # a path the user named (or a file in their --output-dir) cannot be read or made
         if isinstance(exc, OSError) and exc.filename is not None:
             print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-            return 2
-        traceback.print_exc()
-        return 1
+            code = 2
+        else:
+            traceback.print_exc()
+            code = 1
+    for path in made:
+        with contextlib.suppress(OSError):  # one that holds a file stays
+            path.rmdir()
+    return code
 
 
 if __name__ == "__main__":

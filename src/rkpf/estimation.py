@@ -7,8 +7,8 @@ passes: an R-only QR by chunks (a flat TSQR), then the residuals y - X b and eac
 region's cluster score X_g'u_g. fit_model never holds its design whole: each
 chunk is cut from a block of the whole regions its rows fall in, built and
 demeaned alone (demeaning is region-local), and built again in the second pass,
-which also takes X b of the raw rows for the overall R^2. fit_block cuts the
-same chunks from one stacked buffer, and ols_fit from the buffer it is given.
+which also takes X b of the raw rows for the overall R^2. ols_fit cuts the
+same chunks from the buffer it is given, as fit_block's one stacked buffer.
 Covariance is either classical or a cluster-by-region
 sandwich with the small-sample factor G/(G-1) * (N-1)/(N-K), where K counts
 fitted columns plus absorbed region effects (the same convention used for
@@ -22,8 +22,9 @@ cluster_robust_cov) also take arrays with leading axes: a stack of B
 replications' [X y] buffers, (B, N, k+1), is fitted as B separate problems, each
 with the same numpy calls and so the same bits as when fitted alone.
 fit_model and fit_block, which fits Monte Carlo's stack of replications,
-agree because they run one checked core, _fit, over the same chunks: the dof
-of design_dof, the QR and every check of a fit, in one order.
+agree because both take the dof of design_dof, run _least_squares over the
+same chunks (fit_block through ols_fit, and cluster_robust_cov for the scores
+that pass 2 takes in fit_model), and pass the fit through one check, _checked.
 
 W's only use in a fit is the thematic lags W x, and take_lags is the only code
 that meets W: it takes every distinct lag of a list of specs once, as a
@@ -216,16 +217,8 @@ def take_lags(d: PanelDataset, specs, w) -> tuple[PanelDataset, list[ModelSpec]]
 def build_design(d: PanelDataset, spec: ModelSpec, w=None) -> Design:
     """The stacked design matrix and response of a ModelSpec, its lags taken first."""
     d, [spec] = take_lags(d, [spec], w)
-    return Design(*_design_arrays(d, spec))
-
-
-def _design_arrays(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """build_design's C-contiguous [X y] buffer, (n T, k + 1), and column labels, of a
-    spec with no lag term; for a stack of panels (see term_values) the buffer is
-    (..., n T, k + 1). `out`, a flat float64 array of at least the buffer's size,
-    holds the buffer where given."""
     labels, y, terms = _columns(d, spec)
-    return _design_block(spec, y, terms, out), labels
+    return Design(_design_block(spec, y, terms), labels)
 
 
 def _columns(d, spec: ModelSpec):
@@ -302,7 +295,7 @@ class OlsFit:
 
 # Rows of [X y] per chunk. Every product over a design's rows (the QR, X b and the
 # residuals) is taken over the same chunks of QR_BLOCK_ROWS rows, counted from the
-# design's first row, whether the design is one buffer (_buffer_chunks) or is built
+# design's first row, whether the design is one buffer (ols_fit) or is built
 # by blocks of regions (_region_chunks): a product's bits depend on the rows it is
 # taken over (X b over blocks of 999 rows differs from the whole product in some
 # rows; over chunks of 1000 it does not), so a fit has the same bits whatever holds
@@ -310,15 +303,6 @@ class OlsFit:
 # buffer twice, and its R has the same bits whatever the BLAS thread count (one QR
 # of 40000 rows differs between 1 and 2 threads).
 QR_BLOCK_ROWS = 1000
-
-
-def _buffer_chunks(xy: np.ndarray):
-    """The chunks of the whole [X y] buffer xy (..., N, k+1) (see _least_squares)."""
-    n = xy.shape[-2]
-    return lambda coefficients=None: (
-        (xy, 0, slice(start, min(start + QR_BLOCK_ROWS, n)), None)
-        for start in range(0, n, QR_BLOCK_ROWS)
-    )
 
 
 def _region_chunks(spec: ModelSpec, y: np.ndarray, terms):
@@ -438,7 +422,10 @@ def ols_fit(xy: np.ndarray, labels=None) -> OlsFit:
     xy = np.asarray(xy, dtype=float)
     if xy.ndim < 2 or xy.shape[-2] < xy.shape[-1] - 1:
         raise ValueError(f"need at least as many rows as columns of X, got [X y] {xy.shape}")
-    return _least_squares(_buffer_chunks(xy), xy.shape[-2], labels)[0]
+    n = xy.shape[-2]
+    chunks = [(xy, 0, slice(start, min(start + QR_BLOCK_ROWS, n)), None)
+              for start in range(0, n, QR_BLOCK_ROWS)]
+    return _least_squares(lambda coefficients=None: chunks, n, labels)[0]
 
 
 def classical_cov(fit: OlsFit, dof: int) -> np.ndarray:
@@ -616,31 +603,28 @@ def _check_finite(what: str, values: np.ndarray, labels) -> None:
         raise NonFiniteFit(f"the {what} of {labels[at[-1]]!r} is {values[at]}")
 
 
-def _fit(chunks, spec: ModelSpec, labels, n_regions: int, n_years: int, overall=False):
-    """(dof, least-squares fit, spec's standard errors, classical standard errors,
-    fitted, response) of the [X y] design of an n x T panel that chunks gives, each
-    checked (_least_squares, which gives fitted and response with `overall`).
+def _checked(fit: OlsFit, labels, dof: int, robust=None) -> tuple[np.ndarray, np.ndarray]:
+    """(the spec's standard errors, the classical ones) of a least-squares fit whose
+    residual dof is dof, each checked in one order: the SSR, the estimates, then the
+    errors. robust(), where given, is the spec's cluster covariance, taken once the
+    estimates pass; else the spec's errors are the classical ones.
 
     Leading axes stack replications; each check then covers the whole stack and
     names the first replication that fails it.
     """
-    _, dof = design_dof(spec, n_regions, n_years)
-    clusters = 0 if spec.covariance == "classical" else n_regions
-    with np.errstate(over="ignore"):  # a sum of squares that overflows is named below
-        fit, scores, fitted, response = _least_squares(
-            chunks, n_regions * n_years, labels, clusters, overall
-        )
     ok = np.isfinite(fit.ssr)
     if not ok.all():
         raise NonFiniteFit(
             f"the SSR is {fit.ssr[first_cell(~ok)]}: the residuals are too large to square"
         )
     _check_finite("estimate", fit.coefficients, labels)
-    classical_se = _std_errors(classical_cov(fit, dof))
-    se = classical_se if scores is None else _std_errors(_sandwich(fit, scores, dof))
+    classical_se = se = _std_errors(classical_cov(fit, dof))
+    if robust is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # as pass 2's scores: named below
+            se = _std_errors(robust())
     _check_finite("standard error", se, labels)
     _check_finite("classical standard error", classical_se, labels)
-    return dof, fit, se, classical_se, fitted, response
+    return se, classical_se
 
 
 def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
@@ -654,10 +638,16 @@ def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
     del w
     labels, y, terms = _columns(d, plain)
     n_obs, k = d.n_obs, len(labels)
+    _, dof = design_dof(plain, d.n_regions, d.n_years)
+    clusters = 0 if spec.covariance == "classical" else d.n_regions
     # X b of the raw design, and y of the (possibly demeaned) LS problem
-    dof, fit, se, classical_se, fitted, yf = _fit(
-        _region_chunks(plain, y, terms), plain, labels, d.n_regions, d.n_years, overall=True
-    )
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is named by _checked
+        fit, scores, fitted, yf = _least_squares(
+            _region_chunks(plain, y, terms), n_obs, labels, clusters, overall=True
+        )
+    robust = None if scores is None else lambda: _sandwich(fit, scores, dof)
+    se, classical_se = _checked(fit, labels, dof, robust)
+    del robust, scores  # before the R^2 of the raw rows
     n_absorbed = n_obs - k - dof  # the region effects the dof nets out
     ssr = float(fit.ssr)
     t_stats, p_values = _t_test(se, fit.coefficients, dof)
@@ -699,8 +689,9 @@ def fit_model(d: PanelDataset, spec: ModelSpec, w=None) -> FitResult:
 
 def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The estimates (B, k) and the spec's standard errors (B, k) of a stack of B
-    panels, each the bits fit_model gives it alone: both run the one core, _fit, on
-    the same chunks of rows; here they are cut from one stacked buffer.
+    panels, each the bits fit_model gives it alone: ols_fit fits the same chunks of
+    rows, here cut from one stacked buffer, cluster_robust_cov takes pass 2's scores,
+    and _checked checks the fit as fit_model's.
 
     d is a simulate.PanelBlock: PanelDataset's region_ids, years and var, over
     (B, n, T) variables, and its own weights for take_lags. A failing check raises
@@ -712,9 +703,15 @@ def fit_block(d, spec: ModelSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     """
     n, t = len(d.region_ids), len(d.years)
     d, [spec] = take_lags(d, [spec], d)
-    xy, labels = _design_arrays(d, spec, out)
-    del d  # the design is all of the block that the fit reads
+    labels, y, terms = _columns(d, spec)
+    xy = _design_block(spec, y, terms, out)
+    del d, y, terms  # the design is all of the block that the fit reads
     if spec.region_effects:
         within_transform(xy, n)
-    _, fit, se, *_ = _fit(_buffer_chunks(xy), spec, labels, n, t)
+    _, dof = design_dof(spec, n, t)
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is named by _checked
+        fit = ols_fit(xy, labels)
+    robust = None if spec.covariance == "classical" else (
+        lambda: cluster_robust_cov(fit, xy[..., :-1], n, dof))
+    se, _ = _checked(fit, labels, dof, robust)
     return fit.coefficients, se

@@ -485,16 +485,25 @@ def write_incidence_sidecar(pubs: Publications, path, sources: dict) -> None:
                   regions=regions, subject_areas=areas, incidences=counts)
 
 
-def read_incidence_sidecar(path, sources: dict, digests: dict | None = None):
+def read_incidence_sidecar(path, sources: dict, vocabulary, digests: dict | None = None):
     """The incidences that load_publications(...).incidences gives for the files
-    `sources` names, from the sidecar at `path` if it records them and its counts
-    fit its names; otherwise None, and the caller decodes the publications file.
-    `digests`, if given, receives the sidecar's own sha256 under its path if it was
-    opened."""
+    `sources` names, from the sidecar at `path` if it records them and holds arrays
+    that load_publications could give: strictly increasing names that check_names
+    passes, subject areas in `vocabulary` (the codes, or None), and a nonempty matrix
+    of counts >= 0 with a positive total in every row and column. Otherwise None, and
+    the caller decodes the publications file. `digests`, if given, receives the
+    sidecar's own sha256 under its path if it was opened."""
     with contextlib.suppress(*SIDECAR_FAULTS):
         arrays = read_sidecar(path, sources, SIDECAR_LAYOUT, digests)
         regions, areas = arrays["regions"].tolist(), arrays["subject_areas"].tolist()
         counts = arrays["incidences"]
-        if counts.shape == (len(regions), len(areas)):
+        for what, names in (("region", regions), ("subject area", areas)):
+            check_names(names, ValueError, what)  # a fault: the file is decoded
+        if (
+            counts.shape == (len(regions), len(areas)) and counts.size
+            and regions == sorted(regions) and areas == sorted(areas)
+            and (vocabulary is None or set(areas) <= set(vocabulary))
+            and counts.min() >= 0 and counts.any(axis=1).all() and counts.any(axis=0).all()
+        ):
             return regions, areas, counts
     return None

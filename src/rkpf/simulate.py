@@ -19,9 +19,10 @@ draws carries a leading replication axis, so that each numpy call serves the
 whole block; its true lag terms, like a fit's, come from estimation.take_lags,
 the block being its own weights. generate_panel is its one-replication case.
 Monte Carlo fits its replications in such blocks (estimation.fit_block, which
-runs fit_model's checked core), as many as fit one block's [X y] buffer,
-n T (k + 1) float64s each, into BLOCK_BYTES, and every block is built in one
-such buffer; a block that fails a check is run again as blocks of one.
+fits them through ols_fit and cluster_robust_cov and checks them as fit_model
+does), as many as fit one block's [X y] buffer, n T (k + 1) float64s each, into
+BLOCK_BYTES, and every block is built in one such buffer; a block that fails a
+check is run again as blocks of one.
 """
 from __future__ import annotations
 
@@ -384,15 +385,13 @@ def _generated_columns(cfg: DgpConfig) -> tuple[str, ...]:
     return (*dists, *logs, "log(PUB21EMP)", "PUB21EMP")
 
 
-def generate_panel(cfg: DgpConfig, rng: np.random.Generator | None = None) -> GeneratedPanel:
+def generate_panel(cfg: DgpConfig) -> GeneratedPanel:
     """Draw one synthetic panel plus its thematic weights.
 
     Deterministic given cfg.seed: the same config yields bit-identical
-    output. Pass an explicit rng to derive replication streams instead.
+    output. Monte Carlo's replication streams draw through generate_block.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    block = generate_block(cfg, [rng])
+    block = generate_block(cfg, [np.random.default_rng(np.random.SeedSequence(cfg.seed))])
     regions = block.region_ids
     return GeneratedPanel(
         PanelDataset(regions, block.years, {k: v[0] for k, v in block.variables.items()}),

@@ -267,7 +267,7 @@ class TestWeights:
         assert capsys.readouterr().err == (
             f"error: {out / 'weights.csv'}: header name 'region' appears more than once\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # no weights file, and no directory left
 
     def test_three_region_profiles(self, tmp_path):
         from rkpf.weights import ThematicProfileMatrix
@@ -926,7 +926,7 @@ class TestMalformedInputs:
         assert "Traceback" not in captured.err + captured.out
         error_lines = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
         assert len(error_lines) == 1 and bad_name in error_lines[0]
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -955,7 +955,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(*[a.replace("SIM", str(sim)) for a in argv], "--output-dir", "out") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not Path("out", "manifest.json").exists()
+        assert not Path("out").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -987,7 +987,18 @@ class TestMalformedInputs:
         out = tmp_path / "out"
         assert run(*argv, "--output-dir", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_a_failed_run_keeps_an_output_dir_it_did_not_make(self, sim, tmp_path):
+        out = tmp_path / "existing"
+        out.mkdir()
+        assert run("stats", "--bundle", sim, "--vars", ",", "--output-dir", out) == 2
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_a_failed_run_removes_the_nested_output_dir_it_made(self, sim, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert run("stats", "--bundle", sim, "--vars", ",", "--output-dir", out) == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mc_fits_the_log_of_an_outcome_that_overflows(self, tmp_path):

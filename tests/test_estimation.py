@@ -26,7 +26,7 @@ from rkpf.estimation import (
     ModelSpec,
     OlsFit,
     Term,
-    _design_arrays,
+    _columns,
     _squared_correlation,
     _std_errors,
     build_design,
@@ -204,7 +204,7 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match=r"^spatial lag term 'slx\^2' has no weights"):
             term_values(d, spec.regressors[0])
         with pytest.raises(ValueError, match=r"^spatial lag term 'slx\^2'"):
-            _design_arrays(d, spec)
+            _columns(d, spec)
 
     def test_unknown_variable(self):
         d = panel(["A", "B"], [2009], y=[[1.0], [2.0]])
@@ -752,7 +752,7 @@ class TestOneBuffer:
         block = generate_block(cfg, [np.random.default_rng(s) for s in streams])
         spec = expand_notation(tag, covariance)
         lagged, [plain] = take_lags(block, [spec], block)
-        xy, _ = _design_arrays(lagged, plain)
+        xy = build_design(lagged, plain).xy
         _, dof = design_dof(spec, 30, 8)
         fit, Xf, _ = copied_fit(xy[..., :-1], xy[..., -1], 30, spec.region_effects)
         se, _ = copied_errors(fit, Xf, spec, 30, dof)

@@ -389,7 +389,7 @@ def _run_steps(root: Path, tag: str) -> dict:
 
 
 # the panel and W are checked by their types, which refuse a repeated region or a
-# negative weight; the incidence counts are built into no such type
+# negative weight; the incidence counts by read_incidence_sidecar (FORGED)
 @pytest.mark.parametrize("kind", [*BROKEN, "refused-by-its-type"])
 def test_a_broken_sidecar_changes_no_result(tmp_path, kind):
     sim = _simulated(tmp_path)
@@ -458,11 +458,12 @@ def _ingest(root: Path, out: str, vocab: bool = True) -> Path:
 
 def _weights(root: Path, bundle: Path, out: str, vocab: bool = True) -> tuple:
     """weights --pubs on root's inputs and bundle: (exit code, stderr, bytes of each file
-    written but the manifest, the manifest's inputs or None)."""
+    written but the manifest, the manifest's inputs or None). A run that fails leaves
+    no output directory, and so no file."""
     vocab_flag = ["--vocab", root / "vocab.txt"] if vocab else []
     code, err = _main(["weights", "--pubs", root / "pubs.jsonl", *vocab_flag,
                        "--bundle", bundle, "--output-dir", root / out])
-    results = {p.name: p.read_bytes() for p in (root / out).iterdir()
+    results = {p.name: p.read_bytes() for p in (root / out).glob("*")
                if p.name != "manifest.json"}
     manifest = root / out / "manifest.json"
     inputs = json.loads(manifest.read_text())["inputs"] if manifest.exists() else None
@@ -534,15 +535,41 @@ def test_an_edited_source_or_another_vocabulary_decodes_the_file(tmp_path, monke
         assert got[2] != before[2]
 
 
-@pytest.mark.parametrize("kind", BROKEN)
-def test_a_broken_publications_sidecar_changes_no_result(tmp_path, kind):
+# publications sidecars that keep the digests they record, with arrays that
+# load_publications could not give
+FORGED = ("unknown-area", "negative-count", "swapped-regions", "all-zero-row")
+
+
+def _forge(kind: str, npz: Path) -> None:
+    """Edit the arrays of the publications sidecar npz into a `kind` forgery."""
+    with np.load(npz) as members:
+        arrays = {key: members[key] for key in members.files}
+    regions, areas, counts = (arrays[key] for key in indicators.SIDECAR_LAYOUT)
+    if kind == "unknown-area":  # a code outside vocab.txt, still the last in order
+        arrays["subject_areas"] = np.array([*areas[:-1], "SA99"])
+    elif kind == "negative-count":
+        counts[0, 0] = -1
+    elif kind == "swapped-regions":
+        arrays["regions"] = regions[[1, 0, *range(2, len(regions))]]
+    elif kind == "all-zero-row":
+        counts[0] = 0
+    _savez(npz, **arrays)
+
+
+@pytest.mark.parametrize("kind", [*BROKEN, *FORGED])
+def test_a_broken_publications_sidecar_changes_no_result(tmp_path, monkeypatch, kind):
     root = _pubs_inputs(tmp_path)
     bundle = _ingest(root, "bundle")
     good = _weights(root, bundle, "good")
     sidecar = bundle / indicators.SIDECAR_NAME
     sources = indicators.sidecar_sources(root / "pubs.jsonl", root / "vocab.txt")
-    _break(kind, sidecar, indicators.SIDECAR_LAYOUT, sources)
+    if kind in FORGED:
+        _forge(kind, sidecar)
+    else:
+        _break(kind, sidecar, indicators.SIDECAR_LAYOUT, sources)
+    decodes = _counting_decodes(monkeypatch)
     code, err, results, inputs = _weights(root, bundle, kind)
+    assert decodes == [str(root / "pubs.jsonl")]  # the sidecar is refused
     assert (code, err, results) == good[:3]
     # the sidecar is listed with its digest if it was opened, used or not
     want = {p: d for p, d in good[3].items() if p != str(sidecar)}
@@ -560,6 +587,7 @@ def test_error_lines_do_not_depend_on_the_sidecar(tmp_path):
     extra = "\n".join(",".join(["R9", year, *row[2:]]) for year in ("2019", "2020"))
     (bundle / "dataset.csv").write_text(text + extra + "\n", encoding="utf-8")
     empty = _weights(root, bundle, "empty")
+    assert not (root / "empty").exists()
     assert empty[0] == 2 and empty[1] == (
         f"error: {root / 'pubs.jsonl'}: region 'R9' has no publication records\n")
     assert _decoded(root, bundle, "empty-decoded")[:2] == empty[:2]
@@ -647,10 +675,10 @@ def test_the_publications_sidecar_gives_back_the_counts(tmp_path_factory, listed
     path = root / indicators.SIDECAR_NAME
     sources = {"pubs_sha256": "a" * 64, "vocab_sha256": "none"}
     indicators.write_incidence_sidecar(pubs, path, sources)
-    regions, areas, counts = indicators.read_incidence_sidecar(path, sources)
+    regions, areas, counts = indicators.read_incidence_sidecar(path, sources, None)
     want = pubs.incidences
     assert (regions, areas) == want[:2] and np.array_equal(counts, want[2])
-    assert indicators.read_incidence_sidecar(path, {**sources, "vocab_sha256": "b"}) is None
+    assert indicators.read_incidence_sidecar(path, {**sources, "vocab_sha256": "b"}, None) is None
 
 
 def _members_are_write_array_bytes(npz: Path) -> dict:

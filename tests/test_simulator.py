@@ -9,9 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkpf import simulate
-from rkpf.errors import ConfigError, EngineError, RankDeficient, UnknownVariable, ZeroDof
+from rkpf.errors import (
+    ConfigError,
+    EngineError,
+    NonFiniteFit,
+    RankDeficient,
+    UnknownVariable,
+    ZeroDof,
+)
 from rkpf.estimation import fit_model, t_critical
-from rkpf.panel import descriptive_stats, validate_balanced
+from rkpf.panel import PanelDataset, descriptive_stats, validate_balanced
 from rkpf.simulate import (
     _REGRESSOR_KEYS,
     _SCALAR_KEYS,
@@ -28,6 +35,7 @@ from rkpf.simulate import (
     monte_carlo,
 )
 from rkpf.suite import expand_notation
+from rkpf.weights import SpatialWeights
 
 # config values of every YAML kind; ints are either small enough that no
 # config allocates a large default time profile, or too large to allocate
@@ -338,15 +346,24 @@ def _bits(a) -> bytes:
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _panel_alone(cfg, rng) -> tuple[PanelDataset, SpatialWeights]:
+    """The dataset and weights of the panel that rng draws alone, a block of one
+    sliced as generate_panel slices its own."""
+    block = generate_block(cfg, [rng])
+    variables = {name: values[0] for name, values in block.variables.items()}
+    return (PanelDataset(block.region_ids, block.years, variables),
+            SpatialWeights(block.region_ids, block.w[0]))
+
+
 def _report_one_at_a_time(cfg, spec_tag, replications, covariance) -> dict:
-    """monte_carlo's report from generate_panel + fit_model on each spawned stream,
-    aggregated as monte_carlo aggregates."""
+    """monte_carlo's report from a panel drawn alone + fit_model on each spawned
+    stream, aggregated as monte_carlo aggregates."""
     spec = expand_notation(spec_tag, covariance)
     tracked = [t.label for t in spec.regressors if t.label in cfg.true_coefficients]
     results = []
     for stream in np.random.SeedSequence(cfg.seed).spawn(replications):
-        g = generate_panel(cfg, np.random.default_rng(stream))
-        fit = fit_model(g.dataset, spec, g.weights)
+        dataset, w = _panel_alone(cfg, np.random.default_rng(stream))
+        fit = fit_model(dataset, spec, w)
         crit = t_critical(fit.dof)
         results.append([(fit.coefficients[l], fit.std_errors[l], crit) for l in tracked])
     results = np.array(results)
@@ -386,18 +403,20 @@ class TestMonteCarloBlocks:
         assert block_size(DgpConfig(n_regions=2000, n_years=20), paper) == 1
 
     def test_generate_panel_is_its_slice_of_the_block(self):
+        """generate_panel draws from SeedSequence(cfg.seed); put between two spawned
+        streams, that stream gives the block's middle replication the same bits."""
         cfg = replace(DgpConfig(seed=5, n_regions=12, n_years=5), cluster_ar1=0.5)
-        streams = np.random.SeedSequence(cfg.seed).spawn(3)
+        first, last = np.random.SeedSequence(cfg.seed).spawn(2)
+        streams = [first, np.random.SeedSequence(cfg.seed), last]
         block = generate_block(cfg, [np.random.default_rng(s) for s in streams])
-        for b, stream in enumerate(streams):
-            g = generate_panel(cfg, np.random.default_rng(stream))
-            assert g.dataset.region_ids == block.region_ids
-            assert g.dataset.years == block.years
-            assert list(g.dataset.variables) == list(block.variables)
-            for name, values in g.dataset.variables.items():
-                assert _bits(values) == _bits(block.variables[name][b]), name
-            assert _bits(g.weights.w) == _bits(block.w[b])
-            assert _bits(g.profiles.shares) == _bits(block.shares[b])
+        g = generate_panel(cfg)
+        assert g.dataset.region_ids == block.region_ids
+        assert g.dataset.years == block.years
+        assert list(g.dataset.variables) == list(block.variables)
+        for name, values in g.dataset.variables.items():
+            assert _bits(values) == _bits(block.variables[name][1]), name
+        assert _bits(g.weights.w) == _bits(block.w[1])
+        assert _bits(g.profiles.shares) == _bits(block.shares[1])
 
     def test_failure_inside_a_block_names_the_replication(self, monkeypatch):
         """Replication 3, the second of the block [2, 3], draws no normal variation, so
@@ -426,12 +445,25 @@ class TestMonteCarloBlocks:
 
         monkeypatch.setattr(np.random, "default_rng", rigged)
         stream = np.random.SeedSequence(cfg.seed).spawn(4)[3]
-        g = generate_panel(cfg, rigged(stream))
+        dataset, w = _panel_alone(cfg, rigged(stream))
         with pytest.raises(RankDeficient) as alone:
-            fit_model(g.dataset, expand_notation("fe.tw.q.sl"), g.weights)
+            fit_model(dataset, expand_notation("fe.tw.q.sl"), w)
         with pytest.raises(RankDeficient) as blocked:
             monte_carlo(cfg, "fe.tw.q.sl", 7)
         assert str(blocked.value) == f"replication 3 (spawn key (3,)): {alone.value}"
+
+    def test_an_overflowing_cluster_covariance_is_named_without_a_warning(self):
+        """Noise of sd 1e152 leaves the SSR finite but overflows the cluster sandwich:
+        its check names the standard error, in a block as for the replication fitted
+        alone, and numpy warns of nothing (a warning fails a test here)."""
+        cfg = replace(DgpConfig(seed=0), noise_sd=1e152)
+        with pytest.raises(NonFiniteFit) as blocked:
+            monte_carlo(cfg, "fe.tw.q", 2)
+        stream = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+        dataset, w = _panel_alone(cfg, np.random.default_rng(stream))
+        with pytest.raises(NonFiniteFit, match="^the standard error of ") as alone:
+            fit_model(dataset, expand_notation("fe.tw.q"), w)
+        assert str(blocked.value) == f"replication 0 (spawn key (0,)): {alone.value}"
 
     def test_rerun_names_the_first_failing_replication_in_order(self, monkeypatch):
         """In the block [2, 3], replication 2 draws all-zero normals (a rank-deficient

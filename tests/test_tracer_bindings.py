@@ -6,14 +6,16 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+from rkpf import estimation, simulate
 from rkpf.estimation import build_design
 from rkpf.indicators import Publications
-from rkpf.simulate import DgpConfig, generate_panel
+from rkpf.simulate import DgpConfig, block_size, generate_panel, monte_carlo
 from rkpf.suite import expand_notation
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -84,3 +86,38 @@ def test_the_design_counter_reads_a_real_design():
         design.X.shape[0] * design.X.shape[1] * 8 for design in designs)
     assert t.counters["suite.build_design_calls"] == 3
     assert t.design_reuse() == 2 / 3  # the repeated design is one distinct design
+
+
+def _rkpf_bindings() -> dict:
+    """Every function bound in a loaded rkpf module, by (module, name)."""
+    return {(name, attr): value for name, module in list(sys.modules.items())
+            if module is not None and (name == "rkpf" or name.startswith("rkpf."))
+            for attr, value in vars(module).items() if callable(value)}
+
+
+@pytest.mark.parametrize("covariance", ["cluster_by_region", "classical"])
+def test_the_tracer_sees_each_monte_carlo_block_fitted(covariance):
+    """Monte Carlo fits each block of replications through ols_fit and, for clustered
+    errors, cluster_robust_cov, so the traced layers count one call a block; no design
+    passes through build_design. The tracer changes no result, and restore() puts
+    every binding back."""
+    cfg = DgpConfig(n_regions=12, n_years=5, seed=4)
+    size = block_size(cfg, expand_notation("fe.tw.q.sl", covariance))
+    blocks = 3
+    replications = (blocks - 1) * size + 1  # the last block holds one replication
+    want = monte_carlo(cfg, "fe.tw.q.sl", replications, covariance)
+    before = _rkpf_bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert estimation.ols_fit.__perfbench_original__ is before["rkpf.estimation", "ols_fit"]
+        got = simulate.monte_carlo(cfg, "fe.tw.q.sl", replications, covariance)
+    finally:
+        t.restore()
+    assert got == want
+    robust = covariance == "cluster_by_region"
+    assert t.counters["estimation.ols_fit.calls"] == blocks
+    assert t.counters["estimation.cluster_robust_cov.calls"] == (blocks if robust else 0)
+    assert t.counters["estimation.build_design.calls"] == 0
+    after = _rkpf_bindings()
+    assert all(after[key] is value for key, value in before.items())
